@@ -25,6 +25,7 @@ import numpy as np
 
 from .composite import build_unitary, decompose, random_param_matrix
 from .entanglement import (
+    PPT_TOL,
     bound_b,
     max_concurrence,
     max_distill_x_sq,
@@ -34,11 +35,12 @@ from .entanglement import (
 )
 from .errors import ConvergenceError, UniparamError
 from .linalg import herm_eig
-from .optimize import OptimizerConfig
+from .optimize import OptimizerConfig, OptimizerResult
 from .states import DENSITY_PSD_TOL, validate_density
 
 DISTILL_WITNESS_TOL = 1e-8
-PPT_FLAG_TOL = 1e-10
+# lowest accepted value of each integer option (options a subcommand lacks are skipped)
+OPTION_MINIMUMS = {"seed": 0, "restarts": 1, "copies": 1, "jobs": 1}
 
 _INDEXING_NOTE = (
     "Basis labels in documentation and reports are 1-based (|1>..|d|); "
@@ -131,7 +133,7 @@ def _fig1_point(task: tuple) -> ScanRow:
     ia, ib, alpha, beta, optimize, restarts, base_seed = task
     rho = fig1_state(alpha, beta)
     is_state = bool(herm_eig(rho).eigenvalues[0] >= -DENSITY_PSD_TOL)
-    is_ppt = bool(ppt_min_eigenvalue(rho, (3, 3), which=1) >= -PPT_FLAG_TOL)
+    is_ppt = bool(ppt_min_eigenvalue(rho, (3, 3), which=1) >= -PPT_TOL)
     bound_plain = bound_opt = None
     if is_state:
         norm = max_concurrence(3)
@@ -215,7 +217,10 @@ def _parse_dims(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UniparamError(f"--dims expects 'dA,dB', got {text!r}")
-    d_a, d_b = (int(p) for p in parts)
+    try:
+        d_a, d_b = (int(p) for p in parts)
+    except ValueError:
+        raise UniparamError(f"--dims expects two integers 'dA,dB', got {text!r}") from None
     if d_a < 2 or d_b < 2:
         raise UniparamError(f"local dimensions must be >= 2, got {d_a},{d_b}")
     return d_a, d_b
@@ -228,6 +233,11 @@ def _load_state(path: str, d_a: int, d_b: int) -> np.ndarray:
             f"state is {rho.shape[0]}x{rho.shape[1]}, expected {d_a * d_b}x{d_a * d_b}")
     validate_density(rho)
     return rho
+
+
+def _optimizer_report(result: OptimizerResult) -> dict:
+    return {"iterations": result.iterations, "restarts": result.restarts,
+            "converged": result.converged}
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
@@ -254,11 +264,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         out["b_opt"] = b_opt
         if args.normalize:
             out["b_opt_normalized"] = b_opt / norm
-        out["optimizer"] = {
-            "iterations": result.iterations,
-            "restarts": result.restarts,
-            "converged": result.converged,
-        }
+        out["optimizer"] = _optimizer_report(result)
     print(json.dumps(out))
     return 0
 
@@ -280,11 +286,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
         "max_x_sq": x_sq,
         "distillable_witness": bool(x_sq > DISTILL_WITNESS_TOL),
         "n_params": 2 * (4 * d - 8),
-        "optimizer": {
-            "iterations": result.iterations,
-            "restarts": result.restarts,
-            "converged": result.converged,
-        },
+        "optimizer": _optimizer_report(result),
     }))
     return 0
 
@@ -353,9 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
-        return 2
+    for name, low in OPTION_MINIMUMS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            print(f"error: --{name} must be >= {low}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except ConvergenceError as exc:

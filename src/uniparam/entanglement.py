@@ -1,36 +1,34 @@
 """Concurrence-style entanglement bounds for bipartite and multipartite states.
 
-The central quantity is, per antisymmetric generator pair (sigma_A, sigma_B),
+Every term here is Wootters' concurrence (PRL 80, 2245, 1998) of one 4x4
+block of a locally rotated state.  For local rotations u_a, u_b and the
+generator pairs (k_a, l_a), (k_b, l_b) (1-based, k < l), X_{k_a l_a k_b l_b}
+is C(R) for the block R of U rho U†, U = u_a (x) u_b, on
+|k_a>,|l_a> (x) |k_b>,|l_b>, with
 
-    X = max(2*max_i x_i - sum_i x_i, 0)
+    C(R) = max(x_1 - x_2 - x_3 - x_4, 0)
 
-where the x_i are the square roots of the eigenvalues of
+and x_1 >= ... >= x_4 the square roots of the eigenvalues of
+R (sy x sy) R^* (sy x sy).  ``_concurrences``, the one routine that
+evaluates C, takes a stack of blocks: from R = L L†, L = V sqrt(w) (a
+batched Hermitian eigensolve, round-off eigenvalues set to 0), the x_i
+are the singular values of L^T (sy x sy) L.  The plain bound
+B = sqrt(sum of X^2 over all pairs) (Chen-Albeverio-Fei, PRL 95, 040504,
+2005), its maximum over the composite parameterization of the local
+rotations, the multipartite sum over bipartitions and the distillability
+witness (the single block on the first two columns of two subspace
+isometries, maximized) all go through it.
 
-    rho * M * rho^* * M†,    M = sigma_A (x) sigma_B
-
-(conjugation in the computational product basis, the same basis the
-composite unitaries are built in).  M rho^* M† is PSD, so the spectrum
-equals that of the Hermitian PSD matrix  K K†  with  K = sqrt(rho) M
-sqrt(rho)^*; eigenvalues are computed on that form and never through a
-general non-Hermitian solver.  Tiny negative eigenvalues are clamped to
-zero.
-
-Summing X^2 over all generator pairs gives the lower bound B^2; rotating
-the generators by local unitaries and maximizing gives the optimized
-bound.  The exact 2x2 term X_{1,2,1,2} maximized over two-dimensional
-local subspaces yields the distillability witness.
-
-Each term is Wootters' concurrence of a 4x4 block of the locally rotated
-state, so X = max(..., 0) is exactly zero wherever that block is PPT.  For
-a barely-NPT state this holds on almost all of angle space, and every
+Each X = max(..., 0) is exactly zero wherever its block is PPT.  For a
+barely-NPT state this holds on almost all of angle space, and every
 uniformly seeded restart can end on that zero plateau.  So when all
 restarts of ``optimized_bound_b`` or ``max_distill_x_sq`` end at exactly
 0 and the state is NPT (``ppt_min_eigenvalue`` below -PPT_TOL), a
 partial-transpose-seeded stage runs: it minimizes the sum of the smallest
 eigenvalues of the partially transposed blocks, which has no plateau,
-over the same angles, and starts one more Nelder-Mead run of the
-objective from that minimizer.  Results at every other input are those
-of the restarts alone.
+over the same angles and blocks, and starts one more Nelder-Mead run of
+the objective from that minimizer.  Results at every other input are
+those of the restarts alone.
 """
 
 from __future__ import annotations
@@ -49,13 +47,14 @@ from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NormalizationError,
+    NotPSDError,
 )
-from .linalg import herm_eig, partial_trace, partial_transpose, permute_subsystems, psd_sqrt
+from .linalg import PSD_EIG_TOL, herm_eig, partial_trace, partial_transpose, permute_subsystems
 from .optimize import OptimizerConfig, OptimizerResult, minimize, refine
 
 PPT_TOL = 1e-10
-PT_SEED_RESTARTS = 4
-EIG_CLAMP = 1e-12
+PT_SEED_RESTARTS = 6
+BLOCK_EIG_FLOOR = 1e-13
 STATE_NORM_TOL = 1e-12
 
 
@@ -92,73 +91,82 @@ def pure_m_concurrence_sq(psi: np.ndarray, d_a: int, d_b: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# generator stacks and the Hermitian-route X evaluator
+# 4x4 blocks of the locally rotated state and their concurrences
+
+Pair = tuple[tuple[int, int], tuple[int, int]]
+
+_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real  # the two-qubit spin flip, a real matrix
+
 
 def sigma_pairs(d: int) -> list[tuple[int, int]]:
     """All 1-based index pairs (k, l) with k < l in dimension d."""
     return [(k, l) for k in range(1, d) for l in range(k + 1, d + 1)]
 
 
-def _sigma_stack(d: int) -> np.ndarray:
-    stack = np.zeros((d * (d - 1) // 2, d, d), dtype=complex)
-    for t, (k, l) in enumerate(sigma_pairs(d)):
-        stack[t, k - 1, l - 1] = -1j
-        stack[t, l - 1, k - 1] = 1j
-    return stack
+def _check_state(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """rho as a complex array, after the shape and positivity checks every bound needs."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
+    if d_a * d_b != rho.shape[0]:
+        raise DimensionMismatchError(f"{d_a}*{d_b} != matrix size {rho.shape[0]}")
+    if d_a < 2 or d_b < 2:
+        raise DimensionMismatchError("both local dimensions must be >= 2")
+    w = herm_eig(rho).eigenvalues
+    if w[0] < -PSD_EIG_TOL:
+        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_EIG_TOL:.0e}")
+    return rho
 
 
-def _x_from_sqrt(s: np.ndarray, sc: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """X values for a stack of generators m (leading axes are batch axes)."""
-    k = s @ m @ sc
-    g = k @ np.conj(np.swapaxes(k, -1, -2))
-    w = np.clip(np.linalg.eigvalsh(g), 0.0, None)
-    # Zero round-off eigenvalues of the rank-limited PSD product; their
-    # square roots would otherwise pollute the sum at the 1e-8 level.
-    w_top = w.max(axis=-1, keepdims=True)
-    x = np.sqrt(np.where(w < w_top * EIG_CLAMP, 0.0, w))
-    return np.maximum(2.0 * x.max(axis=-1) - x.sum(axis=-1), 0.0)
+def _block_index(pairs: Sequence[Pair], m_b: int) -> np.ndarray:
+    """(P, 4) 0-based product-basis indices of the block |k_a>,|l_a> (x) |k_b>,|l_b> of each pair.
+
+    ``m_b`` is the B dimension of the space the blocks are cut from.
+    """
+    return np.array([[(i - 1) * m_b + (j - 1) for i in pa for j in pb] for pa, pb in pairs])
 
 
-class _XEvaluator:
-    """Precomputed sqrt(rho) plus generator stacks for repeated X sums."""
+def _rotated_blocks(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
+                    idx: np.ndarray) -> np.ndarray:
+    """(P, 4, 4) stack of the blocks ``idx`` of W† rho W, W = w_a (x) w_b.
 
-    def __init__(self, rho: np.ndarray, d_a: int, d_b: int):
-        rho = np.asarray(rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
-        if d_a * d_b != rho.shape[0]:
-            raise DimensionMismatchError(f"{d_a}*{d_b} != matrix size {rho.shape[0]}")
-        if d_a < 2 or d_b < 2:
-            raise DimensionMismatchError("both local dimensions must be >= 2")
-        self.d_a, self.d_b = d_a, d_b
-        self.sqrt_rho = psd_sqrt(rho)
-        self.sqrt_rho_conj = self.sqrt_rho.conj()
-        self.sig_a = _sigma_stack(d_a)
-        self.sig_b = _sigma_stack(d_b)
-
-    def x_matrix(self, rot_a: np.ndarray | None = None,
-                 rot_b: np.ndarray | None = None) -> np.ndarray:
-        """X for every generator pair; rows index A pairs, columns B pairs.
-
-        ``rot_a`` / ``rot_b`` are stacks of conjugated generators replacing
-        the plain ones (already of the form u† sigma u^*).
-        """
-        sa = self.sig_a if rot_a is None else rot_a
-        sb = self.sig_b if rot_b is None else rot_b
-        pa, pb = sa.shape[0], sb.shape[0]
-        da, db = sa.shape[1], sb.shape[1]
-        m = np.einsum("iab,jcd->ijacbd", sa, sb).reshape(pa, pb, da * db, da * db)
-        return _x_from_sqrt(self.sqrt_rho, self.sqrt_rho_conj, m)
+    ``w_a`` and ``w_b`` are d x m matrices: local unitaries, or the
+    columns of isometries when only those are needed.
+    """
+    (d_a, m_a), (d_b, m_b) = w_a.shape, w_b.shape
+    w = (w_a[:, None, :, None] * w_b[None, :, None, :]).reshape(d_a * d_b, m_a * m_b)
+    rotated = w.conj().T @ rho @ w
+    return rotated[idx[:, :, None], idx[:, None, :]]
 
 
-def _conjugated_stack(stack: np.ndarray, u: np.ndarray | None) -> np.ndarray:
-    """u† sigma u^* for every generator in the stack (u = None -> identity)."""
+def _concurrences(blocks: np.ndarray) -> np.ndarray:
+    """Wootters' concurrence max(x_1 - x_2 - x_3 - x_4, 0) of each PSD block in a (P, 4, 4) stack.
+
+    The x_i are the square roots of the eigenvalues of R (sy x sy) R^* (sy x sy).
+    With R = L L†, L = V sqrt(w) from the eigendecomposition of R, they
+    are the singular values of L^T (sy x sy) L, so every step is a
+    Hermitian eigensolve or an SVD.  Eigenvalues below BLOCK_EIG_FLOOR
+    times the block's largest are round-off of a rank-deficient block and
+    are set to 0: their square roots, ~1e-8, would otherwise enter x at
+    first order wherever the rest of the block is singular, and that
+    jitter stalls Nelder-Mead near the optima of rank-2 states.
+    """
+    w, v = np.linalg.eigh(blocks)
+    w = np.where(w < w[:, -1:] * BLOCK_EIG_FLOOR, 0.0, w)
+    l = v * np.sqrt(w)[:, None, :]
+    x = np.linalg.svd(np.swapaxes(l, -1, -2) @ _SPIN_FLIP @ l, compute_uv=False)
+    return np.maximum(x[:, 0] - x[:, 1:].sum(axis=-1), 0.0)
+
+
+def _local_adjoint(u: np.ndarray | None, d: int) -> np.ndarray:
+    """u† for a local unitary of dimension d (None -> identity)."""
     if u is None:
-        return stack
+        return np.eye(d, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    if u.shape != stack.shape[1:]:
-        raise DimensionMismatchError(f"unitary shape {u.shape} does not match dimension {stack.shape[1]}")
-    return u.conj().T @ stack @ u.conj()
+    if u.shape != (d, d):
+        raise DimensionMismatchError(f"unitary shape {u.shape} does not match dimension {d}")
+    return u.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +201,10 @@ def bound_x(rho: np.ndarray, k_a: int, l_a: int, k_b: int, l_b: int,
             dims: tuple[int, int] | None = None) -> float:
     """Single term X_{k_a, l_a, k_b, l_b} >= 0 (1-based indices).
 
-    ``u_a`` / ``u_b`` enter the eigenvalue product as u† sigma u^* (and
-    its conjugate); None means identity.  ``dims`` gives (d_a, d_b); when
-    omitted it is inferred from ``u_a`` or a symmetric split.
+    X is the concurrence of the block on |k_a>,|l_a> (x) |k_b>,|l_b> of
+    U rho U†, U = u_a (x) u_b; None means identity.  ``dims`` gives
+    (d_a, d_b); when omitted it is inferred from ``u_a`` or a symmetric
+    split.
     """
     rho = np.asarray(rho, dtype=complex)
     if dims is not None:
@@ -205,33 +214,45 @@ def bound_x(rho: np.ndarray, k_a: int, l_a: int, k_b: int, l_b: int,
         d_b = rho.shape[0] // d_a
     else:
         d_a = d_b = math.isqrt(rho.shape[0])
-    ev = _XEvaluator(rho, d_a, d_b)
+    rho = _check_state(rho, d_a, d_b)
     for (k, l, d) in ((k_a, l_a, d_a), (k_b, l_b, d_b)):
         if not (1 <= k <= d and 1 <= l <= d):
             raise IndexOutOfRangeError(f"indices ({k},{l}) outside 1..{d}")
         if k >= l:
             raise IndexOrderError(f"require k < l, got ({k},{l})")
-    sa = _conjugated_stack(ev.sig_a[[sigma_pairs(d_a).index((k_a, l_a))]], u_a)
-    sb = _conjugated_stack(ev.sig_b[[sigma_pairs(d_b).index((k_b, l_b))]], u_b)
-    return float(ev.x_matrix(sa, sb)[0, 0])
+    blocks = _rotated_blocks(rho, _local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
+                             _block_index([((k_a, l_a), (k_b, l_b))], d_b))
+    return float(_concurrences(blocks)[0])
 
 
 def bound_b(rho: np.ndarray, d_a: int, d_b: int,
             u_a: np.ndarray | None = None, u_b: np.ndarray | None = None,
             normalization: float | None = None) -> BoundReport:
-    """Lower bound B(rho): all d_a(d_a-1)/2 * d_b(d_b-1)/2 generator pairs."""
-    ev = _XEvaluator(rho, d_a, d_b)
-    x = ev.x_matrix(_conjugated_stack(ev.sig_a, u_a), _conjugated_stack(ev.sig_b, u_b))
-    terms = {
-        (ka, la, kb, lb): float(x[i, j])
-        for i, (ka, la) in enumerate(sigma_pairs(d_a))
-        for j, (kb, lb) in enumerate(sigma_pairs(d_b))
-    }
+    """Lower bound B(rho): all d_a(d_a-1)/2 * d_b(d_b-1)/2 generator pairs.
+
+    Each term is the concurrence of one 4x4 block of U rho U†, U = u_a (x) u_b.
+    """
+    rho = _check_state(rho, d_a, d_b)
+    pairs = [(pa, pb) for pa in sigma_pairs(d_a) for pb in sigma_pairs(d_b)]
+    x = _concurrences(_rotated_blocks(rho, _local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
+                                      _block_index(pairs, d_b)))
+    terms = {pa + pb: float(xi) for (pa, pb), xi in zip(pairs, x)}
     return BoundReport(terms, float(np.sqrt(np.sum(x * x))), normalization)
 
 
 # ---------------------------------------------------------------------------
 # parameter packing for the optimization objectives
+
+def _angles_at(vec: np.ndarray, pos: list[tuple[int, int]], d: int, label: str) -> np.ndarray:
+    """d x d angle matrix holding ``vec`` at ``pos`` and zeros elsewhere."""
+    vec = np.asarray(vec, dtype=float).ravel()
+    if vec.size != len(pos):
+        raise LengthMismatchError(f"expected {len(pos)} angles for {label}, got {vec.size}")
+    lam = np.zeros((d, d))
+    rows, cols = zip(*pos)
+    lam[rows, cols] = vec
+    return lam
+
 
 def offdiag_positions(d: int) -> list[tuple[int, int]]:
     """Row-major 0-based positions of the d^2 - d off-diagonal angles."""
@@ -240,14 +261,7 @@ def offdiag_positions(d: int) -> list[tuple[int, int]]:
 
 def offdiag_to_matrix(vec: np.ndarray, d: int) -> np.ndarray:
     """Angle matrix with zero diagonal from a packed off-diagonal vector."""
-    vec = np.asarray(vec, dtype=float).ravel()
-    pos = offdiag_positions(d)
-    if vec.size != len(pos):
-        raise LengthMismatchError(f"expected {len(pos)} angles for d={d}, got {vec.size}")
-    lam = np.zeros((d, d))
-    rows, cols = zip(*pos)
-    lam[rows, cols] = vec
-    return lam
+    return _angles_at(vec, offdiag_positions(d), d, f"d={d}")
 
 
 def ucs_block_positions(d: int, k: int = 2) -> list[tuple[int, int]]:
@@ -258,15 +272,7 @@ def ucs_block_positions(d: int, k: int = 2) -> list[tuple[int, int]]:
 
 def ucs_block_to_matrix(vec: np.ndarray, d: int, k: int = 2) -> np.ndarray:
     """Angle matrix populated only at the subspace block positions."""
-    vec = np.asarray(vec, dtype=float).ravel()
-    pos = ucs_block_positions(d, k)
-    if vec.size != len(pos):
-        raise LengthMismatchError(
-            f"expected {len(pos)} angles for d={d}, k={k}, got {vec.size}")
-    lam = np.zeros((d, d))
-    rows, cols = zip(*pos)
-    lam[rows, cols] = vec
-    return lam
+    return _angles_at(vec, ucs_block_positions(d, k), d, f"d={d}, k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,41 +293,48 @@ def _bopt_rotations(d: int) -> Rotations:
 
 
 def _distill_rotations(d: int) -> Rotations:
-    """Packed vector -> the two subspace products of the distill objective."""
+    """Packed vector -> the first two columns of the two subspace products.
+
+    For d = 2 there are no angles and the columns are the identity.
+    """
     n_side = 4 * d - 8
 
     def rotations(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (build_ucs(ucs_block_to_matrix(v[:n_side], d), 2),
-                build_ucs(ucs_block_to_matrix(v[n_side:], d), 2))
+        if d == 2:
+            return np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+        return (build_ucs(ucs_block_to_matrix(v[:n_side], d), 2)[:, :2],
+                build_ucs(ucs_block_to_matrix(v[n_side:], d), 2)[:, :2])
 
     return rotations
+
+
+# the single block of the distill objective, cut from the 2 x 2 rotated space
+_DISTILL_INDEX = _block_index([((1, 2), (1, 2))], 2)
 
 
 def make_bopt_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.ndarray], float]:
     """Objective v -> -B^2(rho; v) over 2(d^2 - d) packed angles.
 
     The vector is the concatenation of the two off-diagonal packings.
-    Each packing builds a composite product that enters the eigenvalue
-    expression as the *adjoint* of the local rotation; with that
-    convention appended diagonal phases reduce to a global phase on the
-    conjugated generators and drop out of the objective exactly, which is
-    why the diagonal angles are not part of the vector.
+    Each packing builds a composite product Uc that acts as the *adjoint*
+    of the local rotation: the terms are the block concurrences of
+    Uc† rho Uc, Uc = uc_a (x) uc_b.  With that convention appended
+    diagonal phases conjugate every block by a local diagonal unitary,
+    which leaves its concurrence unchanged, so the diagonal angles are
+    not part of the vector.
     """
     if d_a != d_b:
         raise DimensionMismatchError(f"local dimensions must match, got {d_a} and {d_b}")
-    ev = _XEvaluator(rho, d_a, d_b)
+    rho = _check_state(rho, d_a, d_b)
     n_side = d_a * d_a - d_a
     rotations = _bopt_rotations(d_a)
+    idx = _block_index([(pa, pb) for pa in sigma_pairs(d_a) for pb in sigma_pairs(d_b)], d_b)
 
     def objective(v: np.ndarray) -> float:
         v = np.asarray(v, dtype=float).ravel()
         if v.size != 2 * n_side:
             raise LengthMismatchError(f"expected {2 * n_side} angles, got {v.size}")
-        uc_a, uc_b = rotations(v)
-        # u† sigma u^* with u = uc† is uc sigma uc^T.
-        sa = uc_a @ ev.sig_a @ uc_a.T
-        sb = uc_b @ ev.sig_b @ uc_b.T
-        x = ev.x_matrix(sa, sb)
+        x = _concurrences(_rotated_blocks(rho, *rotations(v), idx))
         return -float(np.sum(x * x))
 
     return objective
@@ -339,28 +352,22 @@ def make_distill_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.
     """Objective v -> -X^2_{1,2,1,2} over 2*(4d - 8) subspace-block angles.
 
     Each side contributes the 4d - 8 angles of a two-dimensional subspace
-    product (empty for d = 2, where the term is already exact).
+    product (empty for d = 2, where the term is already exact).  The term
+    is the concurrence of the single block E† rho E, with E the first two
+    columns of each subspace product, tensored.
     """
     if d_a != d_b:
         raise DimensionMismatchError(f"local dimensions must match, got {d_a} and {d_b}")
-    ev = _XEvaluator(rho, d_a, d_b)
-    d = d_a
-    n_side = 4 * d - 8
-    sig12 = ev.sig_a[[0]]  # (1,2) is the first generator pair
-    rotations = _distill_rotations(d)
+    rho = _check_state(rho, d_a, d_b)
+    n_side = 4 * d_a - 8
+    rotations = _distill_rotations(d_a)
 
     def objective(v: np.ndarray) -> float:
         v = np.asarray(v, dtype=float).ravel()
         if v.size != 2 * n_side:
             raise LengthMismatchError(f"expected {2 * n_side} angles, got {v.size}")
-        if d == 2:
-            sa = sb = sig12
-        else:
-            ucs_a, ucs_b = rotations(v)
-            sa = ucs_a @ sig12 @ ucs_a.T
-            sb = ucs_b @ sig12 @ ucs_b.T
-        x = ev.x_matrix(sa, sb)
-        return -float(x[0, 0] ** 2)
+        x = _concurrences(_rotated_blocks(rho, *rotations(v), _DISTILL_INDEX))
+        return -float(x[0] ** 2)
 
     return objective
 
@@ -373,36 +380,26 @@ def distill_objective(rho: np.ndarray, d_a: int, d_b: int,
                              np.asarray(params_b, dtype=float).ravel()]))
 
 
-def _pt_surrogate(rho: np.ndarray, d_a: int, d_b: int, rotations: Rotations,
-                  pairs: Sequence[tuple[tuple[int, int], tuple[int, int]]],
-                  ) -> Callable[[np.ndarray], float]:
-    """v -> sum over ``pairs`` of the smallest eigenvalue of each block's partial transpose.
+def _pt_surrogate(rho: np.ndarray, rotations: Rotations,
+                  idx: np.ndarray) -> Callable[[np.ndarray], float]:
+    """v -> sum over the blocks ``idx`` of the smallest eigenvalue of each block's partial transpose.
 
-    With (uc_a, uc_b) = rotations(v), the rotated state is W† rho W for
-    W = uc_a (x) uc_b, as in the objectives, and the 4x4 block of the pair
-    ((k_a, l_a), (k_b, l_b)) sits on |k_a>,|l_a> (x) |k_b>,|l_b>.  A block
-    with a negative term is NPT, hence has a nonzero X.  The partial
-    transpose of W† rho W is V† rho^Gamma V with V = uc_a (x) uc_b^*, so
-    rho is transposed only once.
+    The blocks are those the objective sees, from the same rotations.  A
+    block with a negative term is NPT, hence has a nonzero X.
     """
-    n = d_a * d_b
-    rho_pt = partial_transpose(np.asarray(rho, dtype=complex), (d_a, d_b), 1)
-    idx = np.array([[(i - 1) * d_b + (j - 1) for i in pa for j in pb] for pa, pb in pairs])
 
     def surrogate(v: np.ndarray) -> float:
-        uc_a, uc_b = rotations(np.asarray(v, dtype=float).ravel())
-        w = (uc_a[:, None, :, None] * uc_b.conj()[None, :, None, :]).reshape(n, n)
-        pt = w.conj().T @ rho_pt @ w
-        blocks = pt[idx[:, :, None], idx[:, None, :]]
-        return float(np.sum(np.linalg.eigvalsh(blocks)[:, 0]))
+        blocks = _rotated_blocks(rho, *rotations(np.asarray(v, dtype=float).ravel()), idx)
+        # rows and columns of a block are (A, B) index pairs; swap the two B indices
+        pt = blocks.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+        return float(np.sum(np.linalg.eigvalsh(pt)[:, 0]))
 
     return surrogate
 
 
 def _pt_seeded(result: OptimizerResult, objective: Callable[[np.ndarray], float],
                rho: np.ndarray, d_a: int, d_b: int, rotations: Rotations,
-               pairs: Sequence[tuple[tuple[int, int], tuple[int, int]]],
-               cfg: OptimizerConfig | None) -> OptimizerResult:
+               idx: np.ndarray, cfg: OptimizerConfig | None) -> OptimizerResult:
     """Add the partial-transpose-seeded stage when every restart ended at 0 on an NPT state.
 
     The surrogate is minimized with PT_SEED_RESTARTS restarts drawn from
@@ -417,7 +414,7 @@ def _pt_seeded(result: OptimizerResult, objective: Callable[[np.ndarray], float]
             or ppt_min_eigenvalue(rho, (d_a, d_b)) >= -PPT_TOL):
         return result
     cfg = cfg or OptimizerConfig()
-    surrogate = _pt_surrogate(rho, d_a, d_b, rotations, pairs)
+    surrogate = _pt_surrogate(np.asarray(rho, dtype=complex), rotations, idx)
     seeded = minimize(surrogate, result.x.size, replace(cfg, restarts=PT_SEED_RESTARTS))
     run = refine(objective, seeded.x, cfg)
     best = run if run.value < result.value else result
@@ -438,7 +435,7 @@ def optimized_bound_b(rho: np.ndarray, d_a: int, d_b: int,
     f = make_bopt_objective(rho, d_a, d_b)
     result = minimize(f, 2 * (d_a * d_a - d_a), cfg)
     result = _pt_seeded(result, f, rho, d_a, d_b, _bopt_rotations(d_a),
-                        list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), cfg)
+                        _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b), cfg)
     return math.sqrt(max(-result.value, 0.0)), result
 
 
@@ -453,7 +450,7 @@ def max_distill_x_sq(rho: np.ndarray, d_a: int, d_b: int,
     f = make_distill_objective(rho, d_a, d_b)
     result = minimize(f, 2 * (4 * d_a - 8), cfg)
     result = _pt_seeded(result, f, rho, d_a, d_b, _distill_rotations(d_a),
-                        [((1, 2), (1, 2))], cfg)
+                        _DISTILL_INDEX, cfg)
     return max(-result.value, 0.0), result
 
 

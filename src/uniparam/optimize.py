@@ -16,7 +16,7 @@ it restarts once from the minimizer of a plateau-free surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -175,8 +175,3 @@ def refine(objective: Callable[[np.ndarray], float], start: np.ndarray,
     x, _, iters, converged = _nelder_mead(
         objective, start, cfg.simplex_scale, cfg.max_iterations, cfg.f_tol, None)
     return OptimizerResult(float(objective(x)), x, iters, 1, converged)
-
-
-def pack(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate parameter vectors into one optimization vector."""
-    return np.concatenate([np.asarray(v, dtype=float).ravel() for v in vectors])

@@ -250,3 +250,38 @@ def test_load_matrix_file_rejects_garbage(tmp_path, capsys):
     short.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]}))
     code, _, err = run_cli(capsys, "decompose", "--input", str(short))
     assert code == 2
+
+
+def test_distill_rejects_zero_restarts(tmp_path, capsys):
+    path = write_matrix(tmp_path / "iso.json", np.eye(9) / 9)
+    code, out, err = run_cli(capsys, "distill", "--state", path, "--dims", "3,3",
+                             "--restarts", "0")
+    assert code == 2
+    assert out == ""
+    assert "error: --restarts" in err
+
+
+def test_distill_rejects_non_integer_dims(tmp_path, capsys):
+    path = write_matrix(tmp_path / "iso.json", np.eye(9) / 9)
+    code, out, err = run_cli(capsys, "distill", "--state", path, "--dims", "3,x")
+    assert code == 2
+    assert out == ""
+    assert "error: --dims" in err
+
+
+def test_distill_rejects_zero_copies(tmp_path, capsys):
+    path = write_matrix(tmp_path / "w.json", werner_state(0.9))
+    code, out, err = run_cli(capsys, "distill", "--state", path, "--dims", "2,2",
+                             "--copies", "0")
+    assert code == 2
+    assert out == ""
+    assert "error: --copies" in err
+
+
+def test_fig1_rejects_negative_jobs(tmp_path, capsys):
+    out_csv = tmp_path / "scan.csv"
+    code, _, err = run_cli(capsys, "fig1", "--step", "0.25", "--jobs", "-3",
+                           "--out", str(out_csv))
+    assert code == 2
+    assert "error: --jobs" in err
+    assert not out_csv.exists()

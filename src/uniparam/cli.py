@@ -236,7 +236,8 @@ def _load_state(path: str, d_a: int, d_b: int) -> np.ndarray:
 
 
 def _optimizer_report(result: OptimizerResult) -> dict:
-    return {"iterations": result.iterations, "restarts": result.restarts,
+    return {"iterations": result.iterations, "evaluations": result.evaluations,
+            "restarts": result.restarts, "best_restart": result.best_restart,
             "converged": result.converged}
 
 

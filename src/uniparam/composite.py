@@ -71,9 +71,14 @@ def sigma(m: int, n: int, d: int) -> np.ndarray:
     return s
 
 
-def _rows_update(out: np.ndarray, m0: int, n0: int, c: float, s: float,
-                 e: complex, adjoint: bool) -> None:
-    """In-place left multiplication of ``out`` by L(m,n) or its adjoint."""
+def _rows_update(out: np.ndarray, m0: int, n0: int, c, s, e, adjoint: bool) -> None:
+    """In-place left multiplication of ``out`` by L(m,n) or its adjoint.
+
+    ``out[i]`` is row i: a matrix, or a stack of matrices viewed with the
+    row axis first (``np.moveaxis(stack, -2, 0)``).  For a stack ``c``,
+    ``s`` and ``e`` are arrays that broadcast against ``out[i]``, one
+    factor per matrix.
+    """
     a = np.copy(out[m0])
     b = np.copy(out[n0])
     if adjoint:
@@ -115,18 +120,43 @@ def _assert_angles(lam: np.ndarray) -> np.ndarray:
 
 
 def _product(lam: np.ndarray, pairs: list[tuple[int, int]], diag: bool) -> np.ndarray:
-    """Evaluate the ordered factor product by applying factors right-to-left."""
-    d = lam.shape[0]
-    if diag:
-        u = np.diag(np.exp(1j * np.diag(lam))).astype(complex)
-    else:
-        u = np.eye(d, dtype=complex)
+    """Evaluate the ordered factor product by applying factors right-to-left.
+
+    ``lam`` is one d x d angle matrix or a stack (..., d, d) of them; a
+    stack gives the stack of products.  Its cosines and sines come from
+    ``np.cos``/``np.sin`` over the whole stack, a single matrix takes them
+    from ``math`` one angle at a time, which is faster for so few.
+    """
+    d = lam.shape[-1]
+    u = np.zeros(lam.shape, dtype=complex)
+    # every matrix's diagonal is a stride-(d + 1) slice of its flattened entries
+    flat = lam.shape[:-2] + (d * d,)
+    u.reshape(flat)[..., ::d + 1] = np.exp(1j * lam.reshape(flat)[..., ::d + 1]) if diag else 1.0
+    if lam.ndim == 2:
+        for m, n in reversed(pairs):
+            rot = lam[m - 1, n - 1]
+            phase = lam[n - 1, m - 1]
+            _rows_update(u, m - 1, n - 1, math.cos(rot), math.sin(rot),
+                         complex(math.cos(phase), math.sin(phase)), False)
+        return u
+    rows = np.moveaxis(u, -2, 0)
+    cos, sin = np.cos(lam)[..., None], np.sin(lam)[..., None]
     for m, n in reversed(pairs):
-        rot = lam[m - 1, n - 1]
-        phase = lam[n - 1, m - 1]
-        _rows_update(u, m - 1, n - 1, math.cos(rot), math.sin(rot),
-                     complex(math.cos(phase), math.sin(phase)), False)
+        e = np.empty(cos.shape[:-3] + (1,), dtype=complex)
+        e.real, e.imag = cos[..., n - 1, m - 1, :], sin[..., n - 1, m - 1, :]
+        _rows_update(rows, m - 1, n - 1, cos[..., m - 1, n - 1, :], sin[..., m - 1, n - 1, :],
+                     e, False)
     return u
+
+
+def _unitary_pairs(d: int) -> list[tuple[int, int]]:
+    """Plane factors of ``build_unitary``: every (m, n) with m < n, in product order."""
+    return [(m, n) for m in range(1, d) for n in range(m + 1, d + 1)]
+
+
+def _ucs_pairs(d: int, k: int) -> list[tuple[int, int]]:
+    """Plane factors of ``build_ucs``: (m, n) with m <= k < n, in product order."""
+    return [(m, n) for m in range(1, k + 1) for n in range(k + 1, d + 1)]
 
 
 def build_unitary(lam: np.ndarray) -> np.ndarray:
@@ -136,9 +166,7 @@ def build_unitary(lam: np.ndarray) -> np.ndarray:
     diagonal phase factors.
     """
     lam = _assert_angles(lam)
-    d = lam.shape[0]
-    pairs = [(m, n) for m in range(1, d) for n in range(m + 1, d + 1)]
-    return _product(lam, pairs, diag=True)
+    return _product(lam, _unitary_pairs(lam.shape[0]), diag=True)
 
 
 def build_ucd(lam: np.ndarray, k: int) -> np.ndarray:
@@ -165,8 +193,7 @@ def build_ucs(lam: np.ndarray, k: int) -> np.ndarray:
     d = lam.shape[0]
     if not 1 <= k < d:
         raise RankOutOfRangeError(f"subspace dimension {k} outside 1..{d - 1}")
-    pairs = [(m, n) for m in range(1, k + 1) for n in range(k + 1, d + 1)]
-    return _product(lam, pairs, diag=False)
+    return _product(lam, _ucs_pairs(d, k), diag=False)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -208,14 +235,13 @@ def decompose(u: np.ndarray) -> np.ndarray:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds 1e-9")
     d = a.shape[0]
     lam = np.zeros((d, d))
-    for m in range(1, d):
-        for n in range(m + 1, d + 1):
-            tol = DECOMPOSE_ZERO_TOL * float(np.linalg.norm(a[m - 1:, m - 1]))
-            rot, phase = zeroing_angles(a[m - 1, m - 1], a[n - 1, m - 1], tol)
-            lam[m - 1, n - 1] = rot
-            lam[n - 1, m - 1] = phase
-            _rows_update(a, m - 1, n - 1, math.cos(rot), math.sin(rot),
-                         complex(math.cos(phase), math.sin(phase)), True)
+    for m, n in _unitary_pairs(d):
+        tol = DECOMPOSE_ZERO_TOL * float(np.linalg.norm(a[m - 1:, m - 1]))
+        rot, phase = zeroing_angles(a[m - 1, m - 1], a[n - 1, m - 1], tol)
+        lam[m - 1, n - 1] = rot
+        lam[n - 1, m - 1] = phase
+        _rows_update(a, m - 1, n - 1, math.cos(rot), math.sin(rot),
+                     complex(math.cos(phase), math.sin(phase)), True)
     for r in range(d):
         lam[r, r] = math.atan2(a[r, r].imag, a[r, r].real) % TWO_PI
     return lam

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .composite import build_ucs, build_unitary
+from .composite import _product, _ucs_pairs, _unitary_pairs
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -50,7 +50,7 @@ from .errors import (
     NotPSDError,
 )
 from .linalg import PSD_EIG_TOL, herm_eig, partial_trace, partial_transpose, permute_subsystems
-from .optimize import OptimizerConfig, OptimizerResult, minimize, refine
+from .optimize import Batch, OptimizerConfig, OptimizerResult, minimize, refine
 
 PPT_TOL = 1e-10
 PT_SEED_RESTARTS = 6
@@ -127,21 +127,28 @@ def _block_index(pairs: Sequence[Pair], m_b: int) -> np.ndarray:
     return np.array([[(i - 1) * m_b + (j - 1) for i in pa for j in pb] for pa, pb in pairs])
 
 
+def _all_pairs(d_a: int, d_b: int) -> list[Pair]:
+    """Every (A pair, B pair) of generator pairs, A outer."""
+    return [(pa, pb) for pa in sigma_pairs(d_a) for pb in sigma_pairs(d_b)]
+
+
 def _rotated_blocks(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
                     idx: np.ndarray) -> np.ndarray:
-    """(P, 4, 4) stack of the blocks ``idx`` of W† rho W, W = w_a (x) w_b.
+    """(..., P, 4, 4) stack of the blocks ``idx`` of W† rho W, W = w_a (x) w_b.
 
-    ``w_a`` and ``w_b`` are d x m matrices: local unitaries, or the
-    columns of isometries when only those are needed.
+    ``w_a`` and ``w_b`` are d x m matrices, or (N, d, m) stacks of them
+    that give N stacks of blocks: local unitaries, or the columns of
+    isometries when only those are needed.
     """
-    (d_a, m_a), (d_b, m_b) = w_a.shape, w_b.shape
-    w = (w_a[:, None, :, None] * w_b[None, :, None, :]).reshape(d_a * d_b, m_a * m_b)
-    rotated = w.conj().T @ rho @ w
-    return rotated[idx[:, :, None], idx[:, None, :]]
+    (d_a, m_a), (d_b, m_b) = w_a.shape[-2:], w_b.shape[-2:]
+    w = w_a[..., :, None, :, None] * w_b[..., None, :, None, :]
+    w = w.reshape(w.shape[:-4] + (d_a * d_b, m_a * m_b))
+    rotated = np.swapaxes(w.conj(), -1, -2) @ rho @ w
+    return rotated[..., idx[:, :, None], idx[:, None, :]]
 
 
 def _concurrences(blocks: np.ndarray) -> np.ndarray:
-    """Wootters' concurrence max(x_1 - x_2 - x_3 - x_4, 0) of each PSD block in a (P, 4, 4) stack.
+    """Wootters' concurrence max(x_1 - x_2 - x_3 - x_4, 0) of each PSD block in a (..., 4, 4) stack.
 
     The x_i are the square roots of the eigenvalues of R (sy x sy) R^* (sy x sy).
     With R = L L†, L = V sqrt(w) from the eigendecomposition of R, they
@@ -153,10 +160,10 @@ def _concurrences(blocks: np.ndarray) -> np.ndarray:
     jitter stalls Nelder-Mead near the optima of rank-2 states.
     """
     w, v = np.linalg.eigh(blocks)
-    w = np.where(w < w[:, -1:] * BLOCK_EIG_FLOOR, 0.0, w)
-    l = v * np.sqrt(w)[:, None, :]
+    w = np.where(w < w[..., -1:] * BLOCK_EIG_FLOOR, 0.0, w)
+    l = v * np.sqrt(w)[..., None, :]
     x = np.linalg.svd(np.swapaxes(l, -1, -2) @ _SPIN_FLIP @ l, compute_uv=False)
-    return np.maximum(x[:, 0] - x[:, 1:].sum(axis=-1), 0.0)
+    return np.maximum(x[..., 0] - x[..., 1:].sum(axis=-1), 0.0)
 
 
 def _local_adjoint(u: np.ndarray | None, d: int) -> np.ndarray:
@@ -233,7 +240,7 @@ def bound_b(rho: np.ndarray, d_a: int, d_b: int,
     Each term is the concurrence of one 4x4 block of U rho U†, U = u_a (x) u_b.
     """
     rho = _check_state(rho, d_a, d_b)
-    pairs = [(pa, pb) for pa in sigma_pairs(d_a) for pb in sigma_pairs(d_b)]
+    pairs = _all_pairs(d_a, d_b)
     x = _concurrences(_rotated_blocks(rho, _local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
                                       _block_index(pairs, d_b)))
     terms = {pa + pb: float(xi) for (pa, pb), xi in zip(pairs, x)}
@@ -277,45 +284,117 @@ def ucs_block_to_matrix(vec: np.ndarray, d: int, k: int = 2) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # optimization objectives (negated for minimization)
+#
+# Each objective has one batched evaluator, (N, n) packed vectors -> N
+# values, which the optimizer steps all restarts through; the public
+# closures evaluate it on one row.
 
 Rotations = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _bopt_rotations(d: int) -> Rotations:
-    """Packed vector -> the two composite products of the B_opt objective."""
-    n_side = d * d - d
+def _side(pos: list[tuple[int, int]], d: int, pairs: list[tuple[int, int]],
+          cols: int) -> Callable[[np.ndarray], np.ndarray]:
+    """(N, len(pos)) angle vectors -> (N, d, cols): leading columns of their composite products.
 
-    def rotations(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (build_unitary(offdiag_to_matrix(v[:n_side], d)),
-                build_unitary(offdiag_to_matrix(v[n_side:], d)))
-
-    return rotations
-
-
-def _distill_rotations(d: int) -> Rotations:
-    """Packed vector -> the first two columns of the two subspace products.
-
-    For d = 2 there are no angles and the columns are the identity.
+    The angles sit at ``pos`` of a zero d x d angle matrix, and the product
+    runs over the plane factors ``pairs`` with no diagonal phases.
     """
-    n_side = 4 * d - 8
+    rows, columns = [i for i, _ in pos], [j for _, j in pos]
 
-    def rotations(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if d == 2:
-            return np.eye(2, dtype=complex), np.eye(2, dtype=complex)
-        return (build_ucs(ucs_block_to_matrix(v[:n_side], d), 2)[:, :2],
-                build_ucs(ucs_block_to_matrix(v[n_side:], d), 2)[:, :2])
+    def side(v: np.ndarray) -> np.ndarray:
+        lam = np.zeros((v.shape[0], d, d))
+        lam[:, rows, columns] = v
+        return _product(lam, pairs, diag=False)[..., :cols]
 
-    return rotations
+    return side
+
+
+def _bopt_count(d: int) -> int:
+    return d * d - d
+
+
+def _distill_count(d: int) -> int:
+    return 4 * d - 8
+
+
+def _bopt_rotations(d_a: int, d_b: int) -> Rotations:
+    """Packed vectors -> the (N, d, d) composite products of the B_opt objective, per side.
+
+    The first d_a^2 - d_a angles are A's.  With a zero diagonal the
+    products are ``build_unitary(offdiag_to_matrix(v_side, d))``.
+    """
+    side_a, side_b = (_side(offdiag_positions(d), d, _unitary_pairs(d), d) for d in (d_a, d_b))
+    n_a = _bopt_count(d_a)
+    return lambda v: (side_a(v[:, :n_a]), side_b(v[:, n_a:]))
+
+
+def _distill_rotations(d_a: int, d_b: int) -> Rotations:
+    """Packed vectors -> the first two columns of the subspace products, per side.
+
+    The first 4 d_a - 8 angles are A's.  The columns are those of
+    ``build_ucs(ucs_block_to_matrix(v_side, d), 2)``; a d = 2 side has no
+    angles and its columns are the identity.
+    """
+    side_a, side_b = (_side(ucs_block_positions(d, 2), d, _ucs_pairs(d, 2), 2) for d in (d_a, d_b))
+    n_a = _distill_count(d_a)
+    return lambda v: (side_a(v[:, :n_a]), side_b(v[:, n_a:]))
 
 
 # the single block of the distill objective, cut from the 2 x 2 rotated space
 _DISTILL_INDEX = _block_index([((1, 2), (1, 2))], 2)
 
 
-def make_bopt_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.ndarray], float]:
-    """Objective v -> -B^2(rho; v) over 2(d^2 - d) packed angles.
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each row of a 2-D array, one ``np.sum`` per row.
 
-    The vector is the concatenation of the two off-diagonal packings.
+    A row then sums exactly as a lone vector does (pairwise); a reduction
+    along the axis of a many-row array may add in another order, and the
+    batched values would differ from the one-vector ones in the last bit.
+    """
+    return np.array([np.sum(row) for row in a])
+
+
+def _bopt_values(rho: np.ndarray, d_a: int, d_b: int) -> Batch:
+    """Batched B_opt objective: packed vectors -> -B^2 of each."""
+    rotations = _bopt_rotations(d_a, d_b)
+    idx = _block_index(_all_pairs(d_a, d_b), d_b)
+
+    def values(v: np.ndarray) -> np.ndarray:
+        x = _concurrences(_rotated_blocks(rho, *rotations(v), idx))
+        return -_row_sums(x * x)
+
+    return values
+
+
+def _distill_values(rho: np.ndarray, d_a: int, d_b: int) -> Batch:
+    """Batched distill objective: packed vectors -> -X^2_{1,2,1,2} of each."""
+    rotations = _distill_rotations(d_a, d_b)
+
+    def values(v: np.ndarray) -> np.ndarray:
+        x = _concurrences(_rotated_blocks(rho, *rotations(v), _DISTILL_INDEX))
+        # float_power squares through C pow, like the scalar x ** 2 of earlier
+        # releases, so witness values stay bit-identical; x * x can differ in the last bit
+        return -np.float_power(x[:, 0], 2)
+
+    return values
+
+
+def _scalar(values: Batch, n: int) -> Callable[[np.ndarray], float]:
+    """One-vector form of a batched objective over n angles."""
+
+    def objective(v: np.ndarray) -> float:
+        v = np.asarray(v, dtype=float).ravel()
+        if v.size != n:
+            raise LengthMismatchError(f"expected {n} angles, got {v.size}")
+        return float(values(v[None])[0])
+
+    return objective
+
+
+def make_bopt_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.ndarray], float]:
+    """Objective v -> -B^2(rho; v) over (d_a^2 - d_a) + (d_b^2 - d_b) packed angles.
+
+    The vector is the concatenation of the A and B off-diagonal packings.
     Each packing builds a composite product Uc that acts as the *adjoint*
     of the local rotation: the terms are the block concurrences of
     Uc† rho Uc, Uc = uc_a (x) uc_b.  With that convention appended
@@ -323,21 +402,8 @@ def make_bopt_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.nda
     which leaves its concurrence unchanged, so the diagonal angles are
     not part of the vector.
     """
-    if d_a != d_b:
-        raise DimensionMismatchError(f"local dimensions must match, got {d_a} and {d_b}")
     rho = _check_state(rho, d_a, d_b)
-    n_side = d_a * d_a - d_a
-    rotations = _bopt_rotations(d_a)
-    idx = _block_index([(pa, pb) for pa in sigma_pairs(d_a) for pb in sigma_pairs(d_b)], d_b)
-
-    def objective(v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != 2 * n_side:
-            raise LengthMismatchError(f"expected {2 * n_side} angles, got {v.size}")
-        x = _concurrences(_rotated_blocks(rho, *rotations(v), idx))
-        return -float(np.sum(x * x))
-
-    return objective
+    return _scalar(_bopt_values(rho, d_a, d_b), _bopt_count(d_a) + _bopt_count(d_b))
 
 
 def bopt_objective(rho: np.ndarray, d_a: int, d_b: int,
@@ -349,27 +415,15 @@ def bopt_objective(rho: np.ndarray, d_a: int, d_b: int,
 
 
 def make_distill_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.ndarray], float]:
-    """Objective v -> -X^2_{1,2,1,2} over 2*(4d - 8) subspace-block angles.
+    """Objective v -> -X^2_{1,2,1,2} over (4 d_a - 8) + (4 d_b - 8) subspace-block angles.
 
     Each side contributes the 4d - 8 angles of a two-dimensional subspace
-    product (empty for d = 2, where the term is already exact).  The term
-    is the concurrence of the single block E† rho E, with E the first two
-    columns of each subspace product, tensored.
+    product (none for d = 2).  The term is the concurrence of the single
+    block E† rho E, with E the first two columns of each subspace
+    product, tensored.
     """
-    if d_a != d_b:
-        raise DimensionMismatchError(f"local dimensions must match, got {d_a} and {d_b}")
     rho = _check_state(rho, d_a, d_b)
-    n_side = 4 * d_a - 8
-    rotations = _distill_rotations(d_a)
-
-    def objective(v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != 2 * n_side:
-            raise LengthMismatchError(f"expected {2 * n_side} angles, got {v.size}")
-        x = _concurrences(_rotated_blocks(rho, *rotations(v), _DISTILL_INDEX))
-        return -float(x[0] ** 2)
-
-    return objective
+    return _scalar(_distill_values(rho, d_a, d_b), _distill_count(d_a) + _distill_count(d_b))
 
 
 def distill_objective(rho: np.ndarray, d_a: int, d_b: int,
@@ -380,61 +434,69 @@ def distill_objective(rho: np.ndarray, d_a: int, d_b: int,
                              np.asarray(params_b, dtype=float).ravel()]))
 
 
-def _pt_surrogate(rho: np.ndarray, rotations: Rotations,
-                  idx: np.ndarray) -> Callable[[np.ndarray], float]:
-    """v -> sum over the blocks ``idx`` of the smallest eigenvalue of each block's partial transpose.
+def _pt_surrogate(rho: np.ndarray, rotations: Rotations, idx: np.ndarray) -> Batch:
+    """Batched surrogate: packed vectors -> sum of λ_min of each block's partial transpose.
 
-    The blocks are those the objective sees, from the same rotations.  A
-    block with a negative term is NPT, hence has a nonzero X.
+    The blocks ``idx`` are those the objective sees, from the same
+    rotations.  A block with a negative term is NPT, hence has a nonzero X.
     """
 
-    def surrogate(v: np.ndarray) -> float:
-        blocks = _rotated_blocks(rho, *rotations(np.asarray(v, dtype=float).ravel()), idx)
+    def values(v: np.ndarray) -> np.ndarray:
+        blocks = _rotated_blocks(rho, *rotations(v), idx)
         # rows and columns of a block are (A, B) index pairs; swap the two B indices
         pt = blocks.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-        return float(np.sum(np.linalg.eigvalsh(pt)[:, 0]))
+        return _row_sums(np.linalg.eigvalsh(pt)[:, 0].reshape(blocks.shape[:-2]))
 
-    return surrogate
+    return values
 
 
 def _pt_seeded(result: OptimizerResult, objective: Callable[[np.ndarray], float],
-               rho: np.ndarray, d_a: int, d_b: int, rotations: Rotations,
+               values: Batch, rho: np.ndarray, d_a: int, d_b: int, rotations: Rotations,
                idx: np.ndarray, cfg: OptimizerConfig | None) -> OptimizerResult:
     """Add the partial-transpose-seeded stage when every restart ended at 0 on an NPT state.
 
     The surrogate is minimized with PT_SEED_RESTARTS restarts drawn from
-    ``cfg.seed``, and one Nelder-Mead run of ``objective`` starts from its
-    minimizer.  The returned result is the better of that run and
-    ``result``; it keeps the restart count of ``result`` and adds the
-    stage's simplex steps to its iterations.  Without the stage ``result``
+    ``cfg.seed``, and one Nelder-Mead run of ``objective`` (batched form
+    ``values``) starts from its minimizer.  The returned result is the
+    better of that run and ``result``; it keeps the restart count of
+    ``result``, adds the stage's simplex steps and evaluations, and lists
+    the run's value after the restart values, so ``best_restart`` equals
+    ``result.restarts`` when the run wins.  Without the stage ``result``
     is returned as is; an objective without angles (the d = 2 witness) is
     exact and gets no stage.
     """
-    if (result.value != 0.0 or result.x.size == 0
-            or ppt_min_eigenvalue(rho, (d_a, d_b)) >= -PPT_TOL):
+    n = result.x.size
+    if result.value != 0.0 or n == 0 or ppt_min_eigenvalue(rho, (d_a, d_b)) >= -PPT_TOL:
         return result
     cfg = cfg or OptimizerConfig()
-    surrogate = _pt_surrogate(np.asarray(rho, dtype=complex), rotations, idx)
-    seeded = minimize(surrogate, result.x.size, replace(cfg, restarts=PT_SEED_RESTARTS))
-    run = refine(objective, seeded.x, cfg)
+    surrogate = _pt_surrogate(rho, rotations, idx)
+    seeded = minimize(_scalar(surrogate, n), n, replace(cfg, restarts=PT_SEED_RESTARTS),
+                      batch=surrogate)
+    run = refine(objective, seeded.x, cfg, batch=values)
     best = run if run.value < result.value else result
     return OptimizerResult(best.value, best.x,
                            result.iterations + seeded.iterations + run.iterations,
-                           result.restarts, best.converged)
+                           result.restarts, best.converged,
+                           evaluations=result.evaluations + seeded.evaluations + run.evaluations,
+                           restart_values=result.restart_values + run.restart_values,
+                           best_restart=result.restarts if best is run else result.best_restart)
 
 
 def optimized_bound_b(rho: np.ndarray, d_a: int, d_b: int,
                       cfg: OptimizerConfig | None = None) -> tuple[float, OptimizerResult]:
     """Maximized bound B_opt >= B via Nelder-Mead restarts.
 
-    The restarts are those of ``minimize``.  When all of them end at
-    exactly 0 on an NPT state, the partial-transpose-seeded stage (see the
-    module docstring) follows; its surrogate pairs the A and B generator
-    pairs of ``sigma_pairs`` one to one, in order.
+    The restarts are those of ``minimize``, stepped together through the
+    batched objective.  When all of them end at exactly 0 on an NPT state,
+    the partial-transpose-seeded stage (see the module docstring) follows;
+    its surrogate pairs the A and B generator pairs of ``sigma_pairs`` one
+    to one, in order, as far as the shorter list goes.
     """
     f = make_bopt_objective(rho, d_a, d_b)
-    result = minimize(f, 2 * (d_a * d_a - d_a), cfg)
-    result = _pt_seeded(result, f, rho, d_a, d_b, _bopt_rotations(d_a),
+    rho = np.asarray(rho, dtype=complex)
+    values = _bopt_values(rho, d_a, d_b)
+    result = minimize(f, _bopt_count(d_a) + _bopt_count(d_b), cfg, batch=values)
+    result = _pt_seeded(result, f, values, rho, d_a, d_b, _bopt_rotations(d_a, d_b),
                         _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b), cfg)
     return math.sqrt(max(-result.value, 0.0)), result
 
@@ -448,8 +510,10 @@ def max_distill_x_sq(rho: np.ndarray, d_a: int, d_b: int,
     the single (1,2) x (1,2) block over the 4d - 8 subspace angles per side.
     """
     f = make_distill_objective(rho, d_a, d_b)
-    result = minimize(f, 2 * (4 * d_a - 8), cfg)
-    result = _pt_seeded(result, f, rho, d_a, d_b, _distill_rotations(d_a),
+    rho = np.asarray(rho, dtype=complex)
+    values = _distill_values(rho, d_a, d_b)
+    result = minimize(f, _distill_count(d_a) + _distill_count(d_b), cfg, batch=values)
+    result = _pt_seeded(result, f, values, rho, d_a, d_b, _distill_rotations(d_a, d_b),
                         _DISTILL_INDEX, cfg)
     return max(-result.value, 0.0), result
 

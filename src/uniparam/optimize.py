@@ -7,10 +7,20 @@ uniformly from [0, 2*pi)^dim using the configured seed, which makes every
 run bit-reproducible and guarantees that an optimized objective value is
 never worse than the value at zero.
 
-``refine`` runs one Nelder-Mead simplex from a given point instead.  The
-entanglement module uses it for its partial-transpose-seeded stage: when
-every restart of ``minimize`` ends on an objective's flat zero plateau,
-it restarts once from the minimizer of a plateau-free surrogate.
+All restarts run in lockstep: one Nelder-Mead core holds every simplex
+in an (R, dim + 1, dim) stack and steps the restarts that have not
+stopped together, so each simplex move of all of them is one call of a
+batched objective.  Callers that have one pass it as ``batch``, the same
+objective over an (N, dim) array returning N values; without it the rows
+are evaluated one at a time.  Each restart still follows exactly the
+trajectory it would follow alone: the same sort, tests, moves and
+argmin, so results do not depend on how many restarts run beside it.
+
+``refine`` runs one Nelder-Mead simplex from a given point instead, the
+same core with one restart.  The entanglement module uses it for its
+partial-transpose-seeded stage: when every restart of ``minimize`` ends
+on an objective's flat zero plateau, it restarts once from the minimizer
+of a plateau-free surrogate.
 """
 
 from __future__ import annotations
@@ -64,6 +74,11 @@ class OptimizerResult:
 
     ``iterations`` counts the simplex steps of every run that went into the
     result, including any seeded stage run after the restarts.
+    ``evaluations`` counts the objective points evaluated: simplex set-up,
+    steps, shrinks and the final re-evaluation, plus those of a seeded
+    stage.  ``restart_values`` is the best value of each Nelder-Mead run in
+    order, and ``best_restart`` the index of the run that gave ``x``
+    (-1 when no run was recorded).
     """
 
     value: float
@@ -72,65 +87,126 @@ class OptimizerResult:
     restarts: int
     converged: bool
     history: tuple[tuple[float, ...], ...] | None = field(default=None, repr=False)
+    evaluations: int = 0
+    restart_values: tuple[float, ...] = ()
+    best_restart: int = -1
 
 
-def _nelder_mead(f: Callable[[np.ndarray], float], start: np.ndarray,
-                 scale: float, max_iterations: int, f_tol: float,
-                 trace: list[float] | None) -> tuple[np.ndarray, float, int, bool]:
-    dim = start.size
-    pts = np.tile(start, (dim + 1, 1))
-    for i in range(dim):
-        pts[i + 1, i] += scale
-    fs = np.array([f(p) for p in pts])
+Batch = Callable[[np.ndarray], np.ndarray]
 
-    iters = 0
-    converged = False
-    while iters < max_iterations:
-        order = np.argsort(fs, kind="stable")
-        pts, fs = pts[order], fs[order]
-        if trace is not None:
-            trace.append(float(fs[0]))
-        if fs[-1] - fs[0] < f_tol:
-            converged = True
+
+def _rowwise(objective: Callable[[np.ndarray], float]) -> Batch:
+    """Batch form of a scalar objective: the rows evaluated one at a time."""
+
+    def batch(xs: np.ndarray) -> np.ndarray:
+        return np.array([objective(x) for x in xs], dtype=float)
+
+    return batch
+
+
+def _nelder_mead(batch: Batch, starts: np.ndarray, scale: float, max_iterations: int,
+                 f_tol: float, traces: list[list[float]] | None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """One Nelder-Mead run from each row of ``starts``, all stepped in lockstep.
+
+    The (R, dim + 1, dim) stack holds every simplex.  A step sorts and
+    tests the live runs, then makes at most three batched objective calls:
+    the reflections, the expansions and contractions together, and the
+    shrinks.  Every run follows exactly the trajectory it would follow
+    alone.  Returns each run's best vertex, its value, simplex steps and
+    convergence flag, and the number of points evaluated.
+    """
+    n_runs, dim = starts.shape
+    pts = np.repeat(starts[:, None, :], dim + 1, axis=1)
+    axes = np.arange(dim)
+    pts[:, axes + 1, axes] += scale
+    fs = batch(pts.reshape(-1, dim)).reshape(n_runs, dim + 1)
+    evaluations = fs.size
+
+    iters = np.zeros(n_runs, dtype=int)
+    converged = np.zeros(n_runs, dtype=bool)
+    live = np.ones(n_runs, dtype=bool)
+    while True:
+        # a run out of steps stops unsorted, before its spread test
+        live &= iters < max_iterations
+        run = np.flatnonzero(live)
+        if run.size == 0:
             break
-        iters += 1
+        order = np.argsort(fs[run], axis=1, kind="stable")
+        p = np.take_along_axis(pts[run], order[:, :, None], axis=1)
+        f = np.take_along_axis(fs[run], order, axis=1)
+        pts[run], fs[run] = p, f
+        if traces is not None:
+            for r, best in zip(run, f[:, 0]):
+                traces[r].append(float(best))
+        done = f[:, -1] - f[:, 0] < f_tol
+        converged[run[done]] = True
+        live[run[done]] = False
+        run, p, f = run[~done], p[~done], f[~done]
+        if run.size == 0:
+            break
+        iters[run] += 1
 
-        centroid = pts[:-1].mean(axis=0)
-        xr = centroid + REFLECT * (centroid - pts[-1])
-        fr = f(xr)
-        if fr < fs[0]:
-            xe = centroid + EXPAND * (xr - centroid)
-            fe = f(xe)
-            if fe < fr:
-                pts[-1], fs[-1] = xe, fe
-            else:
-                pts[-1], fs[-1] = xr, fr
-        elif fr < fs[-2]:
-            pts[-1], fs[-1] = xr, fr
-        else:
-            if fr < fs[-1]:
-                xc = centroid + CONTRACT * (xr - centroid)
-            else:
-                xc = centroid + CONTRACT * (pts[-1] - centroid)
-            fc = f(xc)
-            if fc < min(fr, fs[-1]):
-                pts[-1], fs[-1] = xc, fc
-            else:
-                pts[1:] = pts[0] + SHRINK * (pts[1:] - pts[0])
-                fs[1:] = [f(p) for p in pts[1:]]
+        centroid = p[:, :-1].mean(axis=1)
+        worst, f_worst = p[:, -1], f[:, -1]
+        xr = centroid + REFLECT * (centroid - worst)
+        fr = batch(xr)
+        expand = fr < f[:, 0]
+        contract = ~expand & ~(fr < f[:, -2])
+        # expansion points, and contractions toward the reflection when it beats the worst vertex
+        x2 = np.where(expand[:, None], centroid + EXPAND * (xr - centroid),
+                      np.where((fr < f_worst)[:, None], centroid + CONTRACT * (xr - centroid),
+                               centroid + CONTRACT * (worst - centroid)))
+        f2 = np.full(run.size, np.nan)
+        second = np.flatnonzero(expand | contract)
+        if second.size:
+            f2[second] = batch(x2[second])
+        # min(fr, f_worst): fr unless f_worst is lower (np.minimum would pass on a NaN)
+        take2 = (expand & (f2 < fr)) | (contract & (f2 < np.where(f_worst < fr, f_worst, fr)))
+        shrink = contract & ~take2
+        step = ~shrink
+        p[step, -1] = np.where(take2[:, None], x2, xr)[step]
+        f[step, -1] = np.where(take2, f2, fr)[step]
+        shrunk = np.flatnonzero(shrink)
+        if shrunk.size:
+            q = p[shrunk]
+            q[:, 1:] = q[:, :1] + SHRINK * (q[:, 1:] - q[:, :1])
+            p[shrunk] = q
+            f[shrunk, 1:] = batch(q[:, 1:].reshape(-1, dim)).reshape(shrunk.size, dim)
+        pts[run], fs[run] = p, f
+        evaluations += run.size + second.size + shrunk.size * dim
 
-    best = int(np.argmin(fs))
-    return pts[best].copy(), float(fs[best]), iters, converged
+    best = np.argmin(fs, axis=1)
+    rows = np.arange(n_runs)
+    return pts[rows, best], fs[rows, best], iters, converged, evaluations
+
+
+def _run(objective: Callable[[np.ndarray], float], batch: Batch | None,
+         starts: np.ndarray, cfg: OptimizerConfig, keep_history: bool) -> OptimizerResult:
+    """Lockstep Nelder-Mead from ``starts``; the first run with the lowest value wins."""
+    traces: list[list[float]] | None = [[] for _ in starts] if keep_history else None
+    x, fx, iters, converged, evaluations = _nelder_mead(
+        batch or _rowwise(objective), starts, cfg.simplex_scale, cfg.max_iterations,
+        cfg.f_tol, traces)
+    best = int(np.argmin(fx))
+    return OptimizerResult(float(objective(x[best])), x[best], int(iters.sum()), len(starts),
+                           bool(converged[best]),
+                           history=None if traces is None else tuple(map(tuple, traces)),
+                           evaluations=evaluations + 1,
+                           restart_values=tuple(fx.tolist()), best_restart=best)
 
 
 def minimize(objective: Callable[[np.ndarray], float], dim: int,
-             cfg: OptimizerConfig | None = None,
-             keep_history: bool = False) -> OptimizerResult:
+             cfg: OptimizerConfig | None = None, keep_history: bool = False, *,
+             batch: Batch | None = None) -> OptimizerResult:
     """Minimize ``objective`` over R^dim with restarted Nelder-Mead.
 
-    ``dim == 0`` evaluates the constant objective once and returns.  The
-    result is the best vertex over all restarts; ``converged`` reports
-    whether the restart that produced it met the spread tolerance.
+    ``batch``, when given, is the same objective over an (N, dim) array,
+    returning N values; the restarts are then evaluated together through
+    it, and ``objective`` only re-evaluates the result.  ``dim == 0``
+    evaluates the constant objective once and returns.  The result is the
+    best vertex over all restarts; ``converged`` reports whether the
+    restart that produced it met the spread tolerance.
     """
     cfg = cfg or OptimizerConfig()
     if dim < 0:
@@ -138,40 +214,21 @@ def minimize(objective: Callable[[np.ndarray], float], dim: int,
     if dim == 0:
         x = np.zeros(0)
         return OptimizerResult(float(objective(x)), x, 0, 0, True,
-                               history=() if keep_history else None)
+                               history=() if keep_history else None, evaluations=1)
 
-    rng = np.random.default_rng(cfg.seed)
-    best_x: np.ndarray | None = None
-    best_f = np.inf
-    best_converged = False
-    total_iters = 0
-    histories: list[tuple[float, ...]] = []
-    for r in range(cfg.restarts):
-        start = np.zeros(dim) if r == 0 else rng.uniform(0.0, TWO_PI, dim)
-        trace: list[float] | None = [] if keep_history else None
-        x, fx, iters, converged = _nelder_mead(
-            objective, start, cfg.simplex_scale, cfg.max_iterations, cfg.f_tol, trace)
-        total_iters += iters
-        if trace is not None:
-            histories.append(tuple(trace))
-        if fx < best_f:
-            best_x, best_f, best_converged = x, fx, converged
-
-    assert best_x is not None
-    value = float(objective(best_x))
-    return OptimizerResult(value, best_x, total_iters, cfg.restarts, best_converged,
-                           history=tuple(histories) if keep_history else None)
+    starts = np.zeros((cfg.restarts, dim))
+    starts[1:] = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (cfg.restarts - 1, dim))
+    return _run(objective, batch, starts, cfg, keep_history)
 
 
 def refine(objective: Callable[[np.ndarray], float], start: np.ndarray,
-           cfg: OptimizerConfig | None = None) -> OptimizerResult:
+           cfg: OptimizerConfig | None = None, *,
+           batch: Batch | None = None) -> OptimizerResult:
     """One Nelder-Mead run from ``start`` with the simplex settings of ``cfg``.
 
     ``cfg.restarts`` and ``cfg.seed`` are not used; the result reports one
-    restart and is re-evaluated like that of ``minimize``.
+    restart and is re-evaluated like that of ``minimize``, which also
+    describes ``batch``.
     """
-    cfg = cfg or OptimizerConfig()
     start = np.array(start, dtype=float).ravel()
-    x, _, iters, converged = _nelder_mead(
-        objective, start, cfg.simplex_scale, cfg.max_iterations, cfg.f_tol, None)
-    return OptimizerResult(float(objective(x)), x, iters, 1, converged)
+    return _run(objective, batch, start[None], cfg or OptimizerConfig(), False)

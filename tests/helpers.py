@@ -111,3 +111,46 @@ def pure_sigma_sum(psi, d):
                     m = kron(sigma(ka, la, d), sigma(kb, lb, d))
                     total += abs(np.vdot(psi, m @ psi.conj())) ** 2
     return total
+
+
+def nelder_mead_reference(f, start, scale, max_iterations, f_tol):
+    """One Nelder-Mead run from ``start``, one point at a time (oracle path).
+
+    The textbook loop: sort, stop on spread, reflect, then expand,
+    accept, contract or shrink.  Returns (x, f(x), steps, converged,
+    trace of the best value before each step).
+    """
+    dim = start.size
+    pts = np.tile(start, (dim + 1, 1))
+    for i in range(dim):
+        pts[i + 1, i] += scale
+    fs = np.array([f(p) for p in pts])
+    iters, converged, trace = 0, False, []
+    while iters < max_iterations:
+        order = np.argsort(fs, kind="stable")
+        pts, fs = pts[order], fs[order]
+        trace.append(float(fs[0]))
+        if fs[-1] - fs[0] < f_tol:
+            converged = True
+            break
+        iters += 1
+        centroid = pts[:-1].mean(axis=0)
+        xr = centroid + (centroid - pts[-1])
+        fr = f(xr)
+        if fr < fs[0]:
+            xe = centroid + 2.0 * (xr - centroid)
+            fe = f(xe)
+            pts[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fs[-2]:
+            pts[-1], fs[-1] = xr, fr
+        else:
+            toward = xr if fr < fs[-1] else pts[-1]
+            xc = centroid + 0.5 * (toward - centroid)
+            fc = f(xc)
+            if fc < min(fr, fs[-1]):
+                pts[-1], fs[-1] = xc, fc
+            else:
+                pts[1:] = pts[0] + 0.5 * (pts[1:] - pts[0])
+                fs[1:] = [f(p) for p in pts[1:]]
+    best = int(np.argmin(fs))
+    return pts[best].copy(), float(fs[best]), iters, converged, tuple(trace)

@@ -104,6 +104,20 @@ def test_bound_bell_with_optimize(tmp_path, capsys):
     assert doc["optimizer"]["restarts"] == 3
 
 
+def test_optimizer_report_telemetry(tmp_path, capsys):
+    psi = bell_state()
+    path = write_matrix(tmp_path / "bell.json", np.outer(psi, psi.conj()))
+    code, out, _ = run_cli(capsys, "bound", "--state", path, "--dims", "2,2",
+                           "--optimize", "--restarts", "3", "--seed", "1")
+    assert code == 0
+    report = json.loads(out)["optimizer"]
+    # the concurrence of a two-qubit state is locally invariant: every
+    # restart stops on its first, flat simplex of 4 + 1 points
+    assert report["iterations"] == 0
+    assert report["evaluations"] == 3 * 5 + 1
+    assert report["best_restart"] == 0
+
+
 def test_bound_rejects_invalid_state(tmp_path, capsys):
     path = write_matrix(tmp_path / "notrho.json", np.eye(4))  # trace 4
     code, _, err = run_cli(capsys, "bound", "--state", path, "--dims", "2,2")

@@ -198,3 +198,19 @@ def test_decompose_canonical_ranges_and_fixed_point():
 def test_decompose_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
         decompose(np.ones((3, 3)))
+
+
+def test_stacked_product_matches_single_builds():
+    from uniparam.composite import _product, _ucs_pairs, _unitary_pairs
+
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 5):
+        lams = np.stack([random_param_matrix(d, rng) for _ in range(7)])
+        stack = _product(lams, _unitary_pairs(d), diag=True)
+        assert stack.shape == (7, d, d)
+        for lam, u in zip(lams, stack):
+            assert np.max(np.abs(u - build_unitary(lam))) <= 1e-15
+        if d > 2:
+            ucs = _product(lams, _ucs_pairs(d, 2), diag=False)
+            for lam, u in zip(lams, ucs):
+                assert np.max(np.abs(u - build_ucs(lam, 2))) <= 1e-15

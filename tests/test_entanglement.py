@@ -18,6 +18,7 @@ from uniparam import (
     kron,
     linear_entropy,
     make_bopt_objective,
+    make_distill_objective,
     max_concurrence,
     max_distill_x_sq,
     minimize,
@@ -397,3 +398,80 @@ def test_packing_counts():
 def test_normalization_constant():
     assert abs(max_concurrence(3) - 2.0 / math.sqrt(3.0)) < 1e-15
     assert abs(max_concurrence(2) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("d_a, d_b", [(3, 3), (4, 4), (3, 4)])
+def test_batched_objectives_equal_closures(d_a, d_b):
+    from uniparam.entanglement import (
+        _block_index,
+        _bopt_rotations,
+        _bopt_values,
+        _distill_values,
+        _pt_surrogate,
+        _scalar,
+        sigma_pairs,
+    )
+
+    rng = np.random.default_rng(10 * d_a + d_b)
+    rho = rand_density(rng, d_a * d_b, rank=3)
+    n_bopt = d_a * d_a - d_a + d_b * d_b - d_b
+    idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
+    cases = [
+        (_bopt_values(rho, d_a, d_b), make_bopt_objective(rho, d_a, d_b), n_bopt),
+        (_distill_values(rho, d_a, d_b), make_distill_objective(rho, d_a, d_b),
+         4 * d_a - 8 + 4 * d_b - 8),
+    ]
+    surrogate = _pt_surrogate(rho, _bopt_rotations(d_a, d_b), idx)
+    cases.append((surrogate, _scalar(surrogate, n_bopt), n_bopt))
+    for batch, closure, n in cases:
+        v = rng.uniform(0.0, 2 * np.pi, (25, n))
+        v[0] = 0.0
+        values = batch(v)
+        assert values.shape == (25,)
+        # bit for bit: a restart's values must not depend on the rows beside it
+        for i in range(25):
+            assert values[i] == closure(v[i])
+
+
+@pytest.mark.parametrize("d_a, d_b", [(3, 4), (2, 3)])
+def test_objectives_unequal_dims(d_a, d_b):
+    rng = np.random.default_rng(7 * d_a + d_b)
+    rho = rand_density(rng, d_a * d_b, rank=2)
+    plain = bound_b(rho, d_a, d_b).b
+    assert plain > 1e-3
+    n_a, n_b = d_a * d_a - d_a, d_b * d_b - d_b
+    f = make_bopt_objective(rho, d_a, d_b)
+    assert abs(f(np.zeros(n_a + n_b)) + plain ** 2) < 1e-12
+    # per side, the angles enter bound_b as the adjoint rotations
+    v = rng.uniform(0.0, 2 * np.pi, n_a + n_b)
+    u_a = build_unitary(offdiag_to_matrix(v[:n_a], d_a)).conj().T
+    u_b = build_unitary(offdiag_to_matrix(v[n_a:], d_b)).conj().T
+    assert abs(f(v) + bound_b(rho, d_a, d_b, u_a, u_b).b ** 2) < 1e-12
+    with pytest.raises(LengthMismatchError):
+        f(np.zeros(2 * n_a))
+
+    g = make_distill_objective(rho, d_a, d_b)
+    n_distill = 4 * d_a - 8 + 4 * d_b - 8  # a d = 2 side has no angles
+    term = bound_x(rho, 1, 2, 1, 2, dims=(d_a, d_b))
+    assert abs(g(np.zeros(n_distill)) + term ** 2) < 1e-12
+
+    cfg = OptimizerConfig(max_iterations=300, restarts=2, seed=3)
+    b_opt, result = optimized_bound_b(rho, d_a, d_b, cfg)
+    assert result.x.size == n_a + n_b
+    assert b_opt >= plain - 1e-12
+    x_sq, result = max_distill_x_sq(rho, d_a, d_b, cfg)
+    assert result.x.size == n_distill
+    assert x_sq >= term ** 2 - 1e-12
+
+
+def test_seeded_stage_telemetry():
+    # at this barely-NPT grid point every restart ends at 0 and the seeded run wins
+    from uniparam.cli import fig1_state
+
+    cfg = OptimizerConfig()
+    _, result = optimized_bound_b(fig1_state(0.10, 0.25), 3, 3, cfg)
+    assert len(result.restart_values) == cfg.restarts + 1
+    assert all(v == 0.0 for v in result.restart_values[:cfg.restarts])
+    assert result.best_restart == cfg.restarts
+    assert result.value == result.restart_values[-1] < 0.0
+    assert result.evaluations > result.iterations

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uniparam import OptimizerConfig, OptimizerResult, minimize, refine
+from helpers import nelder_mead_reference
 
 
 def quadratic(x):
@@ -105,3 +106,94 @@ def test_refine_runs_once_from_start():
     again = refine(quadratic, start, cfg)
     assert np.array_equal(again.x, result.x)
     assert again.iterations == result.iterations
+
+
+def rugged(x):
+    return float(np.sum(np.sin(3 * x) ** 2) + 0.01 * np.sum((x - 2.0) ** 2))
+
+
+def rugged_batch(xs):
+    return np.array([rugged(x) for x in xs])
+
+
+def test_lockstep_restarts_equal_separate_runs():
+    cfg = OptimizerConfig(max_iterations=300, restarts=6, seed=21)
+    dim = 4
+    starts = [np.zeros(dim)]
+    rng = np.random.default_rng(cfg.seed)
+    starts += [rng.uniform(0.0, 2 * np.pi, dim) for _ in range(cfg.restarts - 1)]
+    runs = [refine(rugged, s, cfg) for s in starts]
+    best = min(range(len(runs)), key=lambda r: runs[r].value)
+
+    result = minimize(rugged, dim, cfg, batch=rugged_batch)
+    assert result.value == runs[best].value
+    assert np.array_equal(result.x, runs[best].x)
+    assert result.iterations == sum(r.iterations for r in runs)
+    assert result.converged == runs[best].converged
+    assert result.restart_values == tuple(r.value for r in runs)
+    assert result.best_restart == best
+
+
+def test_batch_replaces_rowwise_objective():
+    cfg = OptimizerConfig(max_iterations=200, restarts=3, seed=2)
+    calls = []
+
+    def scalar(x):
+        calls.append(x.copy())
+        return quadratic(x)
+
+    batched = minimize(scalar, 3, cfg, batch=lambda xs: np.array([quadratic(x) for x in xs]))
+    assert len(calls) == 1  # only the final re-evaluation
+    assert np.array_equal(calls[0], batched.x)
+    rowwise = minimize(quadratic, 3, cfg)
+    assert batched.value == rowwise.value
+    assert np.array_equal(batched.x, rowwise.x)
+    assert batched.iterations == rowwise.iterations
+
+
+def test_evaluation_telemetry():
+    seen = []
+
+    def probe(x):
+        seen.append(x.copy())
+        return rugged(x)
+
+    cfg = OptimizerConfig(max_iterations=150, restarts=4, seed=8)
+    result = minimize(probe, 3, cfg)
+    assert result.evaluations == len(seen)
+    assert len(result.restart_values) == cfg.restarts
+    assert result.restart_values[result.best_restart] == min(result.restart_values)
+    assert result.best_restart == result.restart_values.index(min(result.restart_values))
+    assert result.value == probe(result.x)
+
+    seen.clear()
+    one = refine(probe, np.ones(3), cfg)
+    assert one.evaluations == len(seen)
+    assert one.best_restart == 0 and len(one.restart_values) == 1
+
+    constant = minimize(lambda x: 2.0, 0)
+    assert constant.evaluations == 1
+    assert constant.restart_values == () and constant.best_restart == -1
+    # results built by hand keep the old positional fields only
+    bare = OptimizerResult(1.0, np.zeros(1), 3, 1, True)
+    assert bare.evaluations == 0 and bare.restart_values == () and bare.best_restart == -1
+
+
+@pytest.mark.parametrize("fn, dim, max_iterations", [
+    (quadratic, 1, 2000), (rugged, 3, 40), (rugged, 6, 2000), (quadratic, 5, 25),
+])
+def test_minimize_matches_reference_loop(fn, dim, max_iterations):
+    # lockstep restarts give what one-at-a-time runs of the textbook loop give
+    cfg = OptimizerConfig(max_iterations=max_iterations, restarts=5, seed=dim)
+    rng = np.random.default_rng(cfg.seed)
+    starts = [np.zeros(dim)] + [rng.uniform(0.0, 2 * np.pi, dim) for _ in range(4)]
+    runs = [nelder_mead_reference(fn, s, cfg.simplex_scale, max_iterations, cfg.f_tol)
+            for s in starts]
+    best = min(range(5), key=lambda r: runs[r][1])
+
+    result = minimize(fn, dim, cfg, keep_history=True)
+    assert np.array_equal(result.x, runs[best][0])
+    assert result.value == runs[best][1]
+    assert result.iterations == sum(r[2] for r in runs)
+    assert result.converged == runs[best][3]
+    assert result.history == tuple(r[4] for r in runs)

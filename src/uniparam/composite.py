@@ -74,13 +74,13 @@ def sigma(m: int, n: int, d: int) -> np.ndarray:
 def _rows_update(out: np.ndarray, m0: int, n0: int, c, s, e, adjoint: bool) -> None:
     """In-place left multiplication of ``out`` by L(m,n) or its adjoint.
 
-    ``out[i]`` is row i: a matrix, or a stack of matrices viewed with the
-    row axis first (``np.moveaxis(stack, -2, 0)``).  For a stack ``c``,
-    ``s`` and ``e`` are arrays that broadcast against ``out[i]``, one
+    ``out[i]`` is row i: a matrix, or a stack of matrices laid out with
+    the matrix axes first (``out[i, j]`` is entry (i, j) of every matrix).
+    For a stack ``c``, ``s`` and ``e`` are arrays over the stack, one
     factor per matrix.
     """
-    a = np.copy(out[m0])
-    b = np.copy(out[n0])
+    a = out[m0].copy()
+    b = out[n0].copy()
     if adjoint:
         out[m0] = c * a - (s * np.conj(e)) * b
         out[n0] = s * a + (c * np.conj(e)) * b
@@ -123,30 +123,28 @@ def _product(lam: np.ndarray, pairs: list[tuple[int, int]], diag: bool) -> np.nd
     """Evaluate the ordered factor product by applying factors right-to-left.
 
     ``lam`` is one d x d angle matrix or a stack (..., d, d) of them; a
-    stack gives the stack of products.  Its cosines and sines come from
-    ``np.cos``/``np.sin`` over the whole stack, a single matrix takes them
-    from ``math`` one angle at a time, which is faster for so few.
+    stack gives the stack of products.  The work runs with the two matrix
+    axes first, so ``u[i]`` is row i of every matrix and ``c[k]`` the
+    cosine of factor k: a scalar for one matrix, an array over the stack.
     """
     d = lam.shape[-1]
-    u = np.zeros(lam.shape, dtype=complex)
-    # every matrix's diagonal is a stride-(d + 1) slice of its flattened entries
-    flat = lam.shape[:-2] + (d * d,)
-    u.reshape(flat)[..., ::d + 1] = np.exp(1j * lam.reshape(flat)[..., ::d + 1]) if diag else 1.0
-    if lam.ndim == 2:
-        for m, n in reversed(pairs):
-            rot = lam[m - 1, n - 1]
-            phase = lam[n - 1, m - 1]
-            _rows_update(u, m - 1, n - 1, math.cos(rot), math.sin(rot),
-                         complex(math.cos(phase), math.sin(phase)), False)
-        return u
-    rows = np.moveaxis(u, -2, 0)
-    cos, sin = np.cos(lam)[..., None], np.sin(lam)[..., None]
-    for m, n in reversed(pairs):
-        e = np.empty(cos.shape[:-3] + (1,), dtype=complex)
-        e.real, e.imag = cos[..., n - 1, m - 1, :], sin[..., n - 1, m - 1, :]
-        _rows_update(rows, m - 1, n - 1, cos[..., m - 1, n - 1, :], sin[..., m - 1, n - 1, :],
-                     e, False)
-    return u
+    ang = lam.transpose(-2, -1, *range(lam.ndim - 2))
+    u = np.zeros(ang.shape, dtype=complex)
+    # the diagonal of every matrix is a stride-(d + 1) slice of the flattened angle axes
+    flat = (d * d,) + ang.shape[2:]
+    u.reshape(flat)[::d + 1] = np.exp(1j * ang.reshape(flat)[::d + 1]) if diag else 1.0
+    m0 = [m - 1 for m, _ in reversed(pairs)]
+    n0 = [n - 1 for _, n in reversed(pairs)]
+    # one gather: the rotation angles lam[m, n] of all factors, then their phases lam[n, m]
+    angles = ang[m0 + n0, n0 + m0]
+    cos_all, sin_all = np.cos(angles), np.sin(angles)
+    p = len(m0)
+    c, s = cos_all[:p], sin_all[:p]
+    e = np.empty(c.shape, dtype=complex)
+    e.real, e.imag = cos_all[p:], sin_all[p:]
+    for m, n, ck, sk, ek in zip(m0, n0, c, s, e):
+        _rows_update(u, m, n, ck, sk, ek, False)
+    return np.ascontiguousarray(u.transpose(*range(2, u.ndim), 0, 1))
 
 
 def _unitary_pairs(d: int) -> list[tuple[int, int]]:

@@ -251,13 +251,15 @@ def bound_b(rho: np.ndarray, d_a: int, d_b: int,
 # parameter packing for the optimization objectives
 
 def _angles_at(vec: np.ndarray, pos: list[tuple[int, int]], d: int, label: str) -> np.ndarray:
-    """d x d angle matrix holding ``vec`` at ``pos`` and zeros elsewhere."""
-    vec = np.asarray(vec, dtype=float).ravel()
-    if vec.size != len(pos):
-        raise LengthMismatchError(f"expected {len(pos)} angles for {label}, got {vec.size}")
-    lam = np.zeros((d, d))
-    rows, cols = zip(*pos)
-    lam[rows, cols] = vec
+    """d x d angle matrix holding ``vec`` at ``pos`` and zeros elsewhere.
+
+    Leading axes of ``vec`` give a stack (..., d, d) of matrices.
+    """
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape[-1] != len(pos):
+        raise LengthMismatchError(f"expected {len(pos)} angles for {label}, got {vec.shape[-1]}")
+    lam = np.zeros(vec.shape[:-1] + (d, d))
+    lam[..., [i for i, _ in pos], [j for _, j in pos]] = vec
     return lam
 
 
@@ -268,7 +270,7 @@ def offdiag_positions(d: int) -> list[tuple[int, int]]:
 
 def offdiag_to_matrix(vec: np.ndarray, d: int) -> np.ndarray:
     """Angle matrix with zero diagonal from a packed off-diagonal vector."""
-    return _angles_at(vec, offdiag_positions(d), d, f"d={d}")
+    return _angles_at(np.ravel(vec), offdiag_positions(d), d, f"d={d}")
 
 
 def ucs_block_positions(d: int, k: int = 2) -> list[tuple[int, int]]:
@@ -279,34 +281,27 @@ def ucs_block_positions(d: int, k: int = 2) -> list[tuple[int, int]]:
 
 def ucs_block_to_matrix(vec: np.ndarray, d: int, k: int = 2) -> np.ndarray:
     """Angle matrix populated only at the subspace block positions."""
-    return _angles_at(vec, ucs_block_positions(d, k), d, f"d={d}, k={k}")
+    return _angles_at(np.ravel(vec), ucs_block_positions(d, k), d, f"d={d}, k={k}")
 
 
 # ---------------------------------------------------------------------------
 # optimization objectives (negated for minimization)
 #
-# Each objective has one batched evaluator, (N, n) packed vectors -> N
-# values, which the optimizer steps all restarts through; the public
-# closures evaluate it on one row.
+# Each objective has one batched evaluator, (..., n) packed vectors ->
+# (...) values.  The optimizer steps all restarts through it on (N, n)
+# stacks; the public closures evaluate it on one vector, with no stack axis.
 
 Rotations = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _side(pos: list[tuple[int, int]], d: int, pairs: list[tuple[int, int]],
           cols: int) -> Callable[[np.ndarray], np.ndarray]:
-    """(N, len(pos)) angle vectors -> (N, d, cols): leading columns of their composite products.
+    """(..., len(pos)) angle vectors -> (..., d, cols): leading columns of their composite products.
 
     The angles sit at ``pos`` of a zero d x d angle matrix, and the product
     runs over the plane factors ``pairs`` with no diagonal phases.
     """
-    rows, columns = [i for i, _ in pos], [j for _, j in pos]
-
-    def side(v: np.ndarray) -> np.ndarray:
-        lam = np.zeros((v.shape[0], d, d))
-        lam[:, rows, columns] = v
-        return _product(lam, pairs, diag=False)[..., :cols]
-
-    return side
+    return lambda v: _product(_angles_at(v, pos, d, f"d={d}"), pairs, diag=False)[..., :cols]
 
 
 def _bopt_count(d: int) -> int:
@@ -318,14 +313,14 @@ def _distill_count(d: int) -> int:
 
 
 def _bopt_rotations(d_a: int, d_b: int) -> Rotations:
-    """Packed vectors -> the (N, d, d) composite products of the B_opt objective, per side.
+    """Packed vectors -> the (..., d, d) composite products of the B_opt objective, per side.
 
     The first d_a^2 - d_a angles are A's.  With a zero diagonal the
     products are ``build_unitary(offdiag_to_matrix(v_side, d))``.
     """
     side_a, side_b = (_side(offdiag_positions(d), d, _unitary_pairs(d), d) for d in (d_a, d_b))
     n_a = _bopt_count(d_a)
-    return lambda v: (side_a(v[:, :n_a]), side_b(v[:, n_a:]))
+    return lambda v: (side_a(v[..., :n_a]), side_b(v[..., n_a:]))
 
 
 def _distill_rotations(d_a: int, d_b: int) -> Rotations:
@@ -337,7 +332,7 @@ def _distill_rotations(d_a: int, d_b: int) -> Rotations:
     """
     side_a, side_b = (_side(ucs_block_positions(d, 2), d, _ucs_pairs(d, 2), 2) for d in (d_a, d_b))
     n_a = _distill_count(d_a)
-    return lambda v: (side_a(v[:, :n_a]), side_b(v[:, n_a:]))
+    return lambda v: (side_a(v[..., :n_a]), side_b(v[..., n_a:]))
 
 
 # the single block of the distill objective, cut from the 2 x 2 rotated space
@@ -345,13 +340,14 @@ _DISTILL_INDEX = _block_index([((1, 2), (1, 2))], 2)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sum of each row of a 2-D array, one ``np.sum`` per row.
+    """Sums over the last axis, one ``np.sum`` per vector.
 
-    A row then sums exactly as a lone vector does (pairwise); a reduction
-    along the axis of a many-row array may add in another order, and the
-    batched values would differ from the one-vector ones in the last bit.
+    A row of a stack then sums exactly as a lone vector does (pairwise); a
+    reduction along the axis of a many-row array may add in another order,
+    and the batched values would differ from the one-vector ones in the
+    last bit.
     """
-    return np.array([np.sum(row) for row in a])
+    return np.array([np.sum(row) for row in a.reshape(-1, a.shape[-1])]).reshape(a.shape[:-1])
 
 
 def _bopt_values(rho: np.ndarray, d_a: int, d_b: int) -> Batch:
@@ -374,7 +370,7 @@ def _distill_values(rho: np.ndarray, d_a: int, d_b: int) -> Batch:
         x = _concurrences(_rotated_blocks(rho, *rotations(v), _DISTILL_INDEX))
         # float_power squares through C pow, like the scalar x ** 2 of earlier
         # releases, so witness values stay bit-identical; x * x can differ in the last bit
-        return -np.float_power(x[:, 0], 2)
+        return -np.float_power(x[..., 0], 2)
 
     return values
 
@@ -386,7 +382,7 @@ def _scalar(values: Batch, n: int) -> Callable[[np.ndarray], float]:
         v = np.asarray(v, dtype=float).ravel()
         if v.size != n:
             raise LengthMismatchError(f"expected {n} angles, got {v.size}")
-        return float(values(v[None])[0])
+        return float(values(v))
 
     return objective
 

@@ -112,45 +112,6 @@ def rugged(x):
     return float(np.sum(np.sin(3 * x) ** 2) + 0.01 * np.sum((x - 2.0) ** 2))
 
 
-def rugged_batch(xs):
-    return np.array([rugged(x) for x in xs])
-
-
-def test_lockstep_restarts_equal_separate_runs():
-    cfg = OptimizerConfig(max_iterations=300, restarts=6, seed=21)
-    dim = 4
-    starts = [np.zeros(dim)]
-    rng = np.random.default_rng(cfg.seed)
-    starts += [rng.uniform(0.0, 2 * np.pi, dim) for _ in range(cfg.restarts - 1)]
-    runs = [refine(rugged, s, cfg) for s in starts]
-    best = min(range(len(runs)), key=lambda r: runs[r].value)
-
-    result = minimize(rugged, dim, cfg, batch=rugged_batch)
-    assert result.value == runs[best].value
-    assert np.array_equal(result.x, runs[best].x)
-    assert result.iterations == sum(r.iterations for r in runs)
-    assert result.converged == runs[best].converged
-    assert result.restart_values == tuple(r.value for r in runs)
-    assert result.best_restart == best
-
-
-def test_batch_replaces_rowwise_objective():
-    cfg = OptimizerConfig(max_iterations=200, restarts=3, seed=2)
-    calls = []
-
-    def scalar(x):
-        calls.append(x.copy())
-        return quadratic(x)
-
-    batched = minimize(scalar, 3, cfg, batch=lambda xs: np.array([quadratic(x) for x in xs]))
-    assert len(calls) == 1  # only the final re-evaluation
-    assert np.array_equal(calls[0], batched.x)
-    rowwise = minimize(quadratic, 3, cfg)
-    assert batched.value == rowwise.value
-    assert np.array_equal(batched.x, rowwise.x)
-    assert batched.iterations == rowwise.iterations
-
-
 def test_evaluation_telemetry():
     seen = []
 
@@ -179,19 +140,37 @@ def test_evaluation_telemetry():
     assert bare.evaluations == 0 and bare.restart_values == () and bare.best_restart == -1
 
 
+def rowwise(fn):
+    return lambda xs: np.array([fn(x) for x in xs])
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
 @pytest.mark.parametrize("fn, dim, max_iterations", [
     (quadratic, 1, 2000), (rugged, 3, 40), (rugged, 6, 2000), (quadratic, 5, 25),
 ])
-def test_minimize_matches_reference_loop(fn, dim, max_iterations):
-    # lockstep restarts give what one-at-a-time runs of the textbook loop give
+def test_minimize_matches_reference_loop(fn, dim, max_iterations, batched):
+    # lockstep restarts give what separate one-at-a-time runs of the textbook loop give
     cfg = OptimizerConfig(max_iterations=max_iterations, restarts=5, seed=dim)
     rng = np.random.default_rng(cfg.seed)
     starts = [np.zeros(dim)] + [rng.uniform(0.0, 2 * np.pi, dim) for _ in range(4)]
     runs = [nelder_mead_reference(fn, s, cfg.simplex_scale, max_iterations, cfg.f_tol)
             for s in starts]
     best = min(range(5), key=lambda r: runs[r][1])
+    for start, run in zip(starts, runs):
+        alone = refine(fn, start, cfg)
+        assert np.array_equal(alone.x, run[0])
+        assert (alone.value, alone.iterations, alone.converged) == run[1:4]
 
-    result = minimize(fn, dim, cfg, keep_history=True)
+    calls = []
+
+    def scalar(x):
+        calls.append(x.copy())
+        return fn(x)
+
+    result = minimize(scalar, dim, cfg, keep_history=True,
+                      batch=rowwise(fn) if batched else None)
+    if batched:
+        assert len(calls) == 1  # only the final re-evaluation
     assert np.array_equal(result.x, runs[best][0])
     assert result.value == runs[best][1]
     assert result.iterations == sum(r[2] for r in runs)

@@ -125,7 +125,7 @@ def _product(lam: np.ndarray, pairs: list[tuple[int, int]], diag: bool) -> np.nd
     ``lam`` is one d x d angle matrix or a stack (..., d, d) of them; a
     stack gives the stack of products.  The work runs with the two matrix
     axes first, so ``u[i]`` is row i of every matrix and ``c[k]`` the
-    cosine of factor k: a scalar for one matrix, an array over the stack.
+    cosine of factor k: a float for one matrix, an array over the stack.
     """
     d = lam.shape[-1]
     ang = lam.transpose(-2, -1, *range(lam.ndim - 2))
@@ -142,6 +142,9 @@ def _product(lam: np.ndarray, pairs: list[tuple[int, int]], diag: bool) -> np.nd
     c, s = cos_all[:p], sin_all[:p]
     e = np.empty(c.shape, dtype=complex)
     e.real, e.imag = cos_all[p:], sin_all[p:]
+    if lam.ndim == 2:
+        # Python floats multiply a row faster than numpy scalars (same values)
+        c, s, e = c.tolist(), s.tolist(), e.tolist()
     for m, n, ck, sk, ek in zip(m0, n0, c, s, e):
         _rows_update(u, m, n, ck, sk, ek, False)
     return np.ascontiguousarray(u.transpose(*range(2, u.ndim), 0, 1))

@@ -38,6 +38,7 @@ from .entanglement import (
     offdiag_positions,
     offdiag_to_matrix,
     optimized_bound_b,
+    optimized_bounds_b,
     ppt_min_eigenvalue,
     pure_m_concurrence_sq,
     sigma_pairs,
@@ -69,7 +70,7 @@ from .linalg import (
     permute_subsystems,
     psd_sqrt,
 )
-from .optimize import OptimizerConfig, OptimizerResult, minimize, refine
+from .optimize import OptimizerConfig, OptimizerResult, minimize, minimize_many, refine
 from .states import (
     build_density,
     canonicalize_subspace,

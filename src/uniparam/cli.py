@@ -31,6 +31,7 @@ from .entanglement import (
     max_distill_x_sq,
     n_copy_state,
     optimized_bound_b,
+    optimized_bounds_b,
     ppt_min_eigenvalue,
 )
 from .errors import ConvergenceError, UniparamError
@@ -129,20 +130,36 @@ def _point_seed(base_seed: int, ia: int, ib: int) -> int:
     return int(np.random.SeedSequence([base_seed, ia, ib]).generate_state(1)[0])
 
 
-def _fig1_point(task: tuple) -> ScanRow:
-    ia, ib, alpha, beta, optimize, restarts, base_seed = task
+def _is_state(rho: np.ndarray) -> bool:
+    return bool(herm_eig(rho).eigenvalues[0] >= -DENSITY_PSD_TOL)
+
+
+def _fig1_point(alpha: float, beta: float) -> ScanRow:
+    """The checks and the plain bound of one grid point; ``bound_opt`` is left empty."""
     rho = fig1_state(alpha, beta)
-    is_state = bool(herm_eig(rho).eigenvalues[0] >= -DENSITY_PSD_TOL)
+    is_state = _is_state(rho)
     is_ppt = bool(ppt_min_eigenvalue(rho, (3, 3), which=1) >= -PPT_TOL)
-    bound_plain = bound_opt = None
-    if is_state:
-        norm = max_concurrence(3)
-        bound_plain = bound_b(rho, 3, 3).b / norm
-        if optimize:
-            cfg = OptimizerConfig(restarts=restarts, seed=_point_seed(base_seed, ia, ib))
-            b_opt, _ = optimized_bound_b(rho, 3, 3, cfg)
-            bound_opt = b_opt / norm
-    return ScanRow(alpha, beta, is_state, is_ppt, bound_plain, bound_opt)
+    bound_plain = bound_b(rho, 3, 3).b / max_concurrence(3) if is_state else None
+    return ScanRow(alpha, beta, is_state, is_ppt, bound_plain, None)
+
+
+def _fig1_share(share: tuple) -> list[ScanRow]:
+    """Rows of one worker's grid points, in the order given.
+
+    With ``optimize`` the bounds of all its states are maximized in one
+    ``optimized_bounds_b`` run, each with the seed of its grid indices.
+    """
+    points, optimize, restarts, base_seed = share
+    rows = [_fig1_point(alpha, beta) for _, _, alpha, beta in points]
+    if optimize:
+        states = [(point, row) for point, row in zip(points, rows) if row.is_state]
+        bounds = optimized_bounds_b(
+            [fig1_state(alpha, beta) for (_, _, alpha, beta), _ in states], 3, 3,
+            [OptimizerConfig(restarts=restarts, seed=_point_seed(base_seed, ia, ib))
+             for (ia, ib, _, _), _ in states])
+        for (_, row), (b_opt, _) in zip(states, bounds):
+            row.bound_opt = b_opt / max_concurrence(3)
+    return rows
 
 
 def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
@@ -151,23 +168,30 @@ def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
 
     Rows come back in deterministic grid order (alpha outer, beta inner);
     grid points that are not density matrices carry empty bounds but are
-    still emitted.  Points are independent, so they are evaluated in a
-    process pool when ``jobs`` allows.
+    still emitted.  The points are dealt round-robin to ``jobs`` shares,
+    the states first in grid order and then the other points, and each
+    share is one task of a process pool.  A share's states are optimized
+    in one joint run, each with its own seed and restarts, so the rows do
+    not depend on ``jobs``.
     """
     if not 0.0 < step <= 0.25:
         raise UniparamError(f"step must lie in (0, 0.25], got {step}")
     num = int(math.floor((1.0 + 1e-9) / step))
-    tasks = [
-        (ia, ib, ia * step, ib * step, optimize, restarts, seed)
-        for ia in range(num + 1)
-        for ib in range(num + 1)
-    ]
+    points = [(ia, ib, ia * step, ib * step) for ia in range(num + 1) for ib in range(num + 1)]
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_fig1_point, tasks, chunksize=4))
-    return [_fig1_point(t) for t in tasks]
+    is_state = [_is_state(fig1_state(alpha, beta)) for _, _, alpha, beta in points]
+    order = ([i for i, s in enumerate(is_state) if s]
+             + [i for i, s in enumerate(is_state) if not s])
+    dealt = [order[j::jobs] for j in range(min(jobs, len(order)))]
+    shares = [([points[i] for i in idx], optimize, restarts, seed) for idx in dealt]
+    if len(shares) > 1:
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            share_rows = list(pool.map(_fig1_share, shares))
+    else:
+        share_rows = [_fig1_share(share) for share in shares]
+    placed = {i: row for idx, rows in zip(dealt, share_rows) for i, row in zip(idx, rows)}
+    return [placed[i] for i in range(len(points))]
 
 
 def _fmt(value: float | None) -> str:

@@ -50,7 +50,7 @@ from .errors import (
     NotPSDError,
 )
 from .linalg import PSD_EIG_TOL, herm_eig, partial_trace, partial_transpose, permute_subsystems
-from .optimize import Batch, OptimizerConfig, OptimizerResult, minimize, refine
+from .optimize import Batch, OptimizerConfig, OptimizerResult, minimize, minimize_many, refine
 
 PPT_TOL = 1e-10
 PT_SEED_RESTARTS = 6
@@ -210,17 +210,26 @@ def bound_x(rho: np.ndarray, k_a: int, l_a: int, k_b: int, l_b: int,
 
     X is the concurrence of the block on |k_a>,|l_a> (x) |k_b>,|l_b> of
     U rho U†, U = u_a (x) u_b; None means identity.  ``dims`` gives
-    (d_a, d_b); when omitted it is inferred from ``u_a`` or a symmetric
-    split.
+    (d_a, d_b); when omitted it is inferred from ``u_a``, else from
+    ``u_b``, else from a symmetric split, and a matrix size that does not
+    split that way raises ``DimensionMismatchError``.
     """
     rho = np.asarray(rho, dtype=complex)
     if dims is not None:
         d_a, d_b = dims
-    elif u_a is not None:
-        d_a = u_a.shape[0]
-        d_b = rho.shape[0] // d_a
     else:
-        d_a = d_b = math.isqrt(rho.shape[0])
+        n = rho.shape[0]
+        if u_a is not None:
+            d_a = np.shape(u_a)[0]
+            d_b = n // max(d_a, 1)
+        elif u_b is not None:
+            d_b = np.shape(u_b)[0]
+            d_a = n // max(d_b, 1)
+        else:
+            d_a = d_b = math.isqrt(n)
+        if d_a * d_b != n:
+            raise DimensionMismatchError(
+                f"matrix size {n} does not split as {d_a}*{d_b}; pass dims=(d_a, d_b)")
     rho = _check_state(rho, d_a, d_b)
     for (k, l, d) in ((k_a, l_a, d_a), (k_b, l_b, d_b)):
         if not (1 <= k <= d and 1 <= l <= d):
@@ -350,13 +359,18 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return np.array([np.sum(row) for row in a.reshape(-1, a.shape[-1])]).reshape(a.shape[:-1])
 
 
-def _bopt_values(rho: np.ndarray, d_a: int, d_b: int) -> Batch:
-    """Batched B_opt objective: packed vectors -> -B^2 of each."""
+def _bopt_values(rho: np.ndarray, d_a: int, d_b: int) -> Callable[..., np.ndarray]:
+    """Batched B_opt objective: packed vectors -> -B^2 of each.
+
+    ``rho`` is one state, or an (S, n, n) stack of them evaluated as
+    ``values(v, owner)``: row i of the (N, len) vectors on ``rho[owner[i]]``.
+    """
     rotations = _bopt_rotations(d_a, d_b)
     idx = _block_index(_all_pairs(d_a, d_b), d_b)
 
-    def values(v: np.ndarray) -> np.ndarray:
-        x = _concurrences(_rotated_blocks(rho, *rotations(v), idx))
+    def values(v: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
+        x = _concurrences(_rotated_blocks(rho if owner is None else rho[owner],
+                                          *rotations(v), idx))
         return -_row_sums(x * x)
 
     return values
@@ -478,6 +492,32 @@ def _pt_seeded(result: OptimizerResult, objective: Callable[[np.ndarray], float]
                            best_restart=result.restarts if best is run else result.best_restart)
 
 
+def optimized_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
+                       cfgs: Sequence[OptimizerConfig | None]
+                       ) -> list[tuple[float, OptimizerResult]]:
+    """``optimized_bound_b`` of each state in ``rhos``, with the config of the same index.
+
+    The restarts of every state are stepped together in one
+    ``minimize_many`` run, each state evaluating its own rows, so each
+    result equals that of ``optimized_bound_b`` on the state alone; the
+    configs may differ only in ``seed``.  The partial-transpose-seeded
+    stage then follows per state.
+    """
+    objectives = [make_bopt_objective(rho, d_a, d_b) for rho in rhos]
+    cfgs = [cfg or OptimizerConfig() for cfg in cfgs]
+    stack = np.array([np.asarray(rho, dtype=complex) for rho in rhos])
+    results = minimize_many(objectives, _bopt_count(d_a) + _bopt_count(d_b), cfgs,
+                            batch=_bopt_values(stack, d_a, d_b))
+    rotations = _bopt_rotations(d_a, d_b)
+    idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
+    out = []
+    for f, rho, result, cfg in zip(objectives, stack, results, cfgs):
+        result = _pt_seeded(result, f, _bopt_values(rho, d_a, d_b), rho, d_a, d_b,
+                            rotations, idx, cfg)
+        out.append((math.sqrt(max(-result.value, 0.0)), result))
+    return out
+
+
 def optimized_bound_b(rho: np.ndarray, d_a: int, d_b: int,
                       cfg: OptimizerConfig | None = None) -> tuple[float, OptimizerResult]:
     """Maximized bound B_opt >= B via Nelder-Mead restarts.
@@ -486,15 +526,10 @@ def optimized_bound_b(rho: np.ndarray, d_a: int, d_b: int,
     batched objective.  When all of them end at exactly 0 on an NPT state,
     the partial-transpose-seeded stage (see the module docstring) follows;
     its surrogate pairs the A and B generator pairs of ``sigma_pairs`` one
-    to one, in order, as far as the shorter list goes.
+    to one, in order, as far as the shorter list goes.  This is the
+    one-state case of ``optimized_bounds_b``.
     """
-    f = make_bopt_objective(rho, d_a, d_b)
-    rho = np.asarray(rho, dtype=complex)
-    values = _bopt_values(rho, d_a, d_b)
-    result = minimize(f, _bopt_count(d_a) + _bopt_count(d_b), cfg, batch=values)
-    result = _pt_seeded(result, f, values, rho, d_a, d_b, _bopt_rotations(d_a, d_b),
-                        _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b), cfg)
-    return math.sqrt(max(-result.value, 0.0)), result
+    return optimized_bounds_b([rho], d_a, d_b, [cfg])[0]
 
 
 def max_distill_x_sq(rho: np.ndarray, d_a: int, d_b: int,

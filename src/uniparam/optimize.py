@@ -16,6 +16,16 @@ are evaluated one at a time.  Each restart still follows exactly the
 trajectory it would follow alone: the same sort, tests, moves and
 argmin, so results do not depend on how many restarts run beside it.
 
+``minimize_many`` steps the restarts of several problems in one such run:
+problem i draws its starts from its own ``cfgs[i].seed`` and gets its own
+result, equal to that of ``minimize`` on it alone, and ``minimize`` is its
+one-problem case.  Its batched objective is called as ``batch(xs, owner)``,
+where ``owner[j]`` is the index of the problem that row j belongs to; the
+entanglement module uses that to optimize the bounds of many states in one
+run.  No objective call takes more than ``restarts * (dim + 1)`` rows, the
+size of one problem's simplex set-up: larger evaluations are split into
+calls of that size, which bounds the memory of the batched evaluators.
+
 ``refine`` runs one Nelder-Mead simplex from a given point instead, the
 same core with one restart.  The entanglement module uses it for its
 partial-transpose-seeded stage: when every restart of ``minimize`` ends
@@ -25,8 +35,8 @@ of a plateau-free surrogate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -92,36 +102,48 @@ class OptimizerResult:
     best_restart: int = -1
 
 
+Objective = Callable[[np.ndarray], float]
 Batch = Callable[[np.ndarray], np.ndarray]
+# batch(xs, owner): row i of xs belongs to the problem with index owner[i]
+OwnedBatch = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _rowwise(objective: Callable[[np.ndarray], float]) -> Batch:
-    """Batch form of a scalar objective: the rows evaluated one at a time."""
+def _rowwise(objectives: Sequence[Objective]) -> OwnedBatch:
+    """Batch form of scalar objectives: each row evaluated alone by its problem's objective."""
 
-    def batch(xs: np.ndarray) -> np.ndarray:
-        return np.array([objective(x) for x in xs], dtype=float)
+    def batch(xs: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return np.array([objectives[o](x) for x, o in zip(xs, owner.tolist())], dtype=float)
 
     return batch
 
 
-def _nelder_mead(batch: Batch, starts: np.ndarray, scale: float, max_iterations: int,
-                 f_tol: float, traces: list[list[float]] | None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+def _nelder_mead(batch: OwnedBatch, starts: np.ndarray, owner: np.ndarray, cap: int,
+                 scale: float, max_iterations: int, f_tol: float,
+                 traces: list[list[float]] | None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One Nelder-Mead run from each row of ``starts``, all stepped in lockstep.
 
-    The (R, dim + 1, dim) stack holds every simplex.  A step sorts and
-    tests the live runs, then makes at most three batched objective calls:
-    the reflections, the expansions and contractions together, and the
-    shrinks.  Every run follows exactly the trajectory it would follow
-    alone.  Returns each run's best vertex, its value, simplex steps and
-    convergence flag, and the number of points evaluated.
+    The (R, dim + 1, dim) stack holds every simplex, and ``owner`` gives the
+    problem of each run, passed on with every row evaluated.  A step sorts
+    and tests the live runs, then evaluates the reflections, the expansions
+    and contractions together, and the shrinks, each in calls of at most
+    ``cap`` rows.  Every run follows exactly the trajectory it would follow
+    alone.  Returns each run's best vertex, its value, simplex steps,
+    convergence flag and number of points evaluated.
     """
     n_runs, dim = starts.shape
+
+    def evaluate(xs: np.ndarray, own: np.ndarray) -> np.ndarray:
+        if len(xs) <= cap:
+            return batch(xs, own)
+        return np.concatenate([batch(xs[i:i + cap], own[i:i + cap])
+                               for i in range(0, len(xs), cap)])
+
     pts = np.repeat(starts[:, None, :], dim + 1, axis=1)
     axes = np.arange(dim)
     pts[:, axes + 1, axes] += scale
-    fs = batch(pts.reshape(-1, dim)).reshape(n_runs, dim + 1)
-    evaluations = fs.size
+    fs = evaluate(pts.reshape(-1, dim), np.repeat(owner, dim + 1)).reshape(n_runs, dim + 1)
+    evaluations = np.full(n_runs, dim + 1)
 
     iters = np.zeros(n_runs, dtype=int)
     converged = np.zeros(n_runs, dtype=bool)
@@ -146,11 +168,12 @@ def _nelder_mead(batch: Batch, starts: np.ndarray, scale: float, max_iterations:
         if run.size == 0:
             break
         iters[run] += 1
+        own = owner[run]
 
         centroid = p[:, :-1].mean(axis=1)
         worst, f_worst = p[:, -1], f[:, -1]
         xr = centroid + REFLECT * (centroid - worst)
-        fr = batch(xr)
+        fr = evaluate(xr, own)
         expand = fr < f[:, 0]
         contract = ~expand & ~(fr < f[:, -2])
         # expansion points, and contractions toward the reflection when it beats the worst vertex
@@ -160,7 +183,7 @@ def _nelder_mead(batch: Batch, starts: np.ndarray, scale: float, max_iterations:
         f2 = np.full(run.size, np.nan)
         second = np.flatnonzero(expand | contract)
         if second.size:
-            f2[second] = batch(x2[second])
+            f2[second] = evaluate(x2[second], own[second])
         # min(fr, f_worst): fr unless f_worst is lower (np.minimum would pass on a NaN)
         take2 = (expand & (f2 < fr)) | (contract & (f2 < np.where(f_worst < fr, f_worst, fr)))
         shrink = contract & ~take2
@@ -172,31 +195,82 @@ def _nelder_mead(batch: Batch, starts: np.ndarray, scale: float, max_iterations:
             q = p[shrunk]
             q[:, 1:] = q[:, :1] + SHRINK * (q[:, 1:] - q[:, :1])
             p[shrunk] = q
-            f[shrunk, 1:] = batch(q[:, 1:].reshape(-1, dim)).reshape(shrunk.size, dim)
+            f[shrunk, 1:] = evaluate(q[:, 1:].reshape(-1, dim),
+                                     np.repeat(own[shrunk], dim)).reshape(shrunk.size, dim)
         pts[run], fs[run] = p, f
-        evaluations += run.size + second.size + shrunk.size * dim
+        evaluations[run] += 1 + (expand | contract) + dim * shrink
 
     best = np.argmin(fs, axis=1)
     rows = np.arange(n_runs)
     return pts[rows, best], fs[rows, best], iters, converged, evaluations
 
 
-def _run(objective: Callable[[np.ndarray], float], batch: Batch | None,
-         starts: np.ndarray, cfg: OptimizerConfig, keep_history: bool) -> OptimizerResult:
-    """Lockstep Nelder-Mead from ``starts``; the first run with the lowest value wins."""
-    traces: list[list[float]] | None = [[] for _ in starts] if keep_history else None
-    x, fx, iters, converged, evaluations = _nelder_mead(
-        batch or _rowwise(objective), starts, cfg.simplex_scale, cfg.max_iterations,
-        cfg.f_tol, traces)
-    best = int(np.argmin(fx))
-    return OptimizerResult(float(objective(x[best])), x[best], int(iters.sum()), len(starts),
-                           bool(converged[best]),
-                           history=None if traces is None else tuple(map(tuple, traces)),
-                           evaluations=evaluations + 1,
-                           restart_values=tuple(fx.tolist()), best_restart=best)
+def _solve(objectives: Sequence[Objective], batch: OwnedBatch | None, starts: np.ndarray,
+           cfg: OptimizerConfig, keep_history: bool) -> list[OptimizerResult]:
+    """Lockstep Nelder-Mead from the (P, R, dim) ``starts``: R runs for each of P problems.
+
+    Per problem, its first run with the lowest value wins.  No objective
+    call takes more than R * (dim + 1) rows, one problem's simplex set-up.
+    """
+    n_problems, n_runs, dim = starts.shape
+    traces: list[list[float]] | None = (
+        [[] for _ in range(n_problems * n_runs)] if keep_history else None)
+    x, fx, iters, converged, evaluations = (
+        a.reshape(n_problems, n_runs, *a.shape[1:]) for a in _nelder_mead(
+            batch or _rowwise(objectives), starts.reshape(-1, dim),
+            np.repeat(np.arange(n_problems), n_runs), n_runs * (dim + 1),
+            cfg.simplex_scale, cfg.max_iterations, cfg.f_tol, traces))
+    results = []
+    for p, objective in enumerate(objectives):
+        best = int(np.argmin(fx[p]))
+        runs = slice(p * n_runs, (p + 1) * n_runs)
+        history = None if traces is None else tuple(map(tuple, traces[runs]))
+        results.append(OptimizerResult(
+            float(objective(x[p, best])), x[p, best], int(iters[p].sum()), n_runs,
+            bool(converged[p, best]), history=history,
+            evaluations=int(evaluations[p].sum()) + 1,
+            restart_values=tuple(fx[p].tolist()), best_restart=best))
+    return results
 
 
-def minimize(objective: Callable[[np.ndarray], float], dim: int,
+def minimize_many(objectives: Sequence[Objective], dim: int,
+                  cfgs: Sequence[OptimizerConfig], keep_history: bool = False, *,
+                  batch: OwnedBatch | None = None) -> list[OptimizerResult]:
+    """``minimize`` for several problems over R^dim at once, one result per problem.
+
+    Problem i minimizes ``objectives[i]`` with the restarts of ``cfgs[i]``,
+    which may differ from the others only in ``seed``.  The runs of all
+    problems are stepped in lockstep; ``batch``, when given, evaluates them
+    as ``batch(xs, owner)``, row j of the (N, dim) array ``xs`` on problem
+    ``owner[j]``, returning N values.  Each result equals that of
+    ``minimize`` on its problem alone.
+    """
+    cfgs = list(cfgs)
+    if len(cfgs) != len(objectives):
+        raise ValueError(f"{len(objectives)} objectives but {len(cfgs)} configs")
+    if dim < 0:
+        raise ValueError("dim must be >= 0")
+    if not cfgs:
+        return []
+    if any(replace(c, seed=0) != replace(cfgs[0], seed=0) for c in cfgs):
+        raise ValueError("configs may differ only in seed")
+    if dim == 0:
+        x = np.zeros(0)
+        return [OptimizerResult(float(objective(x)), x, 0, 0, True,
+                                history=() if keep_history else None, evaluations=1)
+                for objective in objectives]
+    starts = np.zeros((len(cfgs), cfgs[0].restarts, dim))
+    for s, cfg in zip(starts, cfgs):
+        s[1:] = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (cfg.restarts - 1, dim))
+    return _solve(objectives, batch, starts, cfgs[0], keep_history)
+
+
+def _owned(batch: Batch | None) -> OwnedBatch | None:
+    """A one-problem batch in the owner-passing form the core calls."""
+    return None if batch is None else lambda xs, owner: batch(xs)
+
+
+def minimize(objective: Objective, dim: int,
              cfg: OptimizerConfig | None = None, keep_history: bool = False, *,
              batch: Batch | None = None) -> OptimizerResult:
     """Minimize ``objective`` over R^dim with restarted Nelder-Mead.
@@ -208,20 +282,11 @@ def minimize(objective: Callable[[np.ndarray], float], dim: int,
     best vertex over all restarts; ``converged`` reports whether the
     restart that produced it met the spread tolerance.
     """
-    cfg = cfg or OptimizerConfig()
-    if dim < 0:
-        raise ValueError("dim must be >= 0")
-    if dim == 0:
-        x = np.zeros(0)
-        return OptimizerResult(float(objective(x)), x, 0, 0, True,
-                               history=() if keep_history else None, evaluations=1)
-
-    starts = np.zeros((cfg.restarts, dim))
-    starts[1:] = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (cfg.restarts - 1, dim))
-    return _run(objective, batch, starts, cfg, keep_history)
+    return minimize_many([objective], dim, [cfg or OptimizerConfig()], keep_history,
+                         batch=_owned(batch))[0]
 
 
-def refine(objective: Callable[[np.ndarray], float], start: np.ndarray,
+def refine(objective: Objective, start: np.ndarray,
            cfg: OptimizerConfig | None = None, *,
            batch: Batch | None = None) -> OptimizerResult:
     """One Nelder-Mead run from ``start`` with the simplex settings of ``cfg``.
@@ -231,4 +296,5 @@ def refine(objective: Callable[[np.ndarray], float], start: np.ndarray,
     describes ``batch``.
     """
     start = np.array(start, dtype=float).ravel()
-    return _run(objective, batch, start[None], cfg or OptimizerConfig(), False)
+    return _solve([objective], _owned(batch), start[None, None], cfg or OptimizerConfig(),
+                  False)[0]

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 
-from uniparam import unitarity_defect
+from uniparam import OptimizerConfig, max_concurrence, optimized_bound_b, unitarity_defect
 from uniparam.cli import (
     fig1_state,
     load_matrix_file,
@@ -202,6 +202,22 @@ def test_fig1_deterministic(tmp_path, capsys):
     assert run_cli(capsys, "fig1", "--step", "0.25", "--jobs", "1", "--out", str(a))[0] == 0
     assert run_cli(capsys, "fig1", "--step", "0.25", "--jobs", "1", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_fig1_optimized_rows_independent_of_jobs():
+    # each worker optimizes its share of the states in one joint run
+    scans = [run_fig1_scan(0.25, optimize=True, restarts=3, jobs=jobs) for jobs in (1, 2, 3)]
+    for scan in scans[1:]:
+        assert [vars(r) for r in scan] == [vars(r) for r in scans[0]]
+    rows = scans[0]
+    assert [(r.alpha, r.beta) for r in rows] == [(a * 0.25, b * 0.25)
+                                                 for a in range(5) for b in range(5)]
+    assert all((r.bound_opt is None) == (not r.is_state) for r in rows)
+    # the point (0.5, 0.25) has grid indices (2, 1) and its own seed
+    seed = int(np.random.SeedSequence([0, 2, 1]).generate_state(1)[0])
+    b_opt, _ = optimized_bound_b(fig1_state(0.5, 0.25), 3, 3,
+                                 OptimizerConfig(restarts=3, seed=seed))
+    assert rows[11].bound_opt == b_opt / max_concurrence(3)
 
 
 def test_fig1_bad_step(tmp_path, capsys):

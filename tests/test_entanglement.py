@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from uniparam import (
     offdiag_positions,
     offdiag_to_matrix,
     optimized_bound_b,
+    optimized_bounds_b,
     ppt_min_eigenvalue,
     pure_m_concurrence_sq,
     sigma,
@@ -89,6 +91,21 @@ def test_bound_x_matches_wootters_oracle():
     for _ in range(50):
         rho = rand_density(rng, 4)
         assert abs(bound_x(rho, 1, 2, 1, 2, eye, eye) - wootters_concurrence(rho)) < 1e-10
+
+
+def test_bound_x_infers_dims_from_u_b():
+    rng = np.random.default_rng(44)
+    rho = rand_density(rng, 12, rank=1)
+    u_b = haar_unitary(rng, 4)
+    expected = bound_x(rho, 1, 2, 2, 4, u_b=u_b, dims=(3, 4))
+    assert expected > 1e-3
+    assert bound_x(rho, 1, 2, 2, 4, u_b=u_b) == expected
+    assert bound_x(rho, 1, 2, 1, 2, u_b=np.eye(4)) == bound_x(rho, 1, 2, 1, 2, dims=(3, 4))
+    # no symmetric split and no unitary to read a dimension from
+    with pytest.raises(DimensionMismatchError, match="dims"):
+        bound_x(rho, 1, 2, 1, 2)
+    with pytest.raises(DimensionMismatchError, match="dims"):
+        bound_x(rho, 1, 2, 1, 2, u_b=np.eye(5))
 
 
 def test_bound_b_terms_match_wootters_oracle_unequal_dims():
@@ -475,3 +492,37 @@ def test_seeded_stage_telemetry():
     assert result.best_restart == cfg.restarts
     assert result.value == result.restart_values[-1] < 0.0
     assert result.evaluations > result.iterations
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.x, b.x)
+    assert ((a.value, a.iterations, a.restarts, a.converged, a.history, a.evaluations,
+             a.restart_values, a.best_restart)
+            == (b.value, b.iterations, b.restarts, b.converged, b.history, b.evaluations,
+                b.restart_values, b.best_restart))
+
+
+@pytest.mark.parametrize("case", ["fig1", "random-3x4"])
+def test_optimized_bounds_many_equal_one_at_a_time(case):
+    from uniparam.cli import fig1_state
+
+    if case == "fig1":
+        # a PPT plateau state, the barely-NPT point where the seeded stage runs, an NPT state
+        rhos = [fig1_state(0.10, 0.20), fig1_state(0.10, 0.25), fig1_state(0.5, 0.25)]
+        dims, cfg = (3, 3), OptimizerConfig(restarts=4)
+    else:
+        rng = np.random.default_rng(77)
+        rhos = [rand_density(rng, 12, rank=r) for r in (1, 2, 12)]
+        dims, cfg = (3, 4), OptimizerConfig(max_iterations=300, restarts=3)
+    cfgs = [replace(cfg, seed=3 + i) for i in range(len(rhos))]
+    many = optimized_bounds_b(rhos, *dims, cfgs)
+    assert len(many) == len(rhos)
+    for rho, c, (b, result) in zip(rhos, cfgs, many):
+        b_one, one = optimized_bound_b(rho, *dims, c)
+        assert b == b_one
+        assert_same_result(result, one)
+    # the seeded run won at the barely-NPT point and at the full-rank state
+    assert many[1 if case == "fig1" else 2][1].best_restart == cfg.restarts
+    # the joint run's rows equal those of the one-vector closure
+    plain = minimize(make_bopt_objective(rhos[0], *dims), many[0][1].x.size, cfgs[0])
+    assert_same_result(many[0][1], plain)

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from uniparam import OptimizerConfig, OptimizerResult, minimize, refine
+from uniparam import OptimizerConfig, OptimizerResult, minimize, minimize_many, refine
 from helpers import nelder_mead_reference
 
 
@@ -176,3 +178,84 @@ def test_minimize_matches_reference_loop(fn, dim, max_iterations, batched):
     assert result.iterations == sum(r[2] for r in runs)
     assert result.converged == runs[best][3]
     assert result.history == tuple(r[4] for r in runs)
+
+
+def starts_of(cfg, dim):
+    rng = np.random.default_rng(cfg.seed)
+    return [np.zeros(dim)] + [rng.uniform(0.0, 2 * np.pi, dim) for _ in range(cfg.restarts - 1)]
+
+
+def jagged(x):
+    # rugged enough that Nelder-Mead shrinks
+    return float(np.sum(np.sin(20 * x) ** 2) + 0.01 * np.sum((x - 2.0) ** 2))
+
+
+@pytest.mark.parametrize("fn, dim, max_iterations", [(jagged, 3, 200), (quadratic, 4, 2000)])
+def test_one_problem_call_sequence(fn, dim, max_iterations):
+    # one batch call per phase of a lockstep step, over the runs in restart order:
+    # the simplex set-up, then per step the reflections, the expansions and
+    # contractions, and the shrinks of the runs still live
+    cfg = OptimizerConfig(max_iterations=max_iterations, restarts=4, seed=2)
+    logs = []
+    for start in starts_of(cfg, dim):
+        logs.append([])
+        nelder_mead_reference(fn, start, cfg.simplex_scale, max_iterations, cfg.f_tol, logs[-1])
+    expected = {}
+    for log in logs:
+        for step, phase, x in log:
+            expected.setdefault((step, phase), []).append(x)
+
+    calls = []
+
+    def batch(xs):
+        calls.append(xs.copy())
+        return rowwise(fn)(xs)
+
+    minimize(fn, dim, cfg, batch=batch)
+    if fn is jagged:
+        assert any(phase == 2 for _, phase in expected)
+    assert len(calls) == len(expected)
+    for call, key in zip(calls, sorted(expected)):
+        assert np.array_equal(call, np.array(expected[key]))
+
+
+def test_minimize_many_equals_separate_runs_and_caps_rows():
+    dim = 3
+    cfgs = [OptimizerConfig(max_iterations=200, restarts=4, seed=s) for s in (1, 2, 3, 4, 5)]
+    shifts = np.array([0.0, 1.0, -2.0, 0.5, 3.0])
+
+    def problem(shift):
+        return lambda x: rugged(x - shift)
+
+    objectives = [problem(s) for s in shifts]
+    sizes = []
+
+    def batch(xs, owner):
+        sizes.append(len(xs))
+        return np.array([rugged(x - shifts[o]) for x, o in zip(xs, owner)])
+
+    many = minimize_many(objectives, dim, cfgs, keep_history=True, batch=batch)
+    # the set-up alone is 5 problems x 4 restarts x 4 vertices = 80 rows
+    assert max(sizes) <= cfgs[0].restarts * (dim + 1) < 80
+    assert sum(sizes) + len(cfgs) == sum(r.evaluations for r in many)
+    rowwise_many = minimize_many(objectives, dim, cfgs, keep_history=True)
+    for f, cfg, result, plain in zip(objectives, cfgs, many, rowwise_many):
+        alone = minimize(f, dim, cfg, keep_history=True)
+        for r in (result, plain):
+            assert np.array_equal(r.x, alone.x)
+            assert ((r.value, r.iterations, r.restarts, r.converged, r.history, r.evaluations,
+                     r.restart_values, r.best_restart)
+                    == (alone.value, alone.iterations, alone.restarts, alone.converged,
+                        alone.history, alone.evaluations, alone.restart_values,
+                        alone.best_restart))
+
+
+def test_minimize_many_config_checks():
+    cfg = OptimizerConfig(restarts=2)
+    assert minimize_many([], 3, []) == []
+    with pytest.raises(ValueError):
+        minimize_many([quadratic, quadratic], 3, [cfg, replace(cfg, restarts=3)])
+    with pytest.raises(ValueError):
+        minimize_many([quadratic], 3, [cfg, cfg])
+    constant = minimize_many([lambda x: 1.0, lambda x: 2.0], 0, [cfg, replace(cfg, seed=4)])
+    assert [r.value for r in constant] == [1.0, 2.0]

@@ -9,10 +9,23 @@ is C(R) for the block R of U rho U†, U = u_a (x) u_b, on
     C(R) = max(x_1 - x_2 - x_3 - x_4, 0)
 
 and x_1 >= ... >= x_4 the square roots of the eigenvalues of
-R (sy x sy) R^* (sy x sy).  ``_concurrences``, the one routine that
-evaluates C, takes a stack of blocks: from R = L L†, L = V sqrt(w) (a
-batched Hermitian eigensolve, round-off eigenvalues set to 0), the x_i
-are the singular values of L^T (sy x sy) L.  The plain bound
+R (sy x sy) R^* (sy x sy).  For any factor L with R = L L† they are the
+singular values of L^T (sy x sy) L: two such factors differ by a unitary
+on the right, which leaves those singular values unchanged (Wootters;
+Uhlmann, PRA 62, 032307, 2000).  So no block needs an eigensolve of its
+own unless its state is ill-conditioned and of rank > 4.  Each state gets
+one factor kind, chosen from the eigendecomposition its positivity check
+makes (``_check_state``), never per batch of rotations:
+
+- well conditioned, lambda_min > CHOLESKY_MIN_RATIO * lambda_max: every
+  block is positive definite, and L is its Cholesky factor;
+- rank r <= 4, counting eigenvalues above BLOCK_EIG_FLOOR * lambda_max:
+  rho = Psi Psi† with Psi = V_r sqrt(w_r) padded to n x 4, and L is the
+  block rows of W† Psi, with no eigensolve and no rotated n x n state;
+- otherwise: L = V sqrt(w) from a Hermitian eigensolve of the block, with
+  round-off eigenvalues set to 0 (``BLOCK_EIG_FLOOR``).
+
+``_concurrences`` then takes one SVD per block.  The plain bound
 B = sqrt(sum of X^2 over all pairs) (Chen-Albeverio-Fei, PRL 95, 040504,
 2005), its maximum over the composite parameterization of the local
 rotations, the multipartite sum over bipartitions and the distillability
@@ -55,6 +68,12 @@ from .optimize import Batch, OptimizerConfig, OptimizerResult, minimize, minimiz
 PPT_TOL = 1e-10
 PT_SEED_RESTARTS = 6
 BLOCK_EIG_FLOOR = 1e-13
+# A state with lambda_min > CHOLESKY_MIN_RATIO * lambda_max has only positive-definite
+# blocks: each block is E† rho E for an isometry E, so by Cauchy interlacing its
+# eigenvalues lie in [lambda_min, lambda_max] of rho.  Its condition number is then
+# below 1e8, far from where round-off (~1e-15 relative) could make it indefinite, and
+# far above BLOCK_EIG_FLOOR, which could never fire on it.
+CHOLESKY_MIN_RATIO = 1e-8
 STATE_NORM_TOL = 1e-12
 
 
@@ -97,6 +116,7 @@ Pair = tuple[tuple[int, int], tuple[int, int]]
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real  # the two-qubit spin flip, a real matrix
+_FLIP_SIGNS = _SPIN_FLIP[::-1].diagonal()  # its antidiagonal, bottom row first
 
 
 def sigma_pairs(d: int) -> list[tuple[int, int]]:
@@ -104,8 +124,33 @@ def sigma_pairs(d: int) -> list[tuple[int, int]]:
     return [(k, l) for k in range(1, d) for l in range(k + 1, d + 1)]
 
 
-def _check_state(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """rho as a complex array, after the shape and positivity checks every bound needs."""
+@dataclass(frozen=True)
+class _State:
+    """A checked state and the factor its 4x4 blocks are evaluated from.
+
+    ``factors(data, w_a, w_b, idx)`` gives the factors L, R = L L†, of the
+    blocks ``idx`` of W† rho W (see ``_rotated_blocks``); ``data`` is the
+    Hermitian part of rho, or its n x 4 factor Psi for a state of rank <= 4.
+    """
+
+    rho: np.ndarray
+    factors: Callable[..., np.ndarray]
+    data: np.ndarray
+
+    def concurrences(self, w_a: np.ndarray, w_b: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """(..., P) concurrences of the blocks ``idx`` of W† rho W, W = w_a (x) w_b."""
+        return _concurrences(self.factors(self.data, w_a, w_b, idx))
+
+
+def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
+    """rho, after the shape and positivity checks every bound needs, with its block factor.
+
+    The factor kind is chosen from the eigendecomposition the positivity
+    check makes (see the module docstring).  A ``_State`` from an earlier
+    check is returned as it is.
+    """
+    if isinstance(rho, _State):
+        return rho
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
@@ -113,10 +158,21 @@ def _check_state(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
         raise DimensionMismatchError(f"{d_a}*{d_b} != matrix size {rho.shape[0]}")
     if d_a < 2 or d_b < 2:
         raise DimensionMismatchError("both local dimensions must be >= 2")
-    w = herm_eig(rho).eigenvalues
+    w, v = herm_eig(rho)
     if w[0] < -PSD_EIG_TOL:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_EIG_TOL:.0e}")
-    return rho
+    # the part herm_eig factored (rho itself when exactly Hermitian), so the blocks are as
+    # positive definite as the eigenvalues w say
+    hermitian = (rho + rho.conj().T) / 2
+    if w[0] > CHOLESKY_MIN_RATIO * w[-1]:
+        return _State(rho, _cholesky_factors, hermitian)
+    rank = int(np.count_nonzero(w > BLOCK_EIG_FLOOR * w[-1]))
+    if rank <= 4:
+        psi = np.zeros((rho.shape[0], 4), dtype=complex)
+        if rank:
+            psi[:, :rank] = v[:, -rank:] * np.sqrt(w[-rank:])
+        return _State(rho, _direct_factors, psi)
+    return _State(rho, _eigh_factors, hermitian)
 
 
 def _block_index(pairs: Sequence[Pair], m_b: int) -> np.ndarray:
@@ -132,38 +188,99 @@ def _all_pairs(d_a: int, d_b: int) -> list[Pair]:
     return [(pa, pb) for pa in sigma_pairs(d_a) for pb in sigma_pairs(d_b)]
 
 
+def _product_basis(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
+    """(..., d_a d_b, m_a m_b) stack of W = w_a (x) w_b.
+
+    ``w_a`` and ``w_b`` are d x m matrices, or (N, d, m) stacks of them:
+    local unitaries, or the columns of isometries when only those are needed.
+    """
+    (d_a, m_a), (d_b, m_b) = w_a.shape[-2:], w_b.shape[-2:]
+    w = w_a[..., :, None, :, None] * w_b[..., None, :, None, :]
+    return w.reshape(w.shape[:-4] + (d_a * d_b, m_a * m_b))
+
+
 def _rotated_blocks(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
                     idx: np.ndarray) -> np.ndarray:
     """(..., P, 4, 4) stack of the blocks ``idx`` of W† rho W, W = w_a (x) w_b.
 
-    ``w_a`` and ``w_b`` are d x m matrices, or (N, d, m) stacks of them
-    that give N stacks of blocks: local unitaries, or the columns of
-    isometries when only those are needed.
+    Stacks of rotations (see ``_product_basis``) give N stacks of blocks.
     """
-    (d_a, m_a), (d_b, m_b) = w_a.shape[-2:], w_b.shape[-2:]
-    w = w_a[..., :, None, :, None] * w_b[..., None, :, None, :]
-    w = w.reshape(w.shape[:-4] + (d_a * d_b, m_a * m_b))
+    w = _product_basis(w_a, w_b)
     rotated = np.swapaxes(w.conj(), -1, -2) @ rho @ w
     return rotated[..., idx[:, :, None], idx[:, None, :]]
 
 
-def _concurrences(blocks: np.ndarray) -> np.ndarray:
-    """Wootters' concurrence max(x_1 - x_2 - x_3 - x_4, 0) of each PSD block in a (..., 4, 4) stack.
+def _cholesky_factors(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
+                      idx: np.ndarray) -> np.ndarray:
+    """Cholesky factors of the blocks of a state whose blocks are all positive definite."""
+    return np.linalg.cholesky(_rotated_blocks(rho, w_a, w_b, idx))
 
-    The x_i are the square roots of the eigenvalues of R (sy x sy) R^* (sy x sy).
-    With R = L L†, L = V sqrt(w) from the eigendecomposition of R, they
-    are the singular values of L^T (sy x sy) L, so every step is a
-    Hermitian eigensolve or an SVD.  Eigenvalues below BLOCK_EIG_FLOOR
-    times the block's largest are round-off of a rank-deficient block and
-    are set to 0: their square roots, ~1e-8, would otherwise enter x at
-    first order wherever the rest of the block is singular, and that
-    jitter stalls Nelder-Mead near the optima of rank-2 states.
+
+def _direct_factors(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
+                    idx: np.ndarray) -> np.ndarray:
+    """Factors (W† Psi)[idx] of the blocks of rho = Psi Psi†, Psi n x 4."""
+    return (np.swapaxes(_product_basis(w_a, w_b).conj(), -1, -2) @ psi)[..., idx, :]
+
+
+def _eigh_factors(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
+                  idx: np.ndarray) -> np.ndarray:
+    """Factors V sqrt(w) of the blocks from their Hermitian eigensolves.
+
+    Eigenvalues below BLOCK_EIG_FLOOR times the block's largest are
+    round-off of a rank-deficient block and are set to 0: their square
+    roots, ~1e-8, would otherwise enter x at first order wherever the rest
+    of the block is singular, and that jitter stalls Nelder-Mead near the
+    optima of rank-2 states.
     """
-    w, v = np.linalg.eigh(blocks)
+    w, v = np.linalg.eigh(_rotated_blocks(rho, w_a, w_b, idx))
     w = np.where(w < w[..., -1:] * BLOCK_EIG_FLOOR, 0.0, w)
-    l = v * np.sqrt(w)[..., None, :]
-    x = np.linalg.svd(np.swapaxes(l, -1, -2) @ _SPIN_FLIP @ l, compute_uv=False)
+    return v * np.sqrt(w)[..., None, :]
+
+
+def _concurrences(factors: np.ndarray) -> np.ndarray:
+    """Wootters' concurrence max(x_1 - x_2 - x_3 - x_4, 0) of each block R = L L†.
+
+    ``factors`` is a (..., 4, 4) stack of the L; the x_i are the singular
+    values of L^T (sy x sy) L.
+    """
+    # L^T (sy x sy) reverses the columns of L^T and flips the sign of the outer two: the
+    # exact products a matmul with the spin flip would form, without its complex cast
+    lt_flip = np.swapaxes(factors, -1, -2)[..., ::-1] * _FLIP_SIGNS
+    x = np.linalg.svd(lt_flip @ factors, compute_uv=False)
     return np.maximum(x[..., 0] - x[..., 1:].sum(axis=-1), 0.0)
+
+
+def _state_concurrences(states: Sequence[_State], idx: np.ndarray) -> Callable[..., np.ndarray]:
+    """(w_a, w_b, owner) -> (..., P) concurrences of the blocks ``idx`` of the rotated states.
+
+    With ``owner`` None every rotation applies to ``states[0]``; else row i
+    of the (N, d, m) rotation stacks applies to ``states[owner[i]]``.  Rows
+    are grouped by their state's factor kind, and each row's values equal
+    those of the one-state call, whatever rows sit beside it.
+    """
+    kinds: dict[Callable[..., np.ndarray], list[int]] = {}
+    for i, s in enumerate(states):
+        kinds.setdefault(s.factors, []).append(i)
+    kind, local = np.empty(len(states), dtype=int), np.empty(len(states), dtype=int)
+    stacks = []
+    for k, (factors, members) in enumerate(kinds.items()):
+        kind[members], local[members] = k, np.arange(len(members))
+        stacks.append((factors, np.array([states[i].data for i in members])))
+
+    def concurrences(w_a: np.ndarray, w_b: np.ndarray,
+                     owner: np.ndarray | None = None) -> np.ndarray:
+        if owner is None:
+            return states[0].concurrences(w_a, w_b, idx)
+        x = np.empty((len(owner), len(idx)))
+        row_kind = kind[owner]
+        for k, (factors, data) in enumerate(stacks):
+            rows = np.flatnonzero(row_kind == k)
+            if rows.size:
+                x[rows] = _concurrences(factors(data[local[owner[rows]]],
+                                                w_a[rows], w_b[rows], idx))
+        return x
+
+    return concurrences
 
 
 def _local_adjoint(u: np.ndarray | None, d: int) -> np.ndarray:
@@ -230,15 +347,15 @@ def bound_x(rho: np.ndarray, k_a: int, l_a: int, k_b: int, l_b: int,
         if d_a * d_b != n:
             raise DimensionMismatchError(
                 f"matrix size {n} does not split as {d_a}*{d_b}; pass dims=(d_a, d_b)")
-    rho = _check_state(rho, d_a, d_b)
+    state = _check_state(rho, d_a, d_b)
     for (k, l, d) in ((k_a, l_a, d_a), (k_b, l_b, d_b)):
         if not (1 <= k <= d and 1 <= l <= d):
             raise IndexOutOfRangeError(f"indices ({k},{l}) outside 1..{d}")
         if k >= l:
             raise IndexOrderError(f"require k < l, got ({k},{l})")
-    blocks = _rotated_blocks(rho, _local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
-                             _block_index([((k_a, l_a), (k_b, l_b))], d_b))
-    return float(_concurrences(blocks)[0])
+    x = state.concurrences(_local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
+                           _block_index([((k_a, l_a), (k_b, l_b))], d_b))
+    return float(x[0])
 
 
 def bound_b(rho: np.ndarray, d_a: int, d_b: int,
@@ -248,10 +365,10 @@ def bound_b(rho: np.ndarray, d_a: int, d_b: int,
 
     Each term is the concurrence of one 4x4 block of U rho U†, U = u_a (x) u_b.
     """
-    rho = _check_state(rho, d_a, d_b)
+    state = _check_state(rho, d_a, d_b)
     pairs = _all_pairs(d_a, d_b)
-    x = _concurrences(_rotated_blocks(rho, _local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
-                                      _block_index(pairs, d_b)))
+    x = state.concurrences(_local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
+                           _block_index(pairs, d_b))
     terms = {pa + pb: float(xi) for (pa, pb), xi in zip(pairs, x)}
     return BoundReport(terms, float(np.sqrt(np.sum(x * x))), normalization)
 
@@ -349,42 +466,53 @@ _DISTILL_INDEX = _block_index([((1, 2), (1, 2))], 2)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sums over the last axis, one ``np.sum`` per vector.
+    """Sums over the last axis, adding its entries in index order.
 
-    A row of a stack then sums exactly as a lone vector does (pairwise); a
-    reduction along the axis of a many-row array may add in another order,
-    and the batched values would differ from the one-vector ones in the
-    last bit.
+    A row of a stack then sums exactly as a lone vector does; a reduction
+    along the axis of a many-row array may add in another order, and the
+    batched values would differ from the one-vector ones in the last bit.
     """
-    return np.array([np.sum(row) for row in a.reshape(-1, a.shape[-1])]).reshape(a.shape[:-1])
+    total = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        total += a[..., j]
+    return total
 
 
-def _bopt_values(rho: np.ndarray, d_a: int, d_b: int) -> Callable[..., np.ndarray]:
+def _states(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
+            d_a: int, d_b: int) -> list[_State]:
+    """One state, or a stack or sequence of them, as checked ``_State``s."""
+    if isinstance(rho, _State) or np.ndim(rho) == 2:
+        rho = [rho]
+    return [_check_state(r, d_a, d_b) for r in rho]
+
+
+def _bopt_values(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
+                 d_a: int, d_b: int) -> Callable[..., np.ndarray]:
     """Batched B_opt objective: packed vectors -> -B^2 of each.
 
-    ``rho`` is one state, or an (S, n, n) stack of them evaluated as
-    ``values(v, owner)``: row i of the (N, len) vectors on ``rho[owner[i]]``.
+    ``rho`` is one state, or an (S, n, n) stack or a sequence of them
+    evaluated as ``values(v, owner)``: row i of the (N, len) vectors on
+    state ``owner[i]``.
     """
     rotations = _bopt_rotations(d_a, d_b)
-    idx = _block_index(_all_pairs(d_a, d_b), d_b)
+    concurrences = _state_concurrences(_states(rho, d_a, d_b),
+                                       _block_index(_all_pairs(d_a, d_b), d_b))
 
     def values(v: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
-        x = _concurrences(_rotated_blocks(rho if owner is None else rho[owner],
-                                          *rotations(v), idx))
+        x = concurrences(*rotations(v), owner)
         return -_row_sums(x * x)
 
     return values
 
 
-def _distill_values(rho: np.ndarray, d_a: int, d_b: int) -> Batch:
+def _distill_values(rho: np.ndarray | _State, d_a: int, d_b: int) -> Batch:
     """Batched distill objective: packed vectors -> -X^2_{1,2,1,2} of each."""
     rotations = _distill_rotations(d_a, d_b)
+    state = _check_state(rho, d_a, d_b)
 
     def values(v: np.ndarray) -> np.ndarray:
-        x = _concurrences(_rotated_blocks(rho, *rotations(v), _DISTILL_INDEX))
-        # float_power squares through C pow, like the scalar x ** 2 of earlier
-        # releases, so witness values stay bit-identical; x * x can differ in the last bit
-        return -np.float_power(x[..., 0], 2)
+        x = state.concurrences(*rotations(v), _DISTILL_INDEX)[..., 0]
+        return -(x * x)
 
     return values
 
@@ -412,8 +540,8 @@ def make_bopt_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.nda
     which leaves its concurrence unchanged, so the diagonal angles are
     not part of the vector.
     """
-    rho = _check_state(rho, d_a, d_b)
-    return _scalar(_bopt_values(rho, d_a, d_b), _bopt_count(d_a) + _bopt_count(d_b))
+    return _scalar(_bopt_values(_check_state(rho, d_a, d_b), d_a, d_b),
+                   _bopt_count(d_a) + _bopt_count(d_b))
 
 
 def bopt_objective(rho: np.ndarray, d_a: int, d_b: int,
@@ -432,8 +560,8 @@ def make_distill_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.
     block E† rho E, with E the first two columns of each subspace
     product, tensored.
     """
-    rho = _check_state(rho, d_a, d_b)
-    return _scalar(_distill_values(rho, d_a, d_b), _distill_count(d_a) + _distill_count(d_b))
+    return _scalar(_distill_values(_check_state(rho, d_a, d_b), d_a, d_b),
+                   _distill_count(d_a) + _distill_count(d_b))
 
 
 def distill_objective(rho: np.ndarray, d_a: int, d_b: int,
@@ -503,16 +631,16 @@ def optimized_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
     configs may differ only in ``seed``.  The partial-transpose-seeded
     stage then follows per state.
     """
-    objectives = [make_bopt_objective(rho, d_a, d_b) for rho in rhos]
+    states = _states(rhos, d_a, d_b)
+    objectives = [make_bopt_objective(state, d_a, d_b) for state in states]
     cfgs = [cfg or OptimizerConfig() for cfg in cfgs]
-    stack = np.array([np.asarray(rho, dtype=complex) for rho in rhos])
     results = minimize_many(objectives, _bopt_count(d_a) + _bopt_count(d_b), cfgs,
-                            batch=_bopt_values(stack, d_a, d_b))
+                            batch=_bopt_values(states, d_a, d_b))
     rotations = _bopt_rotations(d_a, d_b)
     idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
     out = []
-    for f, rho, result, cfg in zip(objectives, stack, results, cfgs):
-        result = _pt_seeded(result, f, _bopt_values(rho, d_a, d_b), rho, d_a, d_b,
+    for f, state, result, cfg in zip(objectives, states, results, cfgs):
+        result = _pt_seeded(result, f, _bopt_values(state, d_a, d_b), state.rho, d_a, d_b,
                             rotations, idx, cfg)
         out.append((math.sqrt(max(-result.value, 0.0)), result))
     return out
@@ -540,11 +668,11 @@ def max_distill_x_sq(rho: np.ndarray, d_a: int, d_b: int,
     partial-transpose-seeded stage (see the module docstring) follows, on
     the single (1,2) x (1,2) block over the 4d - 8 subspace angles per side.
     """
-    f = make_distill_objective(rho, d_a, d_b)
-    rho = np.asarray(rho, dtype=complex)
-    values = _distill_values(rho, d_a, d_b)
+    state = _check_state(rho, d_a, d_b)
+    f = make_distill_objective(state, d_a, d_b)
+    values = _distill_values(state, d_a, d_b)
     result = minimize(f, _distill_count(d_a) + _distill_count(d_b), cfg, batch=values)
-    result = _pt_seeded(result, f, values, rho, d_a, d_b, _distill_rotations(d_a, d_b),
+    result = _pt_seeded(result, f, values, state.rho, d_a, d_b, _distill_rotations(d_a, d_b),
                         _DISTILL_INDEX, cfg)
     return max(-result.value, 0.0), result
 

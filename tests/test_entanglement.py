@@ -526,3 +526,152 @@ def test_optimized_bounds_many_equal_one_at_a_time(case):
     # the joint run's rows equal those of the one-vector closure
     plain = minimize(make_bopt_objective(rhos[0], *dims), many[0][1].x.size, cfgs[0])
     assert_same_result(many[0][1], plain)
+
+
+# ---------------------------------------------------------------------------
+# exact values on the isotropic axes and at the Werner threshold
+
+def test_optimized_bound_exact_on_isotropic_axes():
+    # beta = 0 is the isotropic family with fidelity F = alpha + (1 - alpha)/9; alpha = 0 is
+    # the same family up to the local qutrit shift.  Its normalized concurrence is
+    # (4 alpha - 1)/3 for alpha >= 1/4 (Rungta-Caves, PRA 67, 012307, 2003).
+    from uniparam.cli import fig1_state
+
+    weights = (0.3, 0.5, 0.75, 1.0)
+    points = [(a, 0.0) for a in weights] + [(0.0, a) for a in weights]
+    rhos = [fig1_state(alpha, beta) for alpha, beta in points]
+    results = optimized_bounds_b(rhos, 3, 3, [OptimizerConfig()] * len(rhos))
+    for (alpha, beta), (b_opt, _) in zip(points, results):
+        exact = (4 * (alpha + beta) - 1) / 3
+        normalized = b_opt / max_concurrence(3)
+        assert abs(normalized - exact) < 1e-9, (alpha, beta)
+        # a lower bound above the exact value would be a wrong answer, not a loose one
+        assert normalized <= exact + 1e-12, (alpha, beta)
+
+
+def werner_family(d, beta):
+    """(I + beta F)/(d^2 + beta d), F the swap of two d-level systems."""
+    swap = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            swap[i * d + j, j * d + i] = 1.0
+    return (np.eye(d * d) + beta * swap) / (d * d + beta * d)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_distill_witness_werner_threshold(d):
+    # W(beta) is NPT for beta < -1/d and 1-distillable iff beta < -1/2: a Schmidt-rank-2
+    # vector has <psi|P_phi+|psi> <= 2/d, and F^Gamma = d P_phi+
+    for beta in (-0.45, -0.49):
+        rho = werner_family(d, beta)
+        assert ppt_min_eigenvalue(rho, (d, d)) < -1e-10
+        x_sq, result = max_distill_x_sq(rho, d, d)
+        assert x_sq == 0.0, beta
+        # every restart ended on the zero plateau, so the seeded stage ran and found nothing
+        assert len(result.restart_values) == OptimizerConfig().restarts + 1
+    for beta in (-0.51, -0.55):
+        x_sq, _ = max_distill_x_sq(werner_family(d, beta), d, d)
+        assert x_sq > 1e-8, beta
+
+
+# ---------------------------------------------------------------------------
+# block factor kinds
+
+def _kind_states(rng):
+    """One 3x4 state of each factor kind, by the name of its factor."""
+    w = np.geomspace(1.0, 1e-10, 12)
+    u = haar_unitary(rng, 12)
+    return {
+        "cholesky, full rank": rand_density(rng, 12),
+        "direct, rank 1": rand_density(rng, 12, rank=1),
+        "direct, rank 2": rand_density(rng, 12, rank=2),
+        "eigh, rank 6": rand_density(rng, 12, rank=6),
+        "eigh, ill-conditioned full rank": (u * (w / w.sum())) @ u.conj().T,
+    }
+
+
+def test_factor_kind_choice():
+    from uniparam.entanglement import (
+        _check_state,
+        _cholesky_factors,
+        _direct_factors,
+        _eigh_factors,
+    )
+
+    kinds = {"cholesky": _cholesky_factors, "direct": _direct_factors, "eigh": _eigh_factors}
+    for name, rho in _kind_states(np.random.default_rng(61)).items():
+        state = _check_state(rho, 3, 4)
+        assert state.factors is kinds[name.split(",")[0]], name
+        # a checked state passes through unchanged
+        assert _check_state(state, 3, 4) is state
+
+
+def test_factor_kinds_match_wootters_oracle():
+    rng = np.random.default_rng(62)
+    for name, rho in _kind_states(rng).items():
+        full_rank = name.startswith("cholesky")
+        for _ in range(3):
+            u_a, u_b = haar_unitary(rng, 3), haar_unitary(rng, 4)
+            w = kron(u_a, u_b)
+            rotated = w @ rho @ w.conj().T
+            for (ka, la, kb, lb), x in bound_b(rho, 3, 4, u_a, u_b).terms.items():
+                idx = [(i - 1) * 4 + (j - 1) for i in (ka, la) for j in (kb, lb)]
+                oracle = wootters_concurrence(rotated[np.ix_(idx, idx)])
+                # the oracle's documented accuracy: ~5e-14 at full rank, ~1.5e-8 below
+                assert abs(x - oracle) < (1e-10 if full_rank else 1e-7), name
+
+
+def test_factor_kinds_batched_rows_equal_closures():
+    from uniparam.entanglement import _bopt_values, _distill_values
+
+    rng = np.random.default_rng(63)
+    rhos = list(_kind_states(rng).values())
+    n_bopt, n_distill = 6 + 12, 4 + 8
+    v = rng.uniform(0.0, 2 * np.pi, (40, n_bopt))
+    owner = rng.integers(0, len(rhos), 40)
+    owner[:len(rhos)] = np.arange(len(rhos))  # every kind present
+    stacked = _bopt_values(np.array(rhos), 3, 4)(v, owner)
+    single = [_bopt_values(rho, 3, 4) for rho in rhos]
+    closures = [make_bopt_objective(rho, 3, 4) for rho in rhos]
+    for i in range(len(v)):
+        assert stacked[i] == single[owner[i]](v[i]) == closures[owner[i]](v[i])
+    # rows of one state do not depend on the rows of other kinds beside them
+    for s, rho in enumerate(rhos):
+        rows = np.flatnonzero(owner == s)
+        assert np.array_equal(_bopt_values([rho], 3, 4)(v[rows], np.zeros(rows.size, int)),
+                              stacked[rows])
+
+    v = rng.uniform(0.0, 2 * np.pi, (25, n_distill))
+    for rho in rhos:
+        batch, closure = _distill_values(rho, 3, 4), make_distill_objective(rho, 3, 4)
+        values = batch(v)
+        for i in range(len(v)):
+            assert values[i] == closure(v[i])
+
+
+def test_cholesky_kind_just_above_threshold():
+    from uniparam.entanglement import (
+        CHOLESKY_MIN_RATIO,
+        _all_pairs,
+        _block_index,
+        _bopt_values,
+        _check_state,
+        _cholesky_factors,
+        _concurrences,
+        _eigh_factors,
+    )
+
+    rng = np.random.default_rng(64)
+    w = np.geomspace(1.0, 1.5 * CHOLESKY_MIN_RATIO, 12)
+    u = haar_unitary(rng, 12)
+    rho = (u * (w / w.sum())) @ u.conj().T
+    state = _check_state(rho, 3, 4)
+    assert state.factors is _cholesky_factors
+    idx = _block_index(_all_pairs(3, 4), 4)
+    for _ in range(200):
+        u_a, u_b = haar_unitary(rng, 3), haar_unitary(rng, 4)
+        x = state.concurrences(u_a, u_b, idx)  # raises LinAlgError on an indefinite block
+        assert np.allclose(x, _concurrences(_eigh_factors(state.data, u_a, u_b, idx)),
+                           rtol=0.0, atol=1e-9)
+    values = _bopt_values(state, 3, 4)(rng.uniform(0.0, 2 * np.pi, (200, 18)))
+    assert np.all(np.isfinite(values))

@@ -267,10 +267,8 @@ def _optimizer_report(result: OptimizerResult) -> dict:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     d_a, d_b = _parse_dims(args.dims)
-    if d_a != d_b:
-        raise UniparamError("bound requires equal local dimensions")
     rho = _load_state(args.state, d_a, d_b)
-    norm = max_concurrence(d_a)
+    norm = max_concurrence(min(d_a, d_b))
     report = bound_b(rho, d_a, d_b, normalization=norm)
     out = {
         "dims": [d_a, d_b],
@@ -296,21 +294,18 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_distill(args: argparse.Namespace) -> int:
     d_a, d_b = _parse_dims(args.dims)
-    if d_a != d_b:
-        raise UniparamError("distill requires equal local dimensions")
     rho = _load_state(args.state, d_a, d_b)
-    d = d_a
     if args.copies > 1:
         rho = n_copy_state(rho, (d_a, d_b), args.copies)
-        d = d_a ** args.copies
+        d_a, d_b = d_a ** args.copies, d_b ** args.copies
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    x_sq, result = max_distill_x_sq(rho, d, d, cfg)
+    x_sq, result = max_distill_x_sq(rho, d_a, d_b, cfg)
     print(json.dumps({
-        "dims": [d, d],
+        "dims": [d_a, d_b],
         "copies": args.copies,
         "max_x_sq": x_sq,
         "distillable_witness": bool(x_sq > DISTILL_WITNESS_TOL),
-        "n_params": 2 * (4 * d - 8),
+        "n_params": (4 * d_a - 8) + (4 * d_b - 8),
         "optimizer": _optimizer_report(result),
     }))
     return 0
@@ -353,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--normalize", action="store_true",
-                   help="also report bounds divided by sqrt(2(d-1)/d)")
+                   help="also report bounds divided by sqrt(2(d-1)/d), d = min(dA, dB)")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("distill", help="distillability witness of a state",

@@ -220,6 +220,23 @@ def zeroing_angles(a: complex, b: complex, tol: float) -> tuple[float, float]:
     return rot, phase
 
 
+def _zeroing_sweep(a: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Angles of the factor adjoints that zero a[n, m] against a[m, m], pair by pair, in place.
+
+    Entries up to DECOMPOSE_ZERO_TOL times the norm of column m from the
+    pivot down count as zero; other angle-matrix entries stay 0.
+    """
+    lam = np.zeros((a.shape[0],) * 2)
+    for m, n in pairs:
+        tol = DECOMPOSE_ZERO_TOL * float(np.linalg.norm(a[m - 1:, m - 1]))
+        rot, phase = zeroing_angles(a[m - 1, m - 1], a[n - 1, m - 1], tol)
+        lam[m - 1, n - 1] = rot
+        lam[n - 1, m - 1] = phase
+        _rows_update(a, m - 1, n - 1, math.cos(rot), math.sin(rot),
+                     complex(math.cos(phase), math.sin(phase)), True)
+    return lam
+
+
 def decompose(u: np.ndarray) -> np.ndarray:
     """Canonical angle matrix of a unitary; inverse of ``build_unitary``.
 
@@ -235,14 +252,7 @@ def decompose(u: np.ndarray) -> np.ndarray:
     if defect > UNITARITY_INPUT_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds 1e-9")
     d = a.shape[0]
-    lam = np.zeros((d, d))
-    for m, n in _unitary_pairs(d):
-        tol = DECOMPOSE_ZERO_TOL * float(np.linalg.norm(a[m - 1:, m - 1]))
-        rot, phase = zeroing_angles(a[m - 1, m - 1], a[n - 1, m - 1], tol)
-        lam[m - 1, n - 1] = rot
-        lam[n - 1, m - 1] = phase
-        _rows_update(a, m - 1, n - 1, math.cos(rot), math.sin(rot),
-                     complex(math.cos(phase), math.sin(phase)), True)
+    lam = _zeroing_sweep(a, _unitary_pairs(d))
     for r in range(d):
         lam[r, r] = math.atan2(a[r, r].imag, a[r, r].real) % TWO_PI
     return lam

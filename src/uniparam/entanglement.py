@@ -34,14 +34,15 @@ isometries, maximized) all go through it.
 
 Each X = max(..., 0) is exactly zero wherever its block is PPT.  For a
 barely-NPT state this holds on almost all of angle space, and every
-uniformly seeded restart can end on that zero plateau.  So when all
-restarts of ``optimized_bound_b`` or ``max_distill_x_sq`` end at exactly
-0 and the state is NPT (``ppt_min_eigenvalue`` below -PPT_TOL), a
-partial-transpose-seeded stage runs: it minimizes the sum of the smallest
-eigenvalues of the partially transposed blocks, which has no plateau,
-over the same angles and blocks, and starts one more Nelder-Mead run of
-the objective from that minimizer.  Results at every other input are
-those of the restarts alone.
+uniformly seeded restart can end on that zero plateau; a block on the
+PPT boundary may also leave round-off there instead of 0.  So when the
+best of all restarts of ``optimized_bound_b`` or ``max_distill_x_sq`` is
+above -PLATEAU_X_SQ (|X| < 1e-12) and the state is NPT
+(``ppt_min_eigenvalue`` below -PPT_TOL), a partial-transpose-seeded stage
+runs: it minimizes the sum of the smallest eigenvalues of the partially
+transposed blocks, which has no plateau, over the same angles and blocks,
+and starts one more Nelder-Mead run of the objective from that
+minimizer.  Results at every other input are those of the restarts alone.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .optimize import Batch, OptimizerConfig, OptimizerResult, minimize, minimiz
 
 PPT_TOL = 1e-10
 PT_SEED_RESTARTS = 6
+PLATEAU_X_SQ = 1e-24
 BLOCK_EIG_FLOOR = 1e-13
 # A state with lambda_min > CHOLESKY_MIN_RATIO * lambda_max has only positive-definite
 # blocks: each block is E† rho E for an isometry E, so by Cauchy interlacing its
@@ -253,10 +255,11 @@ def _concurrences(factors: np.ndarray) -> np.ndarray:
 def _state_concurrences(states: Sequence[_State], idx: np.ndarray) -> Callable[..., np.ndarray]:
     """(w_a, w_b, owner) -> (..., P) concurrences of the blocks ``idx`` of the rotated states.
 
-    With ``owner`` None every rotation applies to ``states[0]``; else row i
-    of the (N, d, m) rotation stacks applies to ``states[owner[i]]``.  Rows
-    are grouped by their state's factor kind, and each row's values equal
-    those of the one-state call, whatever rows sit beside it.
+    With one state, or ``owner`` None, every rotation applies to
+    ``states[0]``; else row i of the (N, d, m) rotation stacks applies to
+    ``states[owner[i]]``.  Rows are grouped by their state's factor kind,
+    and each row's values equal those of the one-state call, whatever rows
+    sit beside it.
     """
     kinds: dict[Callable[..., np.ndarray], list[int]] = {}
     for i, s in enumerate(states):
@@ -269,7 +272,7 @@ def _state_concurrences(states: Sequence[_State], idx: np.ndarray) -> Callable[.
 
     def concurrences(w_a: np.ndarray, w_b: np.ndarray,
                      owner: np.ndarray | None = None) -> np.ndarray:
-        if owner is None:
+        if owner is None or len(states) == 1:
             return states[0].concurrences(w_a, w_b, idx)
         x = np.empty((len(owner), len(idx)))
         row_kind = kind[owner]
@@ -413,56 +416,64 @@ def ucs_block_to_matrix(vec: np.ndarray, d: int, k: int = 2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # optimization objectives (negated for minimization)
 #
-# Each objective has one batched evaluator, (..., n) packed vectors ->
-# (...) values.  The optimizer steps all restarts through it on (N, n)
-# stacks; the public closures evaluate it on one vector, with no stack axis.
+# The optimized bound and the distillability witness are one search each:
+# maximize the sum of X^2 over some blocks of a locally rotated state,
+# over some packed angles.  One batched evaluator, (..., n) packed vectors
+# -> (...) values, serves both; the optimizer steps all restarts through it
+# on (N, n) stacks, and the public closures evaluate it on one vector.
 
 Rotations = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _side(pos: list[tuple[int, int]], d: int, pairs: list[tuple[int, int]],
-          cols: int) -> Callable[[np.ndarray], np.ndarray]:
-    """(..., len(pos)) angle vectors -> (..., d, cols): leading columns of their composite products.
+def _side(d: int, witness: bool) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """Packed-angle count of one side of a search, and its map (..., count) -> (..., d, cols)."""
+    pos, pairs, cols = ((ucs_block_positions(d, 2), _ucs_pairs(d, 2), 2) if witness
+                        else (offdiag_positions(d), _unitary_pairs(d), d))
+    return len(pos), lambda v: _product(_angles_at(v, pos, d, f"d={d}"), pairs,
+                                        diag=False)[..., :cols]
 
-    The angles sit at ``pos`` of a zero d x d angle matrix, and the product
-    runs over the plane factors ``pairs`` with no diagonal phases.
+
+@dataclass(frozen=True)
+class _Search:
+    """A maximization of a sum of X^2 over local rotations (see ``_search``).
+
+    ``rotations`` maps (..., n) packed vectors, A's angles first, to the
+    stacks (w_a, w_b); ``idx`` are the blocks summed and ``seed_idx`` those
+    the seeded surrogate reads.
     """
-    return lambda v: _product(_angles_at(v, pos, d, f"d={d}"), pairs, diag=False)[..., :cols]
+
+    d_a: int
+    d_b: int
+    n: int
+    rotations: Rotations
+    idx: np.ndarray
+    seed_idx: np.ndarray
 
 
-def _bopt_count(d: int) -> int:
-    return d * d - d
+def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
+    """The B_opt search, or with ``witness`` that of the distillability witness.
 
-
-def _distill_count(d: int) -> int:
-    return 4 * d - 8
+    B_opt reads the d^2 - d off-diagonal angles per side, rotates by the
+    composite products ``build_unitary(offdiag_to_matrix(v, d))`` and sums
+    every block; its surrogate pairs the generator pairs of ``sigma_pairs``
+    one to one, as far as the shorter list goes.  The witness reads the
+    4d - 8 subspace-block angles per side (none for d = 2), keeps the first
+    two columns of ``build_ucs(ucs_block_to_matrix(v, d), 2)`` and reads
+    the single (1,2) x (1,2) block for both.  No diagonal phases.
+    """
+    (n_a, side_a), (n_b, side_b) = _side(d_a, witness), _side(d_b, witness)
+    if witness:  # cut from the 2 x 2 space the two columns per side span
+        idx = seed_idx = _block_index([((1, 2), (1, 2))], 2)
+    else:
+        idx = _block_index(_all_pairs(d_a, d_b), d_b)
+        seed_idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
+    return _Search(d_a, d_b, n_a + n_b, lambda v: (side_a(v[..., :n_a]), side_b(v[..., n_a:])),
+                   idx, seed_idx)
 
 
 def _bopt_rotations(d_a: int, d_b: int) -> Rotations:
-    """Packed vectors -> the (..., d, d) composite products of the B_opt objective, per side.
-
-    The first d_a^2 - d_a angles are A's.  With a zero diagonal the
-    products are ``build_unitary(offdiag_to_matrix(v_side, d))``.
-    """
-    side_a, side_b = (_side(offdiag_positions(d), d, _unitary_pairs(d), d) for d in (d_a, d_b))
-    n_a = _bopt_count(d_a)
-    return lambda v: (side_a(v[..., :n_a]), side_b(v[..., n_a:]))
-
-
-def _distill_rotations(d_a: int, d_b: int) -> Rotations:
-    """Packed vectors -> the first two columns of the subspace products, per side.
-
-    The first 4 d_a - 8 angles are A's.  The columns are those of
-    ``build_ucs(ucs_block_to_matrix(v_side, d), 2)``; a d = 2 side has no
-    angles and its columns are the identity.
-    """
-    side_a, side_b = (_side(ucs_block_positions(d, 2), d, _ucs_pairs(d, 2), 2) for d in (d_a, d_b))
-    n_a = _distill_count(d_a)
-    return lambda v: (side_a(v[..., :n_a]), side_b(v[..., n_a:]))
-
-
-# the single block of the distill objective, cut from the 2 x 2 rotated space
-_DISTILL_INDEX = _block_index([((1, 2), (1, 2))], 2)
+    """Packed vectors -> the (..., d, d) composite products of the B_opt objective, per side."""
+    return _search(d_a, d_b).rotations
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -486,35 +497,32 @@ def _states(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
     return [_check_state(r, d_a, d_b) for r in rho]
 
 
-def _bopt_values(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
-                 d_a: int, d_b: int) -> Callable[..., np.ndarray]:
-    """Batched B_opt objective: packed vectors -> -B^2 of each.
+def _values(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
+            search: _Search) -> Callable[..., np.ndarray]:
+    """Batched objective of ``search``: packed vectors -> -(sum of X^2) of each.
 
     ``rho`` is one state, or an (S, n, n) stack or a sequence of them
-    evaluated as ``values(v, owner)``: row i of the (N, len) vectors on
-    state ``owner[i]``.
+    evaluated as ``values(v, owner)``: row i of the (N, n) vectors on state
+    ``owner[i]``.  The witness sums one block, so its value is -X^2.
     """
-    rotations = _bopt_rotations(d_a, d_b)
-    concurrences = _state_concurrences(_states(rho, d_a, d_b),
-                                       _block_index(_all_pairs(d_a, d_b), d_b))
+    concurrences = _state_concurrences(_states(rho, search.d_a, search.d_b), search.idx)
 
     def values(v: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
-        x = concurrences(*rotations(v), owner)
+        x = concurrences(*search.rotations(v), owner)
         return -_row_sums(x * x)
 
     return values
 
 
-def _distill_values(rho: np.ndarray | _State, d_a: int, d_b: int) -> Batch:
+def _bopt_values(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
+                 d_a: int, d_b: int) -> Callable[..., np.ndarray]:
+    """Batched B_opt objective: packed vectors -> -B^2 of each (see ``_values``)."""
+    return _values(rho, _search(d_a, d_b))
+
+
+def _distill_values(rho: np.ndarray | _State, d_a: int, d_b: int) -> Callable[..., np.ndarray]:
     """Batched distill objective: packed vectors -> -X^2_{1,2,1,2} of each."""
-    rotations = _distill_rotations(d_a, d_b)
-    state = _check_state(rho, d_a, d_b)
-
-    def values(v: np.ndarray) -> np.ndarray:
-        x = state.concurrences(*rotations(v), _DISTILL_INDEX)[..., 0]
-        return -(x * x)
-
-    return values
+    return _values(rho, _search(d_a, d_b, witness=True))
 
 
 def _scalar(values: Batch, n: int) -> Callable[[np.ndarray], float]:
@@ -540,8 +548,8 @@ def make_bopt_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.nda
     which leaves its concurrence unchanged, so the diagonal angles are
     not part of the vector.
     """
-    return _scalar(_bopt_values(_check_state(rho, d_a, d_b), d_a, d_b),
-                   _bopt_count(d_a) + _bopt_count(d_b))
+    search = _search(d_a, d_b)
+    return _scalar(_values(rho, search), search.n)
 
 
 def bopt_objective(rho: np.ndarray, d_a: int, d_b: int,
@@ -560,8 +568,8 @@ def make_distill_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.
     block E† rho E, with E the first two columns of each subspace
     product, tensored.
     """
-    return _scalar(_distill_values(_check_state(rho, d_a, d_b), d_a, d_b),
-                   _distill_count(d_a) + _distill_count(d_b))
+    search = _search(d_a, d_b, witness=True)
+    return _scalar(_values(rho, search), search.n)
 
 
 def distill_objective(rho: np.ndarray, d_a: int, d_b: int,
@@ -589,28 +597,27 @@ def _pt_surrogate(rho: np.ndarray, rotations: Rotations, idx: np.ndarray) -> Bat
 
 
 def _pt_seeded(result: OptimizerResult, objective: Callable[[np.ndarray], float],
-               values: Batch, rho: np.ndarray, d_a: int, d_b: int, rotations: Rotations,
-               idx: np.ndarray, cfg: OptimizerConfig | None) -> OptimizerResult:
-    """Add the partial-transpose-seeded stage when every restart ended at 0 on an NPT state.
+               state: _State, search: _Search, cfg: OptimizerConfig) -> OptimizerResult:
+    """Add the partial-transpose-seeded stage when all restarts ended on an NPT state's plateau.
 
-    The surrogate is minimized with PT_SEED_RESTARTS restarts drawn from
-    ``cfg.seed``, and one Nelder-Mead run of ``objective`` (batched form
-    ``values``) starts from its minimizer.  The returned result is the
-    better of that run and ``result``; it keeps the restart count of
-    ``result``, adds the stage's simplex steps and evaluations, and lists
-    the run's value after the restart values, so ``best_restart`` equals
-    ``result.restarts`` when the run wins.  Without the stage ``result``
-    is returned as is; an objective without angles (the d = 2 witness) is
-    exact and gets no stage.
+    The plateau is any value above -PLATEAU_X_SQ, round-off of X = 0.  The
+    surrogate is minimized with PT_SEED_RESTARTS restarts drawn from
+    ``cfg.seed``, and one Nelder-Mead run of ``objective`` starts from its
+    minimizer.  The returned result is the better of that run and
+    ``result``; it keeps the restart count of ``result``, adds the stage's
+    simplex steps and evaluations, and lists the run's value after the
+    restart values, so ``best_restart`` equals ``result.restarts`` when the
+    run wins.  Without the stage ``result`` is returned as is; a search
+    without angles (the d = 2 witness) is exact and gets no stage.
     """
-    n = result.x.size
-    if result.value != 0.0 or n == 0 or ppt_min_eigenvalue(rho, (d_a, d_b)) >= -PPT_TOL:
+    n = search.n
+    if (result.value <= -PLATEAU_X_SQ or n == 0
+            or ppt_min_eigenvalue(state.rho, (search.d_a, search.d_b)) >= -PPT_TOL):
         return result
-    cfg = cfg or OptimizerConfig()
-    surrogate = _pt_surrogate(rho, rotations, idx)
+    surrogate = _pt_surrogate(state.rho, search.rotations, search.seed_idx)
     seeded = minimize(_scalar(surrogate, n), n, replace(cfg, restarts=PT_SEED_RESTARTS),
                       batch=surrogate)
-    run = refine(objective, seeded.x, cfg, batch=values)
+    run = refine(objective, seeded.x, cfg, batch=_values(state, search))
     best = run if run.value < result.value else result
     return OptimizerResult(best.value, best.x,
                            result.iterations + seeded.iterations + run.iterations,
@@ -620,30 +627,35 @@ def _pt_seeded(result: OptimizerResult, objective: Callable[[np.ndarray], float]
                            best_restart=result.restarts if best is run else result.best_restart)
 
 
+def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
+              cfgs: Sequence[OptimizerConfig | None], witness: bool) -> list[OptimizerResult]:
+    """Minimized -(sum of X^2) of the search for each state, with the config of the same index.
+
+    The states are checked once and their restarts stepped together in one
+    ``minimize_many`` run, each state evaluating its own rows, so each
+    result equals that of the state alone; the configs may differ only in
+    ``seed``.  The partial-transpose-seeded stage then follows per state.
+    """
+    search = _search(d_a, d_b, witness)
+    states = _states(rhos, d_a, d_b)
+    make = make_distill_objective if witness else make_bopt_objective
+    objectives = [make(state, d_a, d_b) for state in states]
+    cfgs = [cfg or OptimizerConfig() for cfg in cfgs]
+    results = minimize_many(objectives, search.n, cfgs, batch=_values(states, search))
+    return [_pt_seeded(result, f, state, search, cfg)
+            for result, f, state, cfg in zip(results, objectives, states, cfgs)]
+
+
 def optimized_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
                        cfgs: Sequence[OptimizerConfig | None]
                        ) -> list[tuple[float, OptimizerResult]]:
     """``optimized_bound_b`` of each state in ``rhos``, with the config of the same index.
 
-    The restarts of every state are stepped together in one
-    ``minimize_many`` run, each state evaluating its own rows, so each
-    result equals that of ``optimized_bound_b`` on the state alone; the
-    configs may differ only in ``seed``.  The partial-transpose-seeded
-    stage then follows per state.
+    All states are optimized in one lockstep run, and each result equals
+    that of ``optimized_bound_b`` on the state alone (see ``_maximize``).
     """
-    states = _states(rhos, d_a, d_b)
-    objectives = [make_bopt_objective(state, d_a, d_b) for state in states]
-    cfgs = [cfg or OptimizerConfig() for cfg in cfgs]
-    results = minimize_many(objectives, _bopt_count(d_a) + _bopt_count(d_b), cfgs,
-                            batch=_bopt_values(states, d_a, d_b))
-    rotations = _bopt_rotations(d_a, d_b)
-    idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
-    out = []
-    for f, state, result, cfg in zip(objectives, states, results, cfgs):
-        result = _pt_seeded(result, f, _bopt_values(state, d_a, d_b), state.rho, d_a, d_b,
-                            rotations, idx, cfg)
-        out.append((math.sqrt(max(-result.value, 0.0)), result))
-    return out
+    return [(math.sqrt(max(-result.value, 0.0)), result)
+            for result in _maximize(rhos, d_a, d_b, cfgs, witness=False)]
 
 
 def optimized_bound_b(rho: np.ndarray, d_a: int, d_b: int,
@@ -651,11 +663,10 @@ def optimized_bound_b(rho: np.ndarray, d_a: int, d_b: int,
     """Maximized bound B_opt >= B via Nelder-Mead restarts.
 
     The restarts are those of ``minimize``, stepped together through the
-    batched objective.  When all of them end at exactly 0 on an NPT state,
-    the partial-transpose-seeded stage (see the module docstring) follows;
-    its surrogate pairs the A and B generator pairs of ``sigma_pairs`` one
-    to one, in order, as far as the shorter list goes.  This is the
-    one-state case of ``optimized_bounds_b``.
+    batched objective.  When all of them end on the X = 0 plateau of an
+    NPT state, the partial-transpose-seeded stage (see the module
+    docstring) follows.  This is the one-state case of
+    ``optimized_bounds_b``.
     """
     return optimized_bounds_b([rho], d_a, d_b, [cfg])[0]
 
@@ -664,16 +675,10 @@ def max_distill_x_sq(rho: np.ndarray, d_a: int, d_b: int,
                      cfg: OptimizerConfig | None = None) -> tuple[float, OptimizerResult]:
     """Maximized X^2_{1,2,1,2}; positive values witness distillability.
 
-    When all restarts end at exactly 0 on an NPT state, the
-    partial-transpose-seeded stage (see the module docstring) follows, on
-    the single (1,2) x (1,2) block over the 4d - 8 subspace angles per side.
+    The search runs over the 4d - 8 subspace angles per side, and the
+    partial-transpose-seeded stage follows as for ``optimized_bound_b``.
     """
-    state = _check_state(rho, d_a, d_b)
-    f = make_distill_objective(state, d_a, d_b)
-    values = _distill_values(state, d_a, d_b)
-    result = minimize(f, _distill_count(d_a) + _distill_count(d_b), cfg, batch=values)
-    result = _pt_seeded(result, f, values, state.rho, d_a, d_b, _distill_rotations(d_a, d_b),
-                        _DISTILL_INDEX, cfg)
+    (result,) = _maximize([rho], d_a, d_b, [cfg], witness=True)
     return max(-result.value, 0.0), result
 
 

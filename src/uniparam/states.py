@@ -18,6 +18,8 @@ from .composite import (
     DECOMPOSE_ZERO_TOL,
     _assert_angles,
     _rows_update,
+    _ucs_pairs,
+    _zeroing_sweep,
     build_ucd,
     build_ucs,
     zeroing_angles,
@@ -133,39 +135,26 @@ def canonicalize_subspace(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotOrthonormalError(f"subspace dimension {k} outside 1..{d}")
 
     # Column rotations: make the top block upper triangular, working up
-    # from row k so established zeros are preserved.
-    w1 = np.eye(k, dtype=complex)
+    # from row k so established zeros are preserved.  They act on v and on
+    # w1, which accumulates them, stacked as [v; w1].
+    vw = np.vstack([v, np.eye(k, dtype=complex)])
     for j in range(k, 1, -1):
         for c in range(j - 1, 0, -1):
-            a = v[j - 1, c - 1]
-            b = v[j - 1, j - 1]
+            a = vw[j - 1, c - 1]
+            b = vw[j - 1, j - 1]
             # cos*a - e^{ip} sin*b = 0 is the zeroing equation written as
             # sin*(-b) + e^{-ip} cos*a = 0.
             rot, phase = zeroing_angles(-b, a, DECOMPOSE_ZERO_TOL)
             # Right-multiplication by the embedded plane factor on columns
-            # (c, j): new col_c = cos*col_c - e^{ip} sin*col_j.
-            e = complex(math.cos(phase), math.sin(phase))
-            cs, sn = math.cos(rot), math.sin(rot)
-            ca = v[:, c - 1].copy()
-            cb = v[:, j - 1].copy()
-            v[:, c - 1] = cs * ca - (sn * e) * cb
-            v[:, j - 1] = sn * ca + (cs * e) * cb
-            wa = w1[:, c - 1].copy()
-            wb = w1[:, j - 1].copy()
-            w1[:, c - 1] = cs * wa - (sn * e) * wb
-            w1[:, j - 1] = sn * wa + (cs * e) * wb
+            # (c, j): new col_c = cos*col_c - e^{ip} sin*col_j, the adjoint
+            # row update with the conjugate phase applied to the columns.
+            _rows_update(vw.T, c - 1, j - 1, math.cos(rot), math.sin(rot),
+                         complex(math.cos(phase), -math.sin(phase)), True)
+    v, w1 = vw[:d], vw[d:]
 
     # Plane-factor adjoints zero the rows below k; the angles used are
     # exactly the block parameters of build_ucs.
-    lam = np.zeros((d, d))
-    for m in range(1, k + 1):
-        for n in range(k + 1, d + 1):
-            tol = DECOMPOSE_ZERO_TOL * float(np.linalg.norm(v[:, m - 1]))
-            rot, phase = zeroing_angles(v[m - 1, m - 1], v[n - 1, m - 1], tol)
-            lam[m - 1, n - 1] = rot
-            lam[n - 1, m - 1] = phase
-            _rows_update(v, m - 1, n - 1, math.cos(rot), math.sin(rot),
-                         complex(math.cos(phase), math.sin(phase)), True)
+    lam = _zeroing_sweep(v, _ucs_pairs(d, k))
 
     # What is left is the k x k residual sitting on the first k rows.
     w = v[:k, :k] @ w1.conj().T

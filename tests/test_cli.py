@@ -5,7 +5,14 @@ import sys
 
 import numpy as np
 
-from uniparam import OptimizerConfig, max_concurrence, optimized_bound_b, unitarity_defect
+from uniparam import (
+    OptimizerConfig,
+    bound_b,
+    max_concurrence,
+    max_distill_x_sq,
+    optimized_bound_b,
+    unitarity_defect,
+)
 from uniparam.cli import (
     fig1_state,
     load_matrix_file,
@@ -171,6 +178,25 @@ def test_distill_barely_npt_qutrit(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["distillable_witness"] is True
     assert doc["optimizer"]["restarts"] == 12
+
+
+def test_bound_and_distill_unequal_dims(tmp_path, capsys):
+    rho = rand_density(np.random.default_rng(64), 6, rank=2)
+    path = write_matrix(tmp_path / "rho23.json", rho)
+    code, out, _ = run_cli(capsys, "bound", "--state", path, "--dims", "2,3", "--normalize")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["b"] == bound_b(rho, 2, 3).b
+    assert doc["normalization"] == max_concurrence(2)
+
+    code, out, _ = run_cli(capsys, "distill", "--state", path, "--dims", "2,3",
+                           "--restarts", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dims"] == [2, 3]
+    assert doc["n_params"] == (4 * 2 - 8) + (4 * 3 - 8)
+    x_sq, _ = max_distill_x_sq(rho, 2, 3, OptimizerConfig(restarts=2))
+    assert doc["max_x_sq"] == x_sq
 
 
 def test_distill_copies_cap(tmp_path, capsys):

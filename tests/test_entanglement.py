@@ -528,6 +528,57 @@ def test_optimized_bounds_many_equal_one_at_a_time(case):
     assert_same_result(many[0][1], plain)
 
 
+def test_pt_seeded_stage_runs_on_round_off_plateau():
+    # a best value of -1e-32 is round-off of X = 0 on a PPT block, not a certified bound
+    from uniparam.cli import fig1_state
+    from uniparam.entanglement import _check_state, _pt_seeded, _search
+    from uniparam.optimize import OptimizerResult
+
+    cfg = OptimizerConfig()
+    state, search = _check_state(fig1_state(0.10, 0.25), 3, 3), _search(3, 3)
+    plateau = OptimizerResult(-1e-32, np.zeros(search.n), 0, cfg.restarts, True, evaluations=1,
+                              restart_values=(-1e-32,) * cfg.restarts, best_restart=0)
+    result = _pt_seeded(plateau, make_bopt_objective(state, 3, 3), state, search, cfg)
+    assert len(result.restart_values) == cfg.restarts + 1
+    assert result.best_restart == cfg.restarts
+    assert abs(math.sqrt(-result.value) / max_concurrence(3) - 1.2783e-3) < 1e-7
+
+
+@pytest.mark.parametrize("case", ["fig1-band", "fig1-barely-npt", "random-2x3"])
+def test_max_distill_equals_minimize(case):
+    from uniparam.cli import fig1_state
+    from uniparam.entanglement import PT_SEED_RESTARTS, _pt_surrogate, _scalar, _search
+    from uniparam.optimize import OptimizerResult, refine
+
+    if case == "random-2x3":
+        rho, dims = rand_density(np.random.default_rng(23), 6), (2, 3)
+    else:
+        # (0.25, 0) is PPT and its restarts end at -1.2e-32, round-off of X = 0
+        alpha, beta = (0.25, 0.0) if case == "fig1-band" else (0.10, 0.25)
+        rho, dims = fig1_state(alpha, beta), (3, 3)
+    cfg = OptimizerConfig(seed=5)
+    f = make_distill_objective(rho, *dims)
+    n = (4 * dims[0] - 8) + (4 * dims[1] - 8)
+    expected = minimize(f, n, cfg)
+    if case == "fig1-barely-npt":
+        # every restart ends at 0, and the run seeded from the surrogate's minimizer wins
+        assert expected.value == 0.0
+        search = _search(*dims, witness=True)
+        surrogate = _pt_surrogate(rho, search.rotations, search.seed_idx)
+        seeded = minimize(_scalar(surrogate, n), n, replace(cfg, restarts=PT_SEED_RESTARTS))
+        run = refine(f, seeded.x, cfg)
+        assert run.value < 0.0
+        expected = OptimizerResult(
+            run.value, run.x, expected.iterations + seeded.iterations + run.iterations,
+            expected.restarts, run.converged,
+            evaluations=expected.evaluations + seeded.evaluations + run.evaluations,
+            restart_values=expected.restart_values + run.restart_values,
+            best_restart=cfg.restarts)
+    x_sq, result = max_distill_x_sq(rho, *dims, cfg)
+    assert x_sq == max(-expected.value, 0.0)
+    assert_same_result(result, expected)
+
+
 # ---------------------------------------------------------------------------
 # exact values on the isotropic axes and at the Werner threshold
 

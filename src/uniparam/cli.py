@@ -130,36 +130,27 @@ def _point_seed(base_seed: int, ia: int, ib: int) -> int:
     return int(np.random.SeedSequence([base_seed, ia, ib]).generate_state(1)[0])
 
 
-def _is_state(rho: np.ndarray) -> bool:
-    return bool(herm_eig(rho).eigenvalues[0] >= -DENSITY_PSD_TOL)
-
-
 def _fig1_point(alpha: float, beta: float) -> ScanRow:
     """The checks and the plain bound of one grid point; ``bound_opt`` is left empty."""
     rho = fig1_state(alpha, beta)
-    is_state = _is_state(rho)
+    is_state = bool(herm_eig(rho).eigenvalues[0] >= -DENSITY_PSD_TOL)
     is_ppt = bool(ppt_min_eigenvalue(rho, (3, 3), which=1) >= -PPT_TOL)
     bound_plain = bound_b(rho, 3, 3).b / max_concurrence(3) if is_state else None
     return ScanRow(alpha, beta, is_state, is_ppt, bound_plain, None)
 
 
-def _fig1_share(share: tuple) -> list[ScanRow]:
-    """Rows of one worker's grid points, in the order given.
+def _fig1_share(share: tuple) -> list[float]:
+    """Normalized ``bound_opt`` of one worker's states, in the order given.
 
-    With ``optimize`` the bounds of all its states are maximized in one
-    ``optimized_bounds_b`` run, each with the seed of its grid indices.
+    They are maximized in one ``optimized_bounds_b`` run, each with the
+    seed of its grid indices.
     """
-    points, optimize, restarts, base_seed = share
-    rows = [_fig1_point(alpha, beta) for _, _, alpha, beta in points]
-    if optimize:
-        states = [(point, row) for point, row in zip(points, rows) if row.is_state]
-        bounds = optimized_bounds_b(
-            [fig1_state(alpha, beta) for (_, _, alpha, beta), _ in states], 3, 3,
-            [OptimizerConfig(restarts=restarts, seed=_point_seed(base_seed, ia, ib))
-             for (ia, ib, _, _), _ in states])
-        for (_, row), (b_opt, _) in zip(states, bounds):
-            row.bound_opt = b_opt / max_concurrence(3)
-    return rows
+    points, restarts, base_seed = share
+    bounds = optimized_bounds_b(
+        [fig1_state(alpha, beta) for _, _, alpha, beta in points], 3, 3,
+        [OptimizerConfig(restarts=restarts, seed=_point_seed(base_seed, ia, ib))
+         for ia, ib, _, _ in points])
+    return [b_opt / max_concurrence(3) for b_opt, _ in bounds]
 
 
 def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
@@ -168,30 +159,33 @@ def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
 
     Rows come back in deterministic grid order (alpha outer, beta inner);
     grid points that are not density matrices carry empty bounds but are
-    still emitted.  The points are dealt round-robin to ``jobs`` shares,
-    the states first in grid order and then the other points, and each
-    share is one task of a process pool.  A share's states are optimized
-    in one joint run, each with its own seed and restarts, so the rows do
-    not depend on ``jobs``.
+    still emitted.  Every point is checked once, here.  With ``optimize``
+    the states are dealt round-robin in grid order to ``jobs`` shares, and
+    each share is one task of a process pool.  A share's states are
+    optimized in one joint run, each with its own seed and restarts, so
+    the rows do not depend on ``jobs``.
     """
     if not 0.0 < step <= 0.25:
         raise UniparamError(f"step must lie in (0, 0.25], got {step}")
     num = int(math.floor((1.0 + 1e-9) / step))
     points = [(ia, ib, ia * step, ib * step) for ia in range(num + 1) for ib in range(num + 1)]
+    rows = [_fig1_point(alpha, beta) for _, _, alpha, beta in points]
+    if not optimize:
+        return rows
     if jobs is None:
         jobs = os.cpu_count() or 1
-    is_state = [_is_state(fig1_state(alpha, beta)) for _, _, alpha, beta in points]
-    order = ([i for i, s in enumerate(is_state) if s]
-             + [i for i, s in enumerate(is_state) if not s])
-    dealt = [order[j::jobs] for j in range(min(jobs, len(order)))]
-    shares = [([points[i] for i in idx], optimize, restarts, seed) for idx in dealt]
+    states = [i for i, row in enumerate(rows) if row.is_state]
+    dealt = [states[j::jobs] for j in range(min(jobs, len(states)))]
+    shares = [([points[i] for i in idx], restarts, seed) for idx in dealt]
     if len(shares) > 1:
         with ProcessPoolExecutor(max_workers=len(shares)) as pool:
-            share_rows = list(pool.map(_fig1_share, shares))
+            bounds = list(pool.map(_fig1_share, shares))
     else:
-        share_rows = [_fig1_share(share) for share in shares]
-    placed = {i: row for idx, rows in zip(dealt, share_rows) for i, row in zip(idx, rows)}
-    return [placed[i] for i in range(len(points))]
+        bounds = [_fig1_share(share) for share in shares]
+    for idx, share_bounds in zip(dealt, bounds):
+        for i, b_opt in zip(idx, share_bounds):
+            rows[i].bound_opt = b_opt
+    return rows
 
 
 def _fmt(value: float | None) -> str:

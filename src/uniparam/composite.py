@@ -39,7 +39,6 @@ from .errors import (
     RankOutOfRangeError,
 )
 
-UNITARITY_BUILD_TOL = 1e-12
 UNITARITY_INPUT_TOL = 1e-9
 DECOMPOSE_ZERO_TOL = 1e-12
 

@@ -13,31 +13,32 @@ R (sy x sy) R^* (sy x sy).  For any factor L with R = L L† they are the
 singular values of L^T (sy x sy) L: two such factors differ by a unitary
 on the right, which leaves those singular values unchanged (Wootters;
 Uhlmann, PRA 62, 032307, 2000).  So no block needs an eigensolve of its
-own unless its state is ill-conditioned and of rank > 4.  Each state gets
-one factor kind, chosen from the eigendecomposition its positivity check
-makes (``_check_state``), never per batch of rotations:
+own.  Each state gets one of two factor kinds, chosen from the
+eigendecomposition its positivity check makes (``_check_state``), never
+per batch of rotations:
 
 - well conditioned, lambda_min > CHOLESKY_MIN_RATIO * lambda_max: every
   block is positive definite, and L is its Cholesky factor;
-- rank r <= 4, counting eigenvalues above BLOCK_EIG_FLOOR * lambda_max:
-  rho = Psi Psi† with Psi = V_r sqrt(w_r) padded to n x 4, and L is the
-  block rows of W† Psi, with no eigensolve and no rotated n x n state;
-- otherwise: L = V sqrt(w) from a Hermitian eigensolve of the block, with
-  round-off eigenvalues set to 0 (``BLOCK_EIG_FLOOR``).
+- otherwise rho = Psi Psi† with Psi = V_r sqrt(w_r), r counting the
+  eigenvalues above EIG_ROUNDOFF_RATIO * lambda_max, padded to
+  max(r, 4) columns.  The block rows F of W† Psi factor the block with no
+  rotated n x n state; when F is wider than 4 columns, L = R† from the QR
+  decomposition F† = Q R, since F F† = R† R.
 
-``_concurrences`` then takes one SVD per block.  The plain bound
-B = sqrt(sum of X^2 over all pairs) (Chen-Albeverio-Fei, PRL 95, 040504,
-2005), its maximum over the composite parameterization of the local
-rotations, the multipartite sum over bipartitions and the distillability
-witness (the single block on the first two columns of two subspace
-isometries, maximized) all go through it.
+``_concurrences`` then takes one SVD per block, and reads a difference
+x_1 - x_2 - x_3 - x_4 within the SVD's accuracy, X_ROUNDOFF * x_1, as 0.
+The plain bound B = sqrt(sum of X^2 over all pairs) (Chen-Albeverio-Fei,
+PRL 95, 040504, 2005), its maximum over the composite parameterization
+of the local rotations, the multipartite sum over bipartitions and the
+distillability witness (the single block on the first two columns of two
+subspace isometries, maximized) all go through it.
 
 Each X = max(..., 0) is exactly zero wherever its block is PPT.  For a
 barely-NPT state this holds on almost all of angle space, and every
 uniformly seeded restart can end on that zero plateau; a block on the
-PPT boundary may also leave round-off there instead of 0.  So when the
-best of all restarts of ``optimized_bound_b`` or ``max_distill_x_sq`` is
-above -PLATEAU_X_SQ (|X| < 1e-12) and the state is NPT
+PPT boundary may also leave round-off above that accuracy instead of 0.
+So when the best of all restarts of ``optimized_bound_b`` or
+``max_distill_x_sq`` is above -PLATEAU_X_SQ (|X| < 1e-12) and the state is NPT
 (``ppt_min_eigenvalue`` below -PPT_TOL), a partial-transpose-seeded stage
 runs: it minimizes the sum of the smallest eigenvalues of the partially
 transposed blocks, which has no plateau, over the same angles and blocks,
@@ -63,18 +64,25 @@ from .errors import (
     NormalizationError,
     NotPSDError,
 )
-from .linalg import PSD_EIG_TOL, herm_eig, partial_trace, partial_transpose, permute_subsystems
+from .linalg import (
+    EIG_ROUNDOFF_RATIO,
+    PSD_EIG_TOL,
+    herm_eig,
+    partial_trace,
+    partial_transpose,
+    permute_subsystems,
+)
 from .optimize import Batch, OptimizerConfig, OptimizerResult, minimize, minimize_many, refine
 
 PPT_TOL = 1e-10
 PT_SEED_RESTARTS = 6
 PLATEAU_X_SQ = 1e-24
-BLOCK_EIG_FLOOR = 1e-13
+# x_1 - x_2 - x_3 - x_4 at or below this times x_1 is the SVD's round-off of a PPT block
+X_ROUNDOFF = 8 * np.finfo(float).eps
 # A state with lambda_min > CHOLESKY_MIN_RATIO * lambda_max has only positive-definite
 # blocks: each block is E† rho E for an isometry E, so by Cauchy interlacing its
 # eigenvalues lie in [lambda_min, lambda_max] of rho.  Its condition number is then
-# below 1e8, far from where round-off (~1e-15 relative) could make it indefinite, and
-# far above BLOCK_EIG_FLOOR, which could never fire on it.
+# below 1e8, far from where round-off (~1e-15 relative) could make it indefinite.
 CHOLESKY_MIN_RATIO = 1e-8
 STATE_NORM_TOL = 1e-12
 
@@ -131,8 +139,10 @@ class _State:
     """A checked state and the factor its 4x4 blocks are evaluated from.
 
     ``factors(data, w_a, w_b, idx)`` gives the factors L, R = L L†, of the
-    blocks ``idx`` of W† rho W (see ``_rotated_blocks``); ``data`` is the
-    Hermitian part of rho, or its n x 4 factor Psi for a state of rank <= 4.
+    blocks ``idx`` of W† rho W (see ``_rotated_blocks``).  There are two
+    kinds: ``_cholesky_factors``, with ``data`` the Hermitian part of rho,
+    and ``_direct_factors``, with ``data`` the n x max(r, 4) factor Psi of
+    rho = Psi Psi†.
     """
 
     rho: np.ndarray
@@ -163,18 +173,15 @@ def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
     w, v = herm_eig(rho)
     if w[0] < -PSD_EIG_TOL:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_EIG_TOL:.0e}")
-    # the part herm_eig factored (rho itself when exactly Hermitian), so the blocks are as
-    # positive definite as the eigenvalues w say
-    hermitian = (rho + rho.conj().T) / 2
     if w[0] > CHOLESKY_MIN_RATIO * w[-1]:
-        return _State(rho, _cholesky_factors, hermitian)
-    rank = int(np.count_nonzero(w > BLOCK_EIG_FLOOR * w[-1]))
-    if rank <= 4:
-        psi = np.zeros((rho.shape[0], 4), dtype=complex)
-        if rank:
-            psi[:, :rank] = v[:, -rank:] * np.sqrt(w[-rank:])
-        return _State(rho, _direct_factors, psi)
-    return _State(rho, _eigh_factors, hermitian)
+        # the part herm_eig factored (rho itself when exactly Hermitian), so the blocks are
+        # as positive definite as the eigenvalues w say
+        return _State(rho, _cholesky_factors, (rho + rho.conj().T) / 2)
+    rank = int(np.count_nonzero(w > EIG_ROUNDOFF_RATIO * w[-1]))
+    psi = np.zeros((rho.shape[0], max(rank, 4)), dtype=complex)
+    if rank:
+        psi[:, :rank] = v[:, -rank:] * np.sqrt(w[-rank:])
+    return _State(rho, _direct_factors, psi)
 
 
 def _block_index(pairs: Sequence[Pair], m_b: int) -> np.ndarray:
@@ -220,36 +227,31 @@ def _cholesky_factors(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
 
 def _direct_factors(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
                     idx: np.ndarray) -> np.ndarray:
-    """Factors (W† Psi)[idx] of the blocks of rho = Psi Psi†, Psi n x 4."""
-    return (np.swapaxes(_product_basis(w_a, w_b).conj(), -1, -2) @ psi)[..., idx, :]
+    """Factors of the blocks of rho = Psi Psi†: the rows F = (W† Psi)[idx].
 
-
-def _eigh_factors(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
-                  idx: np.ndarray) -> np.ndarray:
-    """Factors V sqrt(w) of the blocks from their Hermitian eigensolves.
-
-    Eigenvalues below BLOCK_EIG_FLOOR times the block's largest are
-    round-off of a rank-deficient block and are set to 0: their square
-    roots, ~1e-8, would otherwise enter x at first order wherever the rest
-    of the block is singular, and that jitter stalls Nelder-Mead near the
-    optima of rank-2 states.
+    When Psi has more than 4 columns, the 4 x 4 factor is L = R† from the
+    QR decomposition F† = Q R, as F F† = R† R; QR takes no square roots
+    of round-off, so rank-deficient blocks need no eigenvalue floor.
     """
-    w, v = np.linalg.eigh(_rotated_blocks(rho, w_a, w_b, idx))
-    w = np.where(w < w[..., -1:] * BLOCK_EIG_FLOOR, 0.0, w)
-    return v * np.sqrt(w)[..., None, :]
+    f = (np.swapaxes(_product_basis(w_a, w_b).conj(), -1, -2) @ psi)[..., idx, :]
+    if psi.shape[-1] == 4:
+        return f
+    return np.swapaxes(np.linalg.qr(np.swapaxes(f.conj(), -1, -2), mode="r").conj(), -1, -2)
 
 
 def _concurrences(factors: np.ndarray) -> np.ndarray:
     """Wootters' concurrence max(x_1 - x_2 - x_3 - x_4, 0) of each block R = L L†.
 
     ``factors`` is a (..., 4, 4) stack of the L; the x_i are the singular
-    values of L^T (sy x sy) L.
+    values of L^T (sy x sy) L.  A difference within X_ROUNDOFF * x_1, the
+    accuracy of the SVD, is an exact 0.
     """
     # L^T (sy x sy) reverses the columns of L^T and flips the sign of the outer two: the
     # exact products a matmul with the spin flip would form, without its complex cast
     lt_flip = np.swapaxes(factors, -1, -2)[..., ::-1] * _FLIP_SIGNS
     x = np.linalg.svd(lt_flip @ factors, compute_uv=False)
-    return np.maximum(x[..., 0] - x[..., 1:].sum(axis=-1), 0.0)
+    c = x[..., 0] - x[..., 1:].sum(axis=-1)
+    return np.where(c > X_ROUNDOFF * x[..., 0], c, 0.0)
 
 
 def _state_concurrences(states: Sequence[_State], idx: np.ndarray) -> Callable[..., np.ndarray]:
@@ -257,16 +259,16 @@ def _state_concurrences(states: Sequence[_State], idx: np.ndarray) -> Callable[.
 
     With one state, or ``owner`` None, every rotation applies to
     ``states[0]``; else row i of the (N, d, m) rotation stacks applies to
-    ``states[owner[i]]``.  Rows are grouped by their state's factor kind,
-    and each row's values equal those of the one-state call, whatever rows
-    sit beside it.
+    ``states[owner[i]]``.  Rows are grouped by their state's factor kind
+    and data shape, and each row's values equal those of the one-state
+    call, whatever rows sit beside it.
     """
-    kinds: dict[Callable[..., np.ndarray], list[int]] = {}
+    kinds: dict[tuple[Callable[..., np.ndarray], tuple[int, ...]], list[int]] = {}
     for i, s in enumerate(states):
-        kinds.setdefault(s.factors, []).append(i)
+        kinds.setdefault((s.factors, s.data.shape), []).append(i)
     kind, local = np.empty(len(states), dtype=int), np.empty(len(states), dtype=int)
     stacks = []
-    for k, (factors, members) in enumerate(kinds.items()):
+    for k, ((factors, _), members) in enumerate(kinds.items()):
         kind[members], local[members] = k, np.arange(len(members))
         stacks.append((factors, np.array([states[i].data for i in members])))
 

@@ -24,6 +24,8 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-9
 PSD_EIG_TOL = 1e-8
+# eigenvalues below this times the largest are eigensolver round-off of a zero eigenvalue
+EIG_ROUNDOFF_RATIO = 1e-13
 
 
 class HermitianEig(NamedTuple):
@@ -78,7 +80,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     # Eigensolver noise of order eps on rank-deficient input would square
     # root to ~1e-8; zero anything negligible relative to the top.
-    w[w < w[-1] * 1e-13] = 0.0
+    w[w < w[-1] * EIG_ROUNDOFF_RATIO] = 0.0
     r = (v * np.sqrt(w)) @ v.conj().T
     return (r + r.conj().T) / 2
 

@@ -246,6 +246,18 @@ def test_fig1_optimized_rows_independent_of_jobs():
     assert rows[11].bound_opt == b_opt / max_concurrence(3)
 
 
+def test_fig1_plain_scan_starts_no_pool(monkeypatch):
+    import uniparam.cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a scan without optimize started a process pool")
+
+    monkeypatch.setattr(uniparam.cli, "ProcessPoolExecutor", no_pool)
+    rows = run_fig1_scan(0.25, optimize=False, jobs=2)
+    assert len(rows) == 25
+    assert all(r.bound_opt is None for r in rows)
+
+
 def test_fig1_bad_step(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fig1", "--step", "0.5", "--out", str(tmp_path / "x.csv"))
     assert code == 2

@@ -636,20 +636,15 @@ def _kind_states(rng):
         "cholesky, full rank": rand_density(rng, 12),
         "direct, rank 1": rand_density(rng, 12, rank=1),
         "direct, rank 2": rand_density(rng, 12, rank=2),
-        "eigh, rank 6": rand_density(rng, 12, rank=6),
-        "eigh, ill-conditioned full rank": (u * (w / w.sum())) @ u.conj().T,
+        "direct, rank 6": rand_density(rng, 12, rank=6),
+        "direct, ill-conditioned full rank": (u * (w / w.sum())) @ u.conj().T,
     }
 
 
 def test_factor_kind_choice():
-    from uniparam.entanglement import (
-        _check_state,
-        _cholesky_factors,
-        _direct_factors,
-        _eigh_factors,
-    )
+    from uniparam.entanglement import _check_state, _cholesky_factors, _direct_factors
 
-    kinds = {"cholesky": _cholesky_factors, "direct": _direct_factors, "eigh": _eigh_factors}
+    kinds = {"cholesky": _cholesky_factors, "direct": _direct_factors}
     for name, rho in _kind_states(np.random.default_rng(61)).items():
         state = _check_state(rho, 3, 4)
         assert state.factors is kinds[name.split(",")[0]], name
@@ -709,7 +704,7 @@ def test_cholesky_kind_just_above_threshold():
         _check_state,
         _cholesky_factors,
         _concurrences,
-        _eigh_factors,
+        _direct_factors,
     )
 
     rng = np.random.default_rng(64)
@@ -718,11 +713,39 @@ def test_cholesky_kind_just_above_threshold():
     rho = (u * (w / w.sum())) @ u.conj().T
     state = _check_state(rho, 3, 4)
     assert state.factors is _cholesky_factors
+    w_rho, v_rho = np.linalg.eigh(rho)
+    psi = v_rho * np.sqrt(w_rho)
     idx = _block_index(_all_pairs(3, 4), 4)
     for _ in range(200):
         u_a, u_b = haar_unitary(rng, 3), haar_unitary(rng, 4)
         x = state.concurrences(u_a, u_b, idx)  # raises LinAlgError on an indefinite block
-        assert np.allclose(x, _concurrences(_eigh_factors(state.data, u_a, u_b, idx)),
+        assert np.allclose(x, _concurrences(_direct_factors(psi, u_a, u_b, idx)),
                            rtol=0.0, atol=1e-9)
     values = _bopt_values(state, 3, 4)(rng.uniform(0.0, 2 * np.pi, (200, 18)))
     assert np.all(np.isfinite(values))
+
+
+def test_direct_kind_exact_above_rank_four():
+    from uniparam.entanglement import _check_state, _direct_factors
+
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    block = [0, 1, 4, 5]  # |1,2> (x) |1,2> of a 3 x 4 system
+    for p in (0.2, 0.5, 0.8):
+        rho = np.zeros((12, 12), dtype=complex)
+        rho[np.ix_(block, block)] = 0.6 * (p * np.outer(singlet, singlet)
+                                           + (1.0 - p) * np.eye(4) / 4.0)
+        rho[10, 10], rho[11, 11] = 0.25, 0.15  # |3,3> and |3,4>
+        state = _check_state(rho, 3, 4)
+        assert state.factors is _direct_factors and state.data.shape == (12, 6)
+        exact = 0.6 * max(0.0, (3.0 * p - 1.0) / 2.0)
+        assert abs(bound_x(rho, 1, 2, 1, 2, dims=(3, 4)) - exact) < 1e-12, p
+
+
+def test_ppt_fig1_axis_points_give_exact_zero():
+    from uniparam.cli import fig1_state
+
+    for alpha, beta in ((0.0, 0.25), (0.25, 0.0)):
+        rho = fig1_state(alpha, beta)
+        assert ppt_min_eigenvalue(rho, (3, 3)) >= -1e-10  # PPT, on the boundary
+        assert bound_b(rho, 3, 3).b == 0.0
+        assert optimized_bound_b(rho, 3, 3)[0] == 0.0

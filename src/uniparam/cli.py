@@ -65,17 +65,26 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(doc: dict) -> np.ndarray:
     """Parse and validate a matrix document."""
     try:
-        rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
+        rows, cols, data = doc["rows"], doc["cols"], doc["data"]
     except (KeyError, TypeError) as exc:
         raise UniparamError(f"matrix file missing field: {exc}") from exc
+    try:
+        rows, cols = int(rows), int(cols)
+    except (TypeError, ValueError) as exc:
+        raise UniparamError(f"matrix file rows and cols must be integers ({exc})") from exc
+    if not isinstance(data, list):
+        raise UniparamError("matrix file data must be a list of [re, im] pairs")
     if rows < 1 or cols < 1 or len(data) != rows * cols:
         raise UniparamError(
             f"matrix file data length {len(data)} does not match {rows}x{cols}")
     flat = np.empty(rows * cols, dtype=complex)
     for i, entry in enumerate(data):
-        if len(entry) != 2:
+        if not isinstance(entry, list) or len(entry) != 2:
             raise UniparamError(f"entry {i} is not a [re, im] pair")
-        re, im = float(entry[0]), float(entry[1])
+        try:
+            re, im = float(entry[0]), float(entry[1])
+        except (TypeError, ValueError) as exc:
+            raise UniparamError(f"entry {i} is not a pair of numbers ({exc})") from exc
         if not (math.isfinite(re) and math.isfinite(im)):
             raise UniparamError(f"entry {i} is not finite")
         flat[i] = complex(re, im)

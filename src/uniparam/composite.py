@@ -76,16 +76,14 @@ def _rows_update(out: np.ndarray, m0: int, n0: int, c, s, e, adjoint: bool) -> N
     ``out[i]`` is row i: a matrix, or a stack of matrices laid out with
     the matrix axes first (``out[i, j]`` is entry (i, j) of every matrix).
     For a stack ``c``, ``s`` and ``e`` are arrays over the stack, one
-    factor per matrix.
+    factor per matrix.  Both new rows are formed from the old ones before
+    either is assigned.
     """
-    a = out[m0].copy()
-    b = out[n0].copy()
+    a, b = out[m0], out[n0]
     if adjoint:
-        out[m0] = c * a - (s * np.conj(e)) * b
-        out[n0] = s * a + (c * np.conj(e)) * b
+        out[m0], out[n0] = c * a - (s * np.conj(e)) * b, s * a + (c * np.conj(e)) * b
     else:
-        out[m0] = c * a + s * b
-        out[n0] = (-s * e) * a + (c * e) * b
+        out[m0], out[n0] = c * a + s * b, (-s * e) * a + (c * e) * b
 
 
 def apply_factor(operand: np.ndarray, m: int, n: int, rot: float, phase: float,

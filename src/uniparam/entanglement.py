@@ -21,12 +21,15 @@ per batch of rotations:
   block is positive definite, and L is its Cholesky factor;
 - otherwise rho = Psi Psi† with Psi = V_r sqrt(w_r), r counting the
   eigenvalues above EIG_ROUNDOFF_RATIO * lambda_max, padded to
-  max(r, 4) columns.  The block rows F of W† Psi factor the block with no
-  rotated n x n state; when F is wider than 4 columns, L = R† from the QR
-  decomposition F† = Q R, since F F† = R† R.
+  max(r, 2) columns.  The 4 x r block rows F of W† Psi factor the block
+  with no rotated n x n state; when F is wider than 4 columns, L = R†
+  from the QR decomposition F† = Q R, since F F† = R† R.
 
-``_concurrences`` then takes one SVD per block, and reads a difference
-x_1 - x_2 - x_3 - x_4 within the SVD's accuracy, X_ROUNDOFF * x_1, as 0.
+With L of r <= 4 columns the x_i past r are 0, and the others are the
+singular values of the r x r matrix L^T (sy x sy) L.  ``_concurrences``
+takes them in closed form for r = 2 (ranks 1 and 2), and from one SVD
+per block otherwise, and reads a difference x_1 - x_2 - x_3 - x_4 within
+the SVD's accuracy, X_ROUNDOFF * x_1, as 0.
 The plain bound B = sqrt(sum of X^2 over all pairs) (Chen-Albeverio-Fei,
 PRL 95, 040504, 2005), its maximum over the composite parameterization
 of the local rotations, the multipartite sum over bipartitions and the
@@ -138,11 +141,11 @@ def sigma_pairs(d: int) -> list[tuple[int, int]]:
 class _State:
     """A checked state and the factor its 4x4 blocks are evaluated from.
 
-    ``factors(data, w_a, w_b, idx)`` gives the factors L, R = L L†, of the
-    blocks ``idx`` of W† rho W (see ``_rotated_blocks``).  There are two
-    kinds: ``_cholesky_factors``, with ``data`` the Hermitian part of rho,
-    and ``_direct_factors``, with ``data`` the n x max(r, 4) factor Psi of
-    rho = Psi Psi†.
+    ``factors(data, w_a, w_b, idx)`` gives the 4 x 4 or 4 x r factors L,
+    R = L L†, of the blocks ``idx`` of W† rho W (see ``_rotated_blocks``).
+    There are two kinds: ``_cholesky_factors``, with ``data`` the
+    Hermitian part of rho, and ``_direct_factors``, with ``data`` the
+    n x max(r, 2) factor Psi of rho = Psi Psi†.
     """
 
     rho: np.ndarray
@@ -178,7 +181,7 @@ def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
         # as positive definite as the eigenvalues w say
         return _State(rho, _cholesky_factors, (rho + rho.conj().T) / 2)
     rank = int(np.count_nonzero(w > EIG_ROUNDOFF_RATIO * w[-1]))
-    psi = np.zeros((rho.shape[0], max(rank, 4)), dtype=complex)
+    psi = np.zeros((rho.shape[0], max(rank, 2)), dtype=complex)
     if rank:
         psi[:, :rank] = v[:, -rank:] * np.sqrt(w[-rank:])
     return _State(rho, _direct_factors, psi)
@@ -229,29 +232,65 @@ def _direct_factors(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
                     idx: np.ndarray) -> np.ndarray:
     """Factors of the blocks of rho = Psi Psi†: the rows F = (W† Psi)[idx].
 
-    When Psi has more than 4 columns, the 4 x 4 factor is L = R† from the
-    QR decomposition F† = Q R, as F F† = R† R; QR takes no square roots
-    of round-off, so rank-deficient blocks need no eigenvalue floor.
+    F is returned as it is while Psi has at most 4 columns, r = 2, 3 or 4.
+    When Psi has more, the 4 x 4 factor is L = R† from the QR
+    decomposition F† = Q R, as F F† = R† R; QR takes no square roots of
+    round-off, so rank-deficient blocks need no eigenvalue floor.
     """
     f = (np.swapaxes(_product_basis(w_a, w_b).conj(), -1, -2) @ psi)[..., idx, :]
-    if psi.shape[-1] == 4:
+    if psi.shape[-1] <= 4:
         return f
     return np.swapaxes(np.linalg.qr(np.swapaxes(f.conj(), -1, -2), mode="r").conj(), -1, -2)
+
+
+def _two_column_tau(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries a, b, d of tau = L^T (sy x sy) L = [[a, b], [b, d]] for (..., 4, 2) factors L."""
+    (p0, q0), (p1, q1), (p2, q2), (p3, q3) = np.moveaxis(factors, (-2, -1), (0, 1))
+    # u^T (sy x sy) v = u_1 v_2 + u_2 v_1 - u_0 v_3 - u_3 v_0 for columns u, v of L
+    return (2.0 * (p1 * p2 - p0 * p3), p1 * q2 + p2 * q1 - p0 * q3 - p3 * q0,
+            2.0 * (q1 * q2 - q0 * q3))
+
+
+def _two_column_x(a: np.ndarray, b: np.ndarray,
+                  d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x_1 and x_1 - x_2, the singular values of tau = [[a, b], [b, d]], in closed form.
+
+    With f = sqrt(|a|^2 + |b|^2), g = |conj(a) b + conj(b) d| / f and
+    h = |a d - b^2| / f, the unitary that turns tau's first column into
+    (f, 0), and two diagonal phases, take tau to [[f, g], [0, h]]: so
+    x_1 - x_2 = hypot(f - h, g) and x_1 + x_2 = hypot(f + h, g).  When
+    f = 0, tau = diag(0, d).  Every step is elementwise.
+    """
+    f = np.hypot(np.abs(a), np.abs(b))
+    pivot = f > 0.0
+    f_div = np.where(pivot, f, 1.0)
+    g = np.abs(a.conj() * b + b.conj() * d) / f_div
+    h = np.abs(a * d - b * b) / f_div
+    abs_d = np.abs(d)
+    diff = np.where(pivot, np.hypot(f - h, g), abs_d)
+    return np.where(pivot, (diff + np.hypot(f + h, g)) / 2.0, abs_d), diff
 
 
 def _concurrences(factors: np.ndarray) -> np.ndarray:
     """Wootters' concurrence max(x_1 - x_2 - x_3 - x_4, 0) of each block R = L L†.
 
-    ``factors`` is a (..., 4, 4) stack of the L; the x_i are the singular
-    values of L^T (sy x sy) L.  A difference within X_ROUNDOFF * x_1, the
-    accuracy of the SVD, is an exact 0.
+    ``factors`` is a (..., 4, r) stack of the L, r = 2, 3 or 4; the x_i
+    are the singular values of the r x r matrix tau = L^T (sy x sy) L,
+    and those past r are 0.  Two columns take the closed form of
+    ``_two_column_x``, wider factors an SVD.  A difference within
+    X_ROUNDOFF * x_1, the accuracy of the SVD, is an exact 0.  Every
+    step treats each block alone, so a row of a stack gets the values
+    it would get alone.
     """
-    # L^T (sy x sy) reverses the columns of L^T and flips the sign of the outer two: the
-    # exact products a matmul with the spin flip would form, without its complex cast
-    lt_flip = np.swapaxes(factors, -1, -2)[..., ::-1] * _FLIP_SIGNS
-    x = np.linalg.svd(lt_flip @ factors, compute_uv=False)
-    c = x[..., 0] - x[..., 1:].sum(axis=-1)
-    return np.where(c > X_ROUNDOFF * x[..., 0], c, 0.0)
+    if factors.shape[-1] == 2:
+        x_1, c = _two_column_x(*_two_column_tau(factors))
+    else:
+        # L^T (sy x sy) reverses the columns of L^T and flips the sign of the outer two: the
+        # exact products a matmul with the spin flip would form, without its complex cast
+        lt_flip = np.swapaxes(factors, -1, -2)[..., ::-1] * _FLIP_SIGNS
+        x = np.linalg.svd(lt_flip @ factors, compute_uv=False)
+        x_1, c = x[..., 0], x[..., 0] - x[..., 1:].sum(axis=-1)
+    return np.where(c > X_ROUNDOFF * x_1, c, 0.0)
 
 
 def _state_concurrences(states: Sequence[_State], idx: np.ndarray) -> Callable[..., np.ndarray]:
@@ -427,14 +466,6 @@ def ucs_block_to_matrix(vec: np.ndarray, d: int, k: int = 2) -> np.ndarray:
 Rotations = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _side(d: int, witness: bool) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
-    """Packed-angle count of one side of a search, and its map (..., count) -> (..., d, cols)."""
-    pos, pairs, cols = ((ucs_block_positions(d, 2), _ucs_pairs(d, 2), 2) if witness
-                        else (offdiag_positions(d), _unitary_pairs(d), d))
-    return len(pos), lambda v: _product(_angles_at(v, pos, d, f"d={d}"), pairs,
-                                        diag=False)[..., :cols]
-
-
 @dataclass(frozen=True)
 class _Search:
     """A maximization of a sum of X^2 over local rotations (see ``_search``).
@@ -461,16 +492,31 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
     one to one, as far as the shorter list goes.  The witness reads the
     4d - 8 subspace-block angles per side (none for d = 2), keeps the first
     two columns of ``build_ucs(ucs_block_to_matrix(v, d), 2)`` and reads
-    the single (1,2) x (1,2) block for both.  No diagonal phases.
+    the single (1,2) x (1,2) block for both.  No diagonal phases.  Both
+    sides come from one ``_product`` call, the smaller side cut from the
+    top-left corner of a d x d product, d = max(d_a, d_b).
     """
-    (n_a, side_a), (n_b, side_b) = _side(d_a, witness), _side(d_b, witness)
+    d = max(d_a, d_b)
+    positions, pairs = ((ucs_block_positions, _ucs_pairs(d, 2)) if witness
+                        else (offdiag_positions, _unitary_pairs(d)))
+    cols_a, cols_b = (2, 2) if witness else (d_a, d_b)
+    # each side's angles in the top-left block of its own d x d matrix of one (2, d, d) stack;
+    # the plane factors outside a smaller side's block then have zero angles, identities
+    flat = [side * d * d + i * d + j
+            for side, d_side in enumerate((d_a, d_b)) for i, j in positions(d_side)]
+
+    def rotations(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lam = np.zeros(v.shape[:-1] + (2 * d * d,))
+        lam[..., flat] = v
+        u = _product(lam.reshape(v.shape[:-1] + (2, d, d)), pairs, diag=False)
+        return u[..., 0, :d_a, :cols_a], u[..., 1, :d_b, :cols_b]
+
     if witness:  # cut from the 2 x 2 space the two columns per side span
         idx = seed_idx = _block_index([((1, 2), (1, 2))], 2)
     else:
         idx = _block_index(_all_pairs(d_a, d_b), d_b)
         seed_idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
-    return _Search(d_a, d_b, n_a + n_b, lambda v: (side_a(v[..., :n_a]), side_b(v[..., n_a:])),
-                   idx, seed_idx)
+    return _Search(d_a, d_b, len(flat), rotations, idx, seed_idx)
 
 
 def _bopt_rotations(d_a: int, d_b: int) -> Rotations:

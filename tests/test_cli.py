@@ -319,6 +319,19 @@ def test_load_matrix_file_rejects_garbage(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decompose", "--input", str(short))
     assert code == 2
 
+    entries = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    for name, doc in {
+        "bare numbers": {"rows": 2, "cols": 2, "data": [1, 2, 3, 4]},
+        "scalar data": {"rows": 2, "cols": 2, "data": 5},
+        "text entry": {"rows": 2, "cols": 2, "data": [["x", 0]] + entries[1:]},
+        "text rows": {"rows": "two", "cols": 2, "data": entries},
+    }.items():
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "decompose", "--input", str(path))
+        assert (code, out) == (2, ""), name
+        assert "error:" in err and "Traceback" not in err, name
+
 
 def test_distill_rejects_zero_restarts(tmp_path, capsys):
     path = write_matrix(tmp_path / "iso.json", np.eye(9) / 9)

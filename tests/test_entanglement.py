@@ -645,9 +645,13 @@ def test_factor_kind_choice():
     from uniparam.entanglement import _check_state, _cholesky_factors, _direct_factors
 
     kinds = {"cholesky": _cholesky_factors, "direct": _direct_factors}
+    # Psi has max(r, 2) columns
+    widths = {"direct, rank 1": 2, "direct, rank 2": 2, "direct, rank 6": 6}
     for name, rho in _kind_states(np.random.default_rng(61)).items():
         state = _check_state(rho, 3, 4)
         assert state.factors is kinds[name.split(",")[0]], name
+        if name in widths:
+            assert state.data.shape == (12, widths[name]), name
         # a checked state passes through unchanged
         assert _check_state(state, 3, 4) is state
 
@@ -693,6 +697,69 @@ def test_factor_kinds_batched_rows_equal_closures():
         values = batch(v)
         for i in range(len(v)):
             assert values[i] == closure(v[i])
+
+
+def test_two_column_concurrences_match_svd():
+    from uniparam.entanglement import (
+        _SPIN_FLIP,
+        X_ROUNDOFF,
+        _concurrences,
+        _two_column_tau,
+    )
+
+    def cplx(rng, *shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def svd_of_tau(f):
+        a, b, d = _two_column_tau(f)
+        # tau's entries are those of the matmul up to its round-off, eps * |L|^2
+        tau = np.swapaxes(f, -1, -2) @ _SPIN_FLIP @ f
+        scale = np.sum(np.abs(f) ** 2, axis=(-2, -1))
+        for entry, ref in ((a, tau[..., 0, 0]), (b, tau[..., 0, 1]), (d, tau[..., 1, 1])):
+            assert np.all(np.abs(entry - ref) <= 8 * np.finfo(float).eps * scale)
+        x = np.linalg.svd(np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2),
+                          compute_uv=False)
+        return x[..., 0], x[..., 0] - x[..., 1]
+
+    rng = np.random.default_rng(65)
+    rank2 = cplx(rng, 50, 40, 4, 2)
+    # rank 1 pads a zero column; a zero first column is the case f = 0
+    rank1, rank1_first_zero = rank2.copy(), rank2.copy()
+    rank1[..., 1] = 0.0
+    rank1_first_zero[..., 0] = 0.0
+    for f in (rank1, rank1_first_zero, rank2):
+        x_1, c = svd_of_tau(f)
+        assert np.all(np.abs(_concurrences(f) - c) <= 1e-14 * x_1)
+    # product columns u (x) v: tau's exact diagonal is 0 and its singular values are equal,
+    # so every nonzero result is round-off the zero rule missed
+    cols = [(cplx(rng, 2000, 2, 1) * cplx(rng, 2000, 1, 2)).reshape(2000, 4) for _ in range(2)]
+    separable = np.stack(cols, axis=-1) * np.array([1.0, 0.3])
+    x_1, c = svd_of_tau(separable)
+    assert (np.count_nonzero(_concurrences(separable))
+            <= np.count_nonzero(c > X_ROUNDOFF * x_1))
+
+
+@pytest.mark.parametrize("witness", [False, True])
+@pytest.mark.parametrize("d_a, d_b", [(3, 3), (4, 4), (2, 3), (3, 4)])
+def test_search_rotations_equal_per_side_builds(d_a, d_b, witness):
+    from uniparam.composite import _product, _ucs_pairs, _unitary_pairs
+    from uniparam.entanglement import _angles_at, _search
+
+    def side(v, d):
+        if witness:
+            lam = _angles_at(v, ucs_block_positions(d, 2), d, "side")
+            return _product(lam, _ucs_pairs(d, 2), diag=False)[..., :2]
+        return _product(_angles_at(v, offdiag_positions(d), d, "side"), _unitary_pairs(d),
+                        diag=False)
+
+    search = _search(d_a, d_b, witness)
+    n_a = 4 * d_a - 8 if witness else d_a * d_a - d_a
+    rng = np.random.default_rng(10 * d_a + d_b + witness)
+    for v in (rng.uniform(0.0, 2 * np.pi, (7, search.n)), rng.uniform(0.0, 2 * np.pi, search.n)):
+        w_a, w_b = search.rotations(v)
+        ref_a, ref_b = side(v[..., :n_a], d_a), side(v[..., n_a:], d_b)
+        assert w_a.shape == ref_a.shape and w_b.shape == ref_b.shape
+        assert np.all(w_a == ref_a) and np.all(w_b == ref_b)
 
 
 def test_cholesky_kind_just_above_threshold():

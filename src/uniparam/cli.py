@@ -68,34 +68,32 @@ def matrix_from_json(doc: dict) -> np.ndarray:
         rows, cols, data = doc["rows"], doc["cols"], doc["data"]
     except (KeyError, TypeError) as exc:
         raise UniparamError(f"matrix file missing field: {exc}") from exc
-    try:
-        rows, cols = int(rows), int(cols)
-    except (TypeError, ValueError) as exc:
-        raise UniparamError(f"matrix file rows and cols must be integers ({exc})") from exc
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in (rows, cols)):
+        raise UniparamError(
+            f"matrix file rows and cols must be integers, got {rows!r} and {cols!r}")
     if not isinstance(data, list):
         raise UniparamError("matrix file data must be a list of [re, im] pairs")
     if rows < 1 or cols < 1 or len(data) != rows * cols:
         raise UniparamError(
             f"matrix file data length {len(data)} does not match {rows}x{cols}")
-    flat = np.empty(rows * cols, dtype=complex)
-    for i, entry in enumerate(data):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise UniparamError(f"entry {i} is not a [re, im] pair")
-        try:
-            re, im = float(entry[0]), float(entry[1])
-        except (TypeError, ValueError) as exc:
-            raise UniparamError(f"entry {i} is not a pair of numbers ({exc})") from exc
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise UniparamError(f"entry {i} is not finite")
-        flat[i] = complex(re, im)
-    return flat.reshape(rows, cols)
+    try:
+        pairs = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UniparamError(f"matrix file data is not a list of number pairs ({exc})") from exc
+    if pairs.shape != (rows * cols, 2):
+        raise UniparamError(
+            f"matrix file data has shape {pairs.shape}, not {rows * cols} [re, im] pairs")
+    if not np.all(np.isfinite(pairs)):
+        raise UniparamError("matrix file data has non-finite entries")
+    # the two float columns of a C-ordered (n, 2) array are the parts of n complex numbers
+    return pairs.view(complex).reshape(rows, cols)
 
 
 def load_matrix_file(path: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes and too deep nesting
             raise UniparamError(f"{path}: invalid JSON ({exc})") from exc
     return matrix_from_json(doc)
 
@@ -272,7 +270,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     d_a, d_b = _parse_dims(args.dims)
     rho = _load_state(args.state, d_a, d_b)
     norm = max_concurrence(min(d_a, d_b))
-    report = bound_b(rho, d_a, d_b, normalization=norm)
+    report = bound_b(rho, d_a, d_b)
     out = {
         "dims": [d_a, d_b],
         "b": report.b,

@@ -344,24 +344,15 @@ def _local_adjoint(u: np.ndarray | None, d: int) -> np.ndarray:
 class BoundReport:
     """Per-generator-pair X values and the resulting bound B = sqrt(sum X^2).
 
-    Keys of ``terms`` are 1-based (k_a, l_a, k_b, l_b).  ``normalization``,
-    when set, is the concurrence of the maximally entangled state; divide
-    ``b`` by it to report the normalized bound.
+    Keys of ``terms`` are 1-based (k_a, l_a, k_b, l_b).
     """
 
     terms: dict[tuple[int, int, int, int], float]
     b: float
-    normalization: float | None = None
 
     @property
     def b_squared(self) -> float:
         return self.b * self.b
-
-    @property
-    def normalized_b(self) -> float:
-        if self.normalization is None:
-            raise ValueError("no normalization constant attached")
-        return self.b / self.normalization
 
 
 def bound_x(rho: np.ndarray, k_a: int, l_a: int, k_b: int, l_b: int,
@@ -403,8 +394,7 @@ def bound_x(rho: np.ndarray, k_a: int, l_a: int, k_b: int, l_b: int,
 
 
 def bound_b(rho: np.ndarray, d_a: int, d_b: int,
-            u_a: np.ndarray | None = None, u_b: np.ndarray | None = None,
-            normalization: float | None = None) -> BoundReport:
+            u_a: np.ndarray | None = None, u_b: np.ndarray | None = None) -> BoundReport:
     """Lower bound B(rho): all d_a(d_a-1)/2 * d_b(d_b-1)/2 generator pairs.
 
     Each term is the concurrence of one 4x4 block of U rho U†, U = u_a (x) u_b.
@@ -414,7 +404,7 @@ def bound_b(rho: np.ndarray, d_a: int, d_b: int,
     x = state.concurrences(_local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
                            _block_index(pairs, d_b))
     terms = {pa + pb: float(xi) for (pa, pb), xi in zip(pairs, x)}
-    return BoundReport(terms, float(np.sqrt(np.sum(x * x))), normalization)
+    return BoundReport(terms, float(np.sqrt(np.sum(x * x))))
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +509,6 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
     return _Search(d_a, d_b, len(flat), rotations, idx, seed_idx)
 
 
-def _bopt_rotations(d_a: int, d_b: int) -> Rotations:
-    """Packed vectors -> the (..., d, d) composite products of the B_opt objective, per side."""
-    return _search(d_a, d_b).rotations
-
-
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """Sums over the last axis, adding its entries in index order.
 
@@ -560,17 +545,6 @@ def _values(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
         return -_row_sums(x * x)
 
     return values
-
-
-def _bopt_values(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
-                 d_a: int, d_b: int) -> Callable[..., np.ndarray]:
-    """Batched B_opt objective: packed vectors -> -B^2 of each (see ``_values``)."""
-    return _values(rho, _search(d_a, d_b))
-
-
-def _distill_values(rho: np.ndarray | _State, d_a: int, d_b: int) -> Callable[..., np.ndarray]:
-    """Batched distill objective: packed vectors -> -X^2_{1,2,1,2} of each."""
-    return _values(rho, _search(d_a, d_b, witness=True))
 
 
 def _scalar(values: Batch, n: int) -> Callable[[np.ndarray], float]:

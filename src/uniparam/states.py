@@ -5,7 +5,9 @@ plus the k(2d-k-1) angles consumed by the truncated product ``build_ucd``
 (the eigenbasis), for 2dk - k^2 - 1 scalars in total.  An orthonormal
 basis of a k-dimensional subspace needs only the 2k(d-k) block angles of
 ``build_ucs``; ``canonicalize_subspace`` recovers those angles from any
-orthonormal column set together with the residual intra-subspace unitary.
+orthonormal column set together with the residual intra-subspace unitary,
+by one QR factorization that triangularizes the top k x k block followed
+by the Givens row sweep that ``decompose`` also runs.
 """
 
 from __future__ import annotations
@@ -15,14 +17,11 @@ import math
 import numpy as np
 
 from .composite import (
-    DECOMPOSE_ZERO_TOL,
     _assert_angles,
-    _rows_update,
     _ucs_pairs,
     _zeroing_sweep,
     build_ucd,
     build_ucs,
-    zeroing_angles,
 )
 from .errors import (
     LengthMismatchError,
@@ -119,9 +118,9 @@ def canonicalize_subspace(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
         subspace_basis(lam, k, d) @ w  ==  v      (within 1e-9).
 
-    The sweep first zeroes the below-diagonal entries of the top k x k
-    block by mixing columns (a basis change inside the span, accumulated
-    into ``w``), then zeroes everything below row k with plane-factor
+    One QR factorization first makes the top k x k block upper triangular
+    (a basis change inside the span, which ``w`` absorbs); then the row
+    sweep of ``decompose`` zeroes everything below row k with plane-factor
     adjoints whose angles land at the block positions.
     """
     v = np.array(v, dtype=complex)
@@ -134,23 +133,12 @@ def canonicalize_subspace(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= k <= d:
         raise NotOrthonormalError(f"subspace dimension {k} outside 1..{d}")
 
-    # Column rotations: make the top block upper triangular, working up
-    # from row k so established zeros are preserved.  They act on v and on
-    # w1, which accumulates them, stacked as [v; w1].
-    vw = np.vstack([v, np.eye(k, dtype=complex)])
-    for j in range(k, 1, -1):
-        for c in range(j - 1, 0, -1):
-            a = vw[j - 1, c - 1]
-            b = vw[j - 1, j - 1]
-            # cos*a - e^{ip} sin*b = 0 is the zeroing equation written as
-            # sin*(-b) + e^{-ip} cos*a = 0.
-            rot, phase = zeroing_angles(-b, a, DECOMPOSE_ZERO_TOL)
-            # Right-multiplication by the embedded plane factor on columns
-            # (c, j): new col_c = cos*col_c - e^{ip} sin*col_j, the adjoint
-            # row update with the conjugate phase applied to the columns.
-            _rows_update(vw.T, c - 1, j - 1, math.cos(rot), math.sin(rot),
-                         complex(math.cos(phase), -math.sin(phase)), True)
-    v, w1 = vw[:d], vw[d:]
+    # With T the top block, J the index reversal and (J T J)† = Q R,
+    # T (J Q J) = J R† J is upper triangular.  Triangularizations of a
+    # nonsingular T differ only by column phases, which cancel in every
+    # zeroing angle.
+    w1 = np.linalg.qr(v[k - 1::-1, k - 1::-1].conj().T)[0][::-1, ::-1]
+    v = v @ w1
 
     # Plane-factor adjoints zero the rows below k; the angles used are
     # exactly the block parameters of build_ucs.

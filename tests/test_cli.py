@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from uniparam import (
     OptimizerConfig,
@@ -22,6 +23,7 @@ from uniparam.cli import (
     run_fig1_scan,
     write_scan_csv,
 )
+from uniparam.errors import UniparamError
 from helpers import bell_state, rand_density, werner_state
 
 
@@ -325,12 +327,21 @@ def test_load_matrix_file_rejects_garbage(tmp_path, capsys):
         "scalar data": {"rows": 2, "cols": 2, "data": 5},
         "text entry": {"rows": 2, "cols": 2, "data": [["x", 0]] + entries[1:]},
         "text rows": {"rows": "two", "cols": 2, "data": entries},
+        "non-utf-8 bytes": b'{"rows": 2, "cols": 2, "data": "\xff\xfe"}',
+        "deep nesting": b"[" * 100_000,
+        "infinite rows": b'{"rows": 1e999, "cols": 2, "data": []}',
+        "huge integer entry": {"rows": 2, "cols": 2, "data": [[10**400, 0]] + entries[1:]},
+        "fractional rows": {"rows": 2.7, "cols": 2, "data": entries},
+        "boolean rows": {"rows": True, "cols": 4, "data": entries},
     }.items():
         path = tmp_path / "malformed.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "decompose", "--input", str(path))
-        assert (code, out) == (2, ""), name
-        assert "error:" in err and "Traceback" not in err, name
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+        with pytest.raises(UniparamError):
+            load_matrix_file(str(path))
+        for command in (["decompose", "--input"], ["gen-unitary", "--dim", "2", "--params"]):
+            code, out, err = run_cli(capsys, *command, str(path))
+            assert (code, out) == (2, ""), (name, command)
+            assert "error:" in err and "Traceback" not in err, (name, command)
 
 
 def test_distill_rejects_zero_restarts(tmp_path, capsys):

@@ -421,11 +421,10 @@ def test_normalization_constant():
 def test_batched_objectives_equal_closures(d_a, d_b):
     from uniparam.entanglement import (
         _block_index,
-        _bopt_rotations,
-        _bopt_values,
-        _distill_values,
         _pt_surrogate,
         _scalar,
+        _search,
+        _values,
         sigma_pairs,
     )
 
@@ -434,11 +433,11 @@ def test_batched_objectives_equal_closures(d_a, d_b):
     n_bopt = d_a * d_a - d_a + d_b * d_b - d_b
     idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
     cases = [
-        (_bopt_values(rho, d_a, d_b), make_bopt_objective(rho, d_a, d_b), n_bopt),
-        (_distill_values(rho, d_a, d_b), make_distill_objective(rho, d_a, d_b),
+        (_values(rho, _search(d_a, d_b)), make_bopt_objective(rho, d_a, d_b), n_bopt),
+        (_values(rho, _search(d_a, d_b, witness=True)), make_distill_objective(rho, d_a, d_b),
          4 * d_a - 8 + 4 * d_b - 8),
     ]
-    surrogate = _pt_surrogate(rho, _bopt_rotations(d_a, d_b), idx)
+    surrogate = _pt_surrogate(rho, _search(d_a, d_b).rotations, idx)
     cases.append((surrogate, _scalar(surrogate, n_bopt), n_bopt))
     for batch, closure, n in cases:
         v = rng.uniform(0.0, 2 * np.pi, (25, n))
@@ -672,7 +671,7 @@ def test_factor_kinds_match_wootters_oracle():
 
 
 def test_factor_kinds_batched_rows_equal_closures():
-    from uniparam.entanglement import _bopt_values, _distill_values
+    from uniparam.entanglement import _search, _values
 
     rng = np.random.default_rng(63)
     rhos = list(_kind_states(rng).values())
@@ -680,20 +679,21 @@ def test_factor_kinds_batched_rows_equal_closures():
     v = rng.uniform(0.0, 2 * np.pi, (40, n_bopt))
     owner = rng.integers(0, len(rhos), 40)
     owner[:len(rhos)] = np.arange(len(rhos))  # every kind present
-    stacked = _bopt_values(np.array(rhos), 3, 4)(v, owner)
-    single = [_bopt_values(rho, 3, 4) for rho in rhos]
+    bopt, witness = _search(3, 4), _search(3, 4, witness=True)
+    stacked = _values(np.array(rhos), bopt)(v, owner)
+    single = [_values(rho, bopt) for rho in rhos]
     closures = [make_bopt_objective(rho, 3, 4) for rho in rhos]
     for i in range(len(v)):
         assert stacked[i] == single[owner[i]](v[i]) == closures[owner[i]](v[i])
     # rows of one state do not depend on the rows of other kinds beside them
     for s, rho in enumerate(rhos):
         rows = np.flatnonzero(owner == s)
-        assert np.array_equal(_bopt_values([rho], 3, 4)(v[rows], np.zeros(rows.size, int)),
+        assert np.array_equal(_values([rho], bopt)(v[rows], np.zeros(rows.size, int)),
                               stacked[rows])
 
     v = rng.uniform(0.0, 2 * np.pi, (25, n_distill))
     for rho in rhos:
-        batch, closure = _distill_values(rho, 3, 4), make_distill_objective(rho, 3, 4)
+        batch, closure = _values(rho, witness), make_distill_objective(rho, 3, 4)
         values = batch(v)
         for i in range(len(v)):
             assert values[i] == closure(v[i])
@@ -767,11 +767,12 @@ def test_cholesky_kind_just_above_threshold():
         CHOLESKY_MIN_RATIO,
         _all_pairs,
         _block_index,
-        _bopt_values,
         _check_state,
         _cholesky_factors,
         _concurrences,
         _direct_factors,
+        _search,
+        _values,
     )
 
     rng = np.random.default_rng(64)
@@ -788,7 +789,7 @@ def test_cholesky_kind_just_above_threshold():
         x = state.concurrences(u_a, u_b, idx)  # raises LinAlgError on an indefinite block
         assert np.allclose(x, _concurrences(_direct_factors(psi, u_a, u_b, idx)),
                            rtol=0.0, atol=1e-9)
-    values = _bopt_values(state, 3, 4)(rng.uniform(0.0, 2 * np.pi, (200, 18)))
+    values = _values(state, _search(3, 4))(rng.uniform(0.0, 2 * np.pi, (200, 18)))
     assert np.all(np.isfinite(values))
 
 

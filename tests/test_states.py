@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -147,16 +148,25 @@ def test_canonicalize_flip_example():
 
 def test_canonicalize_roundtrip_random():
     rng = np.random.default_rng(36)
-    for d, k in ((2, 1), (4, 2), (5, 2), (6, 4)):
-        for _ in range(20):
-            v = haar_unitary(rng, d)[:, :k]
-            lam, w = canonicalize_subspace(v)
-            used = np.nonzero(lam)
-            assert all((i < k <= j) or (j < k <= i) for i, j in zip(*used))
-            b = subspace_basis(lam, k, d)
-            assert np.max(np.abs(b @ w - v)) < 1e-9
-            assert np.max(np.abs(b @ b.conj().T - v @ v.conj().T)) < 1e-9
-            assert np.max(np.abs(w.conj().T @ w - np.eye(k))) < 1e-9
+    inputs = [haar_unitary(rng, d)[:, :k]
+              for d in range(2, 9) for k in range(1, d) for _ in range(20)]
+    # phased basis columns: the top k x k block is singular once a column lies below row k
+    for d in range(2, 6):
+        for k in range(1, d):
+            for cols in itertools.permutations(range(d), k):
+                inputs += [np.eye(d)[:, cols] * phase for phase in (1, 1j, -1, np.exp(0.3j))]
+    for v in inputs:
+        d, k = v.shape
+        lam, w = canonicalize_subspace(v)
+        used = np.nonzero(lam)
+        assert all((i < k <= j) or (j < k <= i) for i, j in zip(*used))
+        upper, lower = lam[np.triu_indices(d, 1)], lam[np.tril_indices(d, -1)]
+        assert np.all((upper >= 0.0) & (upper <= math.pi / 2))
+        assert np.all((lower >= 0.0) & (lower < 2 * math.pi))
+        b = subspace_basis(lam, k, d)
+        assert np.max(np.abs(b @ w - v)) < 1e-9
+        assert np.max(np.abs(b @ b.conj().T - v @ v.conj().T)) < 1e-9
+        assert np.max(np.abs(w.conj().T @ w - np.eye(k))) < 1e-9
 
 
 def test_canonicalize_rejects_non_orthonormal():

@@ -76,13 +76,15 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     if rows < 1 or cols < 1 or len(data) != rows * cols:
         raise UniparamError(
             f"matrix file data length {len(data)} does not match {rows}x{cols}")
+    # numeric strings and booleans would convert to floats below, but the format has numbers only
+    if not all(isinstance(pair, list) and len(pair) == 2
+               and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+               for pair in data):
+        raise UniparamError("matrix file data must be a list of [re, im] number pairs")
     try:
         pairs = np.array(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UniparamError(f"matrix file data is not a list of number pairs ({exc})") from exc
-    if pairs.shape != (rows * cols, 2):
-        raise UniparamError(
-            f"matrix file data has shape {pairs.shape}, not {rows * cols} [re, im] pairs")
+    except OverflowError as exc:
+        raise UniparamError(f"matrix file data has an entry out of float range ({exc})") from exc
     if not np.all(np.isfinite(pairs)):
         raise UniparamError("matrix file data has non-finite entries")
     # the two float columns of a C-ordered (n, 2) array are the parts of n complex numbers

@@ -30,11 +30,22 @@ singular values of the r x r matrix L^T (sy x sy) L.  ``_concurrences``
 takes them in closed form for r = 2 (ranks 1 and 2), and from one SVD
 per block otherwise, and reads a difference x_1 - x_2 - x_3 - x_4 within
 the SVD's accuracy, X_ROUNDOFF * x_1, as 0.
+
 The plain bound B = sqrt(sum of X^2 over all pairs) (Chen-Albeverio-Fei,
 PRL 95, 040504, 2005), its maximum over the composite parameterization
 of the local rotations, the multipartite sum over bipartitions and the
 distillability witness (the single block on the first two columns of two
 subspace isometries, maximized) all go through it.
+
+A two-qubit block's partial transpose R^Γ has at most one negative
+eigenvalue (Sanpera, Tarrach and Vidal, PRA 58, 826, 1998), so
+det(R^Γ) > PPT_DET_RATIO * (tr R)^4 proves the block PPT, hence X = 0.
+Where a row of rotations sums more than one Cholesky-kind block (the
+bound searches, ``bound_b``), such blocks get that 0 with no Cholesky
+factor and no SVD, and every other block gets its unscreened value.  The
+one-block witness is not screened: few of its blocks are PPT, and one
+determinant per block costs more there than the SVDs it saves.  Nor is
+the direct kind, whose common ranks take the cheap closed form.
 
 Each X = max(..., 0) is exactly zero wherever its block is PPT.  For a
 barely-NPT state this holds on almost all of angle space, and every
@@ -87,6 +98,8 @@ X_ROUNDOFF = 8 * np.finfo(float).eps
 # eigenvalues lie in [lambda_min, lambda_max] of rho.  Its condition number is then
 # below 1e8, far from where round-off (~1e-15 relative) could make it indefinite.
 CHOLESKY_MIN_RATIO = 1e-8
+# det(R^Γ) above this times (tr R)^4 proves a 4x4 block PPT, far above det's round-off
+PPT_DET_RATIO = 1e-12
 STATE_NORM_TOL = 1e-12
 
 
@@ -130,6 +143,9 @@ Pair = tuple[tuple[int, int], tuple[int, int]]
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real  # the two-qubit spin flip, a real matrix
 _FLIP_SIGNS = _SPIN_FLIP[::-1].diagonal()  # its antidiagonal, bottom row first
+# block rows and columns are (A, B) bit pairs 2a + b; R^Γ(i, j) = R(a_i b_j, a_j b_i)
+_PT_ROWS = np.array([[(i & 2) | (j & 1) for j in range(4)] for i in range(4)])
+_PT_COLS = _PT_ROWS.T
 
 
 def sigma_pairs(d: int) -> list[tuple[int, int]]:
@@ -154,7 +170,7 @@ class _State:
 
     def concurrences(self, w_a: np.ndarray, w_b: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """(..., P) concurrences of the blocks ``idx`` of W† rho W, W = w_a (x) w_b."""
-        return _concurrences(self.factors(self.data, w_a, w_b, idx))
+        return _block_concurrences(self.factors, self.data, w_a, w_b, idx)
 
 
 def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
@@ -226,6 +242,32 @@ def _cholesky_factors(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
                       idx: np.ndarray) -> np.ndarray:
     """Cholesky factors of the blocks of a state whose blocks are all positive definite."""
     return np.linalg.cholesky(_rotated_blocks(rho, w_a, w_b, idx))
+
+
+def _provably_ppt(blocks: np.ndarray) -> np.ndarray:
+    """Mask of the (..., 4, 4) blocks R with det(R^Γ) > PPT_DET_RATIO * (tr R)^4.
+
+    R^Γ has at most one negative eigenvalue, so such a block is PPT and has X = 0.
+    """
+    trace = np.trace(blocks, axis1=-2, axis2=-1).real
+    return np.linalg.det(blocks[..., _PT_ROWS, _PT_COLS]).real > PPT_DET_RATIO * trace ** 4
+
+
+def _block_concurrences(factors: Callable[..., np.ndarray], data: np.ndarray, w_a: np.ndarray,
+                        w_b: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(..., P) concurrences of the blocks ``idx`` of W† rho W, rho given by its factor kind.
+
+    When a row sums more than one block of the Cholesky kind, the blocks
+    ``_provably_ppt`` finds get X = 0 with no factor and no SVD; every
+    other block gets the value it would get unscreened.
+    """
+    if factors is _cholesky_factors and len(idx) > 1:
+        blocks = _rotated_blocks(data, w_a, w_b, idx)
+        kept = ~_provably_ppt(blocks)
+        x = np.zeros(kept.shape)
+        x[kept] = _concurrences(np.linalg.cholesky(blocks[kept]))
+        return x
+    return _concurrences(factors(data, w_a, w_b, idx))
 
 
 def _direct_factors(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
@@ -320,8 +362,8 @@ def _state_concurrences(states: Sequence[_State], idx: np.ndarray) -> Callable[.
         for k, (factors, data) in enumerate(stacks):
             rows = np.flatnonzero(row_kind == k)
             if rows.size:
-                x[rows] = _concurrences(factors(data[local[owner[rows]]],
-                                                w_a[rows], w_b[rows], idx))
+                x[rows] = _block_concurrences(factors, data[local[owner[rows]]],
+                                              w_a[rows], w_b[rows], idx)
         return x
 
     return concurrences
@@ -611,9 +653,7 @@ def _pt_surrogate(rho: np.ndarray, rotations: Rotations, idx: np.ndarray) -> Bat
 
     def values(v: np.ndarray) -> np.ndarray:
         blocks = _rotated_blocks(rho, *rotations(v), idx)
-        # rows and columns of a block are (A, B) index pairs; swap the two B indices
-        pt = blocks.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-        return _row_sums(np.linalg.eigvalsh(pt)[:, 0].reshape(blocks.shape[:-2]))
+        return _row_sums(np.linalg.eigvalsh(blocks[..., _PT_ROWS, _PT_COLS])[..., 0])
 
     return values
 

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+from .composite import TWO_PI
 
 # Standard simplex moves.
 REFLECT = 1.0

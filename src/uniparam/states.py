@@ -121,17 +121,19 @@ def canonicalize_subspace(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One QR factorization first makes the top k x k block upper triangular
     (a basis change inside the span, which ``w`` absorbs); then the row
     sweep of ``decompose`` zeroes everything below row k with plane-factor
-    adjoints whose angles land at the block positions.
+    adjoints whose angles land at the block positions.  It needs
+    1 <= k < d; a full column set, k = d, is a unitary, whose angles
+    ``decompose`` gives.
     """
     v = np.array(v, dtype=complex)
     if v.ndim != 2:
         raise NotOrthonormalError(f"expected a d x k column matrix, got shape {v.shape}")
     d, k = v.shape
+    if not 1 <= k < d:
+        raise RankOutOfRangeError(f"subspace dimension {k} outside 1..{d - 1}")
     gram_defect = float(np.max(np.abs(v.conj().T @ v - np.eye(k))))
     if gram_defect > ORTHONORMAL_TOL:
         raise NotOrthonormalError(f"Gram defect {gram_defect:.3e} exceeds 1e-9")
-    if not 1 <= k <= d:
-        raise NotOrthonormalError(f"subspace dimension {k} outside 1..{d}")
 
     # With T the top block, J the index reversal and (J T J)† = Q R,
     # T (J Q J) = J R† J is upper triangular.  Triangularizations of a

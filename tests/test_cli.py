@@ -333,6 +333,10 @@ def test_load_matrix_file_rejects_garbage(tmp_path, capsys):
         "huge integer entry": {"rows": 2, "cols": 2, "data": [[10**400, 0]] + entries[1:]},
         "fractional rows": {"rows": 2.7, "cols": 2, "data": entries},
         "boolean rows": {"rows": True, "cols": 4, "data": entries},
+        "numeric strings and booleans": {
+            "rows": 2, "cols": 2, "data": [["1.5", "0"], [True, False], [0, 0], [1, 0]]},
+        "numeric string entry": {"rows": 2, "cols": 2, "data": [["1.5", 0]] + entries[1:]},
+        "boolean entry": {"rows": 2, "cols": 2, "data": [[True, 0]] + entries[1:]},
     }.items():
         path = tmp_path / "malformed.json"
         path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())

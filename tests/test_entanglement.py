@@ -817,3 +817,98 @@ def test_ppt_fig1_axis_points_give_exact_zero():
         assert ppt_min_eigenvalue(rho, (3, 3)) >= -1e-10  # PPT, on the boundary
         assert bound_b(rho, 3, 3).b == 0.0
         assert optimized_bound_b(rho, 3, 3)[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# screen of provably PPT blocks in the summed searches
+
+def test_pt_index_map_equals_partial_transpose():
+    from uniparam import partial_transpose
+    from uniparam.entanglement import _PT_COLS, _PT_ROWS
+
+    rng = np.random.default_rng(71)
+    blocks = rng.standard_normal((20, 4, 4)) + 1j * rng.standard_normal((20, 4, 4))
+    expected = np.array([partial_transpose(r, (2, 2), 1) for r in blocks])
+    assert np.array_equal(blocks[..., _PT_ROWS, _PT_COLS], expected)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 3), (3, 4), (4, 4)])
+def test_ppt_screen_leaves_other_blocks_bit_identical(d_a, d_b):
+    from uniparam.entanglement import (
+        _all_pairs,
+        _block_index,
+        _check_state,
+        _cholesky_factors,
+        _concurrences,
+        _provably_ppt,
+        _rotated_blocks,
+        _state_concurrences,
+    )
+
+    rng = np.random.default_rng(72 + 10 * d_a + d_b)
+    pairs = _all_pairs(d_a, d_b)
+    if len(pairs) == 1:  # two qubits: sum the one block twice, so the screen applies
+        pairs = pairs * 2
+    idx = _block_index(pairs, d_b)
+    states = [_check_state(rand_density(rng, d_a * d_b), d_a, d_b) for _ in range(4)]
+    assert all(state.factors is _cholesky_factors for state in states)
+    rows = 40
+    w_a = np.array([haar_unitary(rng, d_a) for _ in range(rows)])
+    w_b = np.array([haar_unitary(rng, d_b) for _ in range(rows)])
+    owner = rng.integers(0, len(states), rows)
+    owner[:len(states)] = np.arange(len(states))
+    stacked = _state_concurrences(states, idx)(w_a, w_b, owner)
+    screened_count = 0
+    for s, state in enumerate(states):
+        mine = np.flatnonzero(owner == s)
+        x = state.concurrences(w_a[mine], w_b[mine], idx)
+        assert np.array_equal(stacked[mine], x)
+        unscreened = _concurrences(_cholesky_factors(state.data, w_a[mine], w_b[mine], idx))
+        blocks = _rotated_blocks(state.data, w_a[mine], w_b[mine], idx)
+        screened = _provably_ppt(blocks)
+        assert np.array_equal(x[~screened], unscreened[~screened])
+        assert np.all(x[screened] == 0.0)
+        # a screened block's unscreened value is round-off of its exact 0
+        trace = np.trace(blocks, axis1=-2, axis2=-1).real
+        assert np.all(unscreened[screened] <= 1e-12 * trace[screened])
+        screened_count += np.count_nonzero(screened)
+    assert 0 < screened_count < stacked.size
+
+
+def test_ppt_screen_sign_on_werner_blocks():
+    from uniparam.entanglement import _PT_COLS, _PT_ROWS, _provably_ppt
+
+    # w |Phi+><Phi+| + (1 - w) I/4 is NPT iff w > 1/3; local unitaries keep det(R^Γ)
+    rng = np.random.default_rng(73)
+    for w, npt in ((0.30, False), (0.36, True)):
+        assert (ppt_min_eigenvalue(werner_state(w), (2, 2)) < -1e-10) == npt
+        local = [kron(haar_unitary(rng, 2), haar_unitary(rng, 2)) for _ in range(20)]
+        blocks = np.array([u @ werner_state(w) @ u.conj().T for u in local])
+        det = np.linalg.det(blocks[..., _PT_ROWS, _PT_COLS]).real
+        assert np.all((det < 0.0) == npt), w
+        # the rule is relative to the block's trace, as blocks of a larger state are
+        for scale in (1.0, 0.05):
+            assert np.all(_provably_ppt(scale * blocks) != npt), (w, scale)
+
+
+def test_witness_search_does_not_screen(monkeypatch):
+    from uniparam.cli import fig1_state
+    from uniparam.entanglement import _check_state, _cholesky_factors
+
+    calls = []
+    det = np.linalg.det
+
+    def counting_det(a):
+        calls.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    # barely NPT and of the Cholesky kind: the restarts and the seeded stage both run
+    rho = fig1_state(0.10, 0.25)
+    assert _check_state(rho, 3, 3).factors is _cholesky_factors
+    x_sq, result = max_distill_x_sq(rho, 3, 3)
+    assert x_sq > 0.0 and len(result.restart_values) == OptimizerConfig().restarts + 1
+    assert calls == []
+    # the bound's search sums nine blocks per row and does screen
+    optimized_bound_b(rho, 3, 3, OptimizerConfig(restarts=1, max_iterations=5))
+    assert calls

@@ -174,6 +174,13 @@ def test_canonicalize_rejects_non_orthonormal():
         canonicalize_subspace(np.ones((3, 2), dtype=complex))
 
 
+def test_canonicalize_rejects_full_and_empty_column_sets():
+    # k = d is a unitary (see decompose); subspace_basis needs 1 <= k < d
+    for v in (np.eye(3), np.zeros((3, 0))):
+        with pytest.raises(RankOutOfRangeError):
+            canonicalize_subspace(v)
+
+
 def test_ucd_consistency_with_density():
     rng = np.random.default_rng(37)
     d, k = 4, 3

@@ -176,6 +176,8 @@ def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
     """
     if not 0.0 < step <= 0.25:
         raise UniparamError(f"step must lie in (0, 0.25], got {step}")
+    if jobs is not None and jobs < 1:
+        raise UniparamError(f"jobs must be >= 1, got {jobs}")
     num = int(math.floor((1.0 + 1e-9) / step))
     points = [(ia, ib, ia * step, ib * step) for ia in range(num + 1) for ib in range(num + 1)]
     rows = [_fig1_point(alpha, beta) for _, _, alpha, beta in points]
@@ -308,7 +310,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
         "copies": args.copies,
         "max_x_sq": x_sq,
         "distillable_witness": bool(x_sq > DISTILL_WITNESS_TOL),
-        "n_params": (4 * d_a - 8) + (4 * d_b - 8),
+        "n_params": result.x.size,
         "optimizer": _optimizer_report(result),
     }))
     return 0
@@ -390,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (UniparamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -13,15 +13,15 @@ R (sy x sy) R^* (sy x sy).  For any factor L with R = L L† they are the
 singular values of L^T (sy x sy) L: two such factors differ by a unitary
 on the right, which leaves those singular values unchanged (Wootters;
 Uhlmann, PRA 62, 032307, 2000).  So no block needs an eigensolve of its
-own.  Each state gets one of two factor kinds, chosen from the
-eigendecomposition its positivity check makes (``_check_state``), never
-per batch of rotations:
+own.  Each state gets one of two kinds, evaluators from rotations to
+block concurrences, chosen from the eigendecomposition its positivity
+check makes (``_check_state``), never per batch of rotations:
 
-- well conditioned, lambda_min > CHOLESKY_MIN_RATIO * lambda_max: every
-  block is positive definite, and L is its Cholesky factor;
-- otherwise rho = Psi Psi† with Psi = V_r sqrt(w_r), r counting the
-  eigenvalues above EIG_ROUNDOFF_RATIO * lambda_max, padded to
-  max(r, 2) columns.  The 4 x r block rows F of W† Psi factor the block
+- ``_cholesky_concurrences`` when lambda_min > CHOLESKY_MIN_RATIO *
+  lambda_max: every block is positive definite, and L is its Cholesky factor;
+- ``_direct_concurrences`` otherwise: rho = Psi Psi† with Psi = V_r sqrt(w_r),
+  r counting the eigenvalues above EIG_ROUNDOFF_RATIO * lambda_max, padded
+  to max(r, 2) columns.  The 4 x r block rows F of W† Psi factor the block
   with no rotated n x n state; when F is wider than 4 columns, L = R†
   from the QR decomposition F† = Q R, since F F† = R† R.
 
@@ -40,12 +40,12 @@ subspace isometries, maximized) all go through it.
 A two-qubit block's partial transpose R^Γ has at most one negative
 eigenvalue (Sanpera, Tarrach and Vidal, PRA 58, 826, 1998), so
 det(R^Γ) > PPT_DET_RATIO * (tr R)^4 proves the block PPT, hence X = 0.
-Where a row of rotations sums more than one Cholesky-kind block (the
-bound searches, ``bound_b``), such blocks get that 0 with no Cholesky
-factor and no SVD, and every other block gets its unscreened value.  The
-one-block witness is not screened: few of its blocks are PPT, and one
-determinant per block costs more there than the SVDs it saves.  Nor is
-the direct kind, whose common ranks take the cheap closed form.
+Where a row of rotations sums more than one block (the bound searches,
+``bound_b``), the Cholesky kind gives such blocks that 0 with no
+Cholesky factor and no SVD, and every other block its unscreened value.
+The one-block witness is not screened: few of its blocks are PPT, and
+one determinant per block costs more there than the SVDs it saves.  Nor
+is the direct kind, whose common ranks take the cheap closed form.
 
 Each X = max(..., 0) is exactly zero wherever its block is PPT.  For a
 barely-NPT state this holds on almost all of angle space, and every
@@ -155,28 +155,28 @@ def sigma_pairs(d: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class _State:
-    """A checked state and the factor its 4x4 blocks are evaluated from.
+    """A checked state and the evaluator of its 4x4 blocks.
 
-    ``factors(data, w_a, w_b, idx)`` gives the 4 x 4 or 4 x r factors L,
-    R = L L†, of the blocks ``idx`` of W† rho W (see ``_rotated_blocks``).
-    There are two kinds: ``_cholesky_factors``, with ``data`` the
-    Hermitian part of rho, and ``_direct_factors``, with ``data`` the
-    n x max(r, 2) factor Psi of rho = Psi Psi†.
+    ``kind(data, w_a, w_b, idx)`` gives the (..., P) concurrences of the
+    blocks ``idx`` of W† rho W (see ``_rotated_blocks``).  There are two
+    kinds: ``_cholesky_concurrences``, with ``data`` the Hermitian part of
+    rho, and ``_direct_concurrences``, with ``data`` the n x max(r, 2)
+    factor Psi of rho = Psi Psi†.
     """
 
     rho: np.ndarray
-    factors: Callable[..., np.ndarray]
+    kind: Callable[..., np.ndarray]
     data: np.ndarray
 
     def concurrences(self, w_a: np.ndarray, w_b: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """(..., P) concurrences of the blocks ``idx`` of W† rho W, W = w_a (x) w_b."""
-        return _block_concurrences(self.factors, self.data, w_a, w_b, idx)
+        return self.kind(self.data, w_a, w_b, idx)
 
 
 def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
-    """rho, after the shape and positivity checks every bound needs, with its block factor.
+    """rho, after the shape and positivity checks every bound needs, with its kind.
 
-    The factor kind is chosen from the eigendecomposition the positivity
+    The kind is chosen from the eigendecomposition the positivity
     check makes (see the module docstring).  A ``_State`` from an earlier
     check is returned as it is.
     """
@@ -195,12 +195,12 @@ def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
     if w[0] > CHOLESKY_MIN_RATIO * w[-1]:
         # the part herm_eig factored (rho itself when exactly Hermitian), so the blocks are
         # as positive definite as the eigenvalues w say
-        return _State(rho, _cholesky_factors, (rho + rho.conj().T) / 2)
+        return _State(rho, _cholesky_concurrences, (rho + rho.conj().T) / 2)
     rank = int(np.count_nonzero(w > EIG_ROUNDOFF_RATIO * w[-1]))
     psi = np.zeros((rho.shape[0], max(rank, 2)), dtype=complex)
     if rank:
         psi[:, :rank] = v[:, -rank:] * np.sqrt(w[-rank:])
-    return _State(rho, _direct_factors, psi)
+    return _State(rho, _direct_concurrences, psi)
 
 
 def _block_index(pairs: Sequence[Pair], m_b: int) -> np.ndarray:
@@ -238,12 +238,6 @@ def _rotated_blocks(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
     return rotated[..., idx[:, :, None], idx[:, None, :]]
 
 
-def _cholesky_factors(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
-                      idx: np.ndarray) -> np.ndarray:
-    """Cholesky factors of the blocks of a state whose blocks are all positive definite."""
-    return np.linalg.cholesky(_rotated_blocks(rho, w_a, w_b, idx))
-
-
 def _provably_ppt(blocks: np.ndarray) -> np.ndarray:
     """Mask of the (..., 4, 4) blocks R with det(R^Γ) > PPT_DET_RATIO * (tr R)^4.
 
@@ -253,36 +247,36 @@ def _provably_ppt(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.det(blocks[..., _PT_ROWS, _PT_COLS]).real > PPT_DET_RATIO * trace ** 4
 
 
-def _block_concurrences(factors: Callable[..., np.ndarray], data: np.ndarray, w_a: np.ndarray,
-                        w_b: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(..., P) concurrences of the blocks ``idx`` of W† rho W, rho given by its factor kind.
+def _cholesky_concurrences(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
+                           idx: np.ndarray) -> np.ndarray:
+    """(..., P) concurrences of the blocks of a state whose blocks are all positive definite.
 
-    When a row sums more than one block of the Cholesky kind, the blocks
-    ``_provably_ppt`` finds get X = 0 with no factor and no SVD; every
-    other block gets the value it would get unscreened.
+    L is each block's Cholesky factor.  When a row sums more than one
+    block, those ``_provably_ppt`` finds get X = 0 with no factor and no
+    SVD; every other block gets the value it would get unscreened.
     """
-    if factors is _cholesky_factors and len(idx) > 1:
-        blocks = _rotated_blocks(data, w_a, w_b, idx)
-        kept = ~_provably_ppt(blocks)
-        x = np.zeros(kept.shape)
-        x[kept] = _concurrences(np.linalg.cholesky(blocks[kept]))
-        return x
-    return _concurrences(factors(data, w_a, w_b, idx))
+    blocks = _rotated_blocks(rho, w_a, w_b, idx)
+    if len(idx) == 1:
+        return _concurrences(np.linalg.cholesky(blocks))
+    kept = ~_provably_ppt(blocks)
+    x = np.zeros(kept.shape)
+    x[kept] = _concurrences(np.linalg.cholesky(blocks[kept]))
+    return x
 
 
-def _direct_factors(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
-                    idx: np.ndarray) -> np.ndarray:
-    """Factors of the blocks of rho = Psi Psi†: the rows F = (W† Psi)[idx].
+def _direct_concurrences(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
+                         idx: np.ndarray) -> np.ndarray:
+    """(..., P) concurrences of the blocks of rho = Psi Psi†, from the rows F = (W† Psi)[idx].
 
-    F is returned as it is while Psi has at most 4 columns, r = 2, 3 or 4.
-    When Psi has more, the 4 x 4 factor is L = R† from the QR
-    decomposition F† = Q R, as F F† = R† R; QR takes no square roots of
-    round-off, so rank-deficient blocks need no eigenvalue floor.
+    F is the factor L as it is while Psi has at most 4 columns, r = 2, 3
+    or 4.  When Psi has more, L = R† from the QR decomposition F† = Q R,
+    as F F† = R† R; QR takes no square roots of round-off, so
+    rank-deficient blocks need no eigenvalue floor.
     """
     f = (np.swapaxes(_product_basis(w_a, w_b).conj(), -1, -2) @ psi)[..., idx, :]
-    if psi.shape[-1] <= 4:
-        return f
-    return np.swapaxes(np.linalg.qr(np.swapaxes(f.conj(), -1, -2), mode="r").conj(), -1, -2)
+    if psi.shape[-1] > 4:
+        f = np.swapaxes(np.linalg.qr(np.swapaxes(f.conj(), -1, -2), mode="r").conj(), -1, -2)
+    return _concurrences(f)
 
 
 def _two_column_tau(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -340,30 +334,29 @@ def _state_concurrences(states: Sequence[_State], idx: np.ndarray) -> Callable[.
 
     With one state, or ``owner`` None, every rotation applies to
     ``states[0]``; else row i of the (N, d, m) rotation stacks applies to
-    ``states[owner[i]]``.  Rows are grouped by their state's factor kind
-    and data shape, and each row's values equal those of the one-state
-    call, whatever rows sit beside it.
+    ``states[owner[i]]``.  Rows are grouped by their state's kind and data
+    shape, each group is one call of its kind, and each row's values
+    equal those of the one-state call, whatever rows sit beside it.
     """
-    kinds: dict[tuple[Callable[..., np.ndarray], tuple[int, ...]], list[int]] = {}
+    groups: dict[tuple[Callable[..., np.ndarray], tuple[int, ...]], list[int]] = {}
     for i, s in enumerate(states):
-        kinds.setdefault((s.factors, s.data.shape), []).append(i)
-    kind, local = np.empty(len(states), dtype=int), np.empty(len(states), dtype=int)
+        groups.setdefault((s.kind, s.data.shape), []).append(i)
+    group, local = np.empty(len(states), dtype=int), np.empty(len(states), dtype=int)
     stacks = []
-    for k, ((factors, _), members) in enumerate(kinds.items()):
-        kind[members], local[members] = k, np.arange(len(members))
-        stacks.append((factors, np.array([states[i].data for i in members])))
+    for g, ((kind, _), members) in enumerate(groups.items()):
+        group[members], local[members] = g, np.arange(len(members))
+        stacks.append((kind, np.array([states[i].data for i in members])))
 
     def concurrences(w_a: np.ndarray, w_b: np.ndarray,
                      owner: np.ndarray | None = None) -> np.ndarray:
         if owner is None or len(states) == 1:
             return states[0].concurrences(w_a, w_b, idx)
         x = np.empty((len(owner), len(idx)))
-        row_kind = kind[owner]
-        for k, (factors, data) in enumerate(stacks):
-            rows = np.flatnonzero(row_kind == k)
+        row_group = group[owner]
+        for g, (kind, data) in enumerate(stacks):
+            rows = np.flatnonzero(row_group == g)
             if rows.size:
-                x[rows] = _block_concurrences(factors, data[local[owner[rows]]],
-                                              w_a[rows], w_b[rows], idx)
+                x[rows] = kind(data[local[owner[rows]]], w_a[rows], w_b[rows], idx)
         return x
 
     return concurrences

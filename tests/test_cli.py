@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import uniparam
 from uniparam import (
     OptimizerConfig,
     bound_b,
@@ -285,10 +287,14 @@ def test_scan_rows_roundtrip(tmp_path):
 def test_module_entrypoint_smoke(tmp_path):
     params = tmp_path / "zeros.json"
     params.write_text(json.dumps(matrix_to_json(np.zeros((2, 2), dtype=complex))))
+    # the child runs the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(uniparam.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "uniparam", "gen-unitary", "--dim", "2",
          "--params", str(params)],
-        capture_output=True, text=True, check=False)
+        capture_output=True, text=True, check=False, env=env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["rows"] == 2
@@ -381,3 +387,24 @@ def test_fig1_rejects_negative_jobs(tmp_path, capsys):
     assert code == 2
     assert "error: --jobs" in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_fig1_scan_rejects_jobs_below_one(jobs):
+    with pytest.raises(UniparamError, match="jobs"):
+        run_fig1_scan(0.25, optimize=True, jobs=jobs)
+
+
+@pytest.mark.parametrize("message, expected", [
+    ("Unable to allocate 11.9 GiB", "error: Unable to allocate 11.9 GiB"),
+    ("", "error: out of memory"),  # a bare MemoryError still names its cause
+])
+def test_gen_unitary_out_of_memory_exits_2(monkeypatch, capsys, message, expected):
+    import uniparam.cli
+
+    def no_memory(d, rng):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(uniparam.cli, "random_param_matrix", no_memory)
+    code, out, err = run_cli(capsys, "gen-unitary", "--dim", "40000", "--seed", "0")
+    assert (code, out, err) == (2, "", expected + "\n")

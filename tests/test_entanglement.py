@@ -33,6 +33,7 @@ from uniparam import (
     pure_m_concurrence_sq,
     sigma,
     ucs_block_positions,
+    ucs_block_to_matrix,
 )
 from helpers import (
     bell_state,
@@ -412,6 +413,25 @@ def test_packing_counts():
                                          (2, 0), (2, 1), (3, 0), (3, 1)]
 
 
+@pytest.mark.parametrize("d, k", [(3, 2), (4, 2), (5, 1), (5, 3)])
+def test_ucs_block_to_matrix_places_row_major(d, k):
+    positions = ucs_block_positions(d, k)
+    assert len(positions) == 2 * k * (d - k)
+    vec = np.arange(1.0, len(positions) + 1.0)
+    lam = ucs_block_to_matrix(vec, d, k)
+    assert lam.shape == (d, d)
+    expected = np.zeros((d, d))
+    for value, (i, j) in zip(vec, positions):
+        assert (i < k) != (j < k)  # one index in the first k, the other past them
+        expected[i, j] = value
+    assert np.array_equal(lam, expected)
+    # row-major: the positions are the nonzero entries read row by row
+    assert np.array_equal(lam[lam != 0.0], vec)
+    for wrong in (len(positions) - 1, len(positions) + 1):
+        with pytest.raises(LengthMismatchError):
+            ucs_block_to_matrix(np.ones(wrong), d, k)
+
+
 def test_normalization_constant():
     assert abs(max_concurrence(3) - 2.0 / math.sqrt(3.0)) < 1e-15
     assert abs(max_concurrence(2) - 1.0) < 1e-15
@@ -641,14 +661,14 @@ def _kind_states(rng):
 
 
 def test_factor_kind_choice():
-    from uniparam.entanglement import _check_state, _cholesky_factors, _direct_factors
+    from uniparam.entanglement import _check_state, _cholesky_concurrences, _direct_concurrences
 
-    kinds = {"cholesky": _cholesky_factors, "direct": _direct_factors}
+    kinds = {"cholesky": _cholesky_concurrences, "direct": _direct_concurrences}
     # Psi has max(r, 2) columns
     widths = {"direct, rank 1": 2, "direct, rank 2": 2, "direct, rank 6": 6}
     for name, rho in _kind_states(np.random.default_rng(61)).items():
         state = _check_state(rho, 3, 4)
-        assert state.factors is kinds[name.split(",")[0]], name
+        assert state.kind is kinds[name.split(",")[0]], name
         if name in widths:
             assert state.data.shape == (12, widths[name]), name
         # a checked state passes through unchanged
@@ -768,9 +788,8 @@ def test_cholesky_kind_just_above_threshold():
         _all_pairs,
         _block_index,
         _check_state,
-        _cholesky_factors,
-        _concurrences,
-        _direct_factors,
+        _cholesky_concurrences,
+        _direct_concurrences,
         _search,
         _values,
     )
@@ -780,21 +799,21 @@ def test_cholesky_kind_just_above_threshold():
     u = haar_unitary(rng, 12)
     rho = (u * (w / w.sum())) @ u.conj().T
     state = _check_state(rho, 3, 4)
-    assert state.factors is _cholesky_factors
+    assert state.kind is _cholesky_concurrences
     w_rho, v_rho = np.linalg.eigh(rho)
     psi = v_rho * np.sqrt(w_rho)
     idx = _block_index(_all_pairs(3, 4), 4)
     for _ in range(200):
         u_a, u_b = haar_unitary(rng, 3), haar_unitary(rng, 4)
         x = state.concurrences(u_a, u_b, idx)  # raises LinAlgError on an indefinite block
-        assert np.allclose(x, _concurrences(_direct_factors(psi, u_a, u_b, idx)),
+        assert np.allclose(x, _direct_concurrences(psi, u_a, u_b, idx),
                            rtol=0.0, atol=1e-9)
     values = _values(state, _search(3, 4))(rng.uniform(0.0, 2 * np.pi, (200, 18)))
     assert np.all(np.isfinite(values))
 
 
 def test_direct_kind_exact_above_rank_four():
-    from uniparam.entanglement import _check_state, _direct_factors
+    from uniparam.entanglement import _check_state, _direct_concurrences
 
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     block = [0, 1, 4, 5]  # |1,2> (x) |1,2> of a 3 x 4 system
@@ -804,7 +823,7 @@ def test_direct_kind_exact_above_rank_four():
                                            + (1.0 - p) * np.eye(4) / 4.0)
         rho[10, 10], rho[11, 11] = 0.25, 0.15  # |3,3> and |3,4>
         state = _check_state(rho, 3, 4)
-        assert state.factors is _direct_factors and state.data.shape == (12, 6)
+        assert state.kind is _direct_concurrences and state.data.shape == (12, 6)
         exact = 0.6 * max(0.0, (3.0 * p - 1.0) / 2.0)
         assert abs(bound_x(rho, 1, 2, 1, 2, dims=(3, 4)) - exact) < 1e-12, p
 
@@ -838,7 +857,7 @@ def test_ppt_screen_leaves_other_blocks_bit_identical(d_a, d_b):
         _all_pairs,
         _block_index,
         _check_state,
-        _cholesky_factors,
+        _cholesky_concurrences,
         _concurrences,
         _provably_ppt,
         _rotated_blocks,
@@ -851,7 +870,7 @@ def test_ppt_screen_leaves_other_blocks_bit_identical(d_a, d_b):
         pairs = pairs * 2
     idx = _block_index(pairs, d_b)
     states = [_check_state(rand_density(rng, d_a * d_b), d_a, d_b) for _ in range(4)]
-    assert all(state.factors is _cholesky_factors for state in states)
+    assert all(state.kind is _cholesky_concurrences for state in states)
     rows = 40
     w_a = np.array([haar_unitary(rng, d_a) for _ in range(rows)])
     w_b = np.array([haar_unitary(rng, d_b) for _ in range(rows)])
@@ -863,8 +882,8 @@ def test_ppt_screen_leaves_other_blocks_bit_identical(d_a, d_b):
         mine = np.flatnonzero(owner == s)
         x = state.concurrences(w_a[mine], w_b[mine], idx)
         assert np.array_equal(stacked[mine], x)
-        unscreened = _concurrences(_cholesky_factors(state.data, w_a[mine], w_b[mine], idx))
         blocks = _rotated_blocks(state.data, w_a[mine], w_b[mine], idx)
+        unscreened = _concurrences(np.linalg.cholesky(blocks))
         screened = _provably_ppt(blocks)
         assert np.array_equal(x[~screened], unscreened[~screened])
         assert np.all(x[screened] == 0.0)
@@ -893,7 +912,7 @@ def test_ppt_screen_sign_on_werner_blocks():
 
 def test_witness_search_does_not_screen(monkeypatch):
     from uniparam.cli import fig1_state
-    from uniparam.entanglement import _check_state, _cholesky_factors
+    from uniparam.entanglement import _check_state, _cholesky_concurrences
 
     calls = []
     det = np.linalg.det
@@ -905,7 +924,7 @@ def test_witness_search_does_not_screen(monkeypatch):
     monkeypatch.setattr(np.linalg, "det", counting_det)
     # barely NPT and of the Cholesky kind: the restarts and the seeded stage both run
     rho = fig1_state(0.10, 0.25)
-    assert _check_state(rho, 3, 3).factors is _cholesky_factors
+    assert _check_state(rho, 3, 3).kind is _cholesky_concurrences
     x_sq, result = max_distill_x_sq(rho, 3, 3)
     assert x_sq > 0.0 and len(result.restart_values) == OptimizerConfig().restarts + 1
     assert calls == []

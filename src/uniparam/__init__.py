@@ -52,6 +52,7 @@ from .errors import (
     IndexOrderError,
     IndexOutOfRangeError,
     LengthMismatchError,
+    NonFiniteError,
     NonSquareError,
     NormalizationError,
     NotHermitianError,

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     IndexOrderError,
     IndexOutOfRangeError,
+    NonFiniteError,
     NotUnitaryError,
     RankOutOfRangeError,
 )
@@ -245,6 +246,8 @@ def decompose(u: np.ndarray) -> np.ndarray:
     a = np.array(u, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
         raise NotUnitaryError(f"expected a square matrix with d >= 2, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix has a NaN or infinite entry")
     defect = unitarity_defect(a)
     if defect > UNITARITY_INPUT_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds 1e-9")

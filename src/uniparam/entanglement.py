@@ -660,9 +660,9 @@ def _pt_seeded(result: OptimizerResult, objective: Callable[[np.ndarray], float]
     ``cfg.seed``, and one Nelder-Mead run of ``objective`` starts from its
     minimizer.  The returned result is the better of that run and
     ``result``; it keeps the restart count of ``result``, adds the stage's
-    simplex steps and evaluations, and lists the run's value after the
-    restart values, so ``best_restart`` equals ``result.restarts`` when the
-    run wins.  Without the stage ``result`` is returned as is; a search
+    simplex steps, evaluations and objective calls, and lists the run's
+    value after the restart values, so ``best_restart`` equals
+    ``result.restarts`` when the run wins.  Without the stage ``result`` is returned as is; a search
     without angles (the d = 2 witness) is exact and gets no stage.
     """
     n = search.n
@@ -678,6 +678,7 @@ def _pt_seeded(result: OptimizerResult, objective: Callable[[np.ndarray], float]
                            result.iterations + seeded.iterations + run.iterations,
                            result.restarts, best.converged,
                            evaluations=result.evaluations + seeded.evaluations + run.evaluations,
+                           calls=result.calls + seeded.calls + run.calls,
                            restart_values=result.restart_values + run.restart_values,
                            best_restart=result.restarts if best is run else result.best_restart)
 

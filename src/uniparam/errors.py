@@ -9,6 +9,10 @@ class NonSquareError(UniparamError):
     """Matrix expected to be square is not."""
 
 
+class NonFiniteError(UniparamError):
+    """Matrix has a NaN or infinite entry."""
+
+
 class NotHermitianError(UniparamError):
     """Matrix deviates from its conjugate transpose beyond tolerance."""
 

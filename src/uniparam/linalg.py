@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
+    NonFiniteError,
     NonSquareError,
     NotHermitianError,
     NotPSDError,
@@ -55,9 +56,12 @@ def herm_eig(m: np.ndarray) -> HermitianEig:
 
     Raises
     ------
-    NonSquareError, NotHermitianError, ConvergenceError
+    NonSquareError, NonFiniteError, NotHermitianError, ConvergenceError
     """
     m = _as_square(m)
+    # NaN fails every tolerance test below, so it is rejected first
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix has a NaN or infinite entry")
     if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise NotHermitianError("matrix is not Hermitian within 1e-9")
     h = (m + m.conj().T) / 2

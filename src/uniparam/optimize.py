@@ -7,14 +7,19 @@ uniformly from [0, 2*pi)^dim using the configured seed, which makes every
 run bit-reproducible and guarantees that an optimized objective value is
 never worse than the value at zero.
 
-All restarts run in lockstep: one Nelder-Mead core holds every simplex
-in an (R, dim + 1, dim) stack and steps the restarts that have not
-stopped together, so each simplex move of all of them is one call of a
-batched objective.  Callers that have one pass it as ``batch``, the same
-objective over an (N, dim) array returning N values; without it the rows
-are evaluated one at a time.  Each restart still follows exactly the
-trajectory it would follow alone: the same sort, tests, moves and
-argmin, so results do not depend on how many restarts run beside it.
+All restarts run in staggered lockstep: one Nelder-Mead core holds the
+simplex of every restart that has not stopped, and each call of a
+batched objective evaluates the next pending point of every one of them
+(a reflection, an expansion or contraction, or a shrink's vertices), so
+restarts in different phases of their steps share a call.  Callers that
+have a batched objective pass it as ``batch``, the same objective over an
+(N, dim) array returning N values; without it the rows are evaluated one
+at a time.  Each restart still evaluates exactly the points it would
+alone and follows the same sort, tests, moves and argmin, so results do
+not depend on how many restarts run beside it.  That rests on the
+batched objective's rows being independent: a row's value must not
+depend on the rows beside it.  ``OptimizerResult.calls`` counts the
+batched calls.
 
 ``minimize_many`` steps the restarts of several problems in one such run:
 problem i draws its starts from its own ``cfgs[i].seed`` and gets its own
@@ -88,7 +93,9 @@ class OptimizerResult:
     steps, shrinks and the final re-evaluation, plus those of a seeded
     stage.  ``restart_values`` is the best value of each Nelder-Mead run in
     order, and ``best_restart`` the index of the run that gave ``x``
-    (-1 when no run was recorded).
+    (-1 when no run was recorded).  ``calls`` counts the batched objective
+    calls of the Nelder-Mead run that produced the result; the problems of
+    one ``minimize_many`` run share it, and a seeded stage adds its own.
     """
 
     value: float
@@ -100,6 +107,7 @@ class OptimizerResult:
     evaluations: int = 0
     restart_values: tuple[float, ...] = ()
     best_restart: int = -1
+    calls: int = 0
 
 
 Objective = Callable[[np.ndarray], float]
@@ -120,89 +128,137 @@ def _rowwise(objectives: Sequence[Objective]) -> OwnedBatch:
 def _nelder_mead(batch: OwnedBatch, starts: np.ndarray, owner: np.ndarray, cap: int,
                  scale: float, max_iterations: int, f_tol: float,
                  traces: list[list[float]] | None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One Nelder-Mead run from each row of ``starts``, all stepped in lockstep.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """One Nelder-Mead run from each row of ``starts``, all advanced in staggered rounds.
 
-    The (R, dim + 1, dim) stack holds every simplex, and ``owner`` gives the
-    problem of each run, passed on with every row evaluated.  A step sorts
-    and tests the live runs, then evaluates the reflections, the expansions
-    and contractions together, and the shrinks, each in calls of at most
-    ``cap`` rows.  Every run follows exactly the trajectory it would follow
-    alone.  Returns each run's best vertex, its value, simplex steps,
-    convergence flag and number of points evaluated.
+    ``owner`` gives the problem of each run, passed on with every row
+    evaluated.  The first round is every run's simplex set-up.  After it a
+    round evaluates, for each live run, the points its step waits for: its
+    reflection, its expansion or contraction, or its dim shrunk vertices.
+    Each run then goes on as far as its next pending point, so a run that
+    accepts its reflection reflects again in the round where others take
+    their step's second point.  A round's rows are those of the live runs
+    in run order, each run's rows together; a round of more than ``cap``
+    rows is split into calls of ``cap`` rows.  Every run evaluates the
+    points it would evaluate alone and follows that trajectory exactly.
+    Returns each run's best vertex, its value, simplex steps, convergence
+    flag and number of points evaluated, and the number of objective calls.
     """
     n_runs, dim = starts.shape
+    calls = 0
 
     def evaluate(xs: np.ndarray, own: np.ndarray) -> np.ndarray:
+        nonlocal calls
         if len(xs) <= cap:
+            calls += 1
             return batch(xs, own)
-        return np.concatenate([batch(xs[i:i + cap], own[i:i + cap])
-                               for i in range(0, len(xs), cap)])
+        chunks = range(0, len(xs), cap)
+        calls += len(chunks)
+        return np.concatenate([batch(xs[i:i + cap], own[i:i + cap]) for i in chunks])
 
-    pts = np.repeat(starts[:, None, :], dim + 1, axis=1)
+    # vertex-major simplices: p[j, r] is vertex j of run r, f[r, j] its value
     axes = np.arange(dim)
-    pts[:, axes + 1, axes] += scale
-    fs = evaluate(pts.reshape(-1, dim), np.repeat(owner, dim + 1)).reshape(n_runs, dim + 1)
-    evaluations = np.full(n_runs, dim + 1)
+    p = np.repeat(starts[None], dim + 1, axis=0)
+    p[axes + 1, :, axes] += scale
+    f = evaluate(p.transpose(1, 0, 2).reshape(-1, dim),
+                 np.repeat(owner, dim + 1)).reshape(n_runs, dim + 1)
 
-    iters = np.zeros(n_runs, dtype=int)
+    best_x, best_f = np.empty((n_runs, dim)), np.empty(n_runs)
+    steps, evaluations = np.empty(n_runs, dtype=int), np.empty(n_runs, dtype=int)
     converged = np.zeros(n_runs, dtype=bool)
-    live = np.ones(n_runs, dtype=bool)
+
+    # The live runs, compacted when one stops.  A run's pending point x is
+    # its reflection when its last step is done, else what that step waits
+    # for: its expansion or contraction x2, or (shrink) its shrunk vertices.
+    ids, own = np.arange(n_runs), owner
+    iters, shrinks = np.zeros(n_runs, dtype=int), np.zeros(n_runs, dtype=int)
+    c = xr = x2 = np.zeros((n_runs, dim))
+    fr = np.zeros(n_runs)
+    done = np.ones(n_runs, dtype=bool)
+    expand = contract = shrink = np.zeros(n_runs, dtype=bool)
+    lanes = ids
+    shrinking = False
+    rounds = 0
     while True:
-        # a run out of steps stops unsorted, before its spread test
-        live &= iters < max_iterations
-        run = np.flatnonzero(live)
-        if run.size == 0:
-            break
-        order = np.argsort(fs[run], axis=1, kind="stable")
-        p = np.take_along_axis(pts[run], order[:, :, None], axis=1)
-        f = np.take_along_axis(fs[run], order, axis=1)
-        pts[run], fs[run] = p, f
+        # Runs whose step is done start the next.  A mid-step run keeps the
+        # sorted values of its step's start, so sorting it is the identity,
+        # and its centroid and reflection come out as before (a shrinking
+        # run's are not used).
+        order = f.argsort(axis=1, kind="stable")
+        f = f[lanes[:, None], order]
+        p = p[order.T, lanes]
+        start, spent = done, None
+        if rounds >= max_iterations:  # before that no run can be out of steps
+            # a run out of steps stops before its spread test
+            spent = done & (iters >= max_iterations)
+            start = done & ~spent
         if traces is not None:
-            for r, best in zip(run, f[:, 0]):
-                traces[r].append(float(best))
-        done = f[:, -1] - f[:, 0] < f_tol
-        converged[run[done]] = True
-        live[run[done]] = False
-        run, p, f = run[~done], p[~done], f[~done]
-        if run.size == 0:
-            break
-        iters[run] += 1
-        own = owner[run]
+            for r, best in zip(ids[start].tolist(), f[start, 0].tolist()):
+                traces[r].append(best)
+        flat = start & (f[:, -1] - f[:, 0] < f_tol)
+        stop = flat if spent is None else flat | spent
+        iters += done  # a run that stops here does not take the step counted: hence iters - 1
+        c = np.add.reduce(p[:-1], axis=0) / dim  # p[:-1].mean(axis=0) without its wrapper
+        xr = c + REFLECT * (c - p[-1])
+        x = np.where(done[:, None], xr, x2)
+        if np.count_nonzero(stop):
+            gone = np.flatnonzero(stop)
+            rid = ids[gone]
+            best = np.argmin(f[gone], axis=1)
+            best_x[rid], best_f[rid] = p[best, gone], f[gone, best]
+            steps[rid] = iters[gone] - 1
+            converged[rid] = flat[gone]
+            evaluations[rid] = dim + 1 + rounds + (dim - 1) * shrinks[gone]
+            keep = ~stop
+            p = p[:, keep]
+            ids, own, iters, shrinks, f, c, xr, x, fr, done, expand, contract, shrink = (
+                a[keep] for a in (ids, own, iters, shrinks, f, c, xr, x, fr, done,
+                                  expand, contract, shrink))
+            if not ids.size:
+                break
+            lanes = np.arange(ids.size)
 
-        centroid = p[:, :-1].mean(axis=1)
-        worst, f_worst = p[:, -1], f[:, -1]
-        xr = centroid + REFLECT * (centroid - worst)
-        fr = evaluate(xr, own)
-        expand = fr < f[:, 0]
-        contract = ~expand & ~(fr < f[:, -2])
+        if shrinking:
+            s = np.flatnonzero(shrink)
+            counts = np.ones(ids.size, dtype=int)
+            counts[s] = dim
+            at = np.cumsum(counts) - counts
+            xs = np.empty((at[-1] + counts[-1], dim))
+            xs[at] = x
+            rows = at[s, None] + axes
+            xs[rows] = p[1:, s].transpose(1, 0, 2)
+            values = evaluate(xs, np.repeat(own, counts))
+            v = values[at]
+            f[s, 1:] = values[rows]
+            shrinks[s] += 1
+        else:
+            v = evaluate(x, own)
+        rounds += 1
+
+        # what each run's pending point was: a reflection (done), or else
+        fr = np.where(done, v, fr)
+        expanding, contracting, shrunk = expand, contract, shrink
+        expand = done & (v < f[:, 0])
+        contract = done & ~expand & ~(v < f[:, -2])
+        # a second point replaces the worst vertex if below the reflection
+        # (expansion) or below min(fr, f_worst) (contraction); the latter is
+        # fr unless f_worst is lower (np.minimum would pass on a NaN)
+        f_worst = f[:, -1]
+        take = (expanding | contracting) & (
+            v < np.where(contracting & (f_worst < fr), f_worst, fr))
+        shrink = contracting & ~take
+        done = ~(expand | contract | shrink)
+        accept = (done & ~shrunk)[:, None]  # steps that end with a new worst vertex
+        np.copyto(p[-1], np.where(take[:, None], x, xr), where=accept)
+        f[:, -1] = np.where(accept[:, 0], np.where(take, v, fr), f_worst)
+        shrinking = np.count_nonzero(shrink) > 0
+        if shrinking:
+            p[1:, shrink] = p[:1, shrink] + SHRINK * (p[1:, shrink] - p[:1, shrink])
         # expansion points, and contractions toward the reflection when it beats the worst vertex
-        x2 = np.where(expand[:, None], centroid + EXPAND * (xr - centroid),
-                      np.where((fr < f_worst)[:, None], centroid + CONTRACT * (xr - centroid),
-                               centroid + CONTRACT * (worst - centroid)))
-        f2 = np.full(run.size, np.nan)
-        second = np.flatnonzero(expand | contract)
-        if second.size:
-            f2[second] = evaluate(x2[second], own[second])
-        # min(fr, f_worst): fr unless f_worst is lower (np.minimum would pass on a NaN)
-        take2 = (expand & (f2 < fr)) | (contract & (f2 < np.where(f_worst < fr, f_worst, fr)))
-        shrink = contract & ~take2
-        step = ~shrink
-        p[step, -1] = np.where(take2[:, None], x2, xr)[step]
-        f[step, -1] = np.where(take2, f2, fr)[step]
-        shrunk = np.flatnonzero(shrink)
-        if shrunk.size:
-            q = p[shrunk]
-            q[:, 1:] = q[:, :1] + SHRINK * (q[:, 1:] - q[:, :1])
-            p[shrunk] = q
-            f[shrunk, 1:] = evaluate(q[:, 1:].reshape(-1, dim),
-                                     np.repeat(own[shrunk], dim)).reshape(shrunk.size, dim)
-        pts[run], fs[run] = p, f
-        evaluations[run] += 1 + (expand | contract) + dim * shrink
+        toward = np.where((expand | (fr < f_worst))[:, None], xr, p[-1])
+        x2 = c + np.where(expand, EXPAND, CONTRACT)[:, None] * (toward - c)
 
-    best = np.argmin(fs, axis=1)
-    rows = np.arange(n_runs)
-    return pts[rows, best], fs[rows, best], iters, converged, evaluations
+    return best_x, best_f, steps, converged, evaluations, calls
 
 
 def _solve(objectives: Sequence[Objective], batch: OwnedBatch | None, starts: np.ndarray,
@@ -215,11 +271,12 @@ def _solve(objectives: Sequence[Objective], batch: OwnedBatch | None, starts: np
     n_problems, n_runs, dim = starts.shape
     traces: list[list[float]] | None = (
         [[] for _ in range(n_problems * n_runs)] if keep_history else None)
+    *runs, calls = _nelder_mead(
+        batch or _rowwise(objectives), starts.reshape(-1, dim),
+        np.repeat(np.arange(n_problems), n_runs), n_runs * (dim + 1),
+        cfg.simplex_scale, cfg.max_iterations, cfg.f_tol, traces)
     x, fx, iters, converged, evaluations = (
-        a.reshape(n_problems, n_runs, *a.shape[1:]) for a in _nelder_mead(
-            batch or _rowwise(objectives), starts.reshape(-1, dim),
-            np.repeat(np.arange(n_problems), n_runs), n_runs * (dim + 1),
-            cfg.simplex_scale, cfg.max_iterations, cfg.f_tol, traces))
+        a.reshape(n_problems, n_runs, *a.shape[1:]) for a in runs)
     results = []
     for p, objective in enumerate(objectives):
         best = int(np.argmin(fx[p]))
@@ -229,7 +286,7 @@ def _solve(objectives: Sequence[Objective], batch: OwnedBatch | None, starts: np
             float(objective(x[p, best])), x[p, best], int(iters[p].sum()), n_runs,
             bool(converged[p, best]), history=history,
             evaluations=int(evaluations[p].sum()) + 1,
-            restart_values=tuple(fx[p].tolist()), best_restart=best))
+            restart_values=tuple(fx[p].tolist()), best_restart=best, calls=calls))
     return results
 
 

@@ -25,6 +25,7 @@ from .composite import (
 )
 from .errors import (
     LengthMismatchError,
+    NonFiniteError,
     NotOrthonormalError,
     RankOutOfRangeError,
 )
@@ -80,13 +81,15 @@ def build_density(theta: np.ndarray, lam: np.ndarray, k: int, d: int) -> np.ndar
 def validate_density(rho: np.ndarray, rank_bound: int | None = None) -> np.ndarray:
     """Check Hermiticity, unit trace, positivity and (optionally) rank.
 
-    Returns the ascending eigenvalues.  Raises ``NormalizationError`` /
-    ``NotHermitianError`` / ``NotPSDError`` / ``RankOutOfRangeError`` via
-    the underlying checks.
+    Returns the ascending eigenvalues.  Raises ``NonFiniteError`` /
+    ``NormalizationError`` / ``NotHermitianError`` / ``NotPSDError`` /
+    ``RankOutOfRangeError`` via the underlying checks.
     """
     from .errors import NormalizationError, NotHermitianError, NotPSDError
 
     rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise NonFiniteError("matrix has a NaN or infinite entry")
     if np.max(np.abs(rho - rho.conj().T)) > DENSITY_HERM_TOL:
         raise NotHermitianError("density matrix not Hermitian within 1e-12")
     tr = complex(np.trace(rho))
@@ -131,6 +134,8 @@ def canonicalize_subspace(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d, k = v.shape
     if not 1 <= k < d:
         raise RankOutOfRangeError(f"subspace dimension {k} outside 1..{d - 1}")
+    if not np.isfinite(v).all():
+        raise NonFiniteError("column set has a NaN or infinite entry")
     gram_defect = float(np.max(np.abs(v.conj().T @ v - np.eye(k))))
     if gram_defect > ORTHONORMAL_TOL:
         raise NotOrthonormalError(f"Gram defect {gram_defect:.3e} exceeds 1e-9")

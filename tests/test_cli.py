@@ -129,6 +129,19 @@ def test_optimizer_report_telemetry(tmp_path, capsys):
     assert report["best_restart"] == 0
 
 
+def test_optimizer_report_calls(tmp_path, capsys):
+    # the report carries the library run's batched objective calls next to its evaluations
+    rho = rand_density(np.random.default_rng(7), 6, rank=2)
+    path = write_matrix(tmp_path / "rho.json", rho)
+    code, out, _ = run_cli(capsys, "bound", "--state", path, "--dims", "2,3",
+                           "--optimize", "--restarts", "2", "--seed", "4")
+    assert code == 0
+    report = json.loads(out)["optimizer"]
+    _, result = optimized_bound_b(rho, 2, 3, OptimizerConfig(restarts=2, seed=4))
+    assert (report["calls"], report["evaluations"]) == (result.calls, result.evaluations)
+    assert 1 < report["calls"] < report["evaluations"]
+
+
 def test_bound_rejects_invalid_state(tmp_path, capsys):
     path = write_matrix(tmp_path / "notrho.json", np.eye(4))  # trace 4
     code, _, err = run_cli(capsys, "bound", "--state", path, "--dims", "2,2")

@@ -592,10 +592,11 @@ def test_max_distill_equals_minimize(case):
             expected.restarts, run.converged,
             evaluations=expected.evaluations + seeded.evaluations + run.evaluations,
             restart_values=expected.restart_values + run.restart_values,
-            best_restart=cfg.restarts)
+            best_restart=cfg.restarts, calls=expected.calls + seeded.calls + run.calls)
     x_sq, result = max_distill_x_sq(rho, *dims, cfg)
     assert x_sq == max(-expected.value, 0.0)
     assert_same_result(result, expected)
+    assert result.calls == expected.calls
 
 
 # ---------------------------------------------------------------------------

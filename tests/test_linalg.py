@@ -3,15 +3,24 @@ import pytest
 
 from uniparam import (
     DimensionMismatchError,
+    NonFiniteError,
     NonSquareError,
     NotHermitianError,
     NotPSDError,
+    bound_b,
+    canonicalize_subspace,
+    decompose,
     herm_eig,
     kron,
+    max_distill_x_sq,
+    multipartite_bound_b,
+    optimized_bound_b,
     partial_trace,
     partial_transpose,
     permute_subsystems,
+    ppt_min_eigenvalue,
     psd_sqrt,
+    validate_density,
 )
 from helpers import bell_state, psi1_qutrit, ptrace_loops, rand_density, rand_hermitian
 
@@ -146,3 +155,26 @@ def test_permute_subsystems():
     swapped = permute_subsystems(rho, (2, 3, 2), (2, 0, 1))
     assert np.max(np.abs(swapped - kron(kron(rc, ra), rb))) < 1e-13
     assert np.array_equal(permute_subsystems(rho, (2, 3, 2), (0, 1, 2)), rho)
+
+
+NON_FINITE = {"inf": np.diag([np.inf, 0.0, 0.0, 0.0]), "nan": np.full((4, 4), np.nan)}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE))
+@pytest.mark.parametrize("entry", [
+    herm_eig,
+    lambda m: bound_b(m, 2, 2),
+    lambda m: optimized_bound_b(m, 2, 2),
+    lambda m: max_distill_x_sq(m, 2, 2),
+    lambda m: multipartite_bound_b(m, (2, 2)),
+    lambda m: ppt_min_eigenvalue(m, (2, 2)),
+    decompose,
+    lambda m: canonicalize_subspace(m[:, :2]),
+    validate_density,
+], ids=["herm_eig", "bound_b", "optimized_bound_b", "max_distill_x_sq",
+        "multipartite_bound_b", "ppt_min_eigenvalue", "decompose", "canonicalize_subspace",
+        "validate_density"])
+def test_non_finite_input_rejected_before_arithmetic(entry, kind):
+    # NaN fails every tolerance test, so without the check these returned 0, nan or NaN output
+    with np.errstate(all="raise"), pytest.raises(NonFiniteError):
+        entry(NON_FINITE[kind])

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -190,20 +191,41 @@ def jagged(x):
     return float(np.sum(np.sin(20 * x) ** 2) + 0.01 * np.sum((x - 2.0) ** 2))
 
 
+def reference_rounds(fn, starts, cfg):
+    """Each run's points in the rounds of the staggered core, from the textbook loop.
+
+    A round is the simplex set-up, a reflection, an expansion or
+    contraction, or the dim shrink vertices of one step: a maximal stretch
+    of a run's log with one (step, phase).  Also returns the (step, phase)
+    groups of all runs, one call each under a per-phase lockstep schedule.
+    """
+    runs, groups = [], set()
+    for start in starts:
+        log = []
+        nelder_mead_reference(fn, start, cfg.simplex_scale, cfg.max_iterations, cfg.f_tol, log)
+        runs.append([[x for _, _, x in entries]
+                     for _, entries in itertools.groupby(log, key=lambda e: e[:2])])
+        groups.update((step, phase) for step, phase, _ in log)
+    return runs, groups
+
+
+def expected_calls(runs, owners, cap):
+    """Round k of every run that has one, in run order, cut into calls of ``cap`` rows."""
+    calls = []
+    for k in range(max(map(len, runs))):
+        rows = [(x, o) for run, o in zip(runs, owners) if k < len(run) for x in run[k]]
+        calls += [rows[i:i + cap] for i in range(0, len(rows), cap)]
+    return calls
+
+
 @pytest.mark.parametrize("fn, dim, max_iterations", [(jagged, 3, 200), (quadratic, 4, 2000)])
 def test_one_problem_call_sequence(fn, dim, max_iterations):
-    # one batch call per phase of a lockstep step, over the runs in restart order:
-    # the simplex set-up, then per step the reflections, the expansions and
-    # contractions, and the shrinks of the runs still live
+    # call k evaluates the k-th round of every run still live, in restart order:
+    # first the simplex set-ups, then each run's pending point or shrink vertices
     cfg = OptimizerConfig(max_iterations=max_iterations, restarts=4, seed=2)
-    logs = []
-    for start in starts_of(cfg, dim):
-        logs.append([])
-        nelder_mead_reference(fn, start, cfg.simplex_scale, max_iterations, cfg.f_tol, logs[-1])
-    expected = {}
-    for log in logs:
-        for step, phase, x in log:
-            expected.setdefault((step, phase), []).append(x)
+    runs, groups = reference_rounds(fn, starts_of(cfg, dim), cfg)
+    if fn is jagged:
+        assert any(phase == 2 for _, phase in groups)
 
     calls = []
 
@@ -211,12 +233,77 @@ def test_one_problem_call_sequence(fn, dim, max_iterations):
         calls.append(xs.copy())
         return rowwise(fn)(xs)
 
-    minimize(fn, dim, cfg, batch=batch)
-    if fn is jagged:
-        assert any(phase == 2 for _, phase in expected)
-    assert len(calls) == len(expected)
-    for call, key in zip(calls, sorted(expected)):
-        assert np.array_equal(call, np.array(expected[key]))
+    result = minimize(fn, dim, cfg, batch=batch)
+    expected = expected_calls(runs, [0] * cfg.restarts, cfg.restarts * (dim + 1))
+    assert len(expected) == max(map(len, runs)) < len(groups)
+    assert result.calls == len(calls) == len(expected)
+    for call, rows in zip(calls, expected):
+        assert np.array_equal(call, np.array([x for x, _ in rows]))
+
+
+def test_many_problem_call_sequence():
+    # three problems: the set-up round is three problems' worth of rows and splits
+    # into calls of one problem's set-up, the cap; later rounds are cut the same way
+    dim = 3
+    cfgs = [OptimizerConfig(max_iterations=200, restarts=4, seed=s) for s in (6, 7, 8)]
+    shifts = np.array([0.0, 1.5, -1.0])
+    objectives = [lambda x, shift=shift: jagged(x - shift) for shift in shifts]
+    runs, owners, groups = [], [], set()
+    for o, (cfg, fn) in enumerate(zip(cfgs, objectives)):
+        r, g = reference_rounds(fn, starts_of(cfg, dim), cfg)
+        runs += r
+        owners += [o] * cfg.restarts
+        groups |= g
+
+    calls = []
+
+    def batch(xs, owner):
+        calls.append((xs.copy(), owner.copy()))
+        return np.array([jagged(x - shifts[o]) for x, o in zip(xs, owner)])
+
+    results = minimize_many(objectives, dim, cfgs, batch=batch)
+    cap = cfgs[0].restarts * (dim + 1)
+    expected = expected_calls(runs, owners, cap)
+    assert len(calls) == len(expected) < len(groups)
+    assert all(r.calls == len(calls) for r in results)
+    assert [len(xs) for xs, _ in calls[:3]] == [cap] * 3
+    for (xs, owner), rows in zip(calls, expected):
+        assert np.array_equal(xs, np.array([x for x, _ in rows]))
+        assert owner.tolist() == [o for _, o in rows]
+
+
+def counting(fn, calls):
+    def batch(xs, *owner):
+        calls.append(len(xs))
+        return np.array([fn(x) for x in xs])
+
+    return batch
+
+
+def test_calls_count_batched_objective_calls():
+    cfg = OptimizerConfig(max_iterations=150, restarts=4, seed=8)
+    calls = []
+    result = minimize(rugged, 3, cfg, batch=counting(rugged, calls))
+    assert result.calls == len(calls) > 0
+    assert sum(calls) + 1 == result.evaluations
+    # the scalar path runs the same rounds, one call of the row-wise batch each
+    assert minimize(rugged, 3, cfg).calls == result.calls
+
+    calls.clear()
+    one = refine(rugged, np.ones(3), cfg, batch=counting(rugged, calls))
+    assert one.calls == len(calls) > 0
+    assert sum(calls) + 1 == one.evaluations
+
+    calls.clear()
+    cfgs = [replace(cfg, seed=s) for s in (1, 2, 3)]
+    many = minimize_many([rugged] * 3, 3, cfgs, batch=counting(rugged, calls))
+    # the problems share one run, so each reports all of its calls
+    assert [r.calls for r in many] == [len(calls)] * 3
+    assert sum(calls) + 3 == sum(r.evaluations for r in many)
+    assert len(calls) < sum(minimize(rugged, 3, c).calls for c in cfgs)
+
+    assert minimize(lambda x: 1.0, 0).calls == 0
+    assert OptimizerResult(1.0, np.zeros(1), 3, 1, True).calls == 0
 
 
 def test_minimize_many_equals_separate_runs_and_caps_rows():

@@ -17,6 +17,7 @@ from .composite import (
     projector,
     random_param_matrix,
     sigma,
+    sigma_pairs,
     unitarity_defect,
 )
 from .entanglement import (
@@ -41,7 +42,6 @@ from .entanglement import (
     optimized_bounds_b,
     ppt_min_eigenvalue,
     pure_m_concurrence_sq,
-    sigma_pairs,
     ucs_block_positions,
     ucs_block_to_matrix,
 )

@@ -143,7 +143,7 @@ def _fig1_point(alpha: float, beta: float) -> ScanRow:
     """The checks and the plain bound of one grid point; ``bound_opt`` is left empty."""
     rho = fig1_state(alpha, beta)
     is_state = bool(herm_eig(rho).eigenvalues[0] >= -DENSITY_PSD_TOL)
-    is_ppt = bool(ppt_min_eigenvalue(rho, (3, 3), which=1) >= -PPT_TOL)
+    is_ppt = bool(ppt_min_eigenvalue(rho, (3, 3)) >= -PPT_TOL)
     bound_plain = bound_b(rho, 3, 3).b / max_concurrence(3) if is_state else None
     return ScanRow(alpha, beta, is_state, is_ppt, bound_plain, None)
 

@@ -24,6 +24,10 @@ rotations, the lower-left triangle the relative phases.  Canonical ranges
 are [0, 2*pi) on and below the diagonal and [0, pi/2] above it; the build
 functions accept arbitrary real angles (everything is periodic), only
 ``decompose`` guarantees canonical output.
+
+A product's list of plane factors is the one definition of the angles it
+reads (``sigma_pairs``, filtered to m <= k in ``build_ucd``, and
+``_ucs_pairs``); ``_angle_positions`` gives the entries a list reads.
 """
 
 from __future__ import annotations
@@ -69,6 +73,11 @@ def sigma(m: int, n: int, d: int) -> np.ndarray:
     s[m - 1, n - 1] = -1j
     s[n - 1, m - 1] = 1j
     return s
+
+
+def sigma_pairs(d: int) -> list[tuple[int, int]]:
+    """Plane factors of ``build_unitary``: every (m, n) with m < n, in product order."""
+    return [(m, n) for m in range(1, d) for n in range(m + 1, d + 1)]
 
 
 def _rows_update(out: np.ndarray, m0: int, n0: int, c, s, e, adjoint: bool) -> None:
@@ -148,14 +157,14 @@ def _product(lam: np.ndarray, pairs: list[tuple[int, int]], diag: bool) -> np.nd
     return np.ascontiguousarray(u.transpose(*range(2, u.ndim), 0, 1))
 
 
-def _unitary_pairs(d: int) -> list[tuple[int, int]]:
-    """Plane factors of ``build_unitary``: every (m, n) with m < n, in product order."""
-    return [(m, n) for m in range(1, d) for n in range(m + 1, d + 1)]
-
-
 def _ucs_pairs(d: int, k: int) -> list[tuple[int, int]]:
     """Plane factors of ``build_ucs``: (m, n) with m <= k < n, in product order."""
     return [(m, n) for m in range(1, k + 1) for n in range(k + 1, d + 1)]
+
+
+def _angle_positions(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Row-major 0-based entries the factors ``pairs`` read: (m-1, n-1) and (n-1, m-1)."""
+    return sorted([(m - 1, n - 1) for m, n in pairs] + [(n - 1, m - 1) for m, n in pairs])
 
 
 def build_unitary(lam: np.ndarray) -> np.ndarray:
@@ -165,7 +174,7 @@ def build_unitary(lam: np.ndarray) -> np.ndarray:
     diagonal phase factors.
     """
     lam = _assert_angles(lam)
-    return _product(lam, _unitary_pairs(lam.shape[0]), diag=True)
+    return _product(lam, sigma_pairs(lam.shape[0]), diag=True)
 
 
 def build_ucd(lam: np.ndarray, k: int) -> np.ndarray:
@@ -178,8 +187,7 @@ def build_ucd(lam: np.ndarray, k: int) -> np.ndarray:
     d = lam.shape[0]
     if not 1 <= k <= d:
         raise RankOutOfRangeError(f"rank {k} outside 1..{d}")
-    pairs = [(m, n) for m in range(1, min(k, d - 1) + 1) for n in range(m + 1, d + 1)]
-    return _product(lam, pairs, diag=False)
+    return _product(lam, [(m, n) for m, n in sigma_pairs(d) if m <= k], diag=False)
 
 
 def build_ucs(lam: np.ndarray, k: int) -> np.ndarray:
@@ -196,9 +204,9 @@ def build_ucs(lam: np.ndarray, k: int) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm of U†U - I."""
+    """Max-norm of U†U - I for a d x k column set U, with I of size k (U unitary when square)."""
     u = np.asarray(u, dtype=complex)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
 
 
 def zeroing_angles(a: complex, b: complex, tol: float) -> tuple[float, float]:
@@ -252,7 +260,7 @@ def decompose(u: np.ndarray) -> np.ndarray:
     if defect > UNITARITY_INPUT_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds 1e-9")
     d = a.shape[0]
-    lam = _zeroing_sweep(a, _unitary_pairs(d))
+    lam = _zeroing_sweep(a, sigma_pairs(d))
     for r in range(d):
         lam[r, r] = math.atan2(a[r, r].imag, a[r, r].real) % TWO_PI
     return lam

@@ -35,7 +35,8 @@ The plain bound B = sqrt(sum of X^2 over all pairs) (Chen-Albeverio-Fei,
 PRL 95, 040504, 2005), its maximum over the composite parameterization
 of the local rotations, the multipartite sum over bipartitions and the
 distillability witness (the single block on the first two columns of two
-subspace isometries, maximized) all go through it.
+subspace isometries, maximized) all go through it.  The searches' packed
+angles are those the plane-factor lists of their composite products read.
 
 A two-qubit block's partial transpose R^Γ has at most one negative
 eigenvalue (Sanpera, Tarrach and Vidal, PRA 58, 826, 1998), so
@@ -68,12 +69,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .composite import _product, _ucs_pairs, _unitary_pairs
+from .composite import _angle_positions, _check_pair, _product, _ucs_pairs, sigma_pairs
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
-    IndexOrderError,
-    IndexOutOfRangeError,
     LengthMismatchError,
     NormalizationError,
     NotPSDError,
@@ -87,6 +86,7 @@ from .linalg import (
     permute_subsystems,
 )
 from .optimize import Batch, OptimizerConfig, OptimizerResult, minimize, minimize_many, refine
+from .states import DENSITY_TRACE_TOL
 
 PPT_TOL = 1e-10
 PT_SEED_RESTARTS = 6
@@ -100,7 +100,7 @@ X_ROUNDOFF = 8 * np.finfo(float).eps
 CHOLESKY_MIN_RATIO = 1e-8
 # det(R^Γ) above this times (tr R)^4 proves a 4x4 block PPT, far above det's round-off
 PPT_DET_RATIO = 1e-12
-STATE_NORM_TOL = 1e-12
+N_COPY_MAX_DIM = 256
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def pure_m_concurrence_sq(psi: np.ndarray, d_a: int, d_b: int) -> float:
     if d_a * d_b != psi.size:
         raise DimensionMismatchError(f"{d_a}*{d_b} != state length {psi.size}")
     nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > STATE_NORM_TOL:
+    if abs(nrm - 1.0) > DENSITY_TRACE_TOL:
         raise NormalizationError(f"state norm {nrm!r} differs from 1 beyond 1e-12")
     rho_a = partial_trace(np.outer(psi, psi.conj()), (d_a, d_b), keep=0)
     return 2.0 * (d_a - 1) / d_a * linear_entropy(rho_a)
@@ -146,11 +146,6 @@ _FLIP_SIGNS = _SPIN_FLIP[::-1].diagonal()  # its antidiagonal, bottom row first
 # block rows and columns are (A, B) bit pairs 2a + b; R^Γ(i, j) = R(a_i b_j, a_j b_i)
 _PT_ROWS = np.array([[(i & 2) | (j & 1) for j in range(4)] for i in range(4)])
 _PT_COLS = _PT_ROWS.T
-
-
-def sigma_pairs(d: int) -> list[tuple[int, int]]:
-    """All 1-based index pairs (k, l) with k < l in dimension d."""
-    return [(k, l) for k in range(1, d) for l in range(k + 1, d + 1)]
 
 
 @dataclass(frozen=True)
@@ -418,11 +413,8 @@ def bound_x(rho: np.ndarray, k_a: int, l_a: int, k_b: int, l_b: int,
             raise DimensionMismatchError(
                 f"matrix size {n} does not split as {d_a}*{d_b}; pass dims=(d_a, d_b)")
     state = _check_state(rho, d_a, d_b)
-    for (k, l, d) in ((k_a, l_a, d_a), (k_b, l_b, d_b)):
-        if not (1 <= k <= d and 1 <= l <= d):
-            raise IndexOutOfRangeError(f"indices ({k},{l}) outside 1..{d}")
-        if k >= l:
-            raise IndexOrderError(f"require k < l, got ({k},{l})")
+    _check_pair(k_a, l_a, d_a)
+    _check_pair(k_b, l_b, d_b)
     x = state.concurrences(_local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
                            _block_index([((k_a, l_a), (k_b, l_b))], d_b))
     return float(x[0])
@@ -459,8 +451,8 @@ def _angles_at(vec: np.ndarray, pos: list[tuple[int, int]], d: int, label: str) 
 
 
 def offdiag_positions(d: int) -> list[tuple[int, int]]:
-    """Row-major 0-based positions of the d^2 - d off-diagonal angles."""
-    return [(i, j) for i in range(d) for j in range(d) if i != j]
+    """Row-major 0-based positions of the d^2 - d off-diagonal angles, those of ``sigma_pairs``."""
+    return _angle_positions(sigma_pairs(d))
 
 
 def offdiag_to_matrix(vec: np.ndarray, d: int) -> np.ndarray:
@@ -469,9 +461,8 @@ def offdiag_to_matrix(vec: np.ndarray, d: int) -> np.ndarray:
 
 
 def ucs_block_positions(d: int, k: int = 2) -> list[tuple[int, int]]:
-    """Row-major 0-based positions of the 2k(d-k) subspace-block angles."""
-    return [(i, j) for i in range(d) for j in range(d)
-            if (i < k <= j) or (j < k <= i)]
+    """Row-major 0-based positions of the 2k(d-k) subspace-block angles, those of ``build_ucs``."""
+    return _angle_positions(_ucs_pairs(d, k))
 
 
 def ucs_block_to_matrix(vec: np.ndarray, d: int, k: int = 2) -> np.ndarray:
@@ -519,16 +510,17 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
     two columns of ``build_ucs(ucs_block_to_matrix(v, d), 2)`` and reads
     the single (1,2) x (1,2) block for both.  No diagonal phases.  Both
     sides come from one ``_product`` call, the smaller side cut from the
-    top-left corner of a d x d product, d = max(d_a, d_b).
+    top-left corner of a d x d product, d = max(d_a, d_b).  A side packs
+    the angles its factors with n <= d_side read, in ``_angle_positions`` order.
     """
     d = max(d_a, d_b)
-    positions, pairs = ((ucs_block_positions, _ucs_pairs(d, 2)) if witness
-                        else (offdiag_positions, _unitary_pairs(d)))
+    pairs = _ucs_pairs(d, 2) if witness else sigma_pairs(d)
     cols_a, cols_b = (2, 2) if witness else (d_a, d_b)
     # each side's angles in the top-left block of its own d x d matrix of one (2, d, d) stack;
     # the plane factors outside a smaller side's block then have zero angles, identities
     flat = [side * d * d + i * d + j
-            for side, d_side in enumerate((d_a, d_b)) for i, j in positions(d_side)]
+            for side, d_side in enumerate((d_a, d_b))
+            for i, j in _angle_positions([(m, n) for m, n in pairs if n <= d_side])]
 
     def rotations(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lam = np.zeros(v.shape[:-1] + (2 * d * d,))
@@ -741,9 +733,12 @@ def max_distill_x_sq(rho: np.ndarray, d_a: int, d_b: int,
 # ---------------------------------------------------------------------------
 # partial transposition test, bipartitions, copies
 
-def ppt_min_eigenvalue(rho: np.ndarray, dims: Sequence[int], which: int = 1) -> float:
-    """Minimum eigenvalue of the partial transpose; < -1e-10 means NPT."""
-    pt = partial_transpose(np.asarray(rho, dtype=complex), dims, which)
+def ppt_min_eigenvalue(rho: np.ndarray, dims: Sequence[int]) -> float:
+    """Minimum eigenvalue of the partial transpose of subsystem 1 (0-based); < -1e-10 means NPT.
+
+    With two parties, transposing either one gives the same spectrum.
+    """
+    pt = partial_transpose(np.asarray(rho, dtype=complex), dims, 1)
     return float(herm_eig(pt).eigenvalues[0])
 
 
@@ -789,40 +784,32 @@ class MultipartiteBound:
         return self.b * self.b
 
 
-def multipartite_bound_b(rho: np.ndarray, dims: Sequence[int],
-                         unitaries: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
-                         ) -> MultipartiteBound:
+def multipartite_bound_b(rho: np.ndarray, dims: Sequence[int]) -> MultipartiteBound:
     """Sum of bipartite B^2 over all bipartitions of an n-partite state.
 
     For each bipartition the subsystems are permuted into a contiguous
     alpha (x) beta layout (alpha factors first, in index order) before the
-    bipartite bound is evaluated.  ``unitaries``, if given, lists one
-    (u_alpha, u_beta) pair per bipartition in enumeration order.
+    bipartite bound is evaluated.
     """
     rho = np.asarray(rho, dtype=complex)
     dims = tuple(int(d) for d in dims)
     parts = enumerate_bipartitions(len(dims), dims)
-    if unitaries is not None and len(unitaries) != len(parts):
-        raise DimensionMismatchError(
-            f"expected {len(parts)} unitary pairs, got {len(unitaries)}")
     reports = []
     total_sq = 0.0
-    for i, bp in enumerate(parts):
+    for bp in parts:
         perm = list(bp.alpha) + list(bp.beta)
         rho_p = permute_subsystems(rho, dims, perm)
-        u_a, u_b = unitaries[i] if unitaries is not None else (None, None)
-        rep = bound_b(rho_p, bp.d_alpha, bp.d_beta, u_a, u_b)
+        rep = bound_b(rho_p, bp.d_alpha, bp.d_beta)
         reports.append((bp, rep))
         total_sq += rep.b_squared
     return MultipartiteBound(tuple(reports), math.sqrt(total_sq))
 
 
-def n_copy_state(rho: np.ndarray, dims: Sequence[int], n: int,
-                 max_dim: int = 256) -> np.ndarray:
+def n_copy_state(rho: np.ndarray, dims: Sequence[int], n: int) -> np.ndarray:
     """n-fold tensor power regrouped to the (A...A | B...B) bipartition.
 
     ``dims`` is the (d_a, d_b) layout of one copy; the result acts on
-    d_a^n x d_b^n with all A factors first.
+    d_a^n x d_b^n with all A factors first, at most N_COPY_MAX_DIM in total.
     """
     rho = np.asarray(rho, dtype=complex)
     dims = tuple(int(d) for d in dims)
@@ -833,8 +820,8 @@ def n_copy_state(rho: np.ndarray, dims: Sequence[int], n: int,
     if n < 1:
         raise DimensionMismatchError(f"copy count must be >= 1, got {n}")
     total = (dims[0] * dims[1]) ** n
-    if total > max_dim:
-        raise DimensionTooLargeError(f"total dimension {total} exceeds cap {max_dim}")
+    if total > N_COPY_MAX_DIM:
+        raise DimensionTooLargeError(f"total dimension {total} exceeds cap {N_COPY_MAX_DIM}")
     if n == 1:
         return rho.copy()
     out = rho

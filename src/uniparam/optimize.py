@@ -172,7 +172,7 @@ def _nelder_mead(batch: OwnedBatch, starts: np.ndarray, owner: np.ndarray, cap: 
     # for: its expansion or contraction x2, or (shrink) its shrunk vertices.
     ids, own = np.arange(n_runs), owner
     iters, shrinks = np.zeros(n_runs, dtype=int), np.zeros(n_runs, dtype=int)
-    c = xr = x2 = np.zeros((n_runs, dim))
+    x2 = np.zeros((n_runs, dim))
     fr = np.zeros(n_runs)
     done = np.ones(n_runs, dtype=bool)
     expand = contract = shrink = np.zeros(n_runs, dtype=bool)
@@ -197,26 +197,26 @@ def _nelder_mead(batch: OwnedBatch, starts: np.ndarray, owner: np.ndarray, cap: 
                 traces[r].append(best)
         flat = start & (f[:, -1] - f[:, 0] < f_tol)
         stop = flat if spent is None else flat | spent
-        iters += done  # a run that stops here does not take the step counted: hence iters - 1
-        c = np.add.reduce(p[:-1], axis=0) / dim  # p[:-1].mean(axis=0) without its wrapper
-        xr = c + REFLECT * (c - p[-1])
-        x = np.where(done[:, None], xr, x2)
         if np.count_nonzero(stop):
             gone = np.flatnonzero(stop)
             rid = ids[gone]
             best = np.argmin(f[gone], axis=1)
             best_x[rid], best_f[rid] = p[best, gone], f[gone, best]
-            steps[rid] = iters[gone] - 1
+            steps[rid] = iters[gone]
             converged[rid] = flat[gone]
             evaluations[rid] = dim + 1 + rounds + (dim - 1) * shrinks[gone]
             keep = ~stop
             p = p[:, keep]
-            ids, own, iters, shrinks, f, c, xr, x, fr, done, expand, contract, shrink = (
-                a[keep] for a in (ids, own, iters, shrinks, f, c, xr, x, fr, done,
+            ids, own, iters, shrinks, f, x2, fr, done, expand, contract, shrink = (
+                a[keep] for a in (ids, own, iters, shrinks, f, x2, fr, done,
                                   expand, contract, shrink))
             if not ids.size:
                 break
             lanes = np.arange(ids.size)
+        iters += done
+        c = np.add.reduce(p[:-1], axis=0) / dim  # p[:-1].mean(axis=0) without its wrapper
+        xr = c + REFLECT * (c - p[-1])
+        x = np.where(done[:, None], xr, x2)
 
         if shrinking:
             s = np.flatnonzero(shrink)

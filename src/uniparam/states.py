@@ -17,11 +17,13 @@ import math
 import numpy as np
 
 from .composite import (
+    UNITARITY_INPUT_TOL,
     _assert_angles,
     _ucs_pairs,
     _zeroing_sweep,
     build_ucd,
     build_ucs,
+    unitarity_defect,
 )
 from .errors import (
     LengthMismatchError,
@@ -35,7 +37,6 @@ DENSITY_HERM_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
 DENSITY_PSD_TOL = 1e-10
 RANK_EIG_TOL = 1e-9
-ORTHONORMAL_TOL = 1e-9
 
 
 def simplex_weights(theta: np.ndarray, k: int) -> np.ndarray:
@@ -70,11 +71,8 @@ def build_density(theta: np.ndarray, lam: np.ndarray, k: int, d: int) -> np.ndar
     lam = _assert_angles(lam)
     if lam.shape[0] != d:
         raise LengthMismatchError(f"angle matrix is {lam.shape[0]}x{lam.shape[0]}, expected {d}x{d}")
-    if not 1 <= k <= d:
-        raise RankOutOfRangeError(f"rank {k} outside 1..{d}")
+    cols = build_ucd(lam, k)[:, :k]
     p = simplex_weights(theta, k)
-    u = build_ucd(lam, k)
-    cols = u[:, :k]
     return (cols * p) @ cols.conj().T
 
 
@@ -136,8 +134,8 @@ def canonicalize_subspace(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise RankOutOfRangeError(f"subspace dimension {k} outside 1..{d - 1}")
     if not np.isfinite(v).all():
         raise NonFiniteError("column set has a NaN or infinite entry")
-    gram_defect = float(np.max(np.abs(v.conj().T @ v - np.eye(k))))
-    if gram_defect > ORTHONORMAL_TOL:
+    gram_defect = unitarity_defect(v)
+    if gram_defect > UNITARITY_INPUT_TOL:
         raise NotOrthonormalError(f"Gram defect {gram_defect:.3e} exceeds 1e-9")
 
     # With T the top block, J the index reversal and (J T J)† = Q R,

@@ -313,6 +313,24 @@ def test_module_entrypoint_smoke(tmp_path):
     assert doc["rows"] == 2
 
 
+def test_runtime_imports_only_numpy_and_stdlib():
+    # numpy stays the only runtime dependency: a fresh interpreter that imports the
+    # package and its CLI loads no other top-level module outside the standard library
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import uniparam, uniparam.cli\n"
+        "allowed = set(sys.stdlib_module_names) | {'numpy', 'uniparam', '__mp_main__'}\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before} - allowed)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(uniparam.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=False, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_csv_number_formatting():
     from uniparam.cli import _fmt
 

@@ -200,13 +200,24 @@ def test_decompose_rejects_non_unitary():
         decompose(np.ones((3, 3)))
 
 
+def test_decompose_unitarity_boundary():
+    # (1 + e) U has defect (1 + e)^2 - 1, about 2e, against the 1e-9 input tolerance
+    u = build_unitary(random_param_matrix(4, np.random.default_rng(8)))
+    inside, outside = (1 + 0.25e-9) * u, (1 + 1e-9) * u
+    assert 0.4e-9 < unitarity_defect(inside) < 0.6e-9
+    assert 1.9e-9 < unitarity_defect(outside) < 2.1e-9
+    assert np.max(np.abs(build_unitary(decompose(inside)) - u)) < 1e-8
+    with pytest.raises(NotUnitaryError):
+        decompose(outside)
+
+
 def test_stacked_product_matches_single_builds():
-    from uniparam.composite import _product, _ucs_pairs, _unitary_pairs
+    from uniparam.composite import _product, _ucs_pairs, sigma_pairs
 
     rng = np.random.default_rng(17)
     for d in (2, 3, 5):
         lams = np.stack([random_param_matrix(d, rng) for _ in range(7)])
-        stack = _product(lams, _unitary_pairs(d), diag=True)
+        stack = _product(lams, sigma_pairs(d), diag=True)
         assert stack.shape == (7, d, d)
         for lam, u in zip(lams, stack):
             assert np.max(np.abs(u - build_unitary(lam))) <= 1e-15

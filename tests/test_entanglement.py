@@ -7,6 +7,8 @@ import pytest
 from uniparam import (
     DimensionMismatchError,
     DimensionTooLargeError,
+    IndexOrderError,
+    IndexOutOfRangeError,
     LengthMismatchError,
     NormalizationError,
     OptimizerConfig,
@@ -107,6 +109,20 @@ def test_bound_x_infers_dims_from_u_b():
         bound_x(rho, 1, 2, 1, 2)
     with pytest.raises(DimensionMismatchError, match="dims"):
         bound_x(rho, 1, 2, 1, 2, u_b=np.eye(5))
+
+
+def test_bound_x_rejects_bad_index_pairs():
+    rho = rand_density(np.random.default_rng(45), 6)
+    # (1, 3) is a valid pair on the 3-dimensional B side only
+    assert bound_x(rho, 1, 2, 1, 3, dims=(2, 3)) >= 0.0
+    for error, pairs in ((IndexOutOfRangeError, ((0, 2), (1, 4), (1, 3))),
+                         (IndexOrderError, ((2, 1), (2, 2)))):
+        for k, l in pairs:
+            with pytest.raises(error):
+                bound_x(rho, k, l, 1, 2, dims=(2, 3))  # A side
+            if (k, l) != (1, 3):
+                with pytest.raises(error):
+                    bound_x(rho, 1, 2, k, l, dims=(2, 3))  # B side
 
 
 def test_bound_b_terms_match_wootters_oracle_unequal_dims():
@@ -430,6 +446,15 @@ def test_ucs_block_to_matrix_places_row_major(d, k):
     for wrong in (len(positions) - 1, len(positions) + 1):
         with pytest.raises(LengthMismatchError):
             ucs_block_to_matrix(np.ones(wrong), d, k)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_packed_positions_equal_row_major_predicates(d):
+    # oracle: the row-major predicates of the two layouts, independent of the factor lists
+    assert offdiag_positions(d) == [(i, j) for i in range(d) for j in range(d) if i != j]
+    for k in range(1, d):
+        assert ucs_block_positions(d, k) == [(i, j) for i in range(d) for j in range(d)
+                                             if (i < k <= j) or (j < k <= i)]
 
 
 def test_normalization_constant():
@@ -763,14 +788,14 @@ def test_two_column_concurrences_match_svd():
 @pytest.mark.parametrize("witness", [False, True])
 @pytest.mark.parametrize("d_a, d_b", [(3, 3), (4, 4), (2, 3), (3, 4)])
 def test_search_rotations_equal_per_side_builds(d_a, d_b, witness):
-    from uniparam.composite import _product, _ucs_pairs, _unitary_pairs
+    from uniparam.composite import _product, _ucs_pairs, sigma_pairs
     from uniparam.entanglement import _angles_at, _search
 
     def side(v, d):
         if witness:
             lam = _angles_at(v, ucs_block_positions(d, 2), d, "side")
             return _product(lam, _ucs_pairs(d, 2), diag=False)[..., :2]
-        return _product(_angles_at(v, offdiag_positions(d), d, "side"), _unitary_pairs(d),
+        return _product(_angles_at(v, offdiag_positions(d), d, "side"), sigma_pairs(d),
                         diag=False)
 
     search = _search(d_a, d_b, witness)

@@ -15,6 +15,7 @@ from uniparam import (
     random_param_matrix,
     simplex_weights,
     subspace_basis,
+    unitarity_defect,
     validate_density,
 )
 from helpers import haar_unitary
@@ -172,6 +173,19 @@ def test_canonicalize_roundtrip_random():
 def test_canonicalize_rejects_non_orthonormal():
     with pytest.raises(NotOrthonormalError):
         canonicalize_subspace(np.ones((3, 2), dtype=complex))
+
+
+def test_canonicalize_orthonormality_boundary():
+    # (1 + e) V has Gram defect (1 + e)^2 - 1, about 2e, against the 1e-9 input tolerance
+    d, k = 5, 2
+    v = subspace_basis(random_param_matrix(d, np.random.default_rng(9)), k, d)
+    inside, outside = (1 + 0.25e-9) * v, (1 + 1e-9) * v
+    assert 0.4e-9 < unitarity_defect(inside) < 0.6e-9
+    assert 1.9e-9 < unitarity_defect(outside) < 2.1e-9
+    lam, w = canonicalize_subspace(inside)
+    assert np.max(np.abs(subspace_basis(lam, k, d) @ w - v)) < 1e-8
+    with pytest.raises(NotOrthonormalError):
+        canonicalize_subspace(outside)
 
 
 def test_canonicalize_rejects_full_and_empty_column_sets():

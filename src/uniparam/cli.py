@@ -25,7 +25,6 @@ import numpy as np
 
 from .composite import build_unitary, decompose, random_param_matrix
 from .entanglement import (
-    PPT_TOL,
     bound_b,
     max_concurrence,
     max_distill_x_sq,
@@ -35,7 +34,7 @@ from .entanglement import (
     ppt_min_eigenvalue,
 )
 from .errors import ConvergenceError, UniparamError
-from .linalg import herm_eig
+from .linalg import _check_dims, herm_eig
 from .optimize import OptimizerConfig, OptimizerResult
 from .states import DENSITY_PSD_TOL, validate_density
 
@@ -143,7 +142,7 @@ def _fig1_point(alpha: float, beta: float) -> ScanRow:
     """The checks and the plain bound of one grid point; ``bound_opt`` is left empty."""
     rho = fig1_state(alpha, beta)
     is_state = bool(herm_eig(rho).eigenvalues[0] >= -DENSITY_PSD_TOL)
-    is_ppt = bool(ppt_min_eigenvalue(rho, (3, 3)) >= -PPT_TOL)
+    is_ppt = bool(ppt_min_eigenvalue(rho, (3, 3)) >= -DENSITY_PSD_TOL)
     bound_plain = bound_b(rho, 3, 3).b / max_concurrence(3) if is_state else None
     return ScanRow(alpha, beta, is_state, is_ppt, bound_plain, None)
 
@@ -256,10 +255,7 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 def _load_state(path: str, d_a: int, d_b: int) -> np.ndarray:
-    rho = load_matrix_file(path)
-    if rho.shape[0] != rho.shape[1] or rho.shape[0] != d_a * d_b:
-        raise UniparamError(
-            f"state is {rho.shape[0]}x{rho.shape[1]}, expected {d_a * d_b}x{d_a * d_b}")
+    rho, _ = _check_dims(load_matrix_file(path), (d_a, d_b))
     validate_density(rho)
     return rho
 

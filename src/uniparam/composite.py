@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (
     IndexOrderError,
     IndexOutOfRangeError,
+    LengthMismatchError,
     NonFiniteError,
     NotUnitaryError,
     RankOutOfRangeError,
@@ -117,12 +118,14 @@ def apply_factor(operand: np.ndarray, m: int, n: int, rot: float, phase: float,
     return out
 
 
-def _assert_angles(lam: np.ndarray) -> np.ndarray:
+def _assert_angles(lam: np.ndarray, d: int | None = None) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 2 or lam.shape[0] != lam.shape[1] or lam.shape[0] < 2:
         raise IndexOutOfRangeError(
             f"angle matrix must be square with d >= 2, got shape {lam.shape}"
         )
+    if d is not None and lam.shape[0] != d:
+        raise LengthMismatchError(f"angle matrix is {lam.shape[0]}x{lam.shape[0]}, expected {d}x{d}")
     return lam
 
 
@@ -266,12 +269,10 @@ def decompose(u: np.ndarray) -> np.ndarray:
     return lam
 
 
-def random_param_matrix(d: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Angle matrix drawn uniformly from the canonical ranges."""
+def random_param_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Angle matrix drawn uniformly from the canonical ranges by ``rng``."""
     if d < 2:
         raise IndexOutOfRangeError(f"dimension {d} must be >= 2")
-    if rng is None:
-        rng = np.random.default_rng()
     lam = rng.uniform(0.0, TWO_PI, size=(d, d))
     upper = np.triu_indices(d, k=1)
     lam[upper] = rng.uniform(0.0, math.pi / 2, size=len(upper[0]))

@@ -54,7 +54,7 @@ uniformly seeded restart can end on that zero plateau; a block on the
 PPT boundary may also leave round-off above that accuracy instead of 0.
 So when the best of all restarts of ``optimized_bound_b`` or
 ``max_distill_x_sq`` is above -PLATEAU_X_SQ (|X| < 1e-12) and the state is NPT
-(``ppt_min_eigenvalue`` below -PPT_TOL), a partial-transpose-seeded stage
+(``ppt_min_eigenvalue`` below -DENSITY_PSD_TOL), a partial-transpose-seeded stage
 runs: it minimizes the sum of the smallest eigenvalues of the partially
 transposed blocks, which has no plateau, over the same angles and blocks,
 and starts one more Nelder-Mead run of the objective from that
@@ -80,15 +80,16 @@ from .errors import (
 from .linalg import (
     EIG_ROUNDOFF_RATIO,
     PSD_EIG_TOL,
+    _as_square,
+    _check_dims,
     herm_eig,
     partial_trace,
     partial_transpose,
     permute_subsystems,
 )
 from .optimize import Batch, OptimizerConfig, OptimizerResult, minimize, minimize_many, refine
-from .states import DENSITY_TRACE_TOL
+from .states import DENSITY_PSD_TOL, DENSITY_TRACE_TOL
 
-PPT_TOL = 1e-10
 PT_SEED_RESTARTS = 6
 PLATEAU_X_SQ = 1e-24
 # x_1 - x_2 - x_3 - x_4 at or below this times x_1 is the SVD's round-off of a PPT block
@@ -108,7 +109,7 @@ N_COPY_MAX_DIM = 256
 
 def linear_entropy(rho: np.ndarray) -> float:
     """d/(d-1) * (1 - Tr(rho^2)), clipped into [0, 1]."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_square(rho)
     d = rho.shape[0]
     if d < 2:
         raise DimensionMismatchError("linear entropy needs dimension >= 2")
@@ -177,11 +178,7 @@ def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
     """
     if isinstance(rho, _State):
         return rho
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
-    if d_a * d_b != rho.shape[0]:
-        raise DimensionMismatchError(f"{d_a}*{d_b} != matrix size {rho.shape[0]}")
+    rho, _ = _check_dims(rho, (d_a, d_b))
     if d_a < 2 or d_b < 2:
         raise DimensionMismatchError("both local dimensions must be >= 2")
     w, v = herm_eig(rho)
@@ -361,10 +358,7 @@ def _local_adjoint(u: np.ndarray | None, d: int) -> np.ndarray:
     """u† for a local unitary of dimension d (None -> identity)."""
     if u is None:
         return np.eye(d, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (d, d):
-        raise DimensionMismatchError(f"unitary shape {u.shape} does not match dimension {d}")
-    return u.conj().T
+    return _check_dims(u, (d,))[0].conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +390,7 @@ def bound_x(rho: np.ndarray, k_a: int, l_a: int, k_b: int, l_b: int,
     ``u_b``, else from a symmetric split, and a matrix size that does not
     split that way raises ``DimensionMismatchError``.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_square(rho)
     if dims is not None:
         d_a, d_b = dims
     else:
@@ -412,9 +406,9 @@ def bound_x(rho: np.ndarray, k_a: int, l_a: int, k_b: int, l_b: int,
         if d_a * d_b != n:
             raise DimensionMismatchError(
                 f"matrix size {n} does not split as {d_a}*{d_b}; pass dims=(d_a, d_b)")
-    state = _check_state(rho, d_a, d_b)
     _check_pair(k_a, l_a, d_a)
     _check_pair(k_b, l_b, d_b)
+    state = _check_state(rho, d_a, d_b)
     x = state.concurrences(_local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
                            _block_index([((k_a, l_a), (k_b, l_b))], d_b))
     return float(x[0])
@@ -659,7 +653,7 @@ def _pt_seeded(result: OptimizerResult, objective: Callable[[np.ndarray], float]
     """
     n = search.n
     if (result.value <= -PLATEAU_X_SQ or n == 0
-            or ppt_min_eigenvalue(state.rho, (search.d_a, search.d_b)) >= -PPT_TOL):
+            or ppt_min_eigenvalue(state.rho, (search.d_a, search.d_b)) >= -DENSITY_PSD_TOL):
         return result
     surrogate = _pt_surrogate(state.rho, search.rotations, search.seed_idx)
     seeded = minimize(_scalar(surrogate, n), n, replace(cfg, restarts=PT_SEED_RESTARTS),
@@ -738,7 +732,7 @@ def ppt_min_eigenvalue(rho: np.ndarray, dims: Sequence[int]) -> float:
 
     With two parties, transposing either one gives the same spectrum.
     """
-    pt = partial_transpose(np.asarray(rho, dtype=complex), dims, 1)
+    pt = partial_transpose(rho, dims, 1)
     return float(herm_eig(pt).eigenvalues[0])
 
 
@@ -791,8 +785,7 @@ def multipartite_bound_b(rho: np.ndarray, dims: Sequence[int]) -> MultipartiteBo
     alpha (x) beta layout (alpha factors first, in index order) before the
     bipartite bound is evaluated.
     """
-    rho = np.asarray(rho, dtype=complex)
-    dims = tuple(int(d) for d in dims)
+    rho, dims = _check_dims(rho, dims)
     parts = enumerate_bipartitions(len(dims), dims)
     reports = []
     total_sq = 0.0
@@ -811,12 +804,9 @@ def n_copy_state(rho: np.ndarray, dims: Sequence[int], n: int) -> np.ndarray:
     ``dims`` is the (d_a, d_b) layout of one copy; the result acts on
     d_a^n x d_b^n with all A factors first, at most N_COPY_MAX_DIM in total.
     """
-    rho = np.asarray(rho, dtype=complex)
-    dims = tuple(int(d) for d in dims)
+    rho, dims = _check_dims(rho, dims)
     if len(dims) != 2:
         raise DimensionMismatchError(f"expected a bipartite dims pair, got {dims}")
-    if dims[0] * dims[1] != rho.shape[0]:
-        raise DimensionMismatchError(f"{dims[0]}*{dims[1]} != matrix size {rho.shape[0]}")
     if n < 1:
         raise DimensionMismatchError(f"copy count must be >= 1, got {n}")
     total = (dims[0] * dims[1]) ** n

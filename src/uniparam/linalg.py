@@ -5,11 +5,19 @@ and subsystem operations (partial trace, partial transpose, reordering) on
 row-major dense complex matrices.  Everything here is a pure function on
 immutable inputs; results are freshly allocated arrays.
 
+``_as_square`` is the one matrix gate of the package: every matrix argument
+is made complex and checked to be 2-D, square and finite before any
+arithmetic (``NonSquareError``, ``NonFiniteError``).  ``_check_dims`` runs
+it and then checks that ``dims`` multiply to the matrix size
+(``DimensionMismatchError``); every function that takes a matrix and dims
+starts there.
+
 Subsystem indices are 0-based positions into the ``dims`` list.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,8 +50,11 @@ class HermitianEig(NamedTuple):
 
 def _as_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise NonSquareError(f"expected a non-empty square matrix, got shape {m.shape}")
+    # NaN fails every tolerance test downstream, so it is rejected first
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix has a NaN or infinite entry")
     return m
 
 
@@ -59,9 +70,6 @@ def herm_eig(m: np.ndarray) -> HermitianEig:
     NonSquareError, NonFiniteError, NotHermitianError, ConvergenceError
     """
     m = _as_square(m)
-    # NaN fails every tolerance test below, so it is rejected first
-    if not np.isfinite(m).all():
-        raise NonFiniteError("matrix has a NaN or infinite entry")
     if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise NotHermitianError("matrix is not Hermitian within 1e-9")
     h = (m + m.conj().T) / 2
@@ -99,7 +107,7 @@ def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, tuple[i
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise DimensionMismatchError(f"subsystem dimensions must be >= 1, got {dims}")
-    if int(np.prod(dims)) != m.shape[0]:
+    if math.prod(dims) != m.shape[0]:
         raise DimensionMismatchError(
             f"product of dims {dims} does not match matrix size {m.shape[0]}"
         )

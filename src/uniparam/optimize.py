@@ -149,9 +149,6 @@ def _nelder_mead(batch: OwnedBatch, starts: np.ndarray, owner: np.ndarray, cap: 
 
     def evaluate(xs: np.ndarray, own: np.ndarray) -> np.ndarray:
         nonlocal calls
-        if len(xs) <= cap:
-            calls += 1
-            return batch(xs, own)
         chunks = range(0, len(xs), cap)
         calls += len(chunks)
         return np.concatenate([batch(xs[i:i + cap], own[i:i + cap]) for i in chunks])

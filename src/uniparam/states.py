@@ -31,7 +31,7 @@ from .errors import (
     NotOrthonormalError,
     RankOutOfRangeError,
 )
-from .linalg import herm_eig
+from .linalg import _as_square, herm_eig
 
 DENSITY_HERM_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
@@ -68,10 +68,7 @@ def build_density(theta: np.ndarray, lam: np.ndarray, k: int, d: int) -> np.ndar
     Consults exactly (k-1) + k(2d-k-1) scalars: the diagonal of ``lam``
     and every entry with both row and column beyond k are never read.
     """
-    lam = _assert_angles(lam)
-    if lam.shape[0] != d:
-        raise LengthMismatchError(f"angle matrix is {lam.shape[0]}x{lam.shape[0]}, expected {d}x{d}")
-    cols = build_ucd(lam, k)[:, :k]
+    cols = build_ucd(_assert_angles(lam, d), k)[:, :k]
     p = simplex_weights(theta, k)
     return (cols * p) @ cols.conj().T
 
@@ -79,15 +76,13 @@ def build_density(theta: np.ndarray, lam: np.ndarray, k: int, d: int) -> np.ndar
 def validate_density(rho: np.ndarray, rank_bound: int | None = None) -> np.ndarray:
     """Check Hermiticity, unit trace, positivity and (optionally) rank.
 
-    Returns the ascending eigenvalues.  Raises ``NonFiniteError`` /
-    ``NormalizationError`` / ``NotHermitianError`` / ``NotPSDError`` /
-    ``RankOutOfRangeError`` via the underlying checks.
+    Returns the ascending eigenvalues.  Raises ``NonSquareError`` /
+    ``NonFiniteError`` / ``NormalizationError`` / ``NotHermitianError`` /
+    ``NotPSDError`` / ``RankOutOfRangeError`` via the underlying checks.
     """
     from .errors import NormalizationError, NotHermitianError, NotPSDError
 
-    rho = np.asarray(rho, dtype=complex)
-    if not np.isfinite(rho).all():
-        raise NonFiniteError("matrix has a NaN or infinite entry")
+    rho = _as_square(rho)
     if np.max(np.abs(rho - rho.conj().T)) > DENSITY_HERM_TOL:
         raise NotHermitianError("density matrix not Hermitian within 1e-12")
     tr = complex(np.trace(rho))
@@ -105,10 +100,7 @@ def validate_density(rho: np.ndarray, rank_bound: int | None = None) -> np.ndarr
 
 def subspace_basis(lam: np.ndarray, k: int, d: int) -> np.ndarray:
     """Orthonormal basis of a k-dimensional subspace: first k columns of build_ucs."""
-    lam = _assert_angles(lam)
-    if lam.shape[0] != d:
-        raise LengthMismatchError(f"angle matrix is {lam.shape[0]}x{lam.shape[0]}, expected {d}x{d}")
-    return build_ucs(lam, k)[:, :k].copy()
+    return build_ucs(_assert_angles(lam, d), k)[:, :k].copy()
 
 
 def canonicalize_subspace(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -149,6 +149,18 @@ def test_bound_rejects_invalid_state(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_bound_eigensolver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    path = write_matrix(tmp_path / "mixed.json", np.eye(4) / 4)
+
+    def no_convergence(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    code, out, err = run_cli(capsys, "bound", "--state", path, "--dims", "2,2")
+    assert (code, out) == (3, "")
+    assert err == "error: eigensolver failed: Eigenvalues did not converge\n"
+
+
 def test_bound_missing_file(capsys):
     code, _, err = run_cli(capsys, "bound", "--state", "/nonexistent.json", "--dims", "2,2")
     assert code == 2

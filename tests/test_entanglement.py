@@ -11,6 +11,7 @@ from uniparam import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NormalizationError,
+    NotPSDError,
     OptimizerConfig,
     bopt_objective,
     bound_b,
@@ -123,6 +124,24 @@ def test_bound_x_rejects_bad_index_pairs():
             if (k, l) != (1, 3):
                 with pytest.raises(error):
                     bound_x(rho, 1, 2, k, l, dims=(2, 3))  # B side
+
+
+def test_bound_x_checks_index_pairs_before_state():
+    # the pairs are checked before the state, so a state that would fail its own check
+    # still reports the bad index
+    with pytest.raises(IndexOutOfRangeError):
+        bound_x(np.diag([1.0, 0.0, 0.0, -0.5]), 0, 2, 1, 2)
+
+
+@pytest.mark.parametrize("e, accepted", [(0.5e-8, True), (2e-8, False)])
+def test_bound_b_lenient_psd_boundary(e, accepted):
+    # unit trace, one eigenvalue -e: the bounds accept down to -PSD_EIG_TOL (1e-8)
+    rho = np.diag([0.5, 0.5 + e, 0.0, -e])
+    if accepted:
+        assert bound_b(rho, 2, 2).b >= 0.0
+    else:
+        with pytest.raises(NotPSDError, match="eigenvalue"):
+            bound_b(rho, 2, 2)
 
 
 def test_bound_b_terms_match_wootters_oracle_unequal_dims():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uniparam import (
+    ConvergenceError,
     DimensionMismatchError,
     NonFiniteError,
     NonSquareError,
@@ -12,8 +13,10 @@ from uniparam import (
     decompose,
     herm_eig,
     kron,
+    linear_entropy,
     max_distill_x_sq,
     multipartite_bound_b,
+    n_copy_state,
     optimized_bound_b,
     partial_trace,
     partial_transpose,
@@ -171,10 +174,51 @@ NON_FINITE = {"inf": np.diag([np.inf, 0.0, 0.0, 0.0]), "nan": np.full((4, 4), np
     decompose,
     lambda m: canonicalize_subspace(m[:, :2]),
     validate_density,
+    lambda m: partial_transpose(m, (2, 2), 1),
+    lambda m: partial_trace(m, (2, 2), 0),
+    lambda m: permute_subsystems(m, (2, 2), (1, 0)),
+    lambda m: n_copy_state(m, (2, 2), 2),
+    linear_entropy,
 ], ids=["herm_eig", "bound_b", "optimized_bound_b", "max_distill_x_sq",
         "multipartite_bound_b", "ppt_min_eigenvalue", "decompose", "canonicalize_subspace",
-        "validate_density"])
+        "validate_density", "partial_transpose", "partial_trace", "permute_subsystems",
+        "n_copy_state", "linear_entropy"])
 def test_non_finite_input_rejected_before_arithmetic(entry, kind):
     # NaN fails every tolerance test, so without the check these returned 0, nan or NaN output
     with np.errstate(all="raise"), pytest.raises(NonFiniteError):
         entry(NON_FINITE[kind])
+
+
+NON_SQUARE = {"3x4": np.ones((3, 4)), "vector": np.full(4, 0.25), "empty": np.zeros((0, 0))}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_SQUARE))
+@pytest.mark.parametrize("entry", [
+    herm_eig,
+    validate_density,
+    linear_entropy,
+    lambda m: bound_b(m, 2, 2),
+    lambda m: optimized_bound_b(m, 2, 2),
+    lambda m: max_distill_x_sq(m, 2, 2),
+    lambda m: multipartite_bound_b(m, (2, 2)),
+    lambda m: ppt_min_eigenvalue(m, (2, 2)),
+    lambda m: partial_transpose(m, (2, 2), 1),
+    lambda m: partial_trace(m, (2, 2), 0),
+    lambda m: permute_subsystems(m, (2, 2), (1, 0)),
+    lambda m: n_copy_state(m, (2, 2), 2),
+], ids=["herm_eig", "validate_density", "linear_entropy", "bound_b", "optimized_bound_b",
+        "max_distill_x_sq", "multipartite_bound_b", "ppt_min_eigenvalue", "partial_transpose",
+        "partial_trace", "permute_subsystems", "n_copy_state"])
+def test_non_square_input_rejected_before_arithmetic(entry, kind):
+    # the shape is checked before any product, so no numpy shape error or sliced result leaks
+    with np.errstate(all="raise"), pytest.raises(NonSquareError):
+        entry(NON_SQUARE[kind])
+
+
+def test_eigensolver_failure_raises_convergence_error(monkeypatch):
+    def no_convergence(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        herm_eig(np.eye(2))

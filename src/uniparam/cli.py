@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +28,12 @@ import numpy as np
 from .composite import build_unitary, decompose, random_param_matrix
 from .entanglement import (
     bound_b,
+    lifted_bounds_b,
     max_concurrence,
     max_distill_x_sq,
     n_copy_state,
+    offdiag_positions,
+    offdiag_to_matrix,
     optimized_bound_b,
     optimized_bounds_b,
     ppt_min_eigenvalue,
@@ -112,6 +117,9 @@ PSI_1 = np.zeros(9, dtype=complex)
 PSI_1[[0, 4, 8]] = 1.0 / math.sqrt(3.0)  # (|11> + |22> + |33>)/sqrt(3)
 PSI_2 = np.zeros(9, dtype=complex)
 PSI_2[[1, 5, 6]] = 1.0 / math.sqrt(3.0)  # (|12> + |23> + |31>)/sqrt(3)
+# fig1(beta, alpha) = V fig1(alpha, beta) V† for the local permutation V = P (x) Q, with
+# P|j> = |-j> and Q|j> = |1 - j> (mod 3): V swaps PSI_1 and PSI_2 and keeps the noise
+_MIRROR = (np.eye(3)[[0, 2, 1]], np.eye(3)[[1, 0, 2]])
 
 
 def fig1_state(alpha: float, beta: float) -> np.ndarray:
@@ -147,8 +155,8 @@ def _fig1_point(alpha: float, beta: float) -> ScanRow:
     return ScanRow(alpha, beta, is_state, is_ppt, bound_plain, None)
 
 
-def _fig1_share(share: tuple) -> list[float]:
-    """Normalized ``bound_opt`` of one worker's states, in the order given.
+def _fig1_share(share: tuple) -> list[OptimizerResult]:
+    """B_opt results of one worker's states, in the order given.
 
     They are maximized in one ``optimized_bounds_b`` run, each with the
     seed of its grid indices.
@@ -158,6 +166,42 @@ def _fig1_share(share: tuple) -> list[float]:
         [fig1_state(alpha, beta) for _, _, alpha, beta in points], 3, 3,
         [OptimizerConfig(restarts=restarts, seed=_point_seed(base_seed, ia, ib))
          for ia, ib, _, _ in points])
+    return [result for _, result in bounds]
+
+
+def _mirror_angles(x: np.ndarray) -> np.ndarray:
+    """B_opt angles at fig1(beta, alpha) that score what ``x`` scores at fig1(alpha, beta).
+
+    B_opt reads the blocks of W† rho W, W = w_a (x) w_b, and V W reads the
+    same blocks of V rho V† (see ``_MIRROR``).  ``decompose`` takes each
+    side of V W back to angles; the search drops their diagonal phases,
+    which leave every block's concurrence unchanged.
+    """
+    sides = []
+    for v, perm in zip(np.split(x, 2), _MIRROR):
+        lam = decompose(perm @ build_unitary(offdiag_to_matrix(v, 3)))
+        sides.append([lam[i, j] for i, j in offdiag_positions(3)])
+    return np.concatenate(sides)
+
+
+def _fig1_candidates(ia: int, ib: int, best: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
+    """Optima from ``best`` (keyed by grid indices) for state (ia, ib) to start from.
+
+    They are those of its grid neighbours, and its mirror's, transported
+    by ``_mirror_angles``.
+    """
+    near = [best[k] for k in ((ia - 1, ib), (ia + 1, ib), (ia, ib - 1), (ia, ib + 1))
+            if k in best]
+    if ia != ib and (ib, ia) in best:
+        near.append(_mirror_angles(best[(ib, ia)]))
+    return np.array(near)
+
+
+def _fig1_lift(share: tuple) -> list[float]:
+    """Normalized ``bound_opt`` of one worker's states, lifted from their candidates."""
+    points, results, candidates = share
+    bounds = lifted_bounds_b([fig1_state(alpha, beta) for _, _, alpha, beta in points], 3, 3,
+                             results, candidates)
     return [b_opt / max_concurrence(3) for b_opt, _ in bounds]
 
 
@@ -171,7 +215,13 @@ def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
     the states are dealt round-robin in grid order to ``jobs`` shares, and
     each share is one task of a process pool.  A share's states are
     optimized in one joint run, each with its own seed and restarts, so
-    the rows do not depend on ``jobs``.
+    the rows do not depend on ``jobs``.  A second round then lifts each
+    state from the optima of its grid neighbours and of its mirror
+    (``lifted_bounds_b``): twelve restarts can all miss a state's best
+    maximum where a related state's finds it, and the mirrored rows,
+    related by a local permutation, have equal bounds.  The second round
+    reads only the first round's results, so it does not depend on
+    ``jobs`` either.
     """
     if not 0.0 < step <= 0.25:
         raise UniparamError(f"step must lie in (0, 0.25], got {step}")
@@ -187,11 +237,15 @@ def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
     states = [i for i, row in enumerate(rows) if row.is_state]
     dealt = [states[j::jobs] for j in range(min(jobs, len(states)))]
     shares = [([points[i] for i in idx], restarts, seed) for idx in dealt]
-    if len(shares) > 1:
-        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
-            bounds = list(pool.map(_fig1_share, shares))
-    else:
-        bounds = [_fig1_share(share) for share in shares]
+    with ExitStack() as stack:
+        run = map
+        if len(shares) > 1:
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=len(shares))).map
+        results = dict(zip(itertools.chain(*dealt), itertools.chain(*run(_fig1_share, shares))))
+        best = {points[i][:2]: result.x for i, result in results.items()}
+        bounds = list(run(_fig1_lift, [([points[i] for i in idx], [results[i] for i in idx],
+                                        [_fig1_candidates(*points[i][:2], best) for i in idx])
+                                       for idx in dealt]))
     for idx, share_bounds in zip(dealt, bounds):
         for i, b_opt in zip(idx, share_bounds):
             rows[i].bound_opt = b_opt

@@ -160,6 +160,35 @@ def _product(lam: np.ndarray, pairs: list[tuple[int, int]], diag: bool) -> np.nd
     return np.ascontiguousarray(u.transpose(*range(2, u.ndim), 0, 1))
 
 
+def _product_pullback(lam: np.ndarray, u: np.ndarray, grad: np.ndarray,
+                      pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Angle gradient of Re tr(G† U), U = ``_product(lam, pairs, diag=False)``, G = ``grad``.
+
+    ``lam``, ``u`` and ``grad`` are (..., d, d) stacks; the result is the
+    (..., d, d) stack of derivatives, entry (m-1, n-1) for the rotation
+    lam[m, n] and (n-1, m-1) for the phase lam[n, m], zero elsewhere.
+    With U = F_1 ... F_P, the factor F_k enters through
+    Z_k = (F_1 ... F_{k-1})† G U† (F_1 ... F_{k-1}), so one sweep in product
+    order, Z_{k+1} = F_k† Z_k F_k, gives every derivative:
+    Re(e Z[m, n]) - Re(conj(e) Z[n, m]) for the rotation and Im Z[n, n] for
+    the phase, e the factor's phase e^{i lam[n, m]}.
+    """
+    axes = (-2, -1, *range(lam.ndim - 2))
+    z = (grad @ np.swapaxes(u.conj(), -1, -2)).transpose(axes)
+    ang = lam.transpose(axes)
+    out = np.zeros(ang.shape)
+    for m, n in pairs:
+        m, n = m - 1, n - 1
+        c, s = np.cos(ang[m, n]), np.sin(ang[m, n])
+        e = np.exp(1j * ang[n, m])
+        out[m, n] = (e * z[m, n]).real - (e.conj() * z[n, m]).real
+        out[n, m] = z[n, n].imag
+        _rows_update(z, m, n, c, s, e, True)
+        zm, zn = z[:, m], z[:, n]
+        z[:, m], z[:, n] = c * zm - (e * s) * zn, s * zm + (e * c) * zn
+    return np.ascontiguousarray(out.transpose(*range(2, out.ndim), 0, 1))
+
+
 def _ucs_pairs(d: int, k: int) -> list[tuple[int, int]]:
     """Plane factors of ``build_ucs``: (m, n) with m <= k < n, in product order."""
     return [(m, n) for m in range(1, k + 1) for n in range(k + 1, d + 1)]

@@ -57,25 +57,59 @@ So when the best of all restarts of ``optimized_bound_b`` or
 (``ppt_min_eigenvalue`` below -DENSITY_PSD_TOL), a partial-transpose-seeded stage
 runs: it minimizes the sum of the smallest eigenvalues of the partially
 transposed blocks, which has no plateau, over the same angles and blocks,
-and starts one more Nelder-Mead run of the objective from that
-minimizer.  Results at every other input are those of the restarts alone.
+and starts one more run of the search from that minimizer.  Results at
+every other input are those of the restarts alone.
+
+B_opt is searched by BFGS (see ``optimize``) on exact gradients; the
+witness and the surrogate, which have none, by Nelder-Mead.  Every plane
+factor is a closed-form 2x2 rotation, so ``_value_grads`` gives each
+row's value and angle gradient in one call.  Per block,
+dX = sum_i eps_i Re(u_i† dtau v_i), eps = (+1, -1, -1, -1), from the SVD
+of tau (closed form for two columns); any factor of the block serves,
+so dL = dR L^-† / 2 for the Cholesky kind and the QR factor's Q maps
+back for the direct kind's wide F.  The blocks' terms sum to one
+gradient on W = w_a (x) w_b, which one contraction per side and one
+sweep back through ``_product``'s plane factors (``_product_pullback``)
+take to every angle.  Blocks with X = 0 (PPT, screened or zeroed by the
+round-off rule) add exactly 0, and X^2 is C^1 at the PPT boundary, where
+2 X dX vanishes.  X has a kink where a block's tau loses rank (x_2 = 0
+for two columns); rank-2 states have their maxima there, which BFGS
+approaches slowly, and a run whose line search no longer moves it stops.
+The values are those of ``_values``, bit for bit.
+
+BFGS and Nelder-Mead restarts land in the better of two maxima equally
+often at the fig1 states that have two (about one restart in five), so
+twelve restarts of either can all miss it.  ``lifted_bounds_b`` continues
+results from candidate angles, such as the optima of related states: one
+BFGS run from each state's best candidate, where that beats the result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .composite import _angle_positions, _check_pair, _product, _ucs_pairs, sigma_pairs
+from .composite import (
+    UNITARITY_INPUT_TOL,
+    _angle_positions,
+    _check_pair,
+    _product,
+    _product_pullback,
+    _ucs_pairs,
+    sigma_pairs,
+    unitarity_defect,
+)
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     LengthMismatchError,
     NormalizationError,
     NotPSDError,
+    NotUnitaryError,
 )
 from .linalg import (
     EIG_ROUNDOFF_RATIO,
@@ -87,11 +121,23 @@ from .linalg import (
     partial_transpose,
     permute_subsystems,
 )
-from .optimize import Batch, OptimizerConfig, OptimizerResult, minimize, minimize_many, refine
+from .optimize import (
+    Batch,
+    Core,
+    OptimizerConfig,
+    OptimizerResult,
+    _bfgs,
+    _minimize_many,
+    _nelder_mead,
+    _solve,
+    minimize,
+)
 from .states import DENSITY_PSD_TOL, DENSITY_TRACE_TOL
 
 PT_SEED_RESTARTS = 6
 PLATEAU_X_SQ = 1e-24
+# a candidate must beat a result's -B^2 by more than this to start a lifting run
+LIFT_MARGIN = 1e-12
 # x_1 - x_2 - x_3 - x_4 at or below this times x_1 is the SVD's round-off of a PPT block
 X_ROUNDOFF = 8 * np.finfo(float).eps
 # A state with lambda_min > CHOLESKY_MIN_RATIO * lambda_max has only positive-definite
@@ -157,12 +203,14 @@ class _State:
     blocks ``idx`` of W† rho W (see ``_rotated_blocks``).  There are two
     kinds: ``_cholesky_concurrences``, with ``data`` the Hermitian part of
     rho, and ``_direct_concurrences``, with ``data`` the n x max(r, 2)
-    factor Psi of rho = Psi Psi†.
+    factor Psi of rho = Psi Psi†.  ``gradient`` is the kind's
+    ``_cholesky_gradients`` or ``_direct_gradients``.
     """
 
     rho: np.ndarray
     kind: Callable[..., np.ndarray]
     data: np.ndarray
+    gradient: Callable[..., tuple[np.ndarray, np.ndarray]]
 
     def concurrences(self, w_a: np.ndarray, w_b: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """(..., P) concurrences of the blocks ``idx`` of W† rho W, W = w_a (x) w_b."""
@@ -187,12 +235,12 @@ def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
     if w[0] > CHOLESKY_MIN_RATIO * w[-1]:
         # the part herm_eig factored (rho itself when exactly Hermitian), so the blocks are
         # as positive definite as the eigenvalues w say
-        return _State(rho, _cholesky_concurrences, (rho + rho.conj().T) / 2)
+        return _State(rho, _cholesky_concurrences, (rho + rho.conj().T) / 2, _cholesky_gradients)
     rank = int(np.count_nonzero(w > EIG_ROUNDOFF_RATIO * w[-1]))
     psi = np.zeros((rho.shape[0], max(rank, 2)), dtype=complex)
     if rank:
         psi[:, :rank] = v[:, -rank:] * np.sqrt(w[-rank:])
-    return _State(rho, _direct_concurrences, psi)
+    return _State(rho, _direct_concurrences, psi, _direct_gradients)
 
 
 def _block_index(pairs: Sequence[Pair], m_b: int) -> np.ndarray:
@@ -271,6 +319,97 @@ def _direct_concurrences(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
     return _concurrences(f)
 
 
+# the weights of x_1 .. x_4 in x_1 - x_2 - x_3 - x_4
+_X_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _scatter_add(values: np.ndarray, positions: np.ndarray, size: int) -> np.ndarray:
+    """(N, size) sums of the (N, K) complex ``values`` at the K ``positions`` of each row."""
+    rows = values.shape[0]
+    index = (np.arange(rows)[:, None] * size + positions).ravel()
+    total = rows * size
+    out = np.bincount(index, values.real.ravel(), total).astype(complex)
+    out.imag = np.bincount(index, values.imag.ravel(), total)
+    return out.reshape(rows, size)
+
+
+def _factor_gradients(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X of each block R = L L†, as ``_concurrences`` gives it, and H with d(X^2) = Re tr(H dL).
+
+    ``factors`` is a (..., 4, r) stack of the L, r <= 4, and H is
+    (..., r, 4).  With tau = L^T (sy x sy) L symmetric and
+    d(X^2) = Re tr(K dtau), H = (K + K^T) L^T (sy x sy).  Two columns take
+    the closed form X^2 = |tau|_F^2 - 2 |det tau|, so
+    K = 2 (tau† - w adj(tau)) with w the phase of conj(det tau), 0 where
+    det tau = 0.  Wider factors take the SVD tau = U diag(x) V†, where
+    dx_i = Re(u_i† dtau v_i), so K = 2 X V diag(+1, -1, -1, -1) U†.
+    Blocks with X = 0 get H = 0.
+    """
+    x = _concurrences(factors)
+    lt_flip = np.swapaxes(factors, -1, -2)[..., ::-1] * _FLIP_SIGNS
+    if factors.shape[-1] == 2:
+        a, b, d = _two_column_tau(factors)
+        det = a * d - b * b
+        mag = np.abs(det)
+        w = np.where(mag > 0.0, det.conj() / np.where(mag > 0.0, mag, 1.0), 0.0)
+        off = b.conj() + w * b
+        k = np.stack([np.stack([a.conj() - w * d, off], -1),
+                      np.stack([off, d.conj() - w * a], -1)], -2)
+        k *= np.where(x > 0.0, 4.0, 0.0)[..., None, None]
+        return x, k @ lt_flip
+    u, _, vh = np.linalg.svd(lt_flip @ factors)
+    k = (np.swapaxes(vh.conj(), -1, -2) * _X_SIGNS[:factors.shape[-1]]) @ np.swapaxes(
+        u.conj(), -1, -2)
+    return x, (2.0 * x[..., None, None]) * (k + np.swapaxes(k, -1, -2)) @ lt_flip
+
+
+def _cholesky_gradients(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
+                        idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_cholesky_concurrences`` and the (N, n, m) gradient G of the rows' sums of X^2.
+
+    G is with respect to W = w_a (x) w_b: d(sum X^2) = Re tr(G† dW).  Any
+    factor with L L† = R gives the same x_i, so dL = dR L^-† / 2 may stand
+    in for the Cholesky factor's own derivative, and
+    d(X^2) = Re tr(L^-† H dR) / 2.  Screened blocks have X = 0 and add 0.
+    """
+    blocks = _rotated_blocks(rho, w_a, w_b, idx)
+    kept = ~_provably_ppt(blocks) if len(idx) > 1 else np.ones(blocks.shape[:-2], dtype=bool)
+    x = np.zeros(kept.shape)
+    g = np.zeros(blocks.shape, dtype=complex)
+    factors = np.linalg.cholesky(blocks[kept])
+    x[kept], h = _factor_gradients(factors)
+    g[kept] = np.linalg.solve(np.swapaxes(factors.conj(), -1, -2), h) / 2.0
+    w = _product_basis(w_a, w_b)
+    m = w.shape[-1]
+    g_rot = _scatter_add(g.reshape(len(g), -1), (idx[:, :, None] * m + idx[:, None, :]).ravel(),
+                         m * m).reshape(-1, m, m)
+    # the rotated state W† rho W changes by dW† rho W + W† rho dW
+    return x, rho @ w @ (g_rot + np.swapaxes(g_rot.conj(), -1, -2))
+
+
+def _direct_gradients(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
+                      idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_cholesky_gradients`` for the kind of ``_direct_concurrences``.
+
+    The factor is F = (W† Psi)[idx].  Wider than 4 columns, F = L Q† from
+    the QR decomposition F† = Q L†; tau = F^T (sy x sy) F has the SVD of
+    L's tau with Q mapping its vectors, so H = Q H_L.
+    """
+    w = _product_basis(w_a, w_b)
+    f = (np.swapaxes(w.conj(), -1, -2) @ psi)[..., idx, :]
+    if psi.shape[-1] > 4:
+        q, r = np.linalg.qr(np.swapaxes(f.conj(), -1, -2))
+        x, h = _factor_gradients(np.swapaxes(r.conj(), -1, -2))
+        h = q @ h
+    else:
+        x, h = _factor_gradients(f)
+    # dF = (dW† Psi)[idx]: the columns of H go to the rows idx of dW†
+    h = np.moveaxis(h, -3, -2)
+    n_rows, width = h.shape[:2]
+    h_cols = _scatter_add(h.reshape(n_rows * width, -1), idx.ravel(), w.shape[-1])
+    return x, psi @ h_cols.reshape(n_rows, width, -1)
+
+
 def _two_column_tau(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entries a, b, d of tau = L^T (sy x sy) L = [[a, b], [b, d]] for (..., 4, 2) factors L."""
     (p0, q0), (p1, q1), (p2, q2), (p3, q3) = np.moveaxis(factors, (-2, -1), (0, 1))
@@ -321,44 +460,75 @@ def _concurrences(factors: np.ndarray) -> np.ndarray:
     return np.where(c > X_ROUNDOFF * x_1, c, 0.0)
 
 
-def _state_concurrences(states: Sequence[_State], idx: np.ndarray) -> Callable[..., np.ndarray]:
-    """(w_a, w_b, owner) -> (..., P) concurrences of the blocks ``idx`` of the rotated states.
+def _by_state(states: Sequence[_State], evaluate: Callable[..., tuple[np.ndarray, ...]]
+              ) -> Callable[..., tuple[np.ndarray, ...]]:
+    """(w_a, w_b, owner) -> ``evaluate(state, data, w_a, w_b)`` of each row's state.
 
-    With one state, or ``owner`` None, every rotation applies to
-    ``states[0]``; else row i of the (N, d, m) rotation stacks applies to
+    ``evaluate`` returns a tuple of arrays with one row per rotation.  With
+    one state, or ``owner`` None, every rotation applies to ``states[0]``;
+    else row i of the (N, d, m) rotation stacks applies to
     ``states[owner[i]]``.  Rows are grouped by their state's kind and data
-    shape, each group is one call of its kind, and each row's values
-    equal those of the one-state call, whatever rows sit beside it.
+    shape, each group is one call on its states' stacked data, and each
+    row's outputs equal those of the one-state call, whatever rows sit
+    beside it.
     """
     groups: dict[tuple[Callable[..., np.ndarray], tuple[int, ...]], list[int]] = {}
     for i, s in enumerate(states):
         groups.setdefault((s.kind, s.data.shape), []).append(i)
     group, local = np.empty(len(states), dtype=int), np.empty(len(states), dtype=int)
     stacks = []
-    for g, ((kind, _), members) in enumerate(groups.items()):
+    for g, members in enumerate(groups.values()):
         group[members], local[members] = g, np.arange(len(members))
-        stacks.append((kind, np.array([states[i].data for i in members])))
+        stacks.append((states[members[0]], np.array([states[i].data for i in members])))
 
-    def concurrences(w_a: np.ndarray, w_b: np.ndarray,
-                     owner: np.ndarray | None = None) -> np.ndarray:
+    def by_state(w_a: np.ndarray, w_b: np.ndarray,
+                 owner: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         if owner is None or len(states) == 1:
-            return states[0].concurrences(w_a, w_b, idx)
-        x = np.empty((len(owner), len(idx)))
+            return evaluate(states[0], states[0].data, w_a, w_b)
+        out: tuple[np.ndarray, ...] = ()
         row_group = group[owner]
-        for g, (kind, data) in enumerate(stacks):
+        for g, (first, data) in enumerate(stacks):
             rows = np.flatnonzero(row_group == g)
             if rows.size:
-                x[rows] = kind(data[local[owner[rows]]], w_a[rows], w_b[rows], idx)
-        return x
+                part = evaluate(first, data[local[owner[rows]]], w_a[rows], w_b[rows])
+                if not out:
+                    out = tuple(np.empty((len(owner),) + p.shape[1:], p.dtype) for p in part)
+                for o, p in zip(out, part):
+                    o[rows] = p
+        return out
 
-    return concurrences
+    return by_state
+
+
+def _state_concurrences(states: Sequence[_State], idx: np.ndarray) -> Callable[..., np.ndarray]:
+    """(w_a, w_b, owner) -> (..., P) concurrences of the blocks ``idx`` (see ``_by_state``)."""
+    by_state = _by_state(states, lambda s, data, w_a, w_b: (s.kind(data, w_a, w_b, idx),))
+    return lambda w_a, w_b, owner=None: by_state(w_a, w_b, owner)[0]
+
+
+def _state_gradients(states: Sequence[_State], idx: np.ndarray
+                     ) -> Callable[..., tuple[np.ndarray, ...]]:
+    """(w_a, w_b, owner) -> the blocks' concurrences and gradients (see ``_by_state``).
+
+    Each kind's ``gradient`` gives the rows' (N, n, m) gradients of their
+    sum of X^2 with respect to W = w_a (x) w_b.
+    """
+    return _by_state(states, lambda s, data, w_a, w_b: s.gradient(data, w_a, w_b, idx))
 
 
 def _local_adjoint(u: np.ndarray | None, d: int) -> np.ndarray:
-    """u† for a local unitary of dimension d (None -> identity)."""
+    """u† for a local unitary of dimension d (None -> identity).
+
+    A matrix whose unitarity defect exceeds UNITARITY_INPUT_TOL raises
+    ``NotUnitaryError``: rotating by it gives numbers that bound nothing.
+    """
     if u is None:
         return np.eye(d, dtype=complex)
-    return _check_dims(u, (d,))[0].conj().T
+    u = _check_dims(u, (d,))[0]
+    defect = unitarity_defect(u)
+    if defect > UNITARITY_INPUT_TOL:
+        raise NotUnitaryError(f"local unitary has unitarity defect {defect:.3e} > 1e-9")
+    return u.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +644,9 @@ def ucs_block_to_matrix(vec: np.ndarray, d: int, k: int = 2) -> np.ndarray:
 # on (N, n) stacks, and the public closures evaluate it on one vector.
 
 Rotations = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# v -> (w_a, w_b, back); back(g_a, g_b) is the (N, n) angle gradient of
+# Re tr(g_a† dw_a) + Re tr(g_b† dw_b)
+RotationsVJP = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, Callable[..., np.ndarray]]]
 
 
 @dataclass(frozen=True)
@@ -482,7 +655,9 @@ class _Search:
 
     ``rotations`` maps (..., n) packed vectors, A's angles first, to the
     stacks (w_a, w_b); ``idx`` are the blocks summed and ``seed_idx`` those
-    the seeded surrogate reads.
+    the seeded surrogate reads.  ``rotations_vjp``, for the searches that
+    run on gradients, maps (N, n) vectors to the same stacks and their
+    pullback to the angles.
     """
 
     d_a: int
@@ -491,6 +666,7 @@ class _Search:
     rotations: Rotations
     idx: np.ndarray
     seed_idx: np.ndarray
+    rotations_vjp: RotationsVJP | None = None
 
 
 def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
@@ -506,6 +682,8 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
     sides come from one ``_product`` call, the smaller side cut from the
     top-left corner of a d x d product, d = max(d_a, d_b).  A side packs
     the angles its factors with n <= d_side read, in ``_angle_positions`` order.
+    B_opt also gives the rotations' pullback (``_product_pullback``), so
+    its search runs on gradients; the witness does not.
     """
     d = max(d_a, d_b)
     pairs = _ucs_pairs(d, 2) if witness else sigma_pairs(d)
@@ -516,18 +694,32 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
             for side, d_side in enumerate((d_a, d_b))
             for i, j in _angle_positions([(m, n) for m, n in pairs if n <= d_side])]
 
-    def rotations(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def angles(v: np.ndarray) -> np.ndarray:
         lam = np.zeros(v.shape[:-1] + (2 * d * d,))
         lam[..., flat] = v
-        u = _product(lam.reshape(v.shape[:-1] + (2, d, d)), pairs, diag=False)
+        return lam.reshape(v.shape[:-1] + (2, d, d))
+
+    def rotations(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = _product(angles(v), pairs, diag=False)
         return u[..., 0, :d_a, :cols_a], u[..., 1, :d_b, :cols_b]
+
+    def rotations_vjp(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable[..., np.ndarray]]:
+        lam = angles(v)
+        u = _product(lam, pairs, diag=False)
+
+        def back(g_a: np.ndarray, g_b: np.ndarray) -> np.ndarray:
+            g = np.zeros(u.shape, dtype=complex)
+            g[..., 0, :d_a, :cols_a], g[..., 1, :d_b, :cols_b] = g_a, g_b
+            return _product_pullback(lam, u, g, pairs).reshape(len(v), -1)[:, flat]
+
+        return u[..., 0, :d_a, :cols_a], u[..., 1, :d_b, :cols_b], back
 
     if witness:  # cut from the 2 x 2 space the two columns per side span
         idx = seed_idx = _block_index([((1, 2), (1, 2))], 2)
-    else:
-        idx = _block_index(_all_pairs(d_a, d_b), d_b)
-        seed_idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
-    return _Search(d_a, d_b, len(flat), rotations, idx, seed_idx)
+        return _Search(d_a, d_b, len(flat), rotations, idx, seed_idx)
+    idx = _block_index(_all_pairs(d_a, d_b), d_b)
+    seed_idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
+    return _Search(d_a, d_b, len(flat), rotations, idx, seed_idx, rotations_vjp)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -566,6 +758,30 @@ def _values(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
         return -_row_sums(x * x)
 
     return values
+
+
+def _value_grads(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
+                 search: _Search) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """``_values`` with gradients: (N, n) packed vectors -> their values and (N, n) gradients.
+
+    Each kind gives its blocks' X and the gradient G of their sum of X^2
+    with respect to W = w_a (x) w_b; one contraction of G with w_b and
+    one with w_a take it to the two sides, and the search's pullback to
+    the angles.  ``rho`` and ``owner`` are as for ``_values``.
+    """
+    gradients = _state_gradients(_states(rho, search.d_a, search.d_b), search.idx)
+
+    def value_grads(v: np.ndarray, owner: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        w_a, w_b, back = search.rotations_vjp(v)
+        x, g = gradients(w_a, w_b, owner)
+        (d_a, m_a), (d_b, m_b) = w_a.shape[-2:], w_b.shape[-2:]
+        g = g.reshape(-1, d_a, d_b, m_a, m_b)
+        g_a = np.einsum("rabcd,rbd->rac", g, w_b.conj())
+        g_b = np.einsum("rabcd,rac->rbd", g, w_a.conj())
+        return -_row_sums(x * x), -back(g_a, g_b)
+
+    return value_grads
 
 
 def _scalar(values: Batch, n: int) -> Callable[[np.ndarray], float]:
@@ -637,19 +853,47 @@ def _pt_surrogate(rho: np.ndarray, rotations: Rotations, idx: np.ndarray) -> Bat
     return values
 
 
-def _pt_seeded(result: OptimizerResult, objective: Callable[[np.ndarray], float],
-               state: _State, search: _Search, cfg: OptimizerConfig) -> OptimizerResult:
+def _core(rho: np.ndarray | _State | Sequence[np.ndarray | _State], search: _Search) -> Core:
+    """The lockstep core of ``search`` on ``rho`` (as for ``_values``).
+
+    BFGS on ``_value_grads`` when the search has gradients (B_opt), else
+    Nelder-Mead on ``_values`` (the witness).
+    """
+    if search.rotations_vjp is None:
+        return partial(_nelder_mead, _values(rho, search))
+    return partial(_bfgs, _value_grads(rho, search))
+
+
+def _with_run(result: OptimizerResult, run: OptimizerResult,
+              *stages: OptimizerResult) -> OptimizerResult:
+    """``result`` after one more ``run`` of its search, which ``stages`` prepared.
+
+    The better of the two gives the value and point.  The restart count
+    stays that of ``result``, the steps, evaluations and objective calls of
+    all add up, and the run's value is listed after the restart values, so
+    ``best_restart`` equals ``result.restarts`` when the run wins.
+    """
+    best = run if run.value < result.value else result
+    parts = (result, run) + stages
+    return OptimizerResult(best.value, best.x, sum(r.iterations for r in parts),
+                           result.restarts, best.converged,
+                           evaluations=sum(r.evaluations for r in parts),
+                           calls=sum(r.calls for r in parts),
+                           restart_values=result.restart_values + run.restart_values,
+                           best_restart=result.restarts if best is run else result.best_restart)
+
+
+def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
+               cfg: OptimizerConfig) -> OptimizerResult:
     """Add the partial-transpose-seeded stage when all restarts ended on an NPT state's plateau.
 
     The plateau is any value above -PLATEAU_X_SQ, round-off of X = 0.  The
-    surrogate is minimized with PT_SEED_RESTARTS restarts drawn from
-    ``cfg.seed``, and one Nelder-Mead run of ``objective`` starts from its
-    minimizer.  The returned result is the better of that run and
-    ``result``; it keeps the restart count of ``result``, adds the stage's
-    simplex steps, evaluations and objective calls, and lists the run's
-    value after the restart values, so ``best_restart`` equals
-    ``result.restarts`` when the run wins.  Without the stage ``result`` is returned as is; a search
-    without angles (the d = 2 witness) is exact and gets no stage.
+    surrogate is minimized by Nelder-Mead with PT_SEED_RESTARTS restarts
+    drawn from ``cfg.seed``, and one run of the search starts from its
+    minimizer (``_core``).  The returned result adds the surrogate's and
+    the run's work to ``result`` (see ``_with_run``).  Without the stage
+    ``result`` is returned as is; a search without angles (the d = 2
+    witness) is exact and gets no stage.
     """
     n = search.n
     if (result.value <= -PLATEAU_X_SQ or n == 0
@@ -658,15 +902,9 @@ def _pt_seeded(result: OptimizerResult, objective: Callable[[np.ndarray], float]
     surrogate = _pt_surrogate(state.rho, search.rotations, search.seed_idx)
     seeded = minimize(_scalar(surrogate, n), n, replace(cfg, restarts=PT_SEED_RESTARTS),
                       batch=surrogate)
-    run = refine(objective, seeded.x, cfg, batch=_values(state, search))
-    best = run if run.value < result.value else result
-    return OptimizerResult(best.value, best.x,
-                           result.iterations + seeded.iterations + run.iterations,
-                           result.restarts, best.converged,
-                           evaluations=result.evaluations + seeded.evaluations + run.evaluations,
-                           calls=result.calls + seeded.calls + run.calls,
-                           restart_values=result.restart_values + run.restart_values,
-                           best_restart=result.restarts if best is run else result.best_restart)
+    (run,) = _solve(_values(state, search), _core(state, search), seeded.x[None, None], cfg,
+                    False)
+    return _with_run(result, run, seeded)
 
 
 def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
@@ -674,18 +912,18 @@ def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
     """Minimized -(sum of X^2) of the search for each state, with the config of the same index.
 
     The states are checked once and their restarts stepped together in one
-    ``minimize_many`` run, each state evaluating its own rows, so each
-    result equals that of the state alone; the configs may differ only in
-    ``seed``.  The partial-transpose-seeded stage then follows per state.
+    lockstep run of the search's core (``_core``), each state evaluating
+    its own rows, so each result equals that of the state alone; the
+    configs may differ only in ``seed``.  One batched call re-evaluates the
+    results, and the partial-transpose-seeded stage then follows per state.
     """
     search = _search(d_a, d_b, witness)
     states = _states(rhos, d_a, d_b)
-    make = make_distill_objective if witness else make_bopt_objective
-    objectives = [make(state, d_a, d_b) for state in states]
     cfgs = [cfg or OptimizerConfig() for cfg in cfgs]
-    results = minimize_many(objectives, search.n, cfgs, batch=_values(states, search))
-    return [_pt_seeded(result, f, state, search, cfg)
-            for result, f, state, cfg in zip(results, objectives, states, cfgs)]
+    results = _minimize_many(_values(states, search), search.n, cfgs, False,
+                             _core(states, search))
+    return [_pt_seeded(result, state, search, cfg)
+            for result, state, cfg in zip(results, states, cfgs)]
 
 
 def optimized_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
@@ -702,15 +940,56 @@ def optimized_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
 
 def optimized_bound_b(rho: np.ndarray, d_a: int, d_b: int,
                       cfg: OptimizerConfig | None = None) -> tuple[float, OptimizerResult]:
-    """Maximized bound B_opt >= B via Nelder-Mead restarts.
+    """Maximized bound B_opt >= B via BFGS restarts on exact gradients.
 
-    The restarts are those of ``minimize``, stepped together through the
-    batched objective.  When all of them end on the X = 0 plateau of an
+    The restarts start where those of ``minimize`` do and are stepped
+    together through the batched value-and-gradient evaluator
+    (``_value_grads``).  When all of them end on the X = 0 plateau of an
     NPT state, the partial-transpose-seeded stage (see the module
     docstring) follows.  This is the one-state case of
     ``optimized_bounds_b``.
     """
     return optimized_bounds_b([rho], d_a, d_b, [cfg])[0]
+
+
+def lifted_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
+                    results: Sequence[OptimizerResult], candidates: Sequence[np.ndarray]
+                    ) -> list[tuple[float, OptimizerResult]]:
+    """Results of ``optimized_bounds_b`` on ``rhos``, lifted by BFGS runs from candidate angles.
+
+    ``candidates[i]`` is a (k, n) array of packed angle vectors for
+    ``rhos[i]``, such as the optima of related states, and ``results[i]``
+    the state's result.  One batched call evaluates every candidate.  Where
+    a state's best candidate lies below its result by more than
+    LIFT_MARGIN, one BFGS run starts from it, with the default
+    ``OptimizerConfig``; the runs of all such states step together, each
+    as it would alone, and join their results as the seeded stage's run
+    does (``_with_run``).  A run never ends above the candidate it starts
+    from, so a bound only rises.  Returns (B_opt, result) per state.
+    """
+    search = _search(d_a, d_b)
+    states = _states(rhos, d_a, d_b)
+    results = list(results)
+    scored = [(i, c) for i, c in enumerate(candidates) if len(c)]
+    lifts, starts = [], []
+    if scored:
+        values = _values(states, search)(np.concatenate([c for _, c in scored]),
+                                         np.concatenate([np.full(len(c), i) for i, c in scored]))
+        for i, c in scored:
+            own, values = values[:len(c)], values[len(c):]
+            b = int(np.argmin(own))
+            results[i] = replace(results[i], evaluations=results[i].evaluations + len(c),
+                                 calls=results[i].calls + 1)
+            if own[b] < results[i].value - LIFT_MARGIN:
+                lifts.append(i)
+                starts.append(c[b])
+    if lifts:
+        lifted = [states[i] for i in lifts]
+        runs = _solve(_values(lifted, search), _core(lifted, search),
+                      np.array(starts)[:, None], OptimizerConfig(), False)
+        for i, run in zip(lifts, runs):
+            results[i] = _with_run(results[i], run)
+    return [(math.sqrt(max(-result.value, 0.0)), result) for result in results]
 
 
 def max_distill_x_sq(rho: np.ndarray, d_a: int, d_b: int,

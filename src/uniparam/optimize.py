@@ -1,4 +1,4 @@
-"""Nelder-Mead simplex minimization with seeded random restarts.
+"""Restarted minimization: Nelder-Mead simplex, or BFGS where gradients exist.
 
 Intended for the 2*pi-periodic angle objectives in this package, so
 parameters are left unconstrained (no wrapping).  The first restart
@@ -7,19 +7,19 @@ uniformly from [0, 2*pi)^dim using the configured seed, which makes every
 run bit-reproducible and guarantees that an optimized objective value is
 never worse than the value at zero.
 
-All restarts run in staggered lockstep: one Nelder-Mead core holds the
-simplex of every restart that has not stopped, and each call of a
-batched objective evaluates the next pending point of every one of them
-(a reflection, an expansion or contraction, or a shrink's vertices), so
-restarts in different phases of their steps share a call.  Callers that
-have a batched objective pass it as ``batch``, the same objective over an
-(N, dim) array returning N values; without it the rows are evaluated one
-at a time.  Each restart still evaluates exactly the points it would
-alone and follows the same sort, tests, moves and argmin, so results do
-not depend on how many restarts run beside it.  That rests on the
-batched objective's rows being independent: a row's value must not
-depend on the rows beside it.  ``OptimizerResult.calls`` counts the
-batched calls.
+All restarts run in staggered lockstep: one core holds the state of every
+restart that has not stopped, and each call of a batched objective
+evaluates the next pending point of every one of them, so restarts in
+different phases of their steps share a call.  Nelder-Mead's pending
+point is a reflection, an expansion or contraction, or a shrink's
+vertices.  Callers that have a batched objective pass it as ``batch``,
+the same objective over an (N, dim) array returning N values; without it
+the rows are evaluated one at a time.  Each restart still evaluates
+exactly the points it would alone and follows the same sort, tests, moves
+and argmin, so results do not depend on how many restarts run beside it.
+That rests on the batched objective's rows being independent: a row's
+value must not depend on the rows beside it.  ``OptimizerResult.calls``
+counts the batched calls.
 
 ``minimize_many`` steps the restarts of several problems in one such run:
 problem i draws its starts from its own ``cfgs[i].seed`` and gets its own
@@ -31,16 +31,31 @@ run.  No objective call takes more than ``restarts * (dim + 1)`` rows, the
 size of one problem's simplex set-up: larger evaluations are split into
 calls of that size, which bounds the memory of the batched evaluators.
 
+A caller that has the gradients steps ``_minimize_many`` by ``_bfgs`` with a
+``gradient`` called like ``batch`` and returning the values and the (N, dim)
+gradients; the runs are then BFGS runs in the same lockstep,
+one pending trial point per live run and call after the first call, which
+evaluates each start's Nelder-Mead simplex.  Its line search is weak
+Wolfe, so no run ends above the best vertex of its start's simplex.  A
+run stops when its direction promises less than round-off, when a step
+gains less than ``f_tol`` and the next promises less than ``f_tol``,
+after ``max_iterations`` steps or BFGS_MAX_TRIALS (400) trial points, or
+at a kink, where its line search no longer moves it.  The entanglement
+module runs the optimized bound B_opt this way, and the distillability
+witness and the seeded surrogate by Nelder-Mead.  ``minimize`` and
+``refine`` are Nelder-Mead only.
+
 ``refine`` runs one Nelder-Mead simplex from a given point instead, the
-same core with one restart.  The entanglement module uses it for its
-partial-transpose-seeded stage: when every restart of ``minimize`` ends
-on an objective's flat zero plateau, it restarts once from the minimizer
-of a plateau-free surrogate.
+same core with one restart.  The entanglement module's
+partial-transpose-seeded stage runs one such run of its search (BFGS for
+B_opt): when every restart ends on an objective's flat zero plateau, it
+restarts once from the minimizer of a plateau-free surrogate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,16 +67,30 @@ REFLECT = 1.0
 EXPAND = 2.0
 CONTRACT = 0.5
 SHRINK = 0.5
+# BFGS weak Wolfe line search: sufficient decrease and curvature constants
+ARMIJO = 1e-4
+CURVATURE = 0.5
+# a direction promising less than this times |f| promises only round-off
+ROUNDOFF = np.finfo(float).eps
+# a step below this times (1 + |x_i|) in every coordinate no longer moves x
+ANGLE_RESOLUTION = 4 * np.finfo(float).eps
+# trial points a BFGS run may evaluate after its simplex: where the objective is smooth
+# BFGS converges within them, and a run still stepping after them crawls along a kink, where
+# the gradient does not vanish, at a linear rate.  Left to run, such runs took from 400 to
+# 3000 points as the seed changed, and the longest one sets how many calls the lockstep takes
+BFGS_MAX_TRIALS = 400
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for ``minimize``.
+    """Settings for ``minimize``, ``minimize_many`` and ``refine``.
 
-    max_iterations : simplex steps allowed per restart.
+    max_iterations : simplex steps (BFGS: accepted steps) allowed per restart.
     f_tol          : stop a restart once max(f) - min(f) over the simplex
-                     drops below this spread.
-    simplex_scale  : edge length (radians) of the initial simplex.
+                     drops below this spread (BFGS: once a step gains, and
+                     the next promises, less than this).
+    simplex_scale  : edge length (radians) of the initial simplex, which
+                     BFGS evaluates to pick its first point.
     restarts       : number of starts; the first is the zero vector.
     seed           : seed for the restart draws.
     """
@@ -87,15 +116,16 @@ class OptimizerConfig:
 class OptimizerResult:
     """Best point found, re-evaluated on return so value == objective(x).
 
-    ``iterations`` counts the simplex steps of every run that went into the
-    result, including any seeded stage run after the restarts.
-    ``evaluations`` counts the objective points evaluated: simplex set-up,
-    steps, shrinks and the final re-evaluation, plus those of a seeded
-    stage.  ``restart_values`` is the best value of each Nelder-Mead run in
-    order, and ``best_restart`` the index of the run that gave ``x``
-    (-1 when no run was recorded).  ``calls`` counts the batched objective
-    calls of the Nelder-Mead run that produced the result; the problems of
-    one ``minimize_many`` run share it, and a seeded stage adds its own.
+    ``iterations`` counts the simplex steps (BFGS: accepted steps) of
+    every run that went into the result, including any seeded stage run
+    after the restarts.  ``evaluations`` counts the objective points
+    evaluated: simplex set-up, steps, shrinks (BFGS: trial points, each
+    with its gradient) and the final re-evaluation, plus those of a seeded
+    stage.  ``restart_values`` is the best value of each run in order, and
+    ``best_restart`` the index of the run that gave ``x`` (-1 when no run
+    was recorded).  ``calls`` counts the batched objective calls of the
+    run that produced the result; the problems of one ``minimize_many`` run
+    share it, and a seeded stage adds its own.
     """
 
     value: float
@@ -114,6 +144,12 @@ Objective = Callable[[np.ndarray], float]
 Batch = Callable[[np.ndarray], np.ndarray]
 # batch(xs, owner): row i of xs belongs to the problem with index owner[i]
 OwnedBatch = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# gradient(xs, owner) -> (values, gradients) of the rows, owned as for OwnedBatch
+OwnedGradient = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# core(starts, owner, cap, scale, max_iterations, f_tol, traces): ``_nelder_mead`` or ``_bfgs``
+# with its objective bound, returning each run's point, value, iterations, convergence flag and
+# evaluations, and the number of objective calls
+Core = Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]]
 
 
 def _rowwise(objectives: Sequence[Objective]) -> OwnedBatch:
@@ -258,33 +294,206 @@ def _nelder_mead(batch: OwnedBatch, starts: np.ndarray, owner: np.ndarray, cap: 
     return best_x, best_f, steps, converged, evaluations, calls
 
 
-def _solve(objectives: Sequence[Objective], batch: OwnedBatch | None, starts: np.ndarray,
-           cfg: OptimizerConfig, keep_history: bool) -> list[OptimizerResult]:
-    """Lockstep Nelder-Mead from the (P, R, dim) ``starts``: R runs for each of P problems.
+def _bfgs(gradient: OwnedGradient, starts: np.ndarray, owner: np.ndarray, cap: int,
+          scale: float, max_iterations: int, f_tol: float, traces: list[list[float]] | None
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """One BFGS run from each row of ``starts``, all advanced in lockstep.
 
-    Per problem, its first run with the lowest value wins.  No objective
-    call takes more than R * (dim + 1) rows, one problem's simplex set-up.
+    ``gradient(xs, owner)`` returns the values and gradients of the rows.
+    The first call evaluates each start's Nelder-Mead simplex (the start
+    and one vertex ``scale`` along each axis), and the run begins at its
+    first lowest vertex: a gradient is 0 on a flat plateau, and a start
+    there moves off it when a vertex does.  After it each call evaluates
+    one pending trial point x + t d of every live run, d = -H g from the
+    run's inverse-Hessian estimate H, starting at t = 1.  The line search
+    is weak Wolfe, so monotone: a trial is accepted, as the run's next
+    point and one iteration, when it meets Armijo's condition
+    f(x + t d) <= f(x) + ARMIJO t g.d and its slope g'.d >= CURVATURE g.d;
+    otherwise t is bisected within its bracket, or doubled while no trial
+    has failed Armijo.  H is scaled to s.y / y.y at the first accepted step
+    and then takes the BFGS update, skipped when s.y <= 0.  A run stops
+    converged when its direction promises only round-off
+    (-g.d <= ROUNDOFF |f|, a zero gradient included) or when an accepted
+    step lowered f by less than ``f_tol`` and the next promises less
+    than ``f_tol`` (-g.d < f_tol).  It stops unconverged at
+    ``max_iterations`` iterations, after BFGS_MAX_TRIALS trial points, or
+    at a kink: when its bracket no longer moves x, even along -g after H
+    is reset.  Rows of a call are the live runs in run order, split into
+    calls of ``cap`` rows, so rows must be independent as for
+    ``_nelder_mead``.  Returns each run's last point, its value,
+    iterations, convergence flag and number of points evaluated, and the
+    number of objective calls.
+    """
+    n_runs, dim = starts.shape
+    calls = 0
+
+    def evaluate(xs: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal calls
+        chunks = range(0, len(xs), cap)
+        calls += len(chunks)
+        parts = [gradient(xs[i:i + cap], own[i:i + cap]) for i in chunks]
+        return (np.concatenate([f for f, _ in parts]),
+                np.concatenate([g for _, g in parts]).reshape(len(xs), dim))
+
+    out_x, out_f = np.empty((n_runs, dim)), np.empty(n_runs)
+    steps, evaluations = np.empty(n_runs, dtype=int), np.empty(n_runs, dtype=int)
+    converged = np.zeros(n_runs, dtype=bool)
+
+    # the first call evaluates every run's Nelder-Mead simplex, and the run begins at its
+    # first lowest vertex
+    eye = np.eye(dim)
+    simplex = starts[:, None] + np.vstack([np.zeros(dim), scale * eye])
+    fs, gs = evaluate(simplex.reshape(-1, dim), np.repeat(owner, dim + 1))
+    fs, gs = fs.reshape(n_runs, dim + 1), gs.reshape(n_runs, dim + 1, dim)
+    ids, own = np.arange(n_runs), owner
+    vertex = np.argmin(fs, axis=1)
+    x, f, g = simplex[ids, vertex], fs[ids, vertex], gs[ids, vertex]
+    h = np.repeat(eye[None], n_runs, axis=0)
+    scaled = np.zeros(n_runs, dtype=bool)  # H has taken an update since it was last the identity
+    d = -g
+    slope = -np.einsum("ij,ij->i", g, g)
+    t = np.ones(n_runs)
+    iters, evals = np.zeros(n_runs, dtype=int), np.full(n_runs, dim + 1)
+    if traces is not None:
+        for r, value in enumerate(f.tolist()):
+            traces[r].append(value)
+    lo, hi = np.zeros(n_runs), np.full(n_runs, np.inf)
+    stop = flat = -slope <= ROUNDOFF * np.abs(f)
+    while True:
+        if np.count_nonzero(stop):
+            gone = np.flatnonzero(stop)
+            rid = ids[gone]
+            out_x[rid], out_f[rid] = x[gone], f[gone]
+            steps[rid], evaluations[rid] = iters[gone], evals[gone]
+            converged[rid] = flat[gone]
+            keep = ~stop
+            ids, own, x, f, g, h, scaled, d, slope, t, lo, hi, iters, evals = (
+                a[keep] for a in (ids, own, x, f, g, h, scaled, d, slope, t, lo, hi, iters,
+                                  evals))
+            if not ids.size:
+                break
+
+        trial = x + t[:, None] * d
+        ft, gt = evaluate(trial, own)
+        evals += 1
+        # weak Wolfe line search: Armijo's sufficient decrease and a flatter slope at the trial
+        armijo = ft <= f + ARMIJO * t * slope
+        accept = armijo & (np.einsum("ij,ij->i", gt, d) >= CURVATURE * slope)
+        hi = np.where(armijo, hi, t)
+        lo = np.where(armijo & ~accept, t, lo)
+
+        # accepted trials: the BFGS update of H (s.y > 0 by the curvature condition, up to
+        # round-off), then the next direction from the new point
+        s, y = trial - x, gt - g
+        sy = np.einsum("ij,ij->i", s, y)
+        update = accept & (sy > 0.0)
+        if np.count_nonzero(update):
+            u = np.flatnonzero(update)
+            su, yu, syu = s[u], y[u], sy[u]
+            first = ~scaled[u]
+            hu = h[u]
+            yy = np.einsum("ij,ij->i", yu[first], yu[first])
+            hu[first] = eye * (syu[first] / yy)[:, None, None]
+            hy = np.einsum("ijk,ik->ij", hu, yu)
+            coef = (syu + np.einsum("ij,ij->i", yu, hy)) / (syu * syu)
+            hu += (coef[:, None, None] * su[:, :, None] * su[:, None, :]
+                   - (hy[:, :, None] * su[:, None, :] + su[:, :, None] * hy[:, None, :])
+                   / syu[:, None, None])
+            h[u] = hu
+            scaled[u] = True
+        decrease = np.where(accept, f - ft, np.inf)
+        x = np.where(accept[:, None], trial, x)
+        f = np.where(accept, ft, f)
+        g = np.where(accept[:, None], gt, g)
+        iters += accept
+        if traces is not None:
+            for r, value in zip(ids[accept].tolist(), f[accept].tolist()):
+                traces[r].append(value)
+        d_new = -np.einsum("ijk,ik->ij", h, g)
+        slope_new = np.einsum("ij,ij->i", g, d_new)
+
+        # the others bisect their bracket, or double t while no trial has failed Armijo; a
+        # bracket that no longer moves x restarts along -g, or stops the run
+        t = np.where(accept, 1.0, np.where(np.isinf(hi), 2.0 * lo, (lo + hi) / 2.0))
+        # (only a closed bracket can stop moving x; an open one is still doubling t)
+        closed = np.isfinite(hi)
+        width = np.where(closed, hi - lo, 0.0)
+        stuck = ~accept & closed & np.all(np.abs(width[:, None] * d)
+                                          <= ANGLE_RESOLUTION * (1.0 + np.abs(x)), axis=1)
+        reset = (accept & ~(slope_new < 0.0)) | (stuck & scaled)
+        d = np.where(accept[:, None], d_new, d)
+        slope = np.where(accept, slope_new, slope)
+        if np.count_nonzero(reset):
+            h[reset] = eye
+            scaled[reset] = False
+            d[reset] = -g[reset]
+            slope[reset] = -np.einsum("ij,ij->i", g[reset], g[reset])
+            t[reset] = 1.0
+        restart = accept | reset
+        lo, hi = np.where(restart, 0.0, lo), np.where(restart, np.inf, hi)
+        flat = restart & ((-slope <= ROUNDOFF * np.abs(f))
+                          | ((decrease < f_tol) & (-slope < f_tol)))
+        stop = (flat | (stuck & ~reset) | (accept & (iters >= max_iterations))
+                | (evals > dim + BFGS_MAX_TRIALS))
+
+    return out_x, out_f, steps, converged, evaluations, calls
+
+
+def _solve(reevaluate: OwnedBatch, core: Core, starts: np.ndarray,
+           cfg: OptimizerConfig, keep_history: bool) -> list[OptimizerResult]:
+    """R runs for each of P problems from the (P, R, dim) ``starts``, in one lockstep core.
+
+    ``core`` is ``_nelder_mead`` or ``_bfgs`` with its objective bound
+    (``functools.partial``).  Per problem, its first run with the lowest
+    value wins, and ``reevaluate`` evaluates the P winners in one call.  No
+    objective call takes more than R * (dim + 1) rows, one problem's
+    simplex set-up.
     """
     n_problems, n_runs, dim = starts.shape
     traces: list[list[float]] | None = (
         [[] for _ in range(n_problems * n_runs)] if keep_history else None)
-    *runs, calls = _nelder_mead(
-        batch or _rowwise(objectives), starts.reshape(-1, dim),
-        np.repeat(np.arange(n_problems), n_runs), n_runs * (dim + 1),
-        cfg.simplex_scale, cfg.max_iterations, cfg.f_tol, traces)
+    owner = np.repeat(np.arange(n_problems), n_runs)
+    cap = n_runs * (dim + 1)
+    *runs, calls = core(starts.reshape(-1, dim), owner, cap, cfg.simplex_scale,
+                        cfg.max_iterations, cfg.f_tol, traces)
     x, fx, iters, converged, evaluations = (
         a.reshape(n_problems, n_runs, *a.shape[1:]) for a in runs)
+    problems = np.arange(n_problems)
+    best = np.argmin(fx, axis=1)
+    values = reevaluate(x[problems, best], problems)
     results = []
-    for p, objective in enumerate(objectives):
-        best = int(np.argmin(fx[p]))
+    for p, (b, value) in enumerate(zip(best.tolist(), values.tolist())):
         runs = slice(p * n_runs, (p + 1) * n_runs)
         history = None if traces is None else tuple(map(tuple, traces[runs]))
         results.append(OptimizerResult(
-            float(objective(x[p, best])), x[p, best], int(iters[p].sum()), n_runs,
-            bool(converged[p, best]), history=history,
-            evaluations=int(evaluations[p].sum()) + 1,
-            restart_values=tuple(fx[p].tolist()), best_restart=best, calls=calls))
+            value, x[p, b], int(iters[p].sum()), n_runs, bool(converged[p, b]),
+            history=history, evaluations=int(evaluations[p].sum()) + 1,
+            restart_values=tuple(fx[p].tolist()), best_restart=b, calls=calls))
     return results
+
+
+def _minimize_many(reevaluate: OwnedBatch, dim: int, cfgs: list[OptimizerConfig],
+                   keep_history: bool, core: Core) -> list[OptimizerResult]:
+    """``minimize_many`` on batched objectives, stepped by ``core`` (see ``_solve``).
+
+    ``reevaluate`` gives the results' values.
+    """
+    if dim < 0:
+        raise ValueError("dim must be >= 0")
+    if not cfgs:
+        return []
+    if any(replace(c, seed=0) != replace(cfgs[0], seed=0) for c in cfgs):
+        raise ValueError("configs may differ only in seed")
+    if dim == 0:
+        x = np.zeros(0)
+        values = reevaluate(np.zeros((len(cfgs), 0)), np.arange(len(cfgs)))
+        return [OptimizerResult(value, x, 0, 0, True,
+                                history=() if keep_history else None, evaluations=1)
+                for value in values.tolist()]
+    starts = np.zeros((len(cfgs), cfgs[0].restarts, dim))
+    for s, cfg in zip(starts, cfgs):
+        s[1:] = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (cfg.restarts - 1, dim))
+    return _solve(reevaluate, core, starts, cfgs[0], keep_history)
 
 
 def minimize_many(objectives: Sequence[Objective], dim: int,
@@ -302,21 +511,9 @@ def minimize_many(objectives: Sequence[Objective], dim: int,
     cfgs = list(cfgs)
     if len(cfgs) != len(objectives):
         raise ValueError(f"{len(objectives)} objectives but {len(cfgs)} configs")
-    if dim < 0:
-        raise ValueError("dim must be >= 0")
-    if not cfgs:
-        return []
-    if any(replace(c, seed=0) != replace(cfgs[0], seed=0) for c in cfgs):
-        raise ValueError("configs may differ only in seed")
-    if dim == 0:
-        x = np.zeros(0)
-        return [OptimizerResult(float(objective(x)), x, 0, 0, True,
-                                history=() if keep_history else None, evaluations=1)
-                for objective in objectives]
-    starts = np.zeros((len(cfgs), cfgs[0].restarts, dim))
-    for s, cfg in zip(starts, cfgs):
-        s[1:] = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (cfg.restarts - 1, dim))
-    return _solve(objectives, batch, starts, cfgs[0], keep_history)
+    rowwise = _rowwise(objectives)
+    return _minimize_many(rowwise, dim, cfgs, keep_history,
+                          partial(_nelder_mead, batch or rowwise))
 
 
 def _owned(batch: Batch | None) -> OwnedBatch | None:
@@ -350,5 +547,6 @@ def refine(objective: Objective, start: np.ndarray,
     describes ``batch``.
     """
     start = np.array(start, dtype=float).ravel()
-    return _solve([objective], _owned(batch), start[None, None], cfg or OptimizerConfig(),
-                  False)[0]
+    rowwise = _rowwise([objective])
+    return _solve(rowwise, partial(_nelder_mead, _owned(batch) or rowwise), start[None, None],
+                  cfg or OptimizerConfig(), False)[0]

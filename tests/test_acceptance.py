@@ -208,6 +208,21 @@ def test_criterion_6d_pure_corner_normalized(fig1_scan):
     assert elapsed < 600.0
 
 
+def test_fig1_scan_lifted_rows(fig1_scan):
+    # rows where all 12 restarts of the state's own B_opt search can miss the better maximum
+    # that a grid neighbour or the mirror finds: the scan's lift round carries it over
+    rows, _ = fig1_scan
+    at = {(round(r.alpha / 0.05), round(r.beta / 0.05)): r.bound_opt for r in rows}
+    for (ia, ib), floor in (((2, 10), 0.3249242361), ((10, 1), 0.3269696006),
+                            ((9, 1), 0.2605335205)):
+        assert at[(ia, ib)] > floor - 1e-9
+        assert at[(ib, ia)] > floor - 1e-9
+    # at (0.15, 0.25) and its mirror most restarts end on the X = 0 plateau; the rows reach
+    # the realignment comparator's value (ROADMAP item 6)
+    assert abs(at[(3, 5)] - 0.017945) < 1e-6
+    assert abs(at[(5, 3)] - 0.017945) < 1e-6
+
+
 def test_criterion_7_distillability_sweep(tmp_path, capsys):
     mismatches = []
     for i in range(21):

@@ -302,6 +302,37 @@ def test_fig1_state_definition():
     assert abs(fig1_state(0.0, 1.0)[1, 5] - 1 / 3) < 1e-14
 
 
+def test_mirror_angles_score_the_mirrored_state():
+    # fig1(beta, alpha) = V fig1(alpha, beta) V† for the local permutation V, and the transported
+    # angles read the same blocks there
+    from uniparam.cli import _MIRROR, _mirror_angles
+    from uniparam.entanglement import make_bopt_objective
+
+    v = np.kron(*_MIRROR)
+    rng = np.random.default_rng(16)
+    for alpha, beta in ((0.10, 0.50), (0.45, 0.05), (0.30, 0.20)):
+        assert np.array_equal(v @ fig1_state(alpha, beta) @ v.T, fig1_state(beta, alpha))
+        here = make_bopt_objective(fig1_state(alpha, beta), 3, 3)
+        there = make_bopt_objective(fig1_state(beta, alpha), 3, 3)
+        for x in rng.uniform(0.0, 2 * np.pi, (4, 12)):
+            assert abs(there(_mirror_angles(x)) - here(x)) < 1e-14
+
+
+def test_fig1_candidates_are_neighbour_and_mirror_optima():
+    from uniparam.cli import _fig1_candidates, _mirror_angles
+
+    # the states of the step-0.25 grid, each with a distinct optimum
+    points = [(ia, ib) for ia in range(5) for ib in range(5 - ia)]
+    xs = np.random.default_rng(7).uniform(0.0, 2 * np.pi, (len(points), 12))
+    best = dict(zip(points, xs))
+    for ia, ib in points:
+        want = [best[k] for k in ((ia - 1, ib), (ia + 1, ib), (ia, ib - 1), (ia, ib + 1))
+                if k in best]
+        if ia != ib:
+            want.append(_mirror_angles(best[(ib, ia)]))
+        assert np.array_equal(_fig1_candidates(ia, ib, best), np.array(want))
+
+
 def test_scan_rows_roundtrip(tmp_path):
     rows = run_fig1_scan(0.25, optimize=False, jobs=1)
     write_scan_csv(rows, str(tmp_path / "s.csv"))

@@ -12,6 +12,7 @@ from uniparam import (
     LengthMismatchError,
     NormalizationError,
     NotPSDError,
+    NotUnitaryError,
     OptimizerConfig,
     bopt_objective,
     bound_b,
@@ -601,7 +602,7 @@ def test_pt_seeded_stage_runs_on_round_off_plateau():
     state, search = _check_state(fig1_state(0.10, 0.25), 3, 3), _search(3, 3)
     plateau = OptimizerResult(-1e-32, np.zeros(search.n), 0, cfg.restarts, True, evaluations=1,
                               restart_values=(-1e-32,) * cfg.restarts, best_restart=0)
-    result = _pt_seeded(plateau, make_bopt_objective(state, 3, 3), state, search, cfg)
+    result = _pt_seeded(plateau, state, search, cfg)
     assert len(result.restart_values) == cfg.restarts + 1
     assert result.best_restart == cfg.restarts
     assert abs(math.sqrt(-result.value) / max_concurrence(3) - 1.2783e-3) < 1e-7
@@ -976,3 +977,178 @@ def test_witness_search_does_not_screen(monkeypatch):
     # the bound's search sums nine blocks per row and does screen
     optimized_bound_b(rho, 3, 3, OptimizerConfig(restarts=1, max_iterations=5))
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# local rotations must be unitary
+
+@pytest.mark.parametrize("u", [3 * np.eye(2), np.ones((2, 2))], ids=["3I", "ones"])
+def test_local_rotations_must_be_unitary(u):
+    # rotating by these gave B = 9.0 (the maximum is 1) and B = 0.0 for the Bell state
+    psi = bell_state()
+    rho = np.outer(psi, psi.conj())
+    for side in ("u_a", "u_b"):
+        with pytest.raises(NotUnitaryError):
+            bound_b(rho, 2, 2, **{side: u})
+        with pytest.raises(NotUnitaryError):
+            bound_x(rho, 1, 2, 1, 2, **{side: u})
+    # a unitary within the input tolerance is still accepted
+    assert abs(bound_b(rho, 2, 2, u_a=np.eye(2) * (1 + 1e-10)).b - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the B_opt search's value-and-gradient evaluator
+
+def _gradient_states(rng, d_a, d_b):
+    """NPT states of each factor kind and width for the split d_a x d_b, by name."""
+    n = d_a * d_b
+    psi = haar_state(rng, n)
+    states = {"cholesky": 0.9 * np.outer(psi, psi.conj()) + 0.1 * rand_density(rng, n)}
+    for r in (1, 2, 3, 4, 5):
+        if r < n:
+            states[f"direct r={r}"] = rand_density(rng, n, rank=r)
+    # full rank below the Cholesky ratio: the factor keeps all n columns
+    w = np.geomspace(1.0, 1e-10, n)
+    u = haar_unitary(rng, n)
+    states["direct ill-conditioned"] = (u * (w / w.sum())) @ u.conj().T
+    return states
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 3), (2, 3), (3, 4)])
+def test_bopt_gradients_match_central_differences(d_a, d_b):
+    from uniparam.entanglement import (
+        _check_state,
+        _cholesky_concurrences,
+        _direct_concurrences,
+        _search,
+        _value_grads,
+        _values,
+    )
+
+    kinds = {"cholesky": _cholesky_concurrences, "direct": _direct_concurrences}
+    rng = np.random.default_rng(100 + 10 * d_a + d_b)
+    search = _search(d_a, d_b)
+    widths = set()
+    for name, rho in _gradient_states(rng, d_a, d_b).items():
+        state = _check_state(rho, d_a, d_b)
+        assert state.kind is kinds[name.split()[0]], name
+        widths.add(state.data.shape[1])
+        v = rng.uniform(0.0, 2 * np.pi, (6, search.n))
+        v[0] = 0.0
+        values, grads = _value_grads(state, search)(v)
+        objective = _values(state, search)
+        # the values are those of the value-only evaluator, bit for bit
+        assert np.array_equal(values, objective(v)), name
+        assert grads.shape == v.shape
+        central = np.empty_like(grads)
+        for i in range(search.n):
+            step = np.zeros(search.n)
+            step[i] = 1e-6
+            central[:, i] = (objective(v + step) - objective(v - step)) / 2e-6
+        assert np.max(np.abs(grads - central)) < 1e-7, name
+        # B of a pure state is its concurrence, and a two-qubit state is its one block:
+        # both are locally invariant, so only the others show that the check is not of zeros
+        if name != "direct r=1" and d_a * d_b > 4:
+            assert np.max(np.abs(grads)) > 1e-3, name
+    # direct widths 2 (ranks 1 and 2), 3, 4 and, past 4 columns, the QR factor
+    assert {2, 3, 4} <= widths
+    assert (max(widths) > 4) == (d_a * d_b > 4)
+
+
+def test_bopt_gradients_batched_rows_equal_one_at_a_time():
+    from uniparam.entanglement import _search, _value_grads
+
+    rng = np.random.default_rng(64)
+    rhos = list(_gradient_states(rng, 3, 4).values())
+    search = _search(3, 4)
+    v = rng.uniform(0.0, 2 * np.pi, (30, search.n))
+    owner = rng.integers(0, len(rhos), 30)
+    owner[:len(rhos)] = np.arange(len(rhos))
+    values, grads = _value_grads(np.array(rhos), search)(v, owner)
+    for i in range(len(v)):
+        one_value, one_grad = _value_grads(rhos[owner[i]], search)(v[i:i + 1])
+        assert values[i] == one_value[0]
+        assert np.array_equal(grads[i], one_grad[0])
+
+
+def test_bopt_gradients_zero_on_screened_and_zero_rule_rows():
+    from uniparam.cli import fig1_state
+    from uniparam.entanglement import (
+        _check_state,
+        _factor_gradients,
+        _provably_ppt,
+        _rotated_blocks,
+        _search,
+        _state_concurrences,
+        _value_grads,
+    )
+
+    rng = np.random.default_rng(65)
+    search = _search(3, 3)
+    v = rng.uniform(0.0, 2 * np.pi, (50, search.n))
+    # a PPT grid state of the Cholesky kind: every block of these rows is screened out
+    state = _check_state(fig1_state(0.10, 0.20), 3, 3)
+    assert _provably_ppt(_rotated_blocks(state.data, *search.rotations(v), search.idx)).all()
+    values, grads = _value_grads(state, search)(v)
+    assert np.all(values == 0.0) and np.all(grads == 0.0)
+
+    # a separable rank-2 state: rows whose blocks the zero rule or max(c, 0) all set to 0
+    prods = [np.kron(haar_state(rng, 3), haar_state(rng, 3)) for _ in range(2)]
+    state = _check_state(sum(0.5 * np.outer(p, p.conj()) for p in prods), 3, 3)
+    v = rng.uniform(0.0, 2 * np.pi, (200, search.n))
+    zero = (_state_concurrences([state], search.idx)(*search.rotations(v)) == 0.0).all(axis=1)
+    assert zero.sum() > 5
+    values, grads = _value_grads(state, search)(v)
+    assert np.all(values[zero] == 0.0) and np.all(grads[zero] == 0.0)
+
+    # per block: separable factors, many of them zeroed by the round-off rule, add exactly 0
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for r in (2, 3, 4):
+        factors = (cplx(2000, 2, 1, r) * cplx(2000, 1, 2, r)).reshape(2000, 4, r)
+        x, h = _factor_gradients(factors)
+        assert np.count_nonzero(x == 0.0) > 1000
+        assert np.all(h[x == 0.0] == 0.0)
+
+
+def test_bopt_search_runs_bfgs():
+    # the B_opt restarts are BFGS runs: each run's first call is its start's simplex, then
+    # one trial point per call, so the evaluations stay far below Nelder-Mead's
+    from uniparam.cli import fig1_state
+
+    rho = fig1_state(0.5, 0.25)
+    cfg = OptimizerConfig(restarts=4, seed=2)
+    b_opt, result = optimized_bound_b(rho, 3, 3, cfg)
+    plain = minimize(make_bopt_objective(rho, 3, 3), 12, cfg)
+    assert -result.value >= -plain.value - 1e-12
+    assert result.evaluations < plain.evaluations / 3
+    assert result.value == make_bopt_objective(rho, 3, 3)(result.x)
+    assert result.restart_values[result.best_restart] == result.value
+
+
+def test_lifted_bounds_rise_only_from_a_better_candidate():
+    # at fig1 (0.50, 0.05) the zero start alone stops at the plain bound's maximum; 48 restarts
+    # find the better one, and a run from that optimum lifts the one-restart result to it
+    from uniparam.cli import fig1_state
+    from uniparam.entanglement import LIFT_MARGIN, lifted_bounds_b
+
+    rho = fig1_state(0.50, 0.05)
+    low_b, low = optimized_bound_b(rho, 3, 3, OptimizerConfig(restarts=1))
+    high_b, high = optimized_bound_b(rho, 3, 3, OptimizerConfig(restarts=48, seed=3))
+    assert high.value < low.value - 1e-6
+    worse = np.zeros((1, 12)) + 0.3
+    assert make_bopt_objective(rho, 3, 3)(worse[0]) > low.value - LIFT_MARGIN
+    (b, lifted), (same_b, same), (none_b, none) = lifted_bounds_b(
+        [rho, rho, rho], 3, 3, [low, low, low],
+        [np.array([worse[0], high.x]), worse, np.zeros((0, 12))])
+    assert high_b - 1e-9 <= b and lifted.value <= high.value
+    assert lifted.value == make_bopt_objective(rho, 3, 3)(lifted.x)
+    assert lifted.best_restart == low.restarts == 1
+    assert lifted.restart_values == low.restart_values + (lifted.value,)
+    assert lifted.evaluations > low.evaluations + 2 and lifted.iterations >= low.iterations
+    # a candidate that is no better adds its evaluation and call, and nothing else
+    assert (same_b, same.value, same.best_restart) == (low_b, low.value, low.best_restart)
+    assert np.array_equal(same.x, low.x)
+    assert (same.evaluations, same.calls) == (low.evaluations + 1, low.calls + 1)
+    assert none is low and none_b == low_b

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -346,3 +347,160 @@ def test_minimize_many_config_checks():
         minimize_many([quadratic], 3, [cfg, cfg])
     constant = minimize_many([lambda x: 1.0, lambda x: 2.0], 0, [cfg, replace(cfg, seed=4)])
     assert [r.value for r in constant] == [1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# BFGS: the lockstep core run on a value-and-gradient batch
+
+def bfgs_many(objectives, dim, cfgs, gradient, keep_history=False):
+    from uniparam.optimize import _bfgs, _minimize_many, _rowwise
+
+    return _minimize_many(_rowwise(objectives), dim, list(cfgs), keep_history,
+                          partial(_bfgs, gradient))
+
+def rugged_grad(xs, owner=None):
+    return (np.sum(np.sin(3 * xs) ** 2, axis=1) + 0.01 * np.sum((xs - 2.0) ** 2, axis=1),
+            3 * np.sin(6 * xs) + 0.02 * (xs - 2.0))
+
+
+def quadratic_grad(xs, owner=None):
+    return np.sum((xs - 1.0) ** 2, axis=1), 2.0 * (xs - 1.0)
+
+
+def test_bfgs_gradient_checks_its_own_test_functions():
+    # the test functions' gradients are what the BFGS tests below lean on
+    x = np.random.default_rng(0).uniform(-3.0, 3.0, (5, 4))
+    for fn, grad in ((rugged, rugged_grad), (quadratic, quadratic_grad)):
+        values, gradients = grad(x)
+        assert np.allclose(values, [fn(row) for row in x])
+        for i in range(4):
+            step = np.zeros(4)
+            step[i] = 1e-6
+            central = (grad(x + step)[0] - grad(x - step)[0]) / 2e-6
+            assert np.allclose(gradients[:, i], central, atol=1e-6)
+
+
+def test_bfgs_quadratic_converges():
+    cfg = OptimizerConfig(restarts=3, seed=4)
+    result = bfgs_many([quadratic], 5, [cfg], quadratic_grad)[0]
+    assert result.value < 1e-16
+    assert np.max(np.abs(result.x - 1.0)) < 1e-8
+    assert result.converged
+    assert all(v < 1e-16 for v in result.restart_values)
+
+
+def test_bfgs_problem_with_others_equals_alone():
+    dim = 4
+    cfgs = [OptimizerConfig(max_iterations=300, restarts=5, seed=s) for s in (1, 2, 3)]
+    shifts = np.array([0.0, 1.0, -2.0])
+    objectives = [lambda x, shift=shift: rugged(x - shift) for shift in shifts]
+
+    def grad(xs, owner):
+        return rugged_grad(xs - shifts[owner][:, None])
+
+    many = bfgs_many(objectives, dim, cfgs, grad, keep_history=True)
+    for i, (f, cfg, result) in enumerate(zip(objectives, cfgs, many)):
+        alone = bfgs_many([f], dim, [cfg], lambda xs, owner, i=i: grad(xs, np.full(len(xs), i)),
+                          keep_history=True)[0]
+        assert np.array_equal(result.x, alone.x)
+        assert ((result.value, result.iterations, result.restarts, result.converged,
+                 result.history, result.evaluations, result.restart_values, result.best_restart)
+                == (alone.value, alone.iterations, alone.restarts, alone.converged,
+                    alone.history, alone.evaluations, alone.restart_values, alone.best_restart))
+        assert result.calls >= alone.calls
+
+
+def test_bfgs_never_ends_above_start():
+    cfg = OptimizerConfig(max_iterations=200, restarts=8, seed=12)
+    result = bfgs_many([rugged], 6, [cfg], rugged_grad, keep_history=True)[0]
+    starts = starts_of(cfg, 6)
+    for start, value, trace in zip(starts, result.restart_values, result.history):
+        assert value <= rugged(start)
+        assert trace[-1] == value
+        assert np.all(np.diff(trace) <= 0.0)
+    # the zero start keeps the value at zero as a ceiling
+    assert min(result.restart_values) <= rugged(np.zeros(6))
+
+
+def test_bfgs_honours_max_iterations():
+    for max_iterations in (1, 3):
+        cfg = OptimizerConfig(max_iterations=max_iterations, restarts=4, seed=3)
+        result = bfgs_many([rugged], 5, [cfg], rugged_grad, keep_history=True)[0]
+        steps = [len(trace) - 1 for trace in result.history]
+        assert all(s <= max_iterations for s in steps)
+        assert result.iterations == sum(steps)
+        # a run cut off after one or three steps of this function has not converged
+        assert not result.converged
+
+
+def test_bfgs_stops_after_max_trials(monkeypatch):
+    # a run ends after BFGS_MAX_TRIALS trial points past its simplex, whatever max_iterations
+    # allows, so no lockstep takes more than that many calls after the set-up call
+    import uniparam.optimize
+
+    monkeypatch.setattr(uniparam.optimize, "BFGS_MAX_TRIALS", 5)
+    cfg = OptimizerConfig(restarts=4, seed=3)
+    rows = []
+
+    def grad(xs, owner):
+        rows.append(len(xs))
+        return rugged_grad(xs)
+
+    result = bfgs_many([rugged], 5, [cfg], grad, keep_history=True)[0]
+    assert result.calls == len(rows) == 1 + 5
+    assert result.evaluations == cfg.restarts * (5 + 1 + 5) + 1
+    assert all(len(trace) - 1 <= 5 for trace in result.history)
+    assert not result.converged
+
+
+def test_bfgs_telemetry():
+    cfg = OptimizerConfig(max_iterations=150, restarts=4, seed=8)
+    rows, seen = [], []
+
+    def grad(xs, owner):
+        rows.append(len(xs))
+        return rugged_grad(xs)
+
+    def probe(x):
+        seen.append(x.copy())
+        return rugged(x)
+
+    result = bfgs_many([probe], 3, [cfg], grad, keep_history=True)[0]
+    # the simplex set-up call, then one trial point per live run and call
+    assert rows[0] == cfg.restarts * (3 + 1)
+    assert all(n <= cfg.restarts for n in rows[1:])
+    assert result.calls == len(rows)
+    assert result.evaluations == sum(rows) + 1 == sum(rows) + len(seen)
+    assert result.value == probe(result.x) == result.restart_values[result.best_restart]
+    assert result.best_restart == result.restart_values.index(min(result.restart_values))
+    assert result.iterations == sum(len(trace) - 1 for trace in result.history)
+    assert len(result.restart_values) == result.restarts == cfg.restarts
+
+
+def test_bfgs_stops_at_a_kink():
+    # |x - 1| has no gradient at its minimum; the runs must stop there, not at max_iterations
+    def kink(xs, owner=None):
+        return (np.sum(np.abs(xs - 1.0), axis=1) + 0.1 * np.sum((xs - 2.0) ** 2, axis=1),
+                np.sign(xs - 1.0) + 0.2 * (xs - 2.0))
+
+    cfg = OptimizerConfig(restarts=4, seed=1)
+    result = bfgs_many([lambda x: float(kink(x[None])[0][0])], 4, [cfg], kink,
+                       keep_history=True)[0]
+    assert abs(result.value - 0.4) < 1e-9
+    assert all(len(trace) - 1 < cfg.max_iterations for trace in result.history)
+
+
+def test_bfgs_objective_ignoring_a_coordinate():
+    # the gradient is exactly 0 along x[3]; a run whose line search still doubles its step (an
+    # open bracket) must not form inf * 0 there, which warnings-as-errors would raise on
+    def flat_in_last(xs, owner=None):
+        g = 0.02 * (xs - 1.0)
+        g[:, 3] = 0.0
+        return 0.01 * np.sum((xs[:, :3] - 1.0) ** 2, axis=1), g
+
+    cfg = OptimizerConfig(restarts=3, seed=2)
+    with np.errstate(all="raise"):
+        result = bfgs_many([lambda x: float(flat_in_last(x[None])[0][0])], 4, [cfg],
+                           flat_in_last)[0]
+    assert result.value < 1e-12
+    assert np.allclose(result.x[:3], 1.0, atol=1e-5)

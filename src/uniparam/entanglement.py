@@ -60,17 +60,20 @@ transposed blocks, which has no plateau, over the same angles and blocks,
 and starts one more run of the search from that minimizer.  Results at
 every other input are those of the restarts alone.
 
-B_opt is searched by BFGS (see ``optimize``) on exact gradients; the
-witness and the surrogate, which have none, by Nelder-Mead.  Every plane
-factor is a closed-form 2x2 rotation, so ``_value_grads`` gives each
-row's value and angle gradient in one call.  Per block,
+Both searches, B_opt and the witness, run BFGS (see ``optimize``) on
+exact gradients; only the seeded stage's surrogate runs Nelder-Mead.
+Every plane factor is a closed-form 2x2 rotation, so ``_value_grads``
+gives each row's value and angle gradient in one call.  Each kind
+returns its blocks' concurrences with a pullback built from the same
+factors, which the value path never calls.  Per block,
 dX = sum_i eps_i Re(u_i† dtau v_i), eps = (+1, -1, -1, -1), from the SVD
 of tau (closed form for two columns); any factor of the block serves,
 so dL = dR L^-† / 2 for the Cholesky kind and the QR factor's Q maps
 back for the direct kind's wide F.  The blocks' terms sum to one
 gradient on W = w_a (x) w_b, which one contraction per side and one
 sweep back through ``_product``'s plane factors (``_product_pullback``)
-take to every angle.  Blocks with X = 0 (PPT, screened or zeroed by the
+take to every angle, for the witness's two columns per side as for
+B_opt's full rotations.  Blocks with X = 0 (PPT, screened or zeroed by the
 round-off rule) add exactly 0, and X^2 is C^1 at the PPT boundary, where
 2 X dX vanishes.  X has a kink where a block's tau loses rank (x_2 = 0
 for two columns); rank-2 states have their maxima there, which BFGS
@@ -128,7 +131,6 @@ from .optimize import (
     OptimizerResult,
     _bfgs,
     _minimize_many,
-    _nelder_mead,
     _solve,
     minimize,
 )
@@ -200,21 +202,21 @@ class _State:
     """A checked state and the evaluator of its 4x4 blocks.
 
     ``kind(data, w_a, w_b, idx)`` gives the (..., P) concurrences of the
-    blocks ``idx`` of W† rho W (see ``_rotated_blocks``).  There are two
-    kinds: ``_cholesky_concurrences``, with ``data`` the Hermitian part of
-    rho, and ``_direct_concurrences``, with ``data`` the n x max(r, 2)
-    factor Psi of rho = Psi Psi†.  ``gradient`` is the kind's
-    ``_cholesky_gradients`` or ``_direct_gradients``.
+    blocks ``idx`` of W† rho W (see ``_rotated_blocks``) and their
+    pullback: called, it gives the (N, n, m) gradient of the rows' sums of
+    X^2 with respect to W = w_a (x) w_b.  There are two kinds:
+    ``_cholesky_concurrences``, with ``data`` the Hermitian part of rho,
+    and ``_direct_concurrences``, with ``data`` the n x max(r, 2) factor
+    Psi of rho = Psi Psi†.
     """
 
     rho: np.ndarray
-    kind: Callable[..., np.ndarray]
+    kind: Callable[..., tuple[np.ndarray, Callable[[], np.ndarray]]]
     data: np.ndarray
-    gradient: Callable[..., tuple[np.ndarray, np.ndarray]]
 
     def concurrences(self, w_a: np.ndarray, w_b: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """(..., P) concurrences of the blocks ``idx`` of W† rho W, W = w_a (x) w_b."""
-        return self.kind(self.data, w_a, w_b, idx)
+        return self.kind(self.data, w_a, w_b, idx)[0]
 
 
 def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
@@ -235,12 +237,12 @@ def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
     if w[0] > CHOLESKY_MIN_RATIO * w[-1]:
         # the part herm_eig factored (rho itself when exactly Hermitian), so the blocks are
         # as positive definite as the eigenvalues w say
-        return _State(rho, _cholesky_concurrences, (rho + rho.conj().T) / 2, _cholesky_gradients)
+        return _State(rho, _cholesky_concurrences, (rho + rho.conj().T) / 2)
     rank = int(np.count_nonzero(w > EIG_ROUNDOFF_RATIO * w[-1]))
     psi = np.zeros((rho.shape[0], max(rank, 2)), dtype=complex)
     if rank:
         psi[:, :rank] = v[:, -rank:] * np.sqrt(w[-rank:])
-    return _State(rho, _direct_concurrences, psi, _direct_gradients)
+    return _State(rho, _direct_concurrences, psi)
 
 
 def _block_index(pairs: Sequence[Pair], m_b: int) -> np.ndarray:
@@ -288,35 +290,69 @@ def _provably_ppt(blocks: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_concurrences(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
-                           idx: np.ndarray) -> np.ndarray:
+                           idx: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """(..., P) concurrences of the blocks of a state whose blocks are all positive definite.
 
     L is each block's Cholesky factor.  When a row sums more than one
     block, those ``_provably_ppt`` finds get X = 0 with no factor and no
-    SVD; every other block gets the value it would get unscreened.
+    SVD; every other block gets the value it would get unscreened.  The
+    pullback's G (see ``_State``) has d(sum X^2) = Re tr(G† dW).  Any
+    factor with L L† = R gives the same x_i, so dL = dR L^-† / 2 may stand
+    in for the Cholesky factor's own derivative, and
+    d(X^2) = Re tr(L^-† H dR) / 2 (``_factor_gradients``).  Screened blocks
+    have X = 0 and add 0.
     """
     blocks = _rotated_blocks(rho, w_a, w_b, idx)
-    if len(idx) == 1:
-        return _concurrences(np.linalg.cholesky(blocks))
-    kept = ~_provably_ppt(blocks)
-    x = np.zeros(kept.shape)
-    x[kept] = _concurrences(np.linalg.cholesky(blocks[kept]))
-    return x
+    # a lone block is never screened, and its view needs no masked copy
+    kept = ~_provably_ppt(blocks) if len(idx) > 1 else ...
+    x = np.zeros(blocks.shape[:-2])
+    factors = np.linalg.cholesky(blocks[kept])
+    x[kept] = _concurrences(factors)
+
+    def pullback() -> np.ndarray:
+        g = np.zeros(blocks.shape, dtype=complex)
+        g[kept] = np.linalg.solve(np.swapaxes(factors.conj(), -1, -2),
+                                  _factor_gradients(factors, x[kept])) / 2.0
+        w = _product_basis(w_a, w_b)
+        m = w.shape[-1]
+        g_rot = _scatter_add(g.reshape(len(g), -1),
+                             (idx[:, :, None] * m + idx[:, None, :]).ravel(),
+                             m * m).reshape(-1, m, m)
+        # the rotated state W† rho W changes by dW† rho W + W† rho dW
+        return rho @ w @ (g_rot + np.swapaxes(g_rot.conj(), -1, -2))
+
+    return x, pullback
 
 
 def _direct_concurrences(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
-                         idx: np.ndarray) -> np.ndarray:
+                         idx: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """(..., P) concurrences of the blocks of rho = Psi Psi†, from the rows F = (W† Psi)[idx].
 
     F is the factor L as it is while Psi has at most 4 columns, r = 2, 3
     or 4.  When Psi has more, L = R† from the QR decomposition F† = Q R,
     as F F† = R† R; QR takes no square roots of round-off, so
-    rank-deficient blocks need no eigenvalue floor.
+    rank-deficient blocks need no eigenvalue floor.  The pullback is that
+    of ``_cholesky_concurrences``: F = L Q† has the tau of L with Q mapping
+    its singular vectors, so H = Q H_L, and dF = (dW† Psi)[idx].
     """
-    f = (np.swapaxes(_product_basis(w_a, w_b).conj(), -1, -2) @ psi)[..., idx, :]
-    if psi.shape[-1] > 4:
-        f = np.swapaxes(np.linalg.qr(np.swapaxes(f.conj(), -1, -2), mode="r").conj(), -1, -2)
-    return _concurrences(f)
+    w = _product_basis(w_a, w_b)
+    f = (np.swapaxes(w.conj(), -1, -2) @ psi)[..., idx, :]
+    wide = psi.shape[-1] > 4
+    factors = (np.swapaxes(np.linalg.qr(np.swapaxes(f.conj(), -1, -2), mode="r").conj(), -1, -2)
+               if wide else f)
+    x = _concurrences(factors)
+
+    def pullback() -> np.ndarray:
+        h = _factor_gradients(factors, x)
+        if wide:
+            h = np.linalg.qr(np.swapaxes(f.conj(), -1, -2))[0] @ h
+        # the columns of H go to the rows idx of dW†
+        h = np.moveaxis(h, -3, -2)
+        n_rows, width = h.shape[:2]
+        h_cols = _scatter_add(h.reshape(n_rows * width, -1), idx.ravel(), w.shape[-1])
+        return psi @ h_cols.reshape(n_rows, width, -1)
+
+    return x, pullback
 
 
 # the weights of x_1 .. x_4 in x_1 - x_2 - x_3 - x_4
@@ -333,8 +369,8 @@ def _scatter_add(values: np.ndarray, positions: np.ndarray, size: int) -> np.nda
     return out.reshape(rows, size)
 
 
-def _factor_gradients(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X of each block R = L L†, as ``_concurrences`` gives it, and H with d(X^2) = Re tr(H dL).
+def _factor_gradients(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H with d(X^2) = Re tr(H dL) for each block R = L L†, given its X from ``_concurrences``.
 
     ``factors`` is a (..., 4, r) stack of the L, r <= 4, and H is
     (..., r, 4).  With tau = L^T (sy x sy) L symmetric and
@@ -345,7 +381,6 @@ def _factor_gradients(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dx_i = Re(u_i† dtau v_i), so K = 2 X V diag(+1, -1, -1, -1) U†.
     Blocks with X = 0 get H = 0.
     """
-    x = _concurrences(factors)
     lt_flip = np.swapaxes(factors, -1, -2)[..., ::-1] * _FLIP_SIGNS
     if factors.shape[-1] == 2:
         a, b, d = _two_column_tau(factors)
@@ -356,58 +391,11 @@ def _factor_gradients(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = np.stack([np.stack([a.conj() - w * d, off], -1),
                       np.stack([off, d.conj() - w * a], -1)], -2)
         k *= np.where(x > 0.0, 4.0, 0.0)[..., None, None]
-        return x, k @ lt_flip
+        return k @ lt_flip
     u, _, vh = np.linalg.svd(lt_flip @ factors)
     k = (np.swapaxes(vh.conj(), -1, -2) * _X_SIGNS[:factors.shape[-1]]) @ np.swapaxes(
         u.conj(), -1, -2)
-    return x, (2.0 * x[..., None, None]) * (k + np.swapaxes(k, -1, -2)) @ lt_flip
-
-
-def _cholesky_gradients(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
-                        idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_cholesky_concurrences`` and the (N, n, m) gradient G of the rows' sums of X^2.
-
-    G is with respect to W = w_a (x) w_b: d(sum X^2) = Re tr(G† dW).  Any
-    factor with L L† = R gives the same x_i, so dL = dR L^-† / 2 may stand
-    in for the Cholesky factor's own derivative, and
-    d(X^2) = Re tr(L^-† H dR) / 2.  Screened blocks have X = 0 and add 0.
-    """
-    blocks = _rotated_blocks(rho, w_a, w_b, idx)
-    kept = ~_provably_ppt(blocks) if len(idx) > 1 else np.ones(blocks.shape[:-2], dtype=bool)
-    x = np.zeros(kept.shape)
-    g = np.zeros(blocks.shape, dtype=complex)
-    factors = np.linalg.cholesky(blocks[kept])
-    x[kept], h = _factor_gradients(factors)
-    g[kept] = np.linalg.solve(np.swapaxes(factors.conj(), -1, -2), h) / 2.0
-    w = _product_basis(w_a, w_b)
-    m = w.shape[-1]
-    g_rot = _scatter_add(g.reshape(len(g), -1), (idx[:, :, None] * m + idx[:, None, :]).ravel(),
-                         m * m).reshape(-1, m, m)
-    # the rotated state W† rho W changes by dW† rho W + W† rho dW
-    return x, rho @ w @ (g_rot + np.swapaxes(g_rot.conj(), -1, -2))
-
-
-def _direct_gradients(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
-                      idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_cholesky_gradients`` for the kind of ``_direct_concurrences``.
-
-    The factor is F = (W† Psi)[idx].  Wider than 4 columns, F = L Q† from
-    the QR decomposition F† = Q L†; tau = F^T (sy x sy) F has the SVD of
-    L's tau with Q mapping its vectors, so H = Q H_L.
-    """
-    w = _product_basis(w_a, w_b)
-    f = (np.swapaxes(w.conj(), -1, -2) @ psi)[..., idx, :]
-    if psi.shape[-1] > 4:
-        q, r = np.linalg.qr(np.swapaxes(f.conj(), -1, -2))
-        x, h = _factor_gradients(np.swapaxes(r.conj(), -1, -2))
-        h = q @ h
-    else:
-        x, h = _factor_gradients(f)
-    # dF = (dW† Psi)[idx]: the columns of H go to the rows idx of dW†
-    h = np.moveaxis(h, -3, -2)
-    n_rows, width = h.shape[:2]
-    h_cols = _scatter_add(h.reshape(n_rows * width, -1), idx.ravel(), w.shape[-1])
-    return x, psi @ h_cols.reshape(n_rows, width, -1)
+    return (2.0 * x[..., None, None]) * (k + np.swapaxes(k, -1, -2)) @ lt_flip
 
 
 def _two_column_tau(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -460,60 +448,55 @@ def _concurrences(factors: np.ndarray) -> np.ndarray:
     return np.where(c > X_ROUNDOFF * x_1, c, 0.0)
 
 
-def _by_state(states: Sequence[_State], evaluate: Callable[..., tuple[np.ndarray, ...]]
-              ) -> Callable[..., tuple[np.ndarray, ...]]:
-    """(w_a, w_b, owner) -> ``evaluate(state, data, w_a, w_b)`` of each row's state.
+def _by_state(states: Sequence[_State], idx: np.ndarray
+              ) -> Callable[..., tuple[np.ndarray, Callable[[], np.ndarray]]]:
+    """(w_a, w_b, owner) -> each row's concurrences of the blocks ``idx`` and their pullback.
 
-    ``evaluate`` returns a tuple of arrays with one row per rotation.  With
-    one state, or ``owner`` None, every rotation applies to ``states[0]``;
-    else row i of the (N, d, m) rotation stacks applies to
-    ``states[owner[i]]``.  Rows are grouped by their state's kind and data
-    shape, each group is one call on its states' stacked data, and each
-    row's outputs equal those of the one-state call, whatever rows sit
-    beside it.
+    With one state, or ``owner`` None, every rotation applies to
+    ``states[0]`` and its kind gives both; else row i of the (N, d, m)
+    rotation stacks applies to ``states[owner[i]]``.  Rows are grouped by
+    their state's kind and data shape, each group is one call of its kind
+    on its states' stacked data, and the pullback gathers the groups'
+    gradients.  Each row's outputs equal those of the one-state call,
+    whatever rows sit beside it.
     """
-    groups: dict[tuple[Callable[..., np.ndarray], tuple[int, ...]], list[int]] = {}
+    groups: dict[tuple[Callable[..., tuple], tuple[int, ...]], list[int]] = {}
     for i, s in enumerate(states):
         groups.setdefault((s.kind, s.data.shape), []).append(i)
     group, local = np.empty(len(states), dtype=int), np.empty(len(states), dtype=int)
     stacks = []
     for g, members in enumerate(groups.values()):
         group[members], local[members] = g, np.arange(len(members))
-        stacks.append((states[members[0]], np.array([states[i].data for i in members])))
+        stacks.append((states[members[0]].kind, np.array([states[i].data for i in members])))
 
-    def by_state(w_a: np.ndarray, w_b: np.ndarray,
-                 owner: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    def by_state(w_a: np.ndarray, w_b: np.ndarray, owner: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         if owner is None or len(states) == 1:
-            return evaluate(states[0], states[0].data, w_a, w_b)
-        out: tuple[np.ndarray, ...] = ()
+            return states[0].kind(states[0].data, w_a, w_b, idx)
+        x, parts = np.empty((len(owner), len(idx))), []
         row_group = group[owner]
-        for g, (first, data) in enumerate(stacks):
+        for g, (kind, data) in enumerate(stacks):
             rows = np.flatnonzero(row_group == g)
             if rows.size:
-                part = evaluate(first, data[local[owner[rows]]], w_a[rows], w_b[rows])
-                if not out:
-                    out = tuple(np.empty((len(owner),) + p.shape[1:], p.dtype) for p in part)
-                for o, p in zip(out, part):
-                    o[rows] = p
-        return out
+                x[rows], back = kind(data[local[owner[rows]]], w_a[rows], w_b[rows], idx)
+                parts.append((rows, back))
+
+        def pullback() -> np.ndarray:
+            grad = np.empty((len(owner), states[0].rho.shape[0],
+                             w_a.shape[-1] * w_b.shape[-1]), dtype=complex)
+            for rows, back in parts:
+                grad[rows] = back()
+            return grad
+
+        return x, pullback
 
     return by_state
 
 
 def _state_concurrences(states: Sequence[_State], idx: np.ndarray) -> Callable[..., np.ndarray]:
     """(w_a, w_b, owner) -> (..., P) concurrences of the blocks ``idx`` (see ``_by_state``)."""
-    by_state = _by_state(states, lambda s, data, w_a, w_b: (s.kind(data, w_a, w_b, idx),))
+    by_state = _by_state(states, idx)
     return lambda w_a, w_b, owner=None: by_state(w_a, w_b, owner)[0]
-
-
-def _state_gradients(states: Sequence[_State], idx: np.ndarray
-                     ) -> Callable[..., tuple[np.ndarray, ...]]:
-    """(w_a, w_b, owner) -> the blocks' concurrences and gradients (see ``_by_state``).
-
-    Each kind's ``gradient`` gives the rows' (N, n, m) gradients of their
-    sum of X^2 with respect to W = w_a (x) w_b.
-    """
-    return _by_state(states, lambda s, data, w_a, w_b: s.gradient(data, w_a, w_b, idx))
 
 
 def _local_adjoint(u: np.ndarray | None, d: int) -> np.ndarray:
@@ -640,8 +623,9 @@ def ucs_block_to_matrix(vec: np.ndarray, d: int, k: int = 2) -> np.ndarray:
 # The optimized bound and the distillability witness are one search each:
 # maximize the sum of X^2 over some blocks of a locally rotated state,
 # over some packed angles.  One batched evaluator, (..., n) packed vectors
-# -> (...) values, serves both; the optimizer steps all restarts through it
-# on (N, n) stacks, and the public closures evaluate it on one vector.
+# -> (...) values, serves both, and its gradient form steps every restart
+# of either by BFGS on (N, n) stacks; the public closures evaluate it on
+# one vector.
 
 Rotations = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 # v -> (w_a, w_b, back); back(g_a, g_b) is the (N, n) angle gradient of
@@ -655,9 +639,9 @@ class _Search:
 
     ``rotations`` maps (..., n) packed vectors, A's angles first, to the
     stacks (w_a, w_b); ``idx`` are the blocks summed and ``seed_idx`` those
-    the seeded surrogate reads.  ``rotations_vjp``, for the searches that
-    run on gradients, maps (N, n) vectors to the same stacks and their
-    pullback to the angles.
+    the seeded surrogate reads.  ``rotations_vjp`` maps (N, n) vectors to
+    the same stacks and their pullback to the angles, which the search's
+    gradients run through.
     """
 
     d_a: int
@@ -666,7 +650,7 @@ class _Search:
     rotations: Rotations
     idx: np.ndarray
     seed_idx: np.ndarray
-    rotations_vjp: RotationsVJP | None = None
+    rotations_vjp: RotationsVJP
 
 
 def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
@@ -682,8 +666,8 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
     sides come from one ``_product`` call, the smaller side cut from the
     top-left corner of a d x d product, d = max(d_a, d_b).  A side packs
     the angles its factors with n <= d_side read, in ``_angle_positions`` order.
-    B_opt also gives the rotations' pullback (``_product_pullback``), so
-    its search runs on gradients; the witness does not.
+    Both give the rotations' pullback (``_product_pullback``) through the
+    same factors, so both searches run on gradients.
     """
     d = max(d_a, d_b)
     pairs = _ucs_pairs(d, 2) if witness else sigma_pairs(d)
@@ -699,10 +683,6 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
         lam[..., flat] = v
         return lam.reshape(v.shape[:-1] + (2, d, d))
 
-    def rotations(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u = _product(angles(v), pairs, diag=False)
-        return u[..., 0, :d_a, :cols_a], u[..., 1, :d_b, :cols_b]
-
     def rotations_vjp(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable[..., np.ndarray]]:
         lam = angles(v)
         u = _product(lam, pairs, diag=False)
@@ -714,11 +694,14 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
 
         return u[..., 0, :d_a, :cols_a], u[..., 1, :d_b, :cols_b], back
 
+    def rotations(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return rotations_vjp(v)[:2]
+
     if witness:  # cut from the 2 x 2 space the two columns per side span
         idx = seed_idx = _block_index([((1, 2), (1, 2))], 2)
-        return _Search(d_a, d_b, len(flat), rotations, idx, seed_idx)
-    idx = _block_index(_all_pairs(d_a, d_b), d_b)
-    seed_idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
+    else:
+        idx = _block_index(_all_pairs(d_a, d_b), d_b)
+        seed_idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
     return _Search(d_a, d_b, len(flat), rotations, idx, seed_idx, rotations_vjp)
 
 
@@ -764,17 +747,19 @@ def _value_grads(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
                  search: _Search) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
     """``_values`` with gradients: (N, n) packed vectors -> their values and (N, n) gradients.
 
-    Each kind gives its blocks' X and the gradient G of their sum of X^2
-    with respect to W = w_a (x) w_b; one contraction of G with w_b and
-    one with w_a take it to the two sides, and the search's pullback to
-    the angles.  ``rho`` and ``owner`` are as for ``_values``.
+    Each kind gives its blocks' X and, through its pullback, the gradient
+    G of their sum of X^2 with respect to W = w_a (x) w_b; one contraction
+    of G with w_b and one with w_a take it to the two sides, and the
+    search's pullback to the angles.  ``rho`` and ``owner`` are as for
+    ``_values``.
     """
-    gradients = _state_gradients(_states(rho, search.d_a, search.d_b), search.idx)
+    by_state = _by_state(_states(rho, search.d_a, search.d_b), search.idx)
 
     def value_grads(v: np.ndarray, owner: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
         w_a, w_b, back = search.rotations_vjp(v)
-        x, g = gradients(w_a, w_b, owner)
+        x, pullback = by_state(w_a, w_b, owner)
+        g = pullback()
         (d_a, m_a), (d_b, m_b) = w_a.shape[-2:], w_b.shape[-2:]
         g = g.reshape(-1, d_a, d_b, m_a, m_b)
         g_a = np.einsum("rabcd,rbd->rac", g, w_b.conj())
@@ -854,13 +839,7 @@ def _pt_surrogate(rho: np.ndarray, rotations: Rotations, idx: np.ndarray) -> Bat
 
 
 def _core(rho: np.ndarray | _State | Sequence[np.ndarray | _State], search: _Search) -> Core:
-    """The lockstep core of ``search`` on ``rho`` (as for ``_values``).
-
-    BFGS on ``_value_grads`` when the search has gradients (B_opt), else
-    Nelder-Mead on ``_values`` (the witness).
-    """
-    if search.rotations_vjp is None:
-        return partial(_nelder_mead, _values(rho, search))
+    """The lockstep core of ``search`` on ``rho`` (as for ``_values``): BFGS on its gradients."""
     return partial(_bfgs, _value_grads(rho, search))
 
 
@@ -920,6 +899,8 @@ def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
     search = _search(d_a, d_b, witness)
     states = _states(rhos, d_a, d_b)
     cfgs = [cfg or OptimizerConfig() for cfg in cfgs]
+    if len(cfgs) != len(states):
+        raise LengthMismatchError(f"{len(states)} states but {len(cfgs)} configs")
     results = _minimize_many(_values(states, search), search.n, cfgs, False,
                              _core(states, search))
     return [_pt_seeded(result, state, search, cfg)
@@ -933,6 +914,7 @@ def optimized_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
 
     All states are optimized in one lockstep run, and each result equals
     that of ``optimized_bound_b`` on the state alone (see ``_maximize``).
+    A ``cfgs`` of another length than ``rhos`` raises ``LengthMismatchError``.
     """
     return [(math.sqrt(max(-result.value, 0.0)), result)
             for result in _maximize(rhos, d_a, d_b, cfgs, witness=False)]
@@ -959,18 +941,27 @@ def lifted_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
 
     ``candidates[i]`` is a (k, n) array of packed angle vectors for
     ``rhos[i]``, such as the optima of related states, and ``results[i]``
-    the state's result.  One batched call evaluates every candidate.  Where
-    a state's best candidate lies below its result by more than
-    LIFT_MARGIN, one BFGS run starts from it, with the default
-    ``OptimizerConfig``; the runs of all such states step together, each
-    as it would alone, and join their results as the seeded stage's run
-    does (``_with_run``).  A run never ends above the candidate it starts
-    from, so a bound only rises.  Returns (B_opt, result) per state.
+    the state's result; lists of other lengths, or candidates of another
+    width, raise ``LengthMismatchError``.  One batched call evaluates
+    every candidate.  Where a state's best candidate lies below its result
+    by more than LIFT_MARGIN, one BFGS run starts from it, with the
+    default ``OptimizerConfig``; the runs of all such states step
+    together, each as it would alone, and join their results as the
+    seeded stage's run does (``_with_run``).  A run never ends above the
+    candidate it starts from, so a bound only rises.  Returns (B_opt,
+    result) per state.
     """
     search = _search(d_a, d_b)
     states = _states(rhos, d_a, d_b)
     results = list(results)
+    if not len(states) == len(results) == len(candidates):
+        raise LengthMismatchError(f"{len(states)} states, {len(results)} results and "
+                                  f"{len(candidates)} candidate sets")
     scored = [(i, c) for i, c in enumerate(candidates) if len(c)]
+    for _, c in scored:
+        if np.shape(c)[1:] != (search.n,):
+            raise LengthMismatchError(f"candidates need {search.n} angles each, "
+                                      f"got an array of shape {np.shape(c)}")
     lifts, starts = [], []
     if scored:
         values = _values(states, search)(np.concatenate([c for _, c in scored]),
@@ -996,8 +987,9 @@ def max_distill_x_sq(rho: np.ndarray, d_a: int, d_b: int,
                      cfg: OptimizerConfig | None = None) -> tuple[float, OptimizerResult]:
     """Maximized X^2_{1,2,1,2}; positive values witness distillability.
 
-    The search runs over the 4d - 8 subspace angles per side, and the
-    partial-transpose-seeded stage follows as for ``optimized_bound_b``.
+    The search runs BFGS restarts over the 4d - 8 subspace angles per
+    side, as ``optimized_bound_b`` does over its own, and the
+    partial-transpose-seeded stage follows as there.
     """
     (result,) = _maximize([rho], d_a, d_b, [cfg], witness=True)
     return max(-result.value, 0.0), result

@@ -41,15 +41,16 @@ run stops when its direction promises less than round-off, when a step
 gains less than ``f_tol`` and the next promises less than ``f_tol``,
 after ``max_iterations`` steps or BFGS_MAX_TRIALS (400) trial points, or
 at a kink, where its line search no longer moves it.  The entanglement
-module runs the optimized bound B_opt this way, and the distillability
-witness and the seeded surrogate by Nelder-Mead.  ``minimize`` and
-``refine`` are Nelder-Mead only.
+module runs both of its searches, the optimized bound B_opt and the
+distillability witness, this way; only its seeded stage's surrogate runs
+Nelder-Mead, through ``minimize``.  ``minimize`` and ``refine`` are
+Nelder-Mead only.
 
 ``refine`` runs one Nelder-Mead simplex from a given point instead, the
-same core with one restart.  The entanglement module's
-partial-transpose-seeded stage runs one such run of its search (BFGS for
-B_opt): when every restart ends on an objective's flat zero plateau, it
-restarts once from the minimizer of a plateau-free surrogate.
+same core with one restart.  ``_solve`` runs either core from given
+points: the entanglement module's partial-transpose-seeded stage, when
+every restart ends on an objective's flat zero plateau, starts one BFGS
+run of its search there from the minimizer of a plateau-free surrogate.
 """
 
 from __future__ import annotations

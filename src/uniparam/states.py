@@ -28,7 +28,10 @@ from .composite import (
 from .errors import (
     LengthMismatchError,
     NonFiniteError,
+    NormalizationError,
+    NotHermitianError,
     NotOrthonormalError,
+    NotPSDError,
     RankOutOfRangeError,
 )
 from .linalg import _as_square, herm_eig
@@ -80,8 +83,6 @@ def validate_density(rho: np.ndarray, rank_bound: int | None = None) -> np.ndarr
     ``NonFiniteError`` / ``NormalizationError`` / ``NotHermitianError`` /
     ``NotPSDError`` / ``RankOutOfRangeError`` via the underlying checks.
     """
-    from .errors import NormalizationError, NotHermitianError, NotPSDError
-
     rho = _as_square(rho)
     if np.max(np.abs(rho - rho.conj().T)) > DENSITY_HERM_TOL:
         raise NotHermitianError("density matrix not Hermitian within 1e-12")

@@ -638,10 +638,17 @@ def test_max_distill_equals_minimize(case):
             evaluations=expected.evaluations + seeded.evaluations + run.evaluations,
             restart_values=expected.restart_values + run.restart_values,
             best_restart=cfg.restarts, calls=expected.calls + seeded.calls + run.calls)
+    # the witness runs BFGS from the same starts: Nelder-Mead's search is the reference it may
+    # not fall below, and BFGS needs fewer points wherever it has a gradient to follow
     x_sq, result = max_distill_x_sq(rho, *dims, cfg)
-    assert x_sq == max(-expected.value, 0.0)
-    assert_same_result(result, expected)
-    assert result.calls == expected.calls
+    reference = max(-expected.value, 0.0)
+    assert x_sq >= reference * (1.0 - 1e-6)
+    assert result.value == make_distill_objective(rho, *dims)(result.x)
+    if case == "fig1-barely-npt":
+        assert result.best_restart == result.restarts == cfg.restarts
+        assert len(result.restart_values) == cfg.restarts + 1
+    if case != "fig1-band":  # PPT: every run of either search stops on its first simplex
+        assert result.evaluations < expected.evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +859,7 @@ def test_cholesky_kind_just_above_threshold():
     for _ in range(200):
         u_a, u_b = haar_unitary(rng, 3), haar_unitary(rng, 4)
         x = state.concurrences(u_a, u_b, idx)  # raises LinAlgError on an indefinite block
-        assert np.allclose(x, _direct_concurrences(psi, u_a, u_b, idx),
+        assert np.allclose(x, _direct_concurrences(psi, u_a, u_b, idx)[0],
                            rtol=0.0, atol=1e-9)
     values = _values(state, _search(3, 4))(rng.uniform(0.0, 2 * np.pi, (200, 18)))
     assert np.all(np.isfinite(values))
@@ -1014,8 +1021,9 @@ def _gradient_states(rng, d_a, d_b):
     return states
 
 
-@pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 3), (2, 3), (3, 4)])
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 3), (2, 3), (3, 4), (4, 4)])
 def test_bopt_gradients_match_central_differences(d_a, d_b):
+    # the B_opt search and, through the same kinds, the witness's one block on two columns
     from uniparam.entanglement import (
         _check_state,
         _cholesky_concurrences,
@@ -1027,29 +1035,34 @@ def test_bopt_gradients_match_central_differences(d_a, d_b):
 
     kinds = {"cholesky": _cholesky_concurrences, "direct": _direct_concurrences}
     rng = np.random.default_rng(100 + 10 * d_a + d_b)
-    search = _search(d_a, d_b)
+    # B_opt, then with fresh states the witness, whose one block is PPT on much of angle
+    # space at the higher ranks, so it takes more rows (the two-qubit witness has no angles)
+    searches = [(_search(d_a, d_b), 6)]
+    if d_a * d_b > 4:
+        searches.append((_search(d_a, d_b, witness=True), 30))
     widths = set()
-    for name, rho in _gradient_states(rng, d_a, d_b).items():
-        state = _check_state(rho, d_a, d_b)
-        assert state.kind is kinds[name.split()[0]], name
-        widths.add(state.data.shape[1])
-        v = rng.uniform(0.0, 2 * np.pi, (6, search.n))
-        v[0] = 0.0
-        values, grads = _value_grads(state, search)(v)
-        objective = _values(state, search)
-        # the values are those of the value-only evaluator, bit for bit
-        assert np.array_equal(values, objective(v)), name
-        assert grads.shape == v.shape
-        central = np.empty_like(grads)
-        for i in range(search.n):
-            step = np.zeros(search.n)
-            step[i] = 1e-6
-            central[:, i] = (objective(v + step) - objective(v - step)) / 2e-6
-        assert np.max(np.abs(grads - central)) < 1e-7, name
-        # B of a pure state is its concurrence, and a two-qubit state is its one block:
-        # both are locally invariant, so only the others show that the check is not of zeros
-        if name != "direct r=1" and d_a * d_b > 4:
-            assert np.max(np.abs(grads)) > 1e-3, name
+    for search, rows in searches:
+        for name, rho in _gradient_states(rng, d_a, d_b).items():
+            state = _check_state(rho, d_a, d_b)
+            assert state.kind is kinds[name.split()[0]], name
+            widths.add(state.data.shape[1])
+            v = rng.uniform(0.0, 2 * np.pi, (rows, search.n))
+            v[0] = 0.0
+            values, grads = _value_grads(state, search)(v)
+            objective = _values(state, search)
+            # the values are those of the value-only evaluator, bit for bit
+            assert np.array_equal(values, objective(v)), name
+            assert grads.shape == v.shape
+            central = np.empty_like(grads)
+            for i in range(search.n):
+                step = np.zeros(search.n)
+                step[i] = 1e-6
+                central[:, i] = (objective(v + step) - objective(v - step)) / 2e-6
+            assert np.max(np.abs(grads - central)) < 1e-7, name
+            # B of a pure state is its concurrence, and a two-qubit state is its one block:
+            # both are locally invariant, so only the others show that the check is not of zeros
+            if name != "direct r=1" and d_a * d_b > 4:
+                assert np.max(np.abs(grads)) > 1e-3, name
     # direct widths 2 (ranks 1 and 2), 3, 4 and, past 4 columns, the QR factor
     assert {2, 3, 4} <= widths
     assert (max(widths) > 4) == (d_a * d_b > 4)
@@ -1060,21 +1073,22 @@ def test_bopt_gradients_batched_rows_equal_one_at_a_time():
 
     rng = np.random.default_rng(64)
     rhos = list(_gradient_states(rng, 3, 4).values())
-    search = _search(3, 4)
-    v = rng.uniform(0.0, 2 * np.pi, (30, search.n))
-    owner = rng.integers(0, len(rhos), 30)
-    owner[:len(rhos)] = np.arange(len(rhos))
-    values, grads = _value_grads(np.array(rhos), search)(v, owner)
-    for i in range(len(v)):
-        one_value, one_grad = _value_grads(rhos[owner[i]], search)(v[i:i + 1])
-        assert values[i] == one_value[0]
-        assert np.array_equal(grads[i], one_grad[0])
+    for search in (_search(3, 4), _search(3, 4, witness=True)):
+        v = rng.uniform(0.0, 2 * np.pi, (30, search.n))
+        owner = rng.integers(0, len(rhos), 30)
+        owner[:len(rhos)] = np.arange(len(rhos))
+        values, grads = _value_grads(np.array(rhos), search)(v, owner)
+        for i in range(len(v)):
+            one_value, one_grad = _value_grads(rhos[owner[i]], search)(v[i:i + 1])
+            assert values[i] == one_value[0]
+            assert np.array_equal(grads[i], one_grad[0])
 
 
 def test_bopt_gradients_zero_on_screened_and_zero_rule_rows():
     from uniparam.cli import fig1_state
     from uniparam.entanglement import (
         _check_state,
+        _concurrences,
         _factor_gradients,
         _provably_ppt,
         _rotated_blocks,
@@ -1107,24 +1121,27 @@ def test_bopt_gradients_zero_on_screened_and_zero_rule_rows():
 
     for r in (2, 3, 4):
         factors = (cplx(2000, 2, 1, r) * cplx(2000, 1, 2, r)).reshape(2000, 4, r)
-        x, h = _factor_gradients(factors)
+        x = _concurrences(factors)
+        h = _factor_gradients(factors, x)
         assert np.count_nonzero(x == 0.0) > 1000
         assert np.all(h[x == 0.0] == 0.0)
 
 
 def test_bopt_search_runs_bfgs():
-    # the B_opt restarts are BFGS runs: each run's first call is its start's simplex, then
-    # one trial point per call, so the evaluations stay far below Nelder-Mead's
+    # the B_opt and witness restarts are BFGS runs: each run's first call is its start's
+    # simplex, then one trial point per call, so the evaluations stay far below Nelder-Mead's
     from uniparam.cli import fig1_state
 
     rho = fig1_state(0.5, 0.25)
     cfg = OptimizerConfig(restarts=4, seed=2)
-    b_opt, result = optimized_bound_b(rho, 3, 3, cfg)
-    plain = minimize(make_bopt_objective(rho, 3, 3), 12, cfg)
-    assert -result.value >= -plain.value - 1e-12
-    assert result.evaluations < plain.evaluations / 3
-    assert result.value == make_bopt_objective(rho, 3, 3)(result.x)
-    assert result.restart_values[result.best_restart] == result.value
+    for search, make, n in ((optimized_bound_b, make_bopt_objective, 12),
+                            (max_distill_x_sq, make_distill_objective, 8)):
+        _, result = search(rho, 3, 3, cfg)
+        plain = minimize(make(rho, 3, 3), n, cfg)
+        assert -result.value >= -plain.value - 1e-12
+        assert result.evaluations < plain.evaluations / 3
+        assert result.value == make(rho, 3, 3)(result.x)
+        assert result.restart_values[result.best_restart] == result.value
 
 
 def test_lifted_bounds_rise_only_from_a_better_candidate():
@@ -1152,3 +1169,29 @@ def test_lifted_bounds_rise_only_from_a_better_candidate():
     assert np.array_equal(same.x, low.x)
     assert (same.evaluations, same.calls) == (low.evaluations + 1, low.calls + 1)
     assert none is low and none_b == low_b
+
+
+def test_batched_bounds_reject_mismatched_lengths():
+    # the batched bounds zipped their lists, so a short one dropped states without an error,
+    # and a candidate of the wrong width failed in a numpy broadcast
+    from uniparam.cli import fig1_state
+    from uniparam.entanglement import lifted_bounds_b
+
+    rhos = [fig1_state(0.5, 0.25), fig1_state(0.25, 0.5)]
+    cfg = OptimizerConfig(restarts=1, max_iterations=2)
+    with pytest.raises(LengthMismatchError):
+        optimized_bounds_b(rhos, 3, 3, [cfg])
+    with pytest.raises(LengthMismatchError):
+        optimized_bounds_b(rhos[:1], 3, 3, [cfg, cfg])
+    results = [result for _, result in optimized_bounds_b(rhos, 3, 3, [cfg, cfg])]
+    none = np.zeros((0, 12))
+    with pytest.raises(LengthMismatchError):
+        lifted_bounds_b(rhos, 3, 3, results[:1], [none, none])
+    with pytest.raises(LengthMismatchError):
+        lifted_bounds_b(rhos, 3, 3, results, [none])
+    for wrong in (np.zeros((1, 11)), np.zeros((1, 13)), np.zeros(12)):
+        with pytest.raises(LengthMismatchError):
+            lifted_bounds_b(rhos, 3, 3, results, [none, wrong])
+    # an empty candidate set needs no width
+    lifted = lifted_bounds_b(rhos, 3, 3, results, [np.array([]), none])
+    assert [r for _, r in lifted] == results

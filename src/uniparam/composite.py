@@ -37,6 +37,7 @@ import math
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     IndexOrderError,
     IndexOutOfRangeError,
     LengthMismatchError,
@@ -109,16 +110,26 @@ def apply_factor(operand: np.ndarray, m: int, n: int, rot: float, phase: float,
     phase : relative phase angle (the lower-left parameter lam[n,m]).
     adjoint : apply L(m, n)† instead.
 
-    Only rows m and n of the operand change.
+    Only rows m and n of the operand change.  A scalar operand raises
+    ``DimensionMismatchError`` and a NaN or infinite angle ``NonFiniteError``.
     """
     out = np.array(operand, dtype=complex)
+    if out.ndim == 0:
+        raise DimensionMismatchError("operand must be a vector or matrix, got a scalar")
     _check_pair(m, n, out.shape[0])
+    if not (math.isfinite(rot) and math.isfinite(phase)):
+        raise NonFiniteError(f"angles ({rot!r}, {phase!r}) are not finite")
     _rows_update(out, m - 1, n - 1, math.cos(rot), math.sin(rot),
                  complex(math.cos(phase), math.sin(phase)), adjoint)
     return out
 
 
 def _assert_angles(lam: np.ndarray, d: int | None = None) -> np.ndarray:
+    """The angle gate of the public builds: a square, finite d x d real matrix, d >= 2.
+
+    NaN or infinite angles would give all-NaN products, so they raise
+    ``NonFiniteError``.  The searches call ``_product`` directly and skip it.
+    """
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 2 or lam.shape[0] != lam.shape[1] or lam.shape[0] < 2:
         raise IndexOutOfRangeError(
@@ -126,6 +137,8 @@ def _assert_angles(lam: np.ndarray, d: int | None = None) -> np.ndarray:
         )
     if d is not None and lam.shape[0] != d:
         raise LengthMismatchError(f"angle matrix is {lam.shape[0]}x{lam.shape[0]}, expected {d}x{d}")
+    if not np.isfinite(lam).all():
+        raise NonFiniteError("angle matrix has a NaN or infinite entry")
     return lam
 
 
@@ -236,8 +249,13 @@ def build_ucs(lam: np.ndarray, k: int) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm of U†U - I for a d x k column set U, with I of size k (U unitary when square)."""
+    """Max-norm of U†U - I for a d x k column set U, with I of size k (U unitary when square).
+
+    An array that is not 2-D raises ``DimensionMismatchError``.
+    """
     u = np.asarray(u, dtype=complex)
+    if u.ndim != 2:
+        raise DimensionMismatchError(f"expected a d x k column set, got shape {u.shape}")
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
 
 

@@ -60,12 +60,12 @@ transposed blocks, which has no plateau, over the same angles and blocks,
 and starts one more run of the search from that minimizer.  Results at
 every other input are those of the restarts alone.
 
-Both searches, B_opt and the witness, run BFGS (see ``optimize``) on
-exact gradients; only the seeded stage's surrogate runs Nelder-Mead.
-Every plane factor is a closed-form 2x2 rotation, so ``_value_grads``
-gives each row's value and angle gradient in one call.  Each kind
-returns its blocks' concurrences with a pullback built from the same
-factors, which the value path never calls.  Per block,
+Both searches, B_opt and the witness, and the seeded stage's surrogate
+run BFGS (see ``optimize``) on exact gradients; no search here runs
+Nelder-Mead.  Every plane factor is a closed-form 2x2 rotation, so
+``_value_grads`` gives each row's value and angle gradient in one call.
+Each kind returns its blocks' concurrences with a pullback built from
+the same factors, which the value path never calls.  Per block,
 dX = sum_i eps_i Re(u_i† dtau v_i), eps = (+1, -1, -1, -1), from the SVD
 of tau (closed form for two columns); any factor of the block serves,
 so dL = dR L^-† / 2 for the Cholesky kind and the QR factor's Q maps
@@ -78,7 +78,10 @@ round-off rule) add exactly 0, and X^2 is C^1 at the PPT boundary, where
 2 X dX vanishes.  X has a kink where a block's tau loses rank (x_2 = 0
 for two columns); rank-2 states have their maxima there, which BFGS
 approaches slowly, and a run whose line search no longer moves it stops.
-The values are those of ``_values``, bit for bit.
+The values are those of ``_values``, bit for bit.  The surrogate's
+blocks take the same path from W† rho W to the angles, from the
+gradient M^Γ of each block's lambda_min(R^Γ), M = e e† for its
+eigenvector e (``_pt_surrogate_grads``).
 
 BFGS and Nelder-Mead restarts land in the better of two maxima equally
 often at the fig1 states that have two (about one restart in five), so
@@ -132,7 +135,6 @@ from .optimize import (
     _bfgs,
     _minimize_many,
     _solve,
-    minimize,
 )
 from .states import DENSITY_PSD_TOL, DENSITY_TRACE_TOL
 
@@ -280,6 +282,23 @@ def _rotated_blocks(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
     return rotated[..., idx[:, :, None], idx[:, None, :]]
 
 
+def _rotated_pullback(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray, idx: np.ndarray,
+                      g: np.ndarray) -> np.ndarray:
+    """(N, n, m) gradient G, d = Re tr(G† dW), of the blocks' terms sum Re tr(g_p dR_p).
+
+    The R_p are the blocks ``idx`` of W† rho W, W = w_a (x) w_b, as
+    ``_rotated_blocks`` cuts them from (N, d, m) rotation stacks, and ``g``
+    is the (N, P, 4, 4) stack of the g_p.  They are scattered onto
+    W† rho W as S, which changes by dW† rho W + W† rho dW, so
+    G = rho W (S + S†).
+    """
+    w = _product_basis(w_a, w_b)
+    m = w.shape[-1]
+    s = _scatter_add(g.reshape(len(g), -1), (idx[:, :, None] * m + idx[:, None, :]).ravel(),
+                     m * m).reshape(-1, m, m)
+    return rho @ w @ (s + np.swapaxes(s.conj(), -1, -2))
+
+
 def _provably_ppt(blocks: np.ndarray) -> np.ndarray:
     """Mask of the (..., 4, 4) blocks R with det(R^Γ) > PPT_DET_RATIO * (tr R)^4.
 
@@ -313,13 +332,7 @@ def _cholesky_concurrences(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
         g = np.zeros(blocks.shape, dtype=complex)
         g[kept] = np.linalg.solve(np.swapaxes(factors.conj(), -1, -2),
                                   _factor_gradients(factors, x[kept])) / 2.0
-        w = _product_basis(w_a, w_b)
-        m = w.shape[-1]
-        g_rot = _scatter_add(g.reshape(len(g), -1),
-                             (idx[:, :, None] * m + idx[:, None, :]).ravel(),
-                             m * m).reshape(-1, m, m)
-        # the rotated state W† rho W changes by dW† rho W + W† rho dW
-        return rho @ w @ (g_rot + np.swapaxes(g_rot.conj(), -1, -2))
+        return _rotated_pullback(rho, w_a, w_b, idx, g)
 
     return x, pullback
 
@@ -628,8 +641,8 @@ def ucs_block_to_matrix(vec: np.ndarray, d: int, k: int = 2) -> np.ndarray:
 # one vector.
 
 Rotations = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-# v -> (w_a, w_b, back); back(g_a, g_b) is the (N, n) angle gradient of
-# Re tr(g_a† dw_a) + Re tr(g_b† dw_b)
+# v -> (w_a, w_b, back); back(g) is the (N, n) angle gradient of Re tr(g† dW) for the
+# (N, d_a d_b, m_a m_b) gradient g on W = w_a (x) w_b
 RotationsVJP = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, Callable[..., np.ndarray]]]
 
 
@@ -640,8 +653,8 @@ class _Search:
     ``rotations`` maps (..., n) packed vectors, A's angles first, to the
     stacks (w_a, w_b); ``idx`` are the blocks summed and ``seed_idx`` those
     the seeded surrogate reads.  ``rotations_vjp`` maps (N, n) vectors to
-    the same stacks and their pullback to the angles, which the search's
-    gradients run through.
+    the same stacks and their pullback from W = w_a (x) w_b to the angles,
+    which the search's and the surrogate's gradients run through.
     """
 
     d_a: int
@@ -666,8 +679,9 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
     sides come from one ``_product`` call, the smaller side cut from the
     top-left corner of a d x d product, d = max(d_a, d_b).  A side packs
     the angles its factors with n <= d_side read, in ``_angle_positions`` order.
-    Both give the rotations' pullback (``_product_pullback``) through the
-    same factors, so both searches run on gradients.
+    Both give the rotations' pullback through the same factors: one
+    contraction of W's gradient per side, then ``_product_pullback``, so
+    both searches and their surrogates run on gradients.
     """
     d = max(d_a, d_b)
     pairs = _ucs_pairs(d, 2) if witness else sigma_pairs(d)
@@ -687,12 +701,16 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
         lam = angles(v)
         u = _product(lam, pairs, diag=False)
 
-        def back(g_a: np.ndarray, g_b: np.ndarray) -> np.ndarray:
+        w_a, w_b = u[..., 0, :d_a, :cols_a], u[..., 1, :d_b, :cols_b]
+
+        def back(g_w: np.ndarray) -> np.ndarray:
+            g_w = g_w.reshape(-1, d_a, d_b, cols_a, cols_b)
             g = np.zeros(u.shape, dtype=complex)
-            g[..., 0, :d_a, :cols_a], g[..., 1, :d_b, :cols_b] = g_a, g_b
+            g[..., 0, :d_a, :cols_a] = np.einsum("rabcd,rbd->rac", g_w, w_b.conj())
+            g[..., 1, :d_b, :cols_b] = np.einsum("rabcd,rac->rbd", g_w, w_a.conj())
             return _product_pullback(lam, u, g, pairs).reshape(len(v), -1)[:, flat]
 
-        return u[..., 0, :d_a, :cols_a], u[..., 1, :d_b, :cols_b], back
+        return w_a, w_b, back
 
     def rotations(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return rotations_vjp(v)[:2]
@@ -748,10 +766,9 @@ def _value_grads(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
     """``_values`` with gradients: (N, n) packed vectors -> their values and (N, n) gradients.
 
     Each kind gives its blocks' X and, through its pullback, the gradient
-    G of their sum of X^2 with respect to W = w_a (x) w_b; one contraction
-    of G with w_b and one with w_a take it to the two sides, and the
-    search's pullback to the angles.  ``rho`` and ``owner`` are as for
-    ``_values``.
+    G of their sum of X^2 with respect to W = w_a (x) w_b, which the
+    search's pullback takes to the angles.  ``rho`` and ``owner`` are as
+    for ``_values``.
     """
     by_state = _by_state(_states(rho, search.d_a, search.d_b), search.idx)
 
@@ -759,12 +776,7 @@ def _value_grads(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
                     ) -> tuple[np.ndarray, np.ndarray]:
         w_a, w_b, back = search.rotations_vjp(v)
         x, pullback = by_state(w_a, w_b, owner)
-        g = pullback()
-        (d_a, m_a), (d_b, m_b) = w_a.shape[-2:], w_b.shape[-2:]
-        g = g.reshape(-1, d_a, d_b, m_a, m_b)
-        g_a = np.einsum("rabcd,rbd->rac", g, w_b.conj())
-        g_b = np.einsum("rabcd,rac->rbd", g, w_a.conj())
-        return -_row_sums(x * x), -back(g_a, g_b)
+        return -_row_sums(x * x), -back(pullback())
 
     return value_grads
 
@@ -824,18 +836,52 @@ def distill_objective(rho: np.ndarray, d_a: int, d_b: int,
                              np.asarray(params_b, dtype=float).ravel()]))
 
 
+def _pt_eigh(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
+             idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of the partial transposes R^Γ of the blocks ``idx``.
+
+    The one eigensolve of the surrogate's value and gradient paths, so the
+    two give the same values bit for bit.
+    """
+    return np.linalg.eigh(_rotated_blocks(rho, w_a, w_b, idx)[..., _PT_ROWS, _PT_COLS])
+
+
 def _pt_surrogate(rho: np.ndarray, rotations: Rotations, idx: np.ndarray) -> Batch:
     """Batched surrogate: packed vectors -> sum of λ_min of each block's partial transpose.
 
     The blocks ``idx`` are those the objective sees, from the same
     rotations.  A block with a negative term is NPT, hence has a nonzero X.
+    ``owner`` is accepted as the core passes it, and not used.
     """
 
-    def values(v: np.ndarray) -> np.ndarray:
-        blocks = _rotated_blocks(rho, *rotations(v), idx)
-        return _row_sums(np.linalg.eigvalsh(blocks[..., _PT_ROWS, _PT_COLS])[..., 0])
+    def values(v: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
+        return _row_sums(_pt_eigh(rho, *rotations(v), idx)[0][..., 0])
 
     return values
+
+
+def _pt_surrogate_grads(rho: np.ndarray, rotations_vjp: RotationsVJP,
+                        idx: np.ndarray) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """``_pt_surrogate`` with gradients: (N, n) packed vectors -> values and (N, n) gradients.
+
+    With e the unit eigenvector of λ_min, dλ_min = e† dR^Γ e = Re tr(M dR^Γ)
+    for M = e e†.  The partial transpose permutes a block's entries and is
+    its own inverse, so Re tr(M dR^Γ) = Re tr(M^Γ dR): M^Γ is the block's
+    gradient, which ``_rotated_pullback`` and the search's pullback take to
+    the angles.  λ_min has a kink where it is degenerate, as X has where
+    tau loses rank.  The values are those of ``_pt_surrogate``, bit for bit.
+    """
+
+    def value_grads(v: np.ndarray, owner: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        w_a, w_b, back = rotations_vjp(v)
+        eigenvalues, vectors = _pt_eigh(rho, w_a, w_b, idx)
+        e = vectors[..., 0]
+        m = e[..., :, None] * e[..., None, :].conj()
+        return _row_sums(eigenvalues[..., 0]), back(
+            _rotated_pullback(rho, w_a, w_b, idx, m[..., _PT_ROWS, _PT_COLS]))
+
+    return value_grads
 
 
 def _core(rho: np.ndarray | _State | Sequence[np.ndarray | _State], search: _Search) -> Core:
@@ -867,20 +913,22 @@ def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
     """Add the partial-transpose-seeded stage when all restarts ended on an NPT state's plateau.
 
     The plateau is any value above -PLATEAU_X_SQ, round-off of X = 0.  The
-    surrogate is minimized by Nelder-Mead with PT_SEED_RESTARTS restarts
-    drawn from ``cfg.seed``, and one run of the search starts from its
-    minimizer (``_core``).  The returned result adds the surrogate's and
-    the run's work to ``result`` (see ``_with_run``).  Without the stage
-    ``result`` is returned as is; a search without angles (the d = 2
-    witness) is exact and gets no stage.
+    surrogate is minimized by the searches' lockstep BFGS on its exact
+    gradients (``_pt_surrogate_grads``), with PT_SEED_RESTARTS restarts
+    drawn from ``cfg.seed`` as ``minimize`` draws them, and one run of the
+    search starts from its minimizer (``_core``).  The returned result adds
+    the surrogate's and the run's work to ``result`` (see ``_with_run``).
+    Without the stage ``result`` is returned as is; a search without
+    angles (the d = 2 witness) is exact and gets no stage.
     """
     n = search.n
     if (result.value <= -PLATEAU_X_SQ or n == 0
             or ppt_min_eigenvalue(state.rho, (search.d_a, search.d_b)) >= -DENSITY_PSD_TOL):
         return result
-    surrogate = _pt_surrogate(state.rho, search.rotations, search.seed_idx)
-    seeded = minimize(_scalar(surrogate, n), n, replace(cfg, restarts=PT_SEED_RESTARTS),
-                      batch=surrogate)
+    (seeded,) = _minimize_many(
+        _pt_surrogate(state.rho, search.rotations, search.seed_idx), n,
+        [replace(cfg, restarts=PT_SEED_RESTARTS)], False,
+        partial(_bfgs, _pt_surrogate_grads(state.rho, search.rotations_vjp, search.seed_idx)))
     (run,) = _solve(_values(state, search), _core(state, search), seeded.x[None, None], cfg,
                     False)
     return _with_run(result, run, seeded)

@@ -41,10 +41,9 @@ run stops when its direction promises less than round-off, when a step
 gains less than ``f_tol`` and the next promises less than ``f_tol``,
 after ``max_iterations`` steps or BFGS_MAX_TRIALS (400) trial points, or
 at a kink, where its line search no longer moves it.  The entanglement
-module runs both of its searches, the optimized bound B_opt and the
-distillability witness, this way; only its seeded stage's surrogate runs
-Nelder-Mead, through ``minimize``.  ``minimize`` and ``refine`` are
-Nelder-Mead only.
+module runs every search this way: the optimized bound B_opt, the
+distillability witness and its seeded stage's surrogate.  ``_nelder_mead``
+serves only the public ``minimize``, ``minimize_many`` and ``refine``.
 
 ``refine`` runs one Nelder-Mead simplex from a given point instead, the
 same core with one restart.  ``_solve`` runs either core from given
@@ -55,8 +54,10 @@ run of its search there from the minimizer of a plateau-free surrogate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,7 +94,11 @@ class OptimizerConfig:
     simplex_scale  : edge length (radians) of the initial simplex, which
                      BFGS evaluates to pick its first point.
     restarts       : number of starts; the first is the zero vector.
-    seed           : seed for the restart draws.
+    seed           : seed for the restart draws, >= 0.
+
+    Values that could only fail later, inside the search or numpy, raise
+    ``ValueError`` here: a non-integer count or seed, a negative seed, and
+    a non-finite tolerance or scale.
     """
 
     max_iterations: int = 2000
@@ -103,12 +108,18 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("max_iterations", "restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.f_tol > 0:
-            raise ValueError("f_tol must be > 0")
-        if not self.simplex_scale > 0:
-            raise ValueError("simplex_scale must be > 0")
+        if not 0 < self.f_tol < math.inf:
+            raise ValueError("f_tol must be finite and > 0")
+        if not 0 < self.simplex_scale < math.inf:
+            raise ValueError("simplex_scale must be finite and > 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 

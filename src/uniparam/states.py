@@ -46,19 +46,23 @@ def simplex_weights(theta: np.ndarray, k: int) -> np.ndarray:
     """Probability vector of length k from k-1 angles.
 
     p_1 = cos^2(t_1), p_n = cos^2(t_n) * prod_{i<n} sin^2(t_i) for the
-    middle entries, p_k = prod sin^2(t_i); k = 1 gives (1,).  Any real
-    angles are accepted; the squared trig functions keep the output a
-    probability vector regardless.
+    middle entries, p_k = prod sin^2(t_i); k = 1 gives (1,).  Any finite
+    real angles are accepted; the squared trig functions keep the output a
+    probability vector regardless.  NaN or infinite angles raise
+    ``NonFiniteError``.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if k < 1:
         raise RankOutOfRangeError(f"k must be >= 1, got {k}")
     if theta.size != k - 1:
         raise LengthMismatchError(f"expected {k - 1} angles for k={k}, got {theta.size}")
+    angles = theta.ravel().tolist()
+    if not all(map(math.isfinite, angles)):
+        raise NonFiniteError("angle vector has a NaN or infinite entry")
     p = np.ones(k)
     sin_running = 1.0
-    for i in range(k - 1):
-        c2 = math.cos(theta[i]) ** 2
+    for i, t in enumerate(angles):
+        c2 = math.cos(t) ** 2
         p[i] = c2 * sin_running
         sin_running *= 1.0 - c2
     p[k - 1] = sin_running

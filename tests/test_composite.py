@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from uniparam import (
+    DimensionMismatchError,
     IndexOrderError,
     IndexOutOfRangeError,
+    NonFiniteError,
     NotUnitaryError,
     apply_factor,
+    build_density,
     build_ucd,
     build_ucs,
     build_unitary,
@@ -15,6 +18,8 @@ from uniparam import (
     projector,
     random_param_matrix,
     sigma,
+    simplex_weights,
+    subspace_basis,
     unitarity_defect,
 )
 from helpers import expi_hermitian, haar_unitary
@@ -225,3 +230,45 @@ def test_stacked_product_matches_single_builds():
             ucs = _product(lams, _ucs_pairs(d, 2), diag=False)
             for lam, u in zip(lams, ucs):
                 assert np.max(np.abs(u - build_ucs(lam, 2))) <= 1e-15
+
+
+NON_FINITE_ANGLE = {"inf": np.inf, "-inf": -np.inf, "nan": np.nan}
+
+
+def _angles_with(bad):
+    lam = np.full((3, 3), 0.3)
+    lam[0, 2] = bad
+    return lam
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_ANGLE))
+@pytest.mark.parametrize("entry", [
+    lambda bad: build_unitary(_angles_with(bad)),
+    lambda bad: build_ucd(_angles_with(bad), 2),
+    lambda bad: build_ucs(_angles_with(bad), 1),
+    lambda bad: subspace_basis(_angles_with(bad), 1, 3),
+    lambda bad: build_density([0.4], _angles_with(bad), 2, 3),
+    lambda bad: build_density([bad], np.zeros((3, 3)), 2, 3),
+    lambda bad: simplex_weights([0.2, bad], 3),
+    lambda bad: apply_factor(np.eye(3), 1, 2, bad, 0.0),
+    lambda bad: apply_factor(np.eye(3), 1, 2, 0.0, bad),
+], ids=["build_unitary", "build_ucd", "build_ucs", "subspace_basis", "build_density-lam",
+        "build_density-theta", "simplex_weights", "apply_factor-rot", "apply_factor-phase"])
+def test_non_finite_angles_rejected_before_arithmetic(entry, kind):
+    # without the check these returned all-NaN matrices or weights, with RuntimeWarnings
+    with np.errstate(all="raise"), pytest.raises(NonFiniteError):
+        entry(NON_FINITE_ANGLE[kind])
+
+
+@pytest.mark.parametrize("entry, operand", [
+    (lambda a: apply_factor(a, 1, 2, 0.3, 0.1), np.array(1.0)),
+    (unitarity_defect, np.array(1.0)),
+    (unitarity_defect, np.ones(3) / np.sqrt(3)),
+    (unitarity_defect, np.ones((2, 2, 2))),
+], ids=["apply_factor-0d", "unitarity_defect-0d", "unitarity_defect-1d",
+        "unitarity_defect-3d"])
+def test_operand_shape_rejected_before_arithmetic(entry, operand):
+    # a 0-d operand or a 1-D column set raised a bare IndexError from its shape, and a 3-D
+    # stack gave a number that is no unitarity defect
+    with np.errstate(all="raise"), pytest.raises(DimensionMismatchError):
+        entry(operand)

@@ -1195,3 +1195,105 @@ def test_batched_bounds_reject_mismatched_lengths():
     # an empty candidate set needs no width
     lifted = lifted_bounds_b(rhos, 3, 3, results, [np.array([]), none])
     assert [r for _, r in lifted] == results
+
+
+# ---------------------------------------------------------------------------
+# the seeded stage's partial-transpose surrogate
+
+@pytest.mark.parametrize("d_a, d_b", [(3, 3), (3, 4), (2, 3)])
+@pytest.mark.parametrize("witness", [False, True], ids=["bopt", "witness"])
+def test_pt_surrogate_gradients_match_central_differences(d_a, d_b, witness):
+    from uniparam.entanglement import (
+        _check_state,
+        _cholesky_concurrences,
+        _pt_surrogate,
+        _pt_surrogate_grads,
+        _search,
+    )
+
+    rng = np.random.default_rng(300 + 10 * d_a + d_b + witness)
+    search = _search(d_a, d_b, witness)
+    rhos = {"cholesky": rand_density(rng, d_a * d_b), "rank 2": rand_density(rng, d_a * d_b, 2)}
+    assert _check_state(rhos["cholesky"], d_a, d_b).kind is _cholesky_concurrences
+    for name, rho in rhos.items():
+        surrogate = _pt_surrogate(rho, search.rotations, search.seed_idx)
+        v = rng.uniform(0.0, 2 * np.pi, (6, search.n))
+        v[0] = 0.0
+        values, grads = _pt_surrogate_grads(rho, search.rotations_vjp, search.seed_idx)(v)
+        # one eigensolve serves both paths: the values are the surrogate's, bit for bit
+        assert np.array_equal(values, surrogate(v)), name
+        assert grads.shape == v.shape
+        central = np.empty_like(grads)
+        for i in range(search.n):
+            step = np.zeros(search.n)
+            step[i] = 1e-6
+            central[:, i] = (surrogate(v + step) - surrogate(v - step)) / 2e-6
+        scale = np.max(np.abs(central))
+        assert scale > 1e-3, name
+        assert np.max(np.abs(grads - central)) < 1e-6 * scale, name
+
+
+def test_pt_surrogate_stacked_rows_equal_one_vector_values():
+    from uniparam.entanglement import _pt_surrogate, _pt_surrogate_grads, _search
+
+    rng = np.random.default_rng(310)
+    rho = rand_density(rng, 12, rank=3)
+    for search in (_search(3, 4), _search(3, 4, witness=True)):
+        surrogate = _pt_surrogate(rho, search.rotations, search.seed_idx)
+        value_grads = _pt_surrogate_grads(rho, search.rotations_vjp, search.seed_idx)
+        v = rng.uniform(0.0, 2 * np.pi, (25, search.n))
+        values, grads = value_grads(v)
+        for i in range(len(v)):
+            one_value, one_grad = value_grads(v[i:i + 1])
+            assert values[i] == one_value[0] == surrogate(v[i])
+            assert np.array_equal(grads[i], one_grad[0])
+
+
+def test_no_search_runs_nelder_mead(monkeypatch):
+    # the restarts, the surrogate and the seeded run are all BFGS: at this barely-NPT point
+    # every restart ends on the plateau, and the seeded stage alone certifies the state
+    from uniparam import optimize
+    from uniparam.cli import fig1_state
+
+    def no_nelder_mead(*args, **kwargs):
+        raise AssertionError("Nelder-Mead ran")
+
+    monkeypatch.setattr(optimize, "_nelder_mead", no_nelder_mead)
+    rho, cfg = fig1_state(0.10, 0.25), OptimizerConfig()
+    b_opt, result = optimized_bound_b(rho, 3, 3, cfg)
+    assert b_opt / max_concurrence(3) > 1e-3
+    assert result.best_restart == cfg.restarts
+    x_sq, result = max_distill_x_sq(rho, 3, 3, cfg)
+    assert x_sq > 1e-8
+    assert result.best_restart == cfg.restarts
+    with pytest.raises(AssertionError, match="Nelder-Mead ran"):
+        minimize(make_bopt_objective(rho, 3, 3), 12, cfg)
+
+
+@pytest.mark.parametrize("witness", [False, True], ids=["bopt", "witness"])
+def test_seeded_stage_evaluations_below_nelder_mead(witness):
+    # Nelder-Mead on the surrogate alone took 2,000-10,000 points at the fig1 band states
+    from uniparam.cli import fig1_state
+    from uniparam.entanglement import (
+        PLATEAU_X_SQ,
+        PT_SEED_RESTARTS,
+        _check_state,
+        _pt_seeded,
+        _pt_surrogate,
+        _scalar,
+        _search,
+    )
+    from uniparam.optimize import OptimizerResult
+
+    rho, cfg = fig1_state(0.10, 0.25), OptimizerConfig(seed=2)
+    state, search = _check_state(rho, 3, 3), _search(3, 3, witness)
+    # a plateau result that carries no work, so the stage's work is all the result reports
+    plateau = OptimizerResult(0.0, np.zeros(search.n), 0, cfg.restarts, True,
+                              restart_values=(0.0,) * cfg.restarts, best_restart=0)
+    stage = _pt_seeded(plateau, state, search, cfg)
+    assert stage.best_restart == cfg.restarts and stage.value < -PLATEAU_X_SQ
+    surrogate = _pt_surrogate(rho, search.rotations, search.seed_idx)
+    reference = minimize(_scalar(surrogate, search.n), search.n,
+                         replace(cfg, restarts=PT_SEED_RESTARTS), batch=surrogate)
+    assert stage.evaluations < reference.evaluations
+    assert stage.calls < reference.calls

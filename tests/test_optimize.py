@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -84,6 +85,30 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         minimize(quadratic, -1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("simplex_scale", math.inf),
+    ("simplex_scale", math.nan),
+    ("f_tol", math.inf),
+    ("f_tol", math.nan),
+    ("restarts", 1.5),
+    ("restarts", 2.0),
+    ("restarts", True),
+    ("max_iterations", 100.0),
+    ("seed", 0.5),
+    ("seed", -1),
+])
+def test_config_rejects_values_that_only_fail_later(field, value):
+    # simplex_scale=inf ended in a raw LinAlgError or 96,037 NaN evaluations, restarts=1.5
+    # failed inside np.zeros and seed=-1 inside numpy's generator, all at minimize time
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = OptimizerConfig(max_iterations=np.int64(50), restarts=np.int32(2), seed=np.uint32(7))
+    assert minimize(quadratic, 2, cfg).restarts == 2
 
 
 def test_result_fields():

@@ -228,7 +228,11 @@ def build_ucd(lam: np.ndarray, k: int) -> np.ndarray:
     Plane factors restricted to m <= k, no diagonal phases; reads only the
     k(2d-k-1) off-diagonal angles in the first k rows and columns.
     """
-    lam = _assert_angles(lam)
+    return _ucd(_assert_angles(lam), k)
+
+
+def _ucd(lam: np.ndarray, k: int) -> np.ndarray:
+    """``build_ucd`` of angles that passed ``_assert_angles``."""
     d = lam.shape[0]
     if not 1 <= k <= d:
         raise RankOutOfRangeError(f"rank {k} outside 1..{d}")
@@ -241,7 +245,11 @@ def build_ucs(lam: np.ndarray, k: int) -> np.ndarray:
     Plane factors with m <= k < n only; reads the 2k(d-k) angles in the
     upper-right and lower-left blocks.
     """
-    lam = _assert_angles(lam)
+    return _ucs(_assert_angles(lam), k)
+
+
+def _ucs(lam: np.ndarray, k: int) -> np.ndarray:
+    """``build_ucs`` of angles that passed ``_assert_angles``."""
     d = lam.shape[0]
     if not 1 <= k < d:
         raise RankOutOfRangeError(f"subspace dimension {k} outside 1..{d - 1}")

@@ -78,7 +78,8 @@ round-off rule) add exactly 0, and X^2 is C^1 at the PPT boundary, where
 2 X dX vanishes.  X has a kink where a block's tau loses rank (x_2 = 0
 for two columns); rank-2 states have their maxima there, which BFGS
 approaches slowly, and a run whose line search no longer moves it stops.
-The values are those of ``_values``, bit for bit.  The surrogate's
+The values are those of ``_values``, bit for bit, so each start's
+simplex is scored on the value path alone.  The surrogate's
 blocks take the same path from W† rho W to the angles, from the
 gradient M^Γ of each block's lambda_min(R^Γ), M = e e† for its
 eigenvector e (``_pt_surrogate_grads``).
@@ -132,6 +133,7 @@ from .optimize import (
     Core,
     OptimizerConfig,
     OptimizerResult,
+    OwnedBatch,
     _bfgs,
     _minimize_many,
     _solve,
@@ -884,9 +886,14 @@ def _pt_surrogate_grads(rho: np.ndarray, rotations_vjp: RotationsVJP,
     return value_grads
 
 
-def _core(rho: np.ndarray | _State | Sequence[np.ndarray | _State], search: _Search) -> Core:
-    """The lockstep core of ``search`` on ``rho`` (as for ``_values``): BFGS on its gradients."""
-    return partial(_bfgs, _value_grads(rho, search))
+def _core(values: OwnedBatch, rho: np.ndarray | _State | Sequence[np.ndarray | _State],
+          search: _Search) -> Core:
+    """The lockstep core of ``search`` on ``rho``: BFGS on its gradients.
+
+    ``values`` is ``_values(rho, search)``, which scores the simplex
+    set-up and which ``_value_grads`` matches bit for bit.
+    """
+    return partial(_bfgs, values, _value_grads(rho, search))
 
 
 def _with_run(result: OptimizerResult, run: OptimizerResult,
@@ -925,12 +932,13 @@ def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
     if (result.value <= -PLATEAU_X_SQ or n == 0
             or ppt_min_eigenvalue(state.rho, (search.d_a, search.d_b)) >= -DENSITY_PSD_TOL):
         return result
+    surrogate = _pt_surrogate(state.rho, search.rotations, search.seed_idx)
     (seeded,) = _minimize_many(
-        _pt_surrogate(state.rho, search.rotations, search.seed_idx), n,
-        [replace(cfg, restarts=PT_SEED_RESTARTS)], False,
-        partial(_bfgs, _pt_surrogate_grads(state.rho, search.rotations_vjp, search.seed_idx)))
-    (run,) = _solve(_values(state, search), _core(state, search), seeded.x[None, None], cfg,
-                    False)
+        surrogate, n, [replace(cfg, restarts=PT_SEED_RESTARTS)], False,
+        partial(_bfgs, surrogate,
+                _pt_surrogate_grads(state.rho, search.rotations_vjp, search.seed_idx)))
+    values = _values(state, search)
+    (run,) = _solve(values, _core(values, state, search), seeded.x[None, None], cfg, False)
     return _with_run(result, run, seeded)
 
 
@@ -949,8 +957,8 @@ def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
     cfgs = [cfg or OptimizerConfig() for cfg in cfgs]
     if len(cfgs) != len(states):
         raise LengthMismatchError(f"{len(states)} states but {len(cfgs)} configs")
-    results = _minimize_many(_values(states, search), search.n, cfgs, False,
-                             _core(states, search))
+    values = _values(states, search)
+    results = _minimize_many(values, search.n, cfgs, False, _core(values, states, search))
     return [_pt_seeded(result, state, search, cfg)
             for result, state, cfg in zip(results, states, cfgs)]
 
@@ -1024,7 +1032,8 @@ def lifted_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
                 starts.append(c[b])
     if lifts:
         lifted = [states[i] for i in lifts]
-        runs = _solve(_values(lifted, search), _core(lifted, search),
+        lifted_values = _values(lifted, search)
+        runs = _solve(lifted_values, _core(lifted_values, lifted, search),
                       np.array(starts)[:, None], OptimizerConfig(), False)
         for i, run in zip(lifts, runs):
             results[i] = _with_run(results[i], run)

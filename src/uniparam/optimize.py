@@ -31,19 +31,22 @@ run.  No objective call takes more than ``restarts * (dim + 1)`` rows, the
 size of one problem's simplex set-up: larger evaluations are split into
 calls of that size, which bounds the memory of the batched evaluators.
 
-A caller that has the gradients steps ``_minimize_many`` by ``_bfgs`` with a
-``gradient`` called like ``batch`` and returning the values and the (N, dim)
-gradients; the runs are then BFGS runs in the same lockstep,
-one pending trial point per live run and call after the first call, which
-evaluates each start's Nelder-Mead simplex.  Its line search is weak
-Wolfe, so no run ends above the best vertex of its start's simplex.  A
-run stops when its direction promises less than round-off, when a step
-gains less than ``f_tol`` and the next promises less than ``f_tol``,
-after ``max_iterations`` steps or BFGS_MAX_TRIALS (400) trial points, or
-at a kink, where its line search no longer moves it.  The entanglement
-module runs every search this way: the optimized bound B_opt, the
-distillability witness and its seeded stage's surrogate.  ``_nelder_mead``
-serves only the public ``minimize``, ``minimize_many`` and ``refine``.
+A caller that has the gradients steps ``_minimize_many`` by ``_bfgs`` with the
+batched values and a ``gradient`` called like ``batch`` and returning the
+values and the (N, dim) gradients; the runs are then BFGS runs in the same
+lockstep.  The first call(s) score each start's Nelder-Mead simplex by
+values alone, one gradient call follows at each run's lowest vertex, and
+after it each call evaluates one pending trial point per live run.  Its
+line search is weak Wolfe, so no run ends above the best vertex of its
+start's simplex.  A run stops when its direction promises less than
+round-off, when a step gains less than ``f_tol`` and the next promises
+less than ``f_tol``, after ``max_iterations`` steps or BFGS_MAX_TRIALS
+(400) trial points, after BFGS_TRAILING_TRIALS (240) once a stopped run
+of its problem has a lower value, or at a kink, where its line search no
+longer moves it.  The entanglement module runs every search this way:
+the optimized bound B_opt, the distillability witness and its seeded
+stage's surrogate.  ``_nelder_mead`` serves only the public
+``minimize``, ``minimize_many`` and ``refine``.
 
 ``refine`` runs one Nelder-Mead simplex from a given point instead, the
 same core with one restart.  ``_solve`` runs either core from given
@@ -81,6 +84,13 @@ ANGLE_RESOLUTION = 4 * np.finfo(float).eps
 # the gradient does not vanish, at a linear rate.  Left to run, such runs took from 400 to
 # 3000 points as the seed changed, and the longest one sets how many calls the lockstep takes
 BFGS_MAX_TRIALS = 400
+# trial points after which a run stops once a stopped run of its problem has a lower value.
+# On the step-0.05 fig1 grid at seeds 0-3 no winning run took more than 142 trials and the
+# losing runs went on for 217-400, so a lockstep there takes about 250 calls in place of 400.
+# On random states from 2x3 to 4x4 winning runs took up to the 400 cap, and a cap of 240 for
+# every run lowered B_opt on 21 of 57 of them; this cut leaves the leading runs to the cap and
+# moved 2 of the 57, by at most 1.3e-10 in B_opt^2 (BENCH_19.json)
+BFGS_TRAILING_TRIALS = 240
 
 
 @dataclass(frozen=True)
@@ -133,11 +143,14 @@ class OptimizerResult:
     after the restarts.  ``evaluations`` counts the objective points
     evaluated: simplex set-up, steps, shrinks (BFGS: trial points, each
     with its gradient) and the final re-evaluation, plus those of a seeded
-    stage.  ``restart_values`` is the best value of each run in order, and
-    ``best_restart`` the index of the run that gave ``x`` (-1 when no run
-    was recorded).  ``calls`` counts the batched objective calls of the
-    run that produced the result; the problems of one ``minimize_many`` run
-    share it, and a seeded stage adds its own.
+    stage.  A BFGS run's lowest simplex vertex, evaluated again with its
+    gradient, counts once.  ``restart_values`` is the best value of each
+    run in order, and ``best_restart`` the index of the run that gave ``x``
+    (-1 when no run was recorded).  ``calls`` counts the batched objective
+    calls of the run that produced the result (BFGS: the simplex's value
+    calls, the gradient call at the lowest vertices and the trial calls);
+    the problems of one ``minimize_many`` run share it, and a seeded stage
+    adds its own.
     """
 
     value: float
@@ -159,7 +172,7 @@ OwnedBatch = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # gradient(xs, owner) -> (values, gradients) of the rows, owned as for OwnedBatch
 OwnedGradient = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 # core(starts, owner, cap, scale, max_iterations, f_tol, traces): ``_nelder_mead`` or ``_bfgs``
-# with its objective bound, returning each run's point, value, iterations, convergence flag and
+# with its objectives bound, returning each run's point, value, iterations, convergence flag and
 # evaluations, and the number of objective calls
 Core = Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]]
 
@@ -306,17 +319,21 @@ def _nelder_mead(batch: OwnedBatch, starts: np.ndarray, owner: np.ndarray, cap: 
     return best_x, best_f, steps, converged, evaluations, calls
 
 
-def _bfgs(gradient: OwnedGradient, starts: np.ndarray, owner: np.ndarray, cap: int,
-          scale: float, max_iterations: int, f_tol: float, traces: list[list[float]] | None
+def _bfgs(values: OwnedBatch, gradient: OwnedGradient, starts: np.ndarray, owner: np.ndarray,
+          cap: int, scale: float, max_iterations: int, f_tol: float,
+          traces: list[list[float]] | None
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """One BFGS run from each row of ``starts``, all advanced in lockstep.
 
-    ``gradient(xs, owner)`` returns the values and gradients of the rows.
-    The first call evaluates each start's Nelder-Mead simplex (the start
-    and one vertex ``scale`` along each axis), and the run begins at its
-    first lowest vertex: a gradient is 0 on a flat plateau, and a start
-    there moves off it when a vertex does.  After it each call evaluates
-    one pending trial point x + t d of every live run, d = -H g from the
+    ``values(xs, owner)`` returns the values of the rows and
+    ``gradient(xs, owner)`` the same values, bit for bit, and the
+    gradients.  The first call(s) score each start's Nelder-Mead simplex
+    (the start and one vertex ``scale`` along each axis) by ``values``,
+    and the run begins at its first lowest vertex: a gradient is 0 on a
+    flat plateau, and a start there moves off it when a vertex does.  One
+    ``gradient`` call then evaluates every run's vertex again, counted as
+    one of its simplex points.  After it each call evaluates one pending
+    trial point x + t d of every live run, d = -H g from the
     run's inverse-Hessian estimate H, starting at t = 1.  The line search
     is weak Wolfe, so monotone: a trial is accepted, as the run's next
     point and one iteration, when it meets Armijo's condition
@@ -328,38 +345,43 @@ def _bfgs(gradient: OwnedGradient, starts: np.ndarray, owner: np.ndarray, cap: i
     (-g.d <= ROUNDOFF |f|, a zero gradient included) or when an accepted
     step lowered f by less than ``f_tol`` and the next promises less
     than ``f_tol`` (-g.d < f_tol).  It stops unconverged at
-    ``max_iterations`` iterations, after BFGS_MAX_TRIALS trial points, or
-    at a kink: when its bracket no longer moves x, even along -g after H
-    is reset.  Rows of a call are the live runs in run order, split into
-    calls of ``cap`` rows, so rows must be independent as for
-    ``_nelder_mead``.  Returns each run's last point, its value,
-    iterations, convergence flag and number of points evaluated, and the
-    number of objective calls.
+    ``max_iterations`` iterations, after BFGS_MAX_TRIALS trial points,
+    after BFGS_TRAILING_TRIALS once a stopped run of its problem has a
+    lower value, so it can no longer win, or at a kink: when its bracket
+    no longer moves x, even along -g after H is reset.  Rows of a
+    call are the live runs in run order, split into calls of ``cap``
+    rows, so rows must be independent as for ``_nelder_mead``.  Returns
+    each run's last point, its value, iterations, convergence flag and
+    number of points evaluated, and the number of objective calls.
     """
     n_runs, dim = starts.shape
     calls = 0
 
-    def evaluate(xs: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def split(fn: Callable, xs: np.ndarray, own: np.ndarray) -> list:
         nonlocal calls
-        chunks = range(0, len(xs), cap)
-        calls += len(chunks)
-        parts = [gradient(xs[i:i + cap], own[i:i + cap]) for i in chunks]
-        return (np.concatenate([f for f, _ in parts]),
-                np.concatenate([g for _, g in parts]).reshape(len(xs), dim))
+        parts = [fn(xs[i:i + cap], own[i:i + cap]) for i in range(0, len(xs), cap)]
+        calls += len(parts)
+        return parts
+
+    def evaluate(xs: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        parts = split(gradient, xs, own)
+        # in C order whatever order the gradient comes in: einsum's sums over a row follow
+        # the memory order, and the same gradient must give the same run
+        return (np.concatenate([f for f, _ in parts]), np.ascontiguousarray(
+            np.concatenate([g for _, g in parts]).reshape(len(xs), dim)))
 
     out_x, out_f = np.empty((n_runs, dim)), np.empty(n_runs)
     steps, evaluations = np.empty(n_runs, dtype=int), np.empty(n_runs, dtype=int)
     converged = np.zeros(n_runs, dtype=bool)
 
-    # the first call evaluates every run's Nelder-Mead simplex, and the run begins at its
-    # first lowest vertex
+    # values alone score every run's Nelder-Mead simplex, and the run begins at its first
+    # lowest vertex, where one gradient call evaluates it again
     eye = np.eye(dim)
     simplex = starts[:, None] + np.vstack([np.zeros(dim), scale * eye])
-    fs, gs = evaluate(simplex.reshape(-1, dim), np.repeat(owner, dim + 1))
-    fs, gs = fs.reshape(n_runs, dim + 1), gs.reshape(n_runs, dim + 1, dim)
+    fs = np.concatenate(split(values, simplex.reshape(-1, dim), np.repeat(owner, dim + 1)))
     ids, own = np.arange(n_runs), owner
-    vertex = np.argmin(fs, axis=1)
-    x, f, g = simplex[ids, vertex], fs[ids, vertex], gs[ids, vertex]
+    x = simplex[ids, np.argmin(fs.reshape(n_runs, dim + 1), axis=1)]
+    f, g = evaluate(x, own)
     h = np.repeat(eye[None], n_runs, axis=0)
     scaled = np.zeros(n_runs, dtype=bool)  # H has taken an update since it was last the identity
     d = -g
@@ -369,6 +391,7 @@ def _bfgs(gradient: OwnedGradient, starts: np.ndarray, owner: np.ndarray, cap: i
     if traces is not None:
         for r, value in enumerate(f.tolist()):
             traces[r].append(value)
+    lead = np.full(owner.max(initial=-1) + 1, np.inf)  # per problem, its lowest stopped value
     lo, hi = np.zeros(n_runs), np.full(n_runs, np.inf)
     stop = flat = -slope <= ROUNDOFF * np.abs(f)
     while True:
@@ -378,6 +401,7 @@ def _bfgs(gradient: OwnedGradient, starts: np.ndarray, owner: np.ndarray, cap: i
             out_x[rid], out_f[rid] = x[gone], f[gone]
             steps[rid], evaluations[rid] = iters[gone], evals[gone]
             converged[rid] = flat[gone]
+            np.minimum.at(lead, owner[rid], out_f[rid])
             keep = ~stop
             ids, own, x, f, g, h, scaled, d, slope, t, lo, hi, iters, evals = (
                 a[keep] for a in (ids, own, x, f, g, h, scaled, d, slope, t, lo, hi, iters,
@@ -446,7 +470,8 @@ def _bfgs(gradient: OwnedGradient, starts: np.ndarray, owner: np.ndarray, cap: i
         flat = restart & ((-slope <= ROUNDOFF * np.abs(f))
                           | ((decrease < f_tol) & (-slope < f_tol)))
         stop = (flat | (stuck & ~reset) | (accept & (iters >= max_iterations))
-                | (evals > dim + BFGS_MAX_TRIALS))
+                | (evals > dim + BFGS_MAX_TRIALS)
+                | ((evals > dim + BFGS_TRAILING_TRIALS) & (lead[own] < f)))
 
     return out_x, out_f, steps, converged, evaluations, calls
 
@@ -455,7 +480,7 @@ def _solve(reevaluate: OwnedBatch, core: Core, starts: np.ndarray,
            cfg: OptimizerConfig, keep_history: bool) -> list[OptimizerResult]:
     """R runs for each of P problems from the (P, R, dim) ``starts``, in one lockstep core.
 
-    ``core`` is ``_nelder_mead`` or ``_bfgs`` with its objective bound
+    ``core`` is ``_nelder_mead`` or ``_bfgs`` with its objectives bound
     (``functools.partial``).  Per problem, its first run with the lowest
     value wins, and ``reevaluate`` evaluates the P winners in one call.  No
     objective call takes more than R * (dim + 1) rows, one problem's

@@ -19,10 +19,10 @@ import numpy as np
 from .composite import (
     UNITARITY_INPUT_TOL,
     _assert_angles,
+    _ucd,
+    _ucs,
     _ucs_pairs,
     _zeroing_sweep,
-    build_ucd,
-    build_ucs,
     unitarity_defect,
 )
 from .errors import (
@@ -75,7 +75,7 @@ def build_density(theta: np.ndarray, lam: np.ndarray, k: int, d: int) -> np.ndar
     Consults exactly (k-1) + k(2d-k-1) scalars: the diagonal of ``lam``
     and every entry with both row and column beyond k are never read.
     """
-    cols = build_ucd(_assert_angles(lam, d), k)[:, :k]
+    cols = _ucd(_assert_angles(lam, d), k)[:, :k]
     p = simplex_weights(theta, k)
     return (cols * p) @ cols.conj().T
 
@@ -105,7 +105,7 @@ def validate_density(rho: np.ndarray, rank_bound: int | None = None) -> np.ndarr
 
 def subspace_basis(lam: np.ndarray, k: int, d: int) -> np.ndarray:
     """Orthonormal basis of a k-dimensional subspace: first k columns of build_ucs."""
-    return build_ucs(_assert_angles(lam, d), k)[:, :k].copy()
+    return _ucs(_assert_angles(lam, d), k)[:, :k].copy()
 
 
 def canonicalize_subspace(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

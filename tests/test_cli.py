@@ -275,6 +275,22 @@ def test_fig1_optimized_rows_independent_of_jobs():
     assert rows[11].bound_opt == b_opt / max_concurrence(3)
 
 
+def test_fig1_share_cuts_the_trailing_crawls():
+    # the restarts crawling to the kink maxima of the rank-2 states (alpha + beta = 1) trail the
+    # zero start, which stops first and gives the plain bound there, so they stop after
+    # BFGS_TRAILING_TRIALS trial points, well before the trial cap
+    from uniparam.cli import _fig1_share
+    from uniparam.optimize import BFGS_MAX_TRIALS, BFGS_TRAILING_TRIALS
+
+    points = [(ia, ib, ia * 0.25, ib * 0.25) for ia in range(5) for ib in range(5 - ia)]
+    results = _fig1_share((points, 12, 0))
+    assert len(results) == 15
+    assert all(r.calls <= BFGS_TRAILING_TRIALS + 20 < BFGS_MAX_TRIALS for r in results)
+    for (ia, ib, alpha, beta), result in zip(points, results):
+        if (ia, ib) in ((1, 3), (2, 2), (3, 1)):
+            assert abs(-result.value - bound_b(fig1_state(alpha, beta), 3, 3).b ** 2) < 1e-12
+
+
 def test_fig1_plain_scan_starts_no_pool(monkeypatch):
     import uniparam.cli
 

@@ -381,7 +381,7 @@ def bfgs_many(objectives, dim, cfgs, gradient, keep_history=False):
     from uniparam.optimize import _bfgs, _minimize_many, _rowwise
 
     return _minimize_many(_rowwise(objectives), dim, list(cfgs), keep_history,
-                          partial(_bfgs, gradient))
+                          partial(_bfgs, lambda xs, owner: gradient(xs, owner)[0], gradient))
 
 def rugged_grad(xs, owner=None):
     return (np.sum(np.sin(3 * xs) ** 2, axis=1) + 0.01 * np.sum((xs - 2.0) ** 2, axis=1),
@@ -472,7 +472,8 @@ def test_bfgs_stops_after_max_trials(monkeypatch):
         return rugged_grad(xs)
 
     result = bfgs_many([rugged], 5, [cfg], grad, keep_history=True)[0]
-    assert result.calls == len(rows) == 1 + 5
+    # the simplex's values call, the gradient call at the lowest vertices, then 5 trial calls
+    assert result.calls == len(rows) == 1 + 1 + 5
     assert result.evaluations == cfg.restarts * (5 + 1 + 5) + 1
     assert all(len(trace) - 1 <= 5 for trace in result.history)
     assert not result.converged
@@ -491,15 +492,61 @@ def test_bfgs_telemetry():
         return rugged(x)
 
     result = bfgs_many([probe], 3, [cfg], grad, keep_history=True)[0]
-    # the simplex set-up call, then one trial point per live run and call
-    assert rows[0] == cfg.restarts * (3 + 1)
-    assert all(n <= cfg.restarts for n in rows[1:])
+    # the simplex's values call, the gradient call at each run's lowest vertex, then one trial
+    # point per live run and call; the vertex evaluated again counts once
+    assert rows[:2] == [cfg.restarts * (3 + 1), cfg.restarts]
+    assert all(n <= cfg.restarts for n in rows[2:])
     assert result.calls == len(rows)
-    assert result.evaluations == sum(rows) + 1 == sum(rows) + len(seen)
+    assert result.evaluations == sum(rows) - cfg.restarts + 1 == sum(rows) - rows[1] + len(seen)
     assert result.value == probe(result.x) == result.restart_values[result.best_restart]
     assert result.best_restart == result.restart_values.index(min(result.restart_values))
     assert result.iterations == sum(len(trace) - 1 for trace in result.history)
     assert len(result.restart_values) == result.restarts == cfg.restarts
+
+
+def test_bfgs_gradient_memory_order_does_not_change_the_runs():
+    # a gradient in C or in F order must give the same runs: row sums follow memory order
+    cfg = OptimizerConfig(max_iterations=150, restarts=4, seed=8)
+
+    def fortran(xs, owner):
+        values, grads = rugged_grad(xs)
+        return values, np.asfortranarray(grads)
+
+    c, f = (bfgs_many([rugged], 6, [cfg], grad)[0] for grad in (rugged_grad, fortran))
+    assert np.array_equal(c.x, f.x)
+    assert ((c.value, c.restart_values, c.iterations, c.evaluations)
+            == (f.value, f.restart_values, f.iterations, f.evaluations))
+
+
+def test_bfgs_cuts_only_runs_behind_a_stopped_run(monkeypatch):
+    # past BFGS_TRAILING_TRIALS trial points a run stops once a stopped run of its problem has a
+    # lower value; every other run goes on
+    import uniparam.optimize
+    from uniparam.optimize import _bfgs
+
+    dim, trailing = 5, 10
+    starts = np.random.default_rng(3).uniform(0.0, 2 * np.pi, (12, dim))
+    owner = np.repeat([0, 1], 6)
+
+    def run():
+        return _bfgs(lambda xs, own: rugged_grad(xs)[0], lambda xs, own: rugged_grad(xs),
+                     starts, owner, 6 * (dim + 1), 0.5, 2000, 1e-10, None)
+
+    x, f, _, _, evals, calls = run()
+    monkeypatch.setattr(uniparam.optimize, "BFGS_TRAILING_TRIALS", trailing)
+    x_cut, f_cut, _, _, evals_cut, calls_cut = run()
+    cut = evals_cut != evals
+    assert cut.any() and calls_cut < calls
+    assert np.array_equal(x_cut[~cut], x[~cut]) and np.array_equal(f_cut[~cut], f[~cut])
+    for r in np.flatnonzero(cut).tolist():
+        assert evals_cut[r] - (dim + 1) >= trailing
+        assert any(evals_cut[s] < evals_cut[r] and f_cut[s] < f_cut[r]
+                   for s in np.flatnonzero(owner == owner[r]).tolist())
+    # here the winners stop first, so no result moves
+    for p in (0, 1):
+        runs = np.flatnonzero(owner == p)
+        assert runs[np.argmin(f_cut[runs])] == runs[np.argmin(f[runs])]
+        assert f_cut[runs].min() == f[runs].min()
 
 
 def test_bfgs_stops_at_a_kink():

@@ -107,6 +107,24 @@ def test_build_density_errors():
         build_density([0.1], np.zeros((3, 3)), 1, 3)
 
 
+def test_density_and_subspace_builds_gate_the_angles_once(monkeypatch):
+    import uniparam.composite
+    import uniparam.states
+
+    calls = []
+    gate = uniparam.composite._assert_angles
+
+    def counted(*args):
+        calls.append(args)
+        return gate(*args)
+
+    for module in (uniparam.composite, uniparam.states):
+        monkeypatch.setattr(module, "_assert_angles", counted)
+    build_density([0.3, 0.7], np.zeros((4, 4)), 3, 4)
+    subspace_basis(np.zeros((4, 4)), 2, 4)
+    assert len(calls) == 2
+
+
 def test_subspace_basis_zero_angles():
     b = subspace_basis(np.zeros((4, 4)), 2, 4)
     assert np.array_equal(b, np.eye(4, dtype=complex)[:, :2])

@@ -62,10 +62,11 @@ every other input are those of the restarts alone.
 
 Both searches, B_opt and the witness, and the seeded stage's surrogate
 run BFGS (see ``optimize``) on exact gradients; no search here runs
-Nelder-Mead.  Every plane factor is a closed-form 2x2 rotation, so
-``_value_grads`` gives each row's value and angle gradient in one call.
-Each kind returns its blocks' concurrences with a pullback built from
-the same factors, which the value path never calls.  Per block,
+Nelder-Mead.  Every plane factor is a closed-form 2x2 rotation, so one
+function per objective (``_objective``, ``_pt_surrogate``) gives each
+row's value and a closure for its angle gradient.  Each kind returns its
+blocks' concurrences with a pullback built from the same factors, which
+only a called gradient runs.  Per block,
 dX = sum_i eps_i Re(u_i† dtau v_i), eps = (+1, -1, -1, -1), from the SVD
 of tau (closed form for two columns); any factor of the block serves,
 so dL = dR L^-† / 2 for the Cholesky kind and the QR factor's Q maps
@@ -78,11 +79,10 @@ round-off rule) add exactly 0, and X^2 is C^1 at the PPT boundary, where
 2 X dX vanishes.  X has a kink where a block's tau loses rank (x_2 = 0
 for two columns); rank-2 states have their maxima there, which BFGS
 approaches slowly, and a run whose line search no longer moves it stops.
-The values are those of ``_values``, bit for bit, so each start's
-simplex is scored on the value path alone.  The surrogate's
-blocks take the same path from W† rho W to the angles, from the
-gradient M^Γ of each block's lambda_min(R^Γ), M = e e† for its
-eigenvector e (``_pt_surrogate_grads``).
+Each start's simplex is scored by the values alone, with no gradient
+called.  The surrogate's blocks take the same path from W† rho W to the
+angles, from the gradient M^Γ of each block's lambda_min(R^Γ), M = e e†
+for its eigenvector e.
 
 BFGS and Nelder-Mead restarts land in the better of two maxima equally
 often at the fig1 states that have two (about one restart in five), so
@@ -96,6 +96,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,11 +130,9 @@ from .linalg import (
     permute_subsystems,
 )
 from .optimize import (
-    Batch,
-    Core,
     OptimizerConfig,
     OptimizerResult,
-    OwnedBatch,
+    OwnedObjective,
     _bfgs,
     _minimize_many,
     _solve,
@@ -169,8 +168,16 @@ def linear_entropy(rho: np.ndarray) -> float:
     return float(np.clip(d / (d - 1) * (1.0 - purity), 0.0, 1.0))
 
 
+def _count(value: int, name: str, least: int) -> int:
+    """``value`` as an int; a non-integer (bool included) or one below ``least`` raises."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise DimensionMismatchError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def max_concurrence(d: int) -> float:
     """Concurrence of a maximally entangled d x d state, sqrt(2(d-1)/d)."""
+    d = _count(d, "dimension", 1)
     return math.sqrt(2.0 * (d - 1) / d)
 
 
@@ -217,10 +224,6 @@ class _State:
     rho: np.ndarray
     kind: Callable[..., tuple[np.ndarray, Callable[[], np.ndarray]]]
     data: np.ndarray
-
-    def concurrences(self, w_a: np.ndarray, w_b: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """(..., P) concurrences of the blocks ``idx`` of W† rho W, W = w_a (x) w_b."""
-        return self.kind(self.data, w_a, w_b, idx)[0]
 
 
 def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
@@ -508,12 +511,6 @@ def _by_state(states: Sequence[_State], idx: np.ndarray
     return by_state
 
 
-def _state_concurrences(states: Sequence[_State], idx: np.ndarray) -> Callable[..., np.ndarray]:
-    """(w_a, w_b, owner) -> (..., P) concurrences of the blocks ``idx`` (see ``_by_state``)."""
-    by_state = _by_state(states, idx)
-    return lambda w_a, w_b, owner=None: by_state(w_a, w_b, owner)[0]
-
-
 def _local_adjoint(u: np.ndarray | None, d: int) -> np.ndarray:
     """u† for a local unitary of dimension d (None -> identity).
 
@@ -554,21 +551,24 @@ def bound_x(rho: np.ndarray, k_a: int, l_a: int, k_b: int, l_b: int,
 
     X is the concurrence of the block on |k_a>,|l_a> (x) |k_b>,|l_b> of
     U rho U†, U = u_a (x) u_b; None means identity.  ``dims`` gives
-    (d_a, d_b); when omitted it is inferred from ``u_a``, else from
-    ``u_b``, else from a symmetric split, and a matrix size that does not
-    split that way raises ``DimensionMismatchError``.
+    (d_a, d_b), and anything but a pair raises ``DimensionMismatchError``.
+    When omitted it is inferred from ``u_a``, else from ``u_b``, after the
+    matrix checks of each, else from a symmetric split, and a matrix size
+    that does not split that way raises ``DimensionMismatchError``.
     """
     rho = _as_square(rho)
     if dims is not None:
+        if np.shape(dims) != (2,):
+            raise DimensionMismatchError(f"dims must be a pair (d_a, d_b), got {dims!r}")
         d_a, d_b = dims
     else:
         n = rho.shape[0]
         if u_a is not None:
-            d_a = np.shape(u_a)[0]
-            d_b = n // max(d_a, 1)
+            d_a = _as_square(u_a).shape[0]
+            d_b = n // d_a
         elif u_b is not None:
-            d_b = np.shape(u_b)[0]
-            d_a = n // max(d_b, 1)
+            d_b = _as_square(u_b).shape[0]
+            d_a = n // d_b
         else:
             d_a = d_b = math.isqrt(n)
         if d_a * d_b != n:
@@ -577,8 +577,8 @@ def bound_x(rho: np.ndarray, k_a: int, l_a: int, k_b: int, l_b: int,
     _check_pair(k_a, l_a, d_a)
     _check_pair(k_b, l_b, d_b)
     state = _check_state(rho, d_a, d_b)
-    x = state.concurrences(_local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
-                           _block_index([((k_a, l_a), (k_b, l_b))], d_b))
+    x, _ = state.kind(state.data, _local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
+                      _block_index([((k_a, l_a), (k_b, l_b))], d_b))
     return float(x[0])
 
 
@@ -590,8 +590,8 @@ def bound_b(rho: np.ndarray, d_a: int, d_b: int,
     """
     state = _check_state(rho, d_a, d_b)
     pairs = _all_pairs(d_a, d_b)
-    x = state.concurrences(_local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
-                           _block_index(pairs, d_b))
+    x, _ = state.kind(state.data, _local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
+                      _block_index(pairs, d_b))
     terms = {pa + pb: float(xi) for (pa, pb), xi in zip(pairs, x)}
     return BoundReport(terms, float(np.sqrt(np.sum(x * x))))
 
@@ -637,12 +637,11 @@ def ucs_block_to_matrix(vec: np.ndarray, d: int, k: int = 2) -> np.ndarray:
 #
 # The optimized bound and the distillability witness are one search each:
 # maximize the sum of X^2 over some blocks of a locally rotated state,
-# over some packed angles.  One batched evaluator, (..., n) packed vectors
-# -> (...) values, serves both, and its gradient form steps every restart
-# of either by BFGS on (N, n) stacks; the public closures evaluate it on
-# one vector.
+# over some packed angles.  One batched objective, (..., n) packed vectors
+# -> (...) values and a gradient closure, serves both; it steps every
+# restart of either by BFGS on (N, n) stacks, and the public closures
+# evaluate it on one vector.
 
-Rotations = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 # v -> (w_a, w_b, back); back(g) is the (N, n) angle gradient of Re tr(g† dW) for the
 # (N, d_a d_b, m_a m_b) gradient g on W = w_a (x) w_b
 RotationsVJP = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, Callable[..., np.ndarray]]]
@@ -652,20 +651,19 @@ RotationsVJP = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, Callable[...
 class _Search:
     """A maximization of a sum of X^2 over local rotations (see ``_search``).
 
-    ``rotations`` maps (..., n) packed vectors, A's angles first, to the
-    stacks (w_a, w_b); ``idx`` are the blocks summed and ``seed_idx`` those
-    the seeded surrogate reads.  ``rotations_vjp`` maps (N, n) vectors to
-    the same stacks and their pullback from W = w_a (x) w_b to the angles,
-    which the search's and the surrogate's gradients run through.
+    ``rotations_vjp`` maps (..., n) packed vectors, A's angles first, to
+    the stacks (w_a, w_b) and their pullback from W = w_a (x) w_b to the
+    angles, which the search's and the surrogate's gradients run through;
+    ``idx`` are the blocks summed and ``seed_idx`` those the seeded
+    surrogate reads.
     """
 
     d_a: int
     d_b: int
     n: int
-    rotations: Rotations
+    rotations_vjp: RotationsVJP
     idx: np.ndarray
     seed_idx: np.ndarray
-    rotations_vjp: RotationsVJP
 
 
 def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
@@ -714,15 +712,12 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
 
         return w_a, w_b, back
 
-    def rotations(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return rotations_vjp(v)[:2]
-
     if witness:  # cut from the 2 x 2 space the two columns per side span
         idx = seed_idx = _block_index([((1, 2), (1, 2))], 2)
     else:
         idx = _block_index(_all_pairs(d_a, d_b), d_b)
         seed_idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
-    return _Search(d_a, d_b, len(flat), rotations, idx, seed_idx, rotations_vjp)
+    return _Search(d_a, d_b, len(flat), rotations_vjp, idx, seed_idx)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -746,53 +741,38 @@ def _states(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
     return [_check_state(r, d_a, d_b) for r in rho]
 
 
-def _values(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
-            search: _Search) -> Callable[..., np.ndarray]:
-    """Batched objective of ``search``: packed vectors -> -(sum of X^2) of each.
+def _objective(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
+               search: _Search) -> OwnedObjective:
+    """Batched objective of ``search``: packed vectors -> -(sum of X^2) of each, and a gradient.
 
     ``rho`` is one state, or an (S, n, n) stack or a sequence of them
-    evaluated as ``values(v, owner)``: row i of the (N, n) vectors on state
-    ``owner[i]``.  The witness sums one block, so its value is -X^2.
-    """
-    concurrences = _state_concurrences(_states(rho, search.d_a, search.d_b), search.idx)
-
-    def values(v: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
-        x = concurrences(*search.rotations(v), owner)
-        return -_row_sums(x * x)
-
-    return values
-
-
-def _value_grads(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
-                 search: _Search) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
-    """``_values`` with gradients: (N, n) packed vectors -> their values and (N, n) gradients.
-
-    Each kind gives its blocks' X and, through its pullback, the gradient
-    G of their sum of X^2 with respect to W = w_a (x) w_b, which the
-    search's pullback takes to the angles.  ``rho`` and ``owner`` are as
-    for ``_values``.
+    evaluated as ``objective(v, owner)``: row i of the (N, n) vectors on
+    state ``owner[i]``.  The witness sums one block, so its value is -X^2.
+    The returned closure gives the (N, n) angle gradients: each kind's
+    pullback gives the gradient G of the blocks' sum of X^2 with respect
+    to W = w_a (x) w_b, which the search's pullback takes to the angles.
     """
     by_state = _by_state(_states(rho, search.d_a, search.d_b), search.idx)
 
-    def value_grads(v: np.ndarray, owner: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+    def objective(v: np.ndarray, owner: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         w_a, w_b, back = search.rotations_vjp(v)
         x, pullback = by_state(w_a, w_b, owner)
-        return -_row_sums(x * x), -back(pullback())
+        return -_row_sums(x * x), lambda: -back(pullback())
 
-    return value_grads
+    return objective
 
 
-def _scalar(values: Batch, n: int) -> Callable[[np.ndarray], float]:
-    """One-vector form of a batched objective over n angles."""
+def _scalar(objective: OwnedObjective, n: int) -> Callable[[np.ndarray], float]:
+    """One-vector form, values only, of a batched objective over n angles."""
 
-    def objective(v: np.ndarray) -> float:
+    def scalar(v: np.ndarray) -> float:
         v = np.asarray(v, dtype=float).ravel()
         if v.size != n:
             raise LengthMismatchError(f"expected {n} angles, got {v.size}")
-        return float(values(v))
+        return float(objective(v)[0])
 
-    return objective
+    return scalar
 
 
 def make_bopt_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.ndarray], float]:
@@ -807,7 +787,7 @@ def make_bopt_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.nda
     not part of the vector.
     """
     search = _search(d_a, d_b)
-    return _scalar(_values(rho, search), search.n)
+    return _scalar(_objective(rho, search), search.n)
 
 
 def bopt_objective(rho: np.ndarray, d_a: int, d_b: int,
@@ -827,7 +807,7 @@ def make_distill_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.
     product, tensored.
     """
     search = _search(d_a, d_b, witness=True)
-    return _scalar(_values(rho, search), search.n)
+    return _scalar(_objective(rho, search), search.n)
 
 
 def distill_objective(rho: np.ndarray, d_a: int, d_b: int,
@@ -838,62 +818,36 @@ def distill_objective(rho: np.ndarray, d_a: int, d_b: int,
                              np.asarray(params_b, dtype=float).ravel()]))
 
 
-def _pt_eigh(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
-             idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of the partial transposes R^Γ of the blocks ``idx``.
-
-    The one eigensolve of the surrogate's value and gradient paths, so the
-    two give the same values bit for bit.
-    """
-    return np.linalg.eigh(_rotated_blocks(rho, w_a, w_b, idx)[..., _PT_ROWS, _PT_COLS])
-
-
-def _pt_surrogate(rho: np.ndarray, rotations: Rotations, idx: np.ndarray) -> Batch:
+def _pt_surrogate(rho: np.ndarray, search: _Search) -> OwnedObjective:
     """Batched surrogate: packed vectors -> sum of λ_min of each block's partial transpose.
 
-    The blocks ``idx`` are those the objective sees, from the same
-    rotations.  A block with a negative term is NPT, hence has a nonzero X.
-    ``owner`` is accepted as the core passes it, and not used.
+    The blocks ``search.seed_idx`` are read from the rotations of the
+    search.  A block with a negative term is NPT, hence has a nonzero X.
+    ``owner`` is accepted as the core passes it, and not used.  The
+    returned closure gives the (N, n) angle gradients.  With e the unit
+    eigenvector of λ_min, dλ_min = e† dR^Γ e = Re tr(M dR^Γ) for M = e e†.
+    The partial transpose permutes a block's entries and is its own
+    inverse, so Re tr(M dR^Γ) = Re tr(M^Γ dR): M^Γ is the block's
+    gradient, which ``_rotated_pullback`` and the search's pullback take
+    to the angles.  λ_min has a kink where it is degenerate, as X has
+    where tau loses rank.
     """
+    idx = search.seed_idx
 
-    def values(v: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
-        return _row_sums(_pt_eigh(rho, *rotations(v), idx)[0][..., 0])
+    def surrogate(v: np.ndarray, owner: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        w_a, w_b, back = search.rotations_vjp(v)
+        eigenvalues, vectors = np.linalg.eigh(
+            _rotated_blocks(rho, w_a, w_b, idx)[..., _PT_ROWS, _PT_COLS])
 
-    return values
+        def gradient() -> np.ndarray:
+            e = vectors[..., 0]
+            m = e[..., :, None] * e[..., None, :].conj()
+            return back(_rotated_pullback(rho, w_a, w_b, idx, m[..., _PT_ROWS, _PT_COLS]))
 
+        return _row_sums(eigenvalues[..., 0]), gradient
 
-def _pt_surrogate_grads(rho: np.ndarray, rotations_vjp: RotationsVJP,
-                        idx: np.ndarray) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
-    """``_pt_surrogate`` with gradients: (N, n) packed vectors -> values and (N, n) gradients.
-
-    With e the unit eigenvector of λ_min, dλ_min = e† dR^Γ e = Re tr(M dR^Γ)
-    for M = e e†.  The partial transpose permutes a block's entries and is
-    its own inverse, so Re tr(M dR^Γ) = Re tr(M^Γ dR): M^Γ is the block's
-    gradient, which ``_rotated_pullback`` and the search's pullback take to
-    the angles.  λ_min has a kink where it is degenerate, as X has where
-    tau loses rank.  The values are those of ``_pt_surrogate``, bit for bit.
-    """
-
-    def value_grads(v: np.ndarray, owner: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        w_a, w_b, back = rotations_vjp(v)
-        eigenvalues, vectors = _pt_eigh(rho, w_a, w_b, idx)
-        e = vectors[..., 0]
-        m = e[..., :, None] * e[..., None, :].conj()
-        return _row_sums(eigenvalues[..., 0]), back(
-            _rotated_pullback(rho, w_a, w_b, idx, m[..., _PT_ROWS, _PT_COLS]))
-
-    return value_grads
-
-
-def _core(values: OwnedBatch, rho: np.ndarray | _State | Sequence[np.ndarray | _State],
-          search: _Search) -> Core:
-    """The lockstep core of ``search`` on ``rho``: BFGS on its gradients.
-
-    ``values`` is ``_values(rho, search)``, which scores the simplex
-    set-up and which ``_value_grads`` matches bit for bit.
-    """
-    return partial(_bfgs, values, _value_grads(rho, search))
+    return surrogate
 
 
 def _with_run(result: OptimizerResult, run: OptimizerResult,
@@ -920,10 +874,10 @@ def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
     """Add the partial-transpose-seeded stage when all restarts ended on an NPT state's plateau.
 
     The plateau is any value above -PLATEAU_X_SQ, round-off of X = 0.  The
-    surrogate is minimized by the searches' lockstep BFGS on its exact
-    gradients (``_pt_surrogate_grads``), with PT_SEED_RESTARTS restarts
-    drawn from ``cfg.seed`` as ``minimize`` draws them, and one run of the
-    search starts from its minimizer (``_core``).  The returned result adds
+    surrogate (``_pt_surrogate``) is minimized by the searches' lockstep
+    BFGS on its exact gradients, with PT_SEED_RESTARTS restarts drawn from
+    ``cfg.seed`` as ``minimize`` draws them, and one BFGS run of the search
+    (``_objective``) starts from its minimizer.  The returned result adds
     the surrogate's and the run's work to ``result`` (see ``_with_run``).
     Without the stage ``result`` is returned as is; a search without
     angles (the d = 2 witness) is exact and gets no stage.
@@ -932,13 +886,13 @@ def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
     if (result.value <= -PLATEAU_X_SQ or n == 0
             or ppt_min_eigenvalue(state.rho, (search.d_a, search.d_b)) >= -DENSITY_PSD_TOL):
         return result
-    surrogate = _pt_surrogate(state.rho, search.rotations, search.seed_idx)
-    (seeded,) = _minimize_many(
-        surrogate, n, [replace(cfg, restarts=PT_SEED_RESTARTS)], False,
-        partial(_bfgs, surrogate,
-                _pt_surrogate_grads(state.rho, search.rotations_vjp, search.seed_idx)))
-    values = _values(state, search)
-    (run,) = _solve(values, _core(values, state, search), seeded.x[None, None], cfg, False)
+    surrogate = _pt_surrogate(state.rho, search)
+    (seeded,) = _minimize_many(lambda v, o: surrogate(v, o)[0], n,
+                               [replace(cfg, restarts=PT_SEED_RESTARTS)], False,
+                               partial(_bfgs, surrogate))
+    objective = _objective(state, search)
+    (run,) = _solve(lambda v, o: objective(v, o)[0], partial(_bfgs, objective),
+                    seeded.x[None, None], cfg, False)
     return _with_run(result, run, seeded)
 
 
@@ -947,8 +901,8 @@ def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
     """Minimized -(sum of X^2) of the search for each state, with the config of the same index.
 
     The states are checked once and their restarts stepped together in one
-    lockstep run of the search's core (``_core``), each state evaluating
-    its own rows, so each result equals that of the state alone; the
+    lockstep BFGS run on the search's objective (``_objective``), each state
+    evaluating its own rows, so each result equals that of the state alone; the
     configs may differ only in ``seed``.  One batched call re-evaluates the
     results, and the partial-transpose-seeded stage then follows per state.
     """
@@ -957,8 +911,9 @@ def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
     cfgs = [cfg or OptimizerConfig() for cfg in cfgs]
     if len(cfgs) != len(states):
         raise LengthMismatchError(f"{len(states)} states but {len(cfgs)} configs")
-    values = _values(states, search)
-    results = _minimize_many(values, search.n, cfgs, False, _core(values, states, search))
+    objective = _objective(states, search)
+    results = _minimize_many(lambda v, o: objective(v, o)[0], search.n, cfgs, False,
+                             partial(_bfgs, objective))
     return [_pt_seeded(result, state, search, cfg)
             for result, state, cfg in zip(results, states, cfgs)]
 
@@ -981,8 +936,8 @@ def optimized_bound_b(rho: np.ndarray, d_a: int, d_b: int,
     """Maximized bound B_opt >= B via BFGS restarts on exact gradients.
 
     The restarts start where those of ``minimize`` do and are stepped
-    together through the batched value-and-gradient evaluator
-    (``_value_grads``).  When all of them end on the X = 0 plateau of an
+    together through the batched objective and its gradients
+    (``_objective``).  When all of them end on the X = 0 plateau of an
     NPT state, the partial-transpose-seeded stage (see the module
     docstring) follows.  This is the one-state case of
     ``optimized_bounds_b``.
@@ -1020,8 +975,9 @@ def lifted_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
                                       f"got an array of shape {np.shape(c)}")
     lifts, starts = [], []
     if scored:
-        values = _values(states, search)(np.concatenate([c for _, c in scored]),
-                                         np.concatenate([np.full(len(c), i) for i, c in scored]))
+        values = _objective(states, search)(
+            np.concatenate([c for _, c in scored]),
+            np.concatenate([np.full(len(c), i) for i, c in scored]))[0]
         for i, c in scored:
             own, values = values[:len(c)], values[len(c):]
             b = int(np.argmin(own))
@@ -1031,9 +987,8 @@ def lifted_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
                 lifts.append(i)
                 starts.append(c[b])
     if lifts:
-        lifted = [states[i] for i in lifts]
-        lifted_values = _values(lifted, search)
-        runs = _solve(lifted_values, _core(lifted_values, lifted, search),
+        objective = _objective([states[i] for i in lifts], search)
+        runs = _solve(lambda v, o: objective(v, o)[0], partial(_bfgs, objective),
                       np.array(starts)[:, None], OptimizerConfig(), False)
         for i, run in zip(lifts, runs):
             results[i] = _with_run(results[i], run)
@@ -1078,8 +1033,7 @@ class Bipartition:
 def enumerate_bipartitions(n: int, dims: Sequence[int]) -> list[Bipartition]:
     """All 2^(n-1) - 1 splits, ordered by bitmask, subsystem 0 always in alpha."""
     dims = tuple(int(d) for d in dims)
-    if n < 2:
-        raise DimensionMismatchError(f"need at least 2 subsystems, got {n}")
+    n = _count(n, "subsystem count", 2)
     if len(dims) != n:
         raise DimensionMismatchError(f"dims has length {len(dims)}, expected {n}")
     parts = []
@@ -1135,8 +1089,7 @@ def n_copy_state(rho: np.ndarray, dims: Sequence[int], n: int) -> np.ndarray:
     rho, dims = _check_dims(rho, dims)
     if len(dims) != 2:
         raise DimensionMismatchError(f"expected a bipartite dims pair, got {dims}")
-    if n < 1:
-        raise DimensionMismatchError(f"copy count must be >= 1, got {n}")
+    n = _count(n, "copy count", 1)
     total = (dims[0] * dims[1]) ** n
     if total > N_COPY_MAX_DIM:
         raise DimensionTooLargeError(f"total dimension {total} exceeds cap {N_COPY_MAX_DIM}")

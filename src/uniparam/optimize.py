@@ -31,12 +31,13 @@ run.  No objective call takes more than ``restarts * (dim + 1)`` rows, the
 size of one problem's simplex set-up: larger evaluations are split into
 calls of that size, which bounds the memory of the batched evaluators.
 
-A caller that has the gradients steps ``_minimize_many`` by ``_bfgs`` with the
-batched values and a ``gradient`` called like ``batch`` and returning the
-values and the (N, dim) gradients; the runs are then BFGS runs in the same
-lockstep.  The first call(s) score each start's Nelder-Mead simplex by
-values alone, one gradient call follows at each run's lowest vertex, and
-after it each call evaluates one pending trial point per live run.  Its
+A caller that has the gradients steps ``_minimize_many`` by ``_bfgs`` with one
+``objective`` called like ``batch``: it returns the values of the rows and
+a closure that gives their (N, dim) gradients when called.  The runs are
+then BFGS runs in the same lockstep.  The first call(s) score each start's
+Nelder-Mead simplex and never call the closure, a call at each run's
+lowest vertex takes its gradient, and after it each call evaluates one
+pending trial point, with its gradient, per live run.  Its
 line search is weak Wolfe, so no run ends above the best vertex of its
 start's simplex.  A run stops when its direction promises less than
 round-off, when a step gains less than ``f_tol`` and the next promises
@@ -169,10 +170,11 @@ Objective = Callable[[np.ndarray], float]
 Batch = Callable[[np.ndarray], np.ndarray]
 # batch(xs, owner): row i of xs belongs to the problem with index owner[i]
 OwnedBatch = Callable[[np.ndarray, np.ndarray], np.ndarray]
-# gradient(xs, owner) -> (values, gradients) of the rows, owned as for OwnedBatch
-OwnedGradient = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# objective(xs, owner) -> (values, gradient) of the rows, owned as for OwnedBatch; gradient()
+# gives their (N, dim) gradients
+OwnedObjective = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 # core(starts, owner, cap, scale, max_iterations, f_tol, traces): ``_nelder_mead`` or ``_bfgs``
-# with its objectives bound, returning each run's point, value, iterations, convergence flag and
+# with its objective bound, returning each run's point, value, iterations, convergence flag and
 # evaluations, and the number of objective calls
 Core = Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]]
 
@@ -319,20 +321,20 @@ def _nelder_mead(batch: OwnedBatch, starts: np.ndarray, owner: np.ndarray, cap: 
     return best_x, best_f, steps, converged, evaluations, calls
 
 
-def _bfgs(values: OwnedBatch, gradient: OwnedGradient, starts: np.ndarray, owner: np.ndarray,
+def _bfgs(objective: OwnedObjective, starts: np.ndarray, owner: np.ndarray,
           cap: int, scale: float, max_iterations: int, f_tol: float,
           traces: list[list[float]] | None
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """One BFGS run from each row of ``starts``, all advanced in lockstep.
 
-    ``values(xs, owner)`` returns the values of the rows and
-    ``gradient(xs, owner)`` the same values, bit for bit, and the
-    gradients.  The first call(s) score each start's Nelder-Mead simplex
-    (the start and one vertex ``scale`` along each axis) by ``values``,
-    and the run begins at its first lowest vertex: a gradient is 0 on a
-    flat plateau, and a start there moves off it when a vertex does.  One
-    ``gradient`` call then evaluates every run's vertex again, counted as
-    one of its simplex points.  After it each call evaluates one pending
+    ``objective(xs, owner)`` returns the values of the rows and a closure
+    that gives their gradients.  The first call(s) score each start's
+    Nelder-Mead simplex (the start and one vertex ``scale`` along each
+    axis) by the values alone, and the run begins at its first lowest
+    vertex: a gradient is 0 on a flat plateau, and a start there moves off
+    it when a vertex does.  One call then evaluates every run's vertex
+    again with its gradient, counted as one of its simplex points.  After
+    it each call evaluates one pending
     trial point x + t d of every live run, d = -H g from the
     run's inverse-Hessian estimate H, starting at t = 1.  The line search
     is weak Wolfe, so monotone: a trial is accepted, as the run's next
@@ -357,28 +359,32 @@ def _bfgs(values: OwnedBatch, gradient: OwnedGradient, starts: np.ndarray, owner
     n_runs, dim = starts.shape
     calls = 0
 
-    def split(fn: Callable, xs: np.ndarray, own: np.ndarray) -> list:
+    def evaluate(xs: np.ndarray, own: np.ndarray,
+                 gradients: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         nonlocal calls
-        parts = [fn(xs[i:i + cap], own[i:i + cap]) for i in range(0, len(xs), cap)]
-        calls += len(parts)
-        return parts
-
-    def evaluate(xs: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        parts = split(gradient, xs, own)
+        fs, gs = [], []
+        for i in range(0, len(xs), cap):
+            f, gradient = objective(xs[i:i + cap], own[i:i + cap])
+            fs.append(f)
+            # called or dropped before the next chunk, so one chunk's arrays are held at a time
+            if gradients:
+                gs.append(gradient())
+            calls += 1
+        if not gradients:
+            return np.concatenate(fs), None
         # in C order whatever order the gradient comes in: einsum's sums over a row follow
         # the memory order, and the same gradient must give the same run
-        return (np.concatenate([f for f, _ in parts]), np.ascontiguousarray(
-            np.concatenate([g for _, g in parts]).reshape(len(xs), dim)))
+        return np.concatenate(fs), np.ascontiguousarray(np.concatenate(gs).reshape(len(xs), dim))
 
     out_x, out_f = np.empty((n_runs, dim)), np.empty(n_runs)
     steps, evaluations = np.empty(n_runs, dtype=int), np.empty(n_runs, dtype=int)
     converged = np.zeros(n_runs, dtype=bool)
 
     # values alone score every run's Nelder-Mead simplex, and the run begins at its first
-    # lowest vertex, where one gradient call evaluates it again
+    # lowest vertex, where one call evaluates it again with its gradient
     eye = np.eye(dim)
     simplex = starts[:, None] + np.vstack([np.zeros(dim), scale * eye])
-    fs = np.concatenate(split(values, simplex.reshape(-1, dim), np.repeat(owner, dim + 1)))
+    fs, _ = evaluate(simplex.reshape(-1, dim), np.repeat(owner, dim + 1), gradients=False)
     ids, own = np.arange(n_runs), owner
     x = simplex[ids, np.argmin(fs.reshape(n_runs, dim + 1), axis=1)]
     f, g = evaluate(x, own)
@@ -480,7 +486,7 @@ def _solve(reevaluate: OwnedBatch, core: Core, starts: np.ndarray,
            cfg: OptimizerConfig, keep_history: bool) -> list[OptimizerResult]:
     """R runs for each of P problems from the (P, R, dim) ``starts``, in one lockstep core.
 
-    ``core`` is ``_nelder_mead`` or ``_bfgs`` with its objectives bound
+    ``core`` is ``_nelder_mead`` or ``_bfgs`` with its objective bound
     (``functools.partial``).  Per problem, its first run with the lowest
     value wins, and ``reevaluate`` evaluates the P winners in one call.  No
     objective call takes more than R * (dim + 1) rows, one problem's

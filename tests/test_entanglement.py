@@ -88,6 +88,7 @@ def test_bound_x_bell_and_mixed():
     assert abs(bound_x(np.outer(psi, psi.conj()), 1, 2, 1, 2) - 1.0) < 1e-12
     assert bound_x(np.eye(9) / 9, 1, 2, 1, 2) == 0.0
     assert bound_x(np.eye(9) / 9, 2, 3, 1, 3) == 0.0
+    assert bound_x(np.eye(9) / 9, 2, 3, 1, 3, dims=np.array([3, 3])) == 0.0
 
 
 def test_bound_x_matches_wootters_oracle():
@@ -326,6 +327,7 @@ def test_enumerate_bipartitions():
     splits = {(bp.alpha, bp.beta) for bp in parts}
     assert splits == {((0,), (1, 2)), ((0, 1), (2,)), ((0, 2), (1,))}
     assert len(enumerate_bipartitions(4, (2, 2, 2, 2))) == 7
+    assert enumerate_bipartitions(np.uint8(3), (2, 2, 2)) == parts
 
 
 def test_bipartition_invariants():
@@ -363,6 +365,7 @@ def test_n_copy_state():
     rng = np.random.default_rng(54)
     rho = rand_density(rng, 4)
     assert np.array_equal(n_copy_state(rho, (2, 2), 1), rho)
+    assert np.array_equal(n_copy_state(rho, (2, 2), np.int32(2)), n_copy_state(rho, (2, 2), 2))
 
     a, b = rand_density(rng, 2), rand_density(rng, 2)
     product = kron(a, b)
@@ -480,34 +483,63 @@ def test_packed_positions_equal_row_major_predicates(d):
 def test_normalization_constant():
     assert abs(max_concurrence(3) - 2.0 / math.sqrt(3.0)) < 1e-15
     assert abs(max_concurrence(2) - 1.0) < 1e-15
+    # numpy integers are counts too
+    assert max_concurrence(np.int64(3)) == max_concurrence(3) and max_concurrence(1) == 0.0
+
+
+BAD_COUNTS = {
+    "max_concurrence 0": lambda: max_concurrence(0),
+    "max_concurrence -1": lambda: max_concurrence(-1),
+    "max_concurrence 2.0": lambda: max_concurrence(2.0),
+    "max_concurrence True": lambda: max_concurrence(True),
+    "n_copy_state 0": lambda: n_copy_state(np.eye(4) / 4, (2, 2), 0),
+    "n_copy_state 2.0": lambda: n_copy_state(np.eye(4) / 4, (2, 2), 2.0),
+    "n_copy_state True": lambda: n_copy_state(np.eye(4) / 4, (2, 2), True),
+    "bipartitions 1": lambda: enumerate_bipartitions(1, (4,)),
+    "bipartitions 2.0": lambda: enumerate_bipartitions(2.0, (2, 2)),
+    "bipartitions True": lambda: enumerate_bipartitions(True, (4,)),
+    "bound_x dims triple": lambda: bound_x(np.eye(9) / 9, 1, 2, 1, 2, dims=(3, 3, 1)),
+    "bound_x dims scalar": lambda: bound_x(np.eye(9) / 9, 1, 2, 1, 2, dims=9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_bad_counts_and_dims_raise_dimension_mismatch(case):
+    # before the checks these raised ZeroDivisionError, TypeError or an unpacking ValueError,
+    # or returned a number (max_concurrence(-1) = 2.0, one copy for True)
+    with pytest.raises(DimensionMismatchError):
+        BAD_COUNTS[case]()
 
 
 @pytest.mark.parametrize("d_a, d_b", [(3, 3), (4, 4), (3, 4)])
 def test_batched_objectives_equal_closures(d_a, d_b):
     from uniparam.entanglement import (
         _block_index,
+        _objective,
         _pt_surrogate,
         _scalar,
         _search,
-        _values,
         sigma_pairs,
     )
 
     rng = np.random.default_rng(10 * d_a + d_b)
     rho = rand_density(rng, d_a * d_b, rank=3)
     n_bopt = d_a * d_a - d_a + d_b * d_b - d_b
-    idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
+    bopt = _search(d_a, d_b)
+    # the surrogate reads the generator pairs of the two sides one to one
+    assert np.array_equal(bopt.seed_idx,
+                          _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b))
     cases = [
-        (_values(rho, _search(d_a, d_b)), make_bopt_objective(rho, d_a, d_b), n_bopt),
-        (_values(rho, _search(d_a, d_b, witness=True)), make_distill_objective(rho, d_a, d_b),
+        (_objective(rho, bopt), make_bopt_objective(rho, d_a, d_b), n_bopt),
+        (_objective(rho, _search(d_a, d_b, witness=True)), make_distill_objective(rho, d_a, d_b),
          4 * d_a - 8 + 4 * d_b - 8),
     ]
-    surrogate = _pt_surrogate(rho, _search(d_a, d_b).rotations, idx)
+    surrogate = _pt_surrogate(rho, bopt)
     cases.append((surrogate, _scalar(surrogate, n_bopt), n_bopt))
-    for batch, closure, n in cases:
+    for objective, closure, n in cases:
         v = rng.uniform(0.0, 2 * np.pi, (25, n))
         v[0] = 0.0
-        values = batch(v)
+        values = objective(v)[0]
         assert values.shape == (25,)
         # bit for bit: a restart's values must not depend on the rows beside it
         for i in range(25):
@@ -628,7 +660,7 @@ def test_max_distill_equals_minimize(case):
         # every restart ends at 0, and the run seeded from the surrogate's minimizer wins
         assert expected.value == 0.0
         search = _search(*dims, witness=True)
-        surrogate = _pt_surrogate(rho, search.rotations, search.seed_idx)
+        surrogate = _pt_surrogate(rho, search)
         seeded = minimize(_scalar(surrogate, n), n, replace(cfg, restarts=PT_SEED_RESTARTS))
         run = refine(f, seeded.x, cfg)
         assert run.value < 0.0
@@ -744,7 +776,7 @@ def test_factor_kinds_match_wootters_oracle():
 
 
 def test_factor_kinds_batched_rows_equal_closures():
-    from uniparam.entanglement import _search, _values
+    from uniparam.entanglement import _objective, _search
 
     rng = np.random.default_rng(63)
     rhos = list(_kind_states(rng).values())
@@ -753,21 +785,21 @@ def test_factor_kinds_batched_rows_equal_closures():
     owner = rng.integers(0, len(rhos), 40)
     owner[:len(rhos)] = np.arange(len(rhos))  # every kind present
     bopt, witness = _search(3, 4), _search(3, 4, witness=True)
-    stacked = _values(np.array(rhos), bopt)(v, owner)
-    single = [_values(rho, bopt) for rho in rhos]
+    stacked = _objective(np.array(rhos), bopt)(v, owner)[0]
+    single = [_objective(rho, bopt) for rho in rhos]
     closures = [make_bopt_objective(rho, 3, 4) for rho in rhos]
     for i in range(len(v)):
-        assert stacked[i] == single[owner[i]](v[i]) == closures[owner[i]](v[i])
+        assert stacked[i] == single[owner[i]](v[i])[0] == closures[owner[i]](v[i])
     # rows of one state do not depend on the rows of other kinds beside them
     for s, rho in enumerate(rhos):
         rows = np.flatnonzero(owner == s)
-        assert np.array_equal(_values([rho], bopt)(v[rows], np.zeros(rows.size, int)),
+        assert np.array_equal(_objective([rho], bopt)(v[rows], np.zeros(rows.size, int))[0],
                               stacked[rows])
 
     v = rng.uniform(0.0, 2 * np.pi, (25, n_distill))
     for rho in rhos:
-        batch, closure = _values(rho, witness), make_distill_objective(rho, 3, 4)
-        values = batch(v)
+        objective, closure = _objective(rho, witness), make_distill_objective(rho, 3, 4)
+        values = objective(v)[0]
         for i in range(len(v)):
             assert values[i] == closure(v[i])
 
@@ -829,7 +861,7 @@ def test_search_rotations_equal_per_side_builds(d_a, d_b, witness):
     n_a = 4 * d_a - 8 if witness else d_a * d_a - d_a
     rng = np.random.default_rng(10 * d_a + d_b + witness)
     for v in (rng.uniform(0.0, 2 * np.pi, (7, search.n)), rng.uniform(0.0, 2 * np.pi, search.n)):
-        w_a, w_b = search.rotations(v)
+        w_a, w_b, _ = search.rotations_vjp(v)
         ref_a, ref_b = side(v[..., :n_a], d_a), side(v[..., n_a:], d_b)
         assert w_a.shape == ref_a.shape and w_b.shape == ref_b.shape
         assert np.all(w_a == ref_a) and np.all(w_b == ref_b)
@@ -843,8 +875,8 @@ def test_cholesky_kind_just_above_threshold():
         _check_state,
         _cholesky_concurrences,
         _direct_concurrences,
+        _objective,
         _search,
-        _values,
     )
 
     rng = np.random.default_rng(64)
@@ -858,10 +890,10 @@ def test_cholesky_kind_just_above_threshold():
     idx = _block_index(_all_pairs(3, 4), 4)
     for _ in range(200):
         u_a, u_b = haar_unitary(rng, 3), haar_unitary(rng, 4)
-        x = state.concurrences(u_a, u_b, idx)  # raises LinAlgError on an indefinite block
+        x, _ = state.kind(state.data, u_a, u_b, idx)  # raises LinAlgError on an indefinite block
         assert np.allclose(x, _direct_concurrences(psi, u_a, u_b, idx)[0],
                            rtol=0.0, atol=1e-9)
-    values = _values(state, _search(3, 4))(rng.uniform(0.0, 2 * np.pi, (200, 18)))
+    values = _objective(state, _search(3, 4))(rng.uniform(0.0, 2 * np.pi, (200, 18)))[0]
     assert np.all(np.isfinite(values))
 
 
@@ -909,12 +941,12 @@ def test_ppt_screen_leaves_other_blocks_bit_identical(d_a, d_b):
     from uniparam.entanglement import (
         _all_pairs,
         _block_index,
+        _by_state,
         _check_state,
         _cholesky_concurrences,
         _concurrences,
         _provably_ppt,
         _rotated_blocks,
-        _state_concurrences,
     )
 
     rng = np.random.default_rng(72 + 10 * d_a + d_b)
@@ -929,11 +961,11 @@ def test_ppt_screen_leaves_other_blocks_bit_identical(d_a, d_b):
     w_b = np.array([haar_unitary(rng, d_b) for _ in range(rows)])
     owner = rng.integers(0, len(states), rows)
     owner[:len(states)] = np.arange(len(states))
-    stacked = _state_concurrences(states, idx)(w_a, w_b, owner)
+    stacked = _by_state(states, idx)(w_a, w_b, owner)[0]
     screened_count = 0
     for s, state in enumerate(states):
         mine = np.flatnonzero(owner == s)
-        x = state.concurrences(w_a[mine], w_b[mine], idx)
+        x, _ = state.kind(state.data, w_a[mine], w_b[mine], idx)
         assert np.array_equal(stacked[mine], x)
         blocks = _rotated_blocks(state.data, w_a[mine], w_b[mine], idx)
         unscreened = _concurrences(np.linalg.cholesky(blocks))
@@ -1028,9 +1060,8 @@ def test_bopt_gradients_match_central_differences(d_a, d_b):
         _check_state,
         _cholesky_concurrences,
         _direct_concurrences,
+        _objective,
         _search,
-        _value_grads,
-        _values,
     )
 
     kinds = {"cholesky": _cholesky_concurrences, "direct": _direct_concurrences}
@@ -1048,16 +1079,17 @@ def test_bopt_gradients_match_central_differences(d_a, d_b):
             widths.add(state.data.shape[1])
             v = rng.uniform(0.0, 2 * np.pi, (rows, search.n))
             v[0] = 0.0
-            values, grads = _value_grads(state, search)(v)
-            objective = _values(state, search)
-            # the values are those of the value-only evaluator, bit for bit
-            assert np.array_equal(values, objective(v)), name
+            objective = _objective(state, search)
+            values, gradient = objective(v)
+            grads = gradient()
+            # the values are those of the one-vector rows, bit for bit
+            assert np.array_equal(values, [objective(row)[0] for row in v]), name
             assert grads.shape == v.shape
             central = np.empty_like(grads)
             for i in range(search.n):
                 step = np.zeros(search.n)
                 step[i] = 1e-6
-                central[:, i] = (objective(v + step) - objective(v - step)) / 2e-6
+                central[:, i] = (objective(v + step)[0] - objective(v - step)[0]) / 2e-6
             assert np.max(np.abs(grads - central)) < 1e-7, name
             # B of a pure state is its concurrence, and a two-qubit state is its one block:
             # both are locally invariant, so only the others show that the check is not of zeros
@@ -1069,7 +1101,7 @@ def test_bopt_gradients_match_central_differences(d_a, d_b):
 
 
 def test_bopt_gradients_batched_rows_equal_one_at_a_time():
-    from uniparam.entanglement import _search, _value_grads
+    from uniparam.entanglement import _objective, _search
 
     rng = np.random.default_rng(64)
     rhos = list(_gradient_states(rng, 3, 4).values())
@@ -1077,24 +1109,25 @@ def test_bopt_gradients_batched_rows_equal_one_at_a_time():
         v = rng.uniform(0.0, 2 * np.pi, (30, search.n))
         owner = rng.integers(0, len(rhos), 30)
         owner[:len(rhos)] = np.arange(len(rhos))
-        values, grads = _value_grads(np.array(rhos), search)(v, owner)
+        values, gradient = _objective(np.array(rhos), search)(v, owner)
+        grads = gradient()
         for i in range(len(v)):
-            one_value, one_grad = _value_grads(rhos[owner[i]], search)(v[i:i + 1])
+            one_value, one_gradient = _objective(rhos[owner[i]], search)(v[i:i + 1])
             assert values[i] == one_value[0]
-            assert np.array_equal(grads[i], one_grad[0])
+            assert np.array_equal(grads[i], one_gradient()[0])
 
 
 def test_bopt_gradients_zero_on_screened_and_zero_rule_rows():
     from uniparam.cli import fig1_state
     from uniparam.entanglement import (
+        _by_state,
         _check_state,
         _concurrences,
         _factor_gradients,
+        _objective,
         _provably_ppt,
         _rotated_blocks,
         _search,
-        _state_concurrences,
-        _value_grads,
     )
 
     rng = np.random.default_rng(65)
@@ -1102,17 +1135,21 @@ def test_bopt_gradients_zero_on_screened_and_zero_rule_rows():
     v = rng.uniform(0.0, 2 * np.pi, (50, search.n))
     # a PPT grid state of the Cholesky kind: every block of these rows is screened out
     state = _check_state(fig1_state(0.10, 0.20), 3, 3)
-    assert _provably_ppt(_rotated_blocks(state.data, *search.rotations(v), search.idx)).all()
-    values, grads = _value_grads(state, search)(v)
+    w_a, w_b, _ = search.rotations_vjp(v)
+    assert _provably_ppt(_rotated_blocks(state.data, w_a, w_b, search.idx)).all()
+    values, gradient = _objective(state, search)(v)
+    grads = gradient()
     assert np.all(values == 0.0) and np.all(grads == 0.0)
 
     # a separable rank-2 state: rows whose blocks the zero rule or max(c, 0) all set to 0
     prods = [np.kron(haar_state(rng, 3), haar_state(rng, 3)) for _ in range(2)]
     state = _check_state(sum(0.5 * np.outer(p, p.conj()) for p in prods), 3, 3)
     v = rng.uniform(0.0, 2 * np.pi, (200, search.n))
-    zero = (_state_concurrences([state], search.idx)(*search.rotations(v)) == 0.0).all(axis=1)
+    w_a, w_b, _ = search.rotations_vjp(v)
+    zero = (_by_state([state], search.idx)(w_a, w_b)[0] == 0.0).all(axis=1)
     assert zero.sum() > 5
-    values, grads = _value_grads(state, search)(v)
+    values, gradient = _objective(state, search)(v)
+    grads = gradient()
     assert np.all(values[zero] == 0.0) and np.all(grads[zero] == 0.0)
 
     # per block: separable factors, many of them zeroed by the round-off rule, add exactly 0
@@ -1207,7 +1244,6 @@ def test_pt_surrogate_gradients_match_central_differences(d_a, d_b, witness):
         _check_state,
         _cholesky_concurrences,
         _pt_surrogate,
-        _pt_surrogate_grads,
         _search,
     )
 
@@ -1216,37 +1252,38 @@ def test_pt_surrogate_gradients_match_central_differences(d_a, d_b, witness):
     rhos = {"cholesky": rand_density(rng, d_a * d_b), "rank 2": rand_density(rng, d_a * d_b, 2)}
     assert _check_state(rhos["cholesky"], d_a, d_b).kind is _cholesky_concurrences
     for name, rho in rhos.items():
-        surrogate = _pt_surrogate(rho, search.rotations, search.seed_idx)
+        surrogate = _pt_surrogate(rho, search)
         v = rng.uniform(0.0, 2 * np.pi, (6, search.n))
         v[0] = 0.0
-        values, grads = _pt_surrogate_grads(rho, search.rotations_vjp, search.seed_idx)(v)
-        # one eigensolve serves both paths: the values are the surrogate's, bit for bit
-        assert np.array_equal(values, surrogate(v)), name
+        values, gradient = surrogate(v)
+        grads = gradient()
+        # the values are those of the one-vector rows, bit for bit
+        assert np.array_equal(values, [surrogate(row)[0] for row in v]), name
         assert grads.shape == v.shape
         central = np.empty_like(grads)
         for i in range(search.n):
             step = np.zeros(search.n)
             step[i] = 1e-6
-            central[:, i] = (surrogate(v + step) - surrogate(v - step)) / 2e-6
+            central[:, i] = (surrogate(v + step)[0] - surrogate(v - step)[0]) / 2e-6
         scale = np.max(np.abs(central))
         assert scale > 1e-3, name
         assert np.max(np.abs(grads - central)) < 1e-6 * scale, name
 
 
 def test_pt_surrogate_stacked_rows_equal_one_vector_values():
-    from uniparam.entanglement import _pt_surrogate, _pt_surrogate_grads, _search
+    from uniparam.entanglement import _pt_surrogate, _search
 
     rng = np.random.default_rng(310)
     rho = rand_density(rng, 12, rank=3)
     for search in (_search(3, 4), _search(3, 4, witness=True)):
-        surrogate = _pt_surrogate(rho, search.rotations, search.seed_idx)
-        value_grads = _pt_surrogate_grads(rho, search.rotations_vjp, search.seed_idx)
+        surrogate = _pt_surrogate(rho, search)
         v = rng.uniform(0.0, 2 * np.pi, (25, search.n))
-        values, grads = value_grads(v)
+        values, gradient = surrogate(v)
+        grads = gradient()
         for i in range(len(v)):
-            one_value, one_grad = value_grads(v[i:i + 1])
-            assert values[i] == one_value[0] == surrogate(v[i])
-            assert np.array_equal(grads[i], one_grad[0])
+            one_value, one_gradient = surrogate(v[i:i + 1])
+            assert values[i] == one_value[0] == surrogate(v[i])[0]
+            assert np.array_equal(grads[i], one_gradient()[0])
 
 
 def test_no_search_runs_nelder_mead(monkeypatch):
@@ -1292,8 +1329,8 @@ def test_seeded_stage_evaluations_below_nelder_mead(witness):
                               restart_values=(0.0,) * cfg.restarts, best_restart=0)
     stage = _pt_seeded(plateau, state, search, cfg)
     assert stage.best_restart == cfg.restarts and stage.value < -PLATEAU_X_SQ
-    surrogate = _pt_surrogate(rho, search.rotations, search.seed_idx)
+    surrogate = _pt_surrogate(rho, search)
     reference = minimize(_scalar(surrogate, search.n), search.n,
-                         replace(cfg, restarts=PT_SEED_RESTARTS), batch=surrogate)
+                         replace(cfg, restarts=PT_SEED_RESTARTS), batch=lambda v: surrogate(v)[0])
     assert stage.evaluations < reference.evaluations
     assert stage.calls < reference.calls

@@ -9,6 +9,7 @@ from uniparam import (
     NotHermitianError,
     NotPSDError,
     bound_b,
+    bound_x,
     canonicalize_subspace,
     decompose,
     herm_eig,
@@ -179,17 +180,21 @@ NON_FINITE = {"inf": np.diag([np.inf, 0.0, 0.0, 0.0]), "nan": np.full((4, 4), np
     lambda m: permute_subsystems(m, (2, 2), (1, 0)),
     lambda m: n_copy_state(m, (2, 2), 2),
     linear_entropy,
+    lambda m: bound_x(m, 1, 2, 1, 2),
+    lambda m: bound_x(np.eye(4) / 4, 1, 2, 1, 2, u_a=m),
+    lambda m: bound_x(np.eye(4) / 4, 1, 2, 1, 2, u_b=m),
 ], ids=["herm_eig", "bound_b", "optimized_bound_b", "max_distill_x_sq",
         "multipartite_bound_b", "ppt_min_eigenvalue", "decompose", "canonicalize_subspace",
         "validate_density", "partial_transpose", "partial_trace", "permute_subsystems",
-        "n_copy_state", "linear_entropy"])
+        "n_copy_state", "linear_entropy", "bound_x", "bound_x u_a", "bound_x u_b"])
 def test_non_finite_input_rejected_before_arithmetic(entry, kind):
     # NaN fails every tolerance test, so without the check these returned 0, nan or NaN output
     with np.errstate(all="raise"), pytest.raises(NonFiniteError):
         entry(NON_FINITE[kind])
 
 
-NON_SQUARE = {"3x4": np.ones((3, 4)), "vector": np.full(4, 0.25), "empty": np.zeros((0, 0))}
+NON_SQUARE = {"3x4": np.ones((3, 4)), "vector": np.full(4, 0.25), "empty": np.zeros((0, 0)),
+              "0-d": np.array(5.0)}
 
 
 @pytest.mark.parametrize("kind", sorted(NON_SQUARE))
@@ -206,9 +211,13 @@ NON_SQUARE = {"3x4": np.ones((3, 4)), "vector": np.full(4, 0.25), "empty": np.ze
     lambda m: partial_trace(m, (2, 2), 0),
     lambda m: permute_subsystems(m, (2, 2), (1, 0)),
     lambda m: n_copy_state(m, (2, 2), 2),
+    lambda m: bound_x(m, 1, 2, 1, 2),
+    lambda m: bound_x(np.eye(4) / 4, 1, 2, 1, 2, u_a=m),
+    lambda m: bound_x(np.eye(4) / 4, 1, 2, 1, 2, u_b=m),
 ], ids=["herm_eig", "validate_density", "linear_entropy", "bound_b", "optimized_bound_b",
         "max_distill_x_sq", "multipartite_bound_b", "ppt_min_eigenvalue", "partial_transpose",
-        "partial_trace", "permute_subsystems", "n_copy_state"])
+        "partial_trace", "permute_subsystems", "n_copy_state", "bound_x", "bound_x u_a",
+        "bound_x u_b"])
 def test_non_square_input_rejected_before_arithmetic(entry, kind):
     # the shape is checked before any product, so no numpy shape error or sliced result leaks
     with np.errstate(all="raise"), pytest.raises(NonSquareError):

@@ -375,13 +375,23 @@ def test_minimize_many_config_checks():
 
 
 # ---------------------------------------------------------------------------
-# BFGS: the lockstep core run on a value-and-gradient batch
+# BFGS: the lockstep core run on a batched objective with a gradient closure
+
+def lazy(gradient):
+    """The objective form ``_bfgs`` takes, (values, closure), of a (values, gradients) function."""
+
+    def objective(xs, owner):
+        values, gradients = gradient(xs, owner)
+        return values, lambda: gradients
+
+    return objective
+
 
 def bfgs_many(objectives, dim, cfgs, gradient, keep_history=False):
     from uniparam.optimize import _bfgs, _minimize_many, _rowwise
 
     return _minimize_many(_rowwise(objectives), dim, list(cfgs), keep_history,
-                          partial(_bfgs, lambda xs, owner: gradient(xs, owner)[0], gradient))
+                          partial(_bfgs, lazy(gradient)))
 
 def rugged_grad(xs, owner=None):
     return (np.sum(np.sin(3 * xs) ** 2, axis=1) + 0.01 * np.sum((xs - 2.0) ** 2, axis=1),
@@ -529,8 +539,7 @@ def test_bfgs_cuts_only_runs_behind_a_stopped_run(monkeypatch):
     owner = np.repeat([0, 1], 6)
 
     def run():
-        return _bfgs(lambda xs, own: rugged_grad(xs)[0], lambda xs, own: rugged_grad(xs),
-                     starts, owner, 6 * (dim + 1), 0.5, 2000, 1e-10, None)
+        return _bfgs(lazy(rugged_grad), starts, owner, 6 * (dim + 1), 0.5, 2000, 1e-10, None)
 
     x, f, _, _, evals, calls = run()
     monkeypatch.setattr(uniparam.optimize, "BFGS_TRAILING_TRIALS", trailing)
@@ -547,6 +556,38 @@ def test_bfgs_cuts_only_runs_behind_a_stopped_run(monkeypatch):
         runs = np.flatnonzero(owner == p)
         assert runs[np.argmin(f_cut[runs])] == runs[np.argmin(f[runs])]
         assert f_cut[runs].min() == f[runs].min()
+
+
+def test_bfgs_simplex_set_up_calls_no_gradient():
+    # the simplex is scored by values alone; every later call takes its one chunk's gradient
+    from uniparam.optimize import _bfgs, _minimize_many, _rowwise
+
+    dim = 3
+    cfgs = [OptimizerConfig(max_iterations=150, restarts=4, seed=s) for s in (8, 9)]
+    cap = cfgs[0].restarts * (dim + 1)
+    calls = []  # per objective call: [rows, gradient closures called]
+
+    def objective(xs, owner):
+        values, gradients = rugged_grad(xs)
+        call = [len(xs), 0]
+        calls.append(call)
+
+        def gradient():
+            call[1] += 1
+            return gradients
+
+        return values, gradient
+
+    results = _minimize_many(_rowwise([rugged, rugged]), dim, cfgs, False,
+                             partial(_bfgs, objective))
+    # two problems' simplices fill two calls of cap rows, and neither takes a gradient
+    assert calls[:2] == [[cap, 0], [cap, 0]]
+    assert len(calls) > 3 and all(called == 1 for _, called in calls[2:])
+    assert results[0].calls == results[1].calls == len(calls)
+    # the gradient rows: each run's lowest vertex once, then its trial points
+    runs = sum(cfg.restarts for cfg in cfgs)
+    trials = sum(r.evaluations - 1 for r in results) - runs * (dim + 1)
+    assert sum(rows for rows, _ in calls[2:]) == runs + trials
 
 
 def test_bfgs_stops_at_a_kink():

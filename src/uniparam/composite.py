@@ -45,6 +45,7 @@ from .errors import (
     NotUnitaryError,
     RankOutOfRangeError,
 )
+from .linalg import _count
 
 UNITARITY_INPUT_TOL = 1e-9
 DECOMPOSE_ZERO_TOL = 1e-12
@@ -53,16 +54,14 @@ TWO_PI = 2.0 * math.pi
 
 
 def _check_pair(m: int, n: int, d: int) -> None:
-    if not (1 <= m <= d and 1 <= n <= d):
-        raise IndexOutOfRangeError(f"indices ({m},{n}) outside 1..{d}")
+    m, n = (_count(i, "index", 1, d, IndexOutOfRangeError) for i in (m, n))
     if m >= n:
         raise IndexOrderError(f"require m < n, got ({m},{n})")
 
 
 def projector(l: int, d: int) -> np.ndarray:
     """One-dimensional projector |l><l| (1-based) in dimension d."""
-    if not 1 <= l <= d:
-        raise IndexOutOfRangeError(f"index {l} outside 1..{d}")
+    l = _count(l, "index", 1, d, IndexOutOfRangeError)
     p = np.zeros((d, d), dtype=complex)
     p[l - 1, l - 1] = 1.0
     return p
@@ -234,8 +233,7 @@ def build_ucd(lam: np.ndarray, k: int) -> np.ndarray:
 def _ucd(lam: np.ndarray, k: int) -> np.ndarray:
     """``build_ucd`` of angles that passed ``_assert_angles``."""
     d = lam.shape[0]
-    if not 1 <= k <= d:
-        raise RankOutOfRangeError(f"rank {k} outside 1..{d}")
+    k = _count(k, "rank", 1, d, RankOutOfRangeError)
     return _product(lam, [(m, n) for m, n in sigma_pairs(d) if m <= k], diag=False)
 
 
@@ -251,8 +249,7 @@ def build_ucs(lam: np.ndarray, k: int) -> np.ndarray:
 def _ucs(lam: np.ndarray, k: int) -> np.ndarray:
     """``build_ucs`` of angles that passed ``_assert_angles``."""
     d = lam.shape[0]
-    if not 1 <= k < d:
-        raise RankOutOfRangeError(f"subspace dimension {k} outside 1..{d - 1}")
+    k = _count(k, "subspace dimension", 1, d - 1, RankOutOfRangeError)
     return _product(lam, _ucs_pairs(d, k), diag=False)
 
 
@@ -326,8 +323,7 @@ def decompose(u: np.ndarray) -> np.ndarray:
 
 def random_param_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     """Angle matrix drawn uniformly from the canonical ranges by ``rng``."""
-    if d < 2:
-        raise IndexOutOfRangeError(f"dimension {d} must be >= 2")
+    d = _count(d, "dimension", 2, error=IndexOutOfRangeError)
     lam = rng.uniform(0.0, TWO_PI, size=(d, d))
     upper = np.triu_indices(d, k=1)
     lam[upper] = rng.uniform(0.0, math.pi / 2, size=len(upper[0]))

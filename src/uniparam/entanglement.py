@@ -61,12 +61,12 @@ and starts one more run of the search from that minimizer.  Results at
 every other input are those of the restarts alone.
 
 Both searches, B_opt and the witness, and the seeded stage's surrogate
-run BFGS (see ``optimize``) on exact gradients; no search here runs
-Nelder-Mead.  Every plane factor is a closed-form 2x2 rotation, so one
-function per objective (``_objective``, ``_pt_surrogate``) gives each
-row's value and a closure for its angle gradient.  Each kind returns its
-blocks' concurrences with a pullback built from the same factors, which
-only a called gradient runs.  Per block,
+run BFGS (see ``optimize``) on exact gradients.  Every plane factor is
+a closed-form 2x2 rotation, so one function per objective
+(``_objective``, ``_pt_surrogate``) gives each row's value and a
+closure for its angle gradient.  Each kind returns its blocks'
+concurrences with a pullback built from the same factors, which only a
+called gradient runs.  Per block,
 dX = sum_i eps_i Re(u_i† dtau v_i), eps = (+1, -1, -1, -1), from the SVD
 of tau (closed form for two columns); any factor of the block serves,
 so dL = dR L^-† / 2 for the Cholesky kind and the QR factor's Q maps
@@ -84,19 +84,17 @@ called.  The surrogate's blocks take the same path from W† rho W to the
 angles, from the gradient M^Γ of each block's lambda_min(R^Γ), M = e e†
 for its eigenvector e.
 
-BFGS and Nelder-Mead restarts land in the better of two maxima equally
-often at the fig1 states that have two (about one restart in five), so
-twelve restarts of either can all miss it.  ``lifted_bounds_b`` continues
-results from candidate angles, such as the optima of related states: one
-BFGS run from each state's best candidate, where that beats the result.
+BFGS restarts land in the better of two maxima about one time in five
+at the fig1 states that have two, so twelve restarts can all miss it.
+``lifted_bounds_b`` continues results from candidate angles, such as the
+optima of related states: one BFGS run from each state's best
+candidate, where that beats the result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
-from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -124,19 +122,13 @@ from .linalg import (
     PSD_EIG_TOL,
     _as_square,
     _check_dims,
+    _count,
     herm_eig,
     partial_trace,
     partial_transpose,
     permute_subsystems,
 )
-from .optimize import (
-    OptimizerConfig,
-    OptimizerResult,
-    OwnedObjective,
-    _bfgs,
-    _minimize_many,
-    _solve,
-)
+from .optimize import Objective, OptimizerConfig, OptimizerResult, minimize_many, refine
 from .states import DENSITY_PSD_TOL, DENSITY_TRACE_TOL
 
 PT_SEED_RESTARTS = 6
@@ -166,13 +158,6 @@ def linear_entropy(rho: np.ndarray) -> float:
         raise DimensionMismatchError("linear entropy needs dimension >= 2")
     purity = float(np.trace(rho @ rho).real)
     return float(np.clip(d / (d - 1) * (1.0 - purity), 0.0, 1.0))
-
-
-def _count(value: int, name: str, least: int) -> int:
-    """``value`` as an int; a non-integer (bool included) or one below ``least`` raises."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise DimensionMismatchError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def max_concurrence(d: int) -> float:
@@ -681,8 +666,10 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
     the angles its factors with n <= d_side read, in ``_angle_positions`` order.
     Both give the rotations' pullback through the same factors: one
     contraction of W's gradient per side, then ``_product_pullback``, so
-    both searches and their surrogates run on gradients.
+    both searches and their surrogates run on gradients.  A local
+    dimension that is not an integer >= 2 raises ``DimensionMismatchError``.
     """
+    d_a, d_b = (_count(d, "local dimension", 2) for d in (d_a, d_b))
     d = max(d_a, d_b)
     pairs = _ucs_pairs(d, 2) if witness else sigma_pairs(d)
     cols_a, cols_b = (2, 2) if witness else (d_a, d_b)
@@ -742,7 +729,7 @@ def _states(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
 
 
 def _objective(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
-               search: _Search) -> OwnedObjective:
+               search: _Search) -> Objective:
     """Batched objective of ``search``: packed vectors -> -(sum of X^2) of each, and a gradient.
 
     ``rho`` is one state, or an (S, n, n) stack or a sequence of them
@@ -763,7 +750,7 @@ def _objective(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
     return objective
 
 
-def _scalar(objective: OwnedObjective, n: int) -> Callable[[np.ndarray], float]:
+def _scalar(objective: Objective, n: int) -> Callable[[np.ndarray], float]:
     """One-vector form, values only, of a batched objective over n angles."""
 
     def scalar(v: np.ndarray) -> float:
@@ -818,7 +805,7 @@ def distill_objective(rho: np.ndarray, d_a: int, d_b: int,
                              np.asarray(params_b, dtype=float).ravel()]))
 
 
-def _pt_surrogate(rho: np.ndarray, search: _Search) -> OwnedObjective:
+def _pt_surrogate(rho: np.ndarray, search: _Search) -> Objective:
     """Batched surrogate: packed vectors -> sum of λ_min of each block's partial transpose.
 
     The blocks ``search.seed_idx`` are read from the rotations of the
@@ -874,11 +861,11 @@ def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
     """Add the partial-transpose-seeded stage when all restarts ended on an NPT state's plateau.
 
     The plateau is any value above -PLATEAU_X_SQ, round-off of X = 0.  The
-    surrogate (``_pt_surrogate``) is minimized by the searches' lockstep
-    BFGS on its exact gradients, with PT_SEED_RESTARTS restarts drawn from
-    ``cfg.seed`` as ``minimize`` draws them, and one BFGS run of the search
-    (``_objective``) starts from its minimizer.  The returned result adds
-    the surrogate's and the run's work to ``result`` (see ``_with_run``).
+    surrogate (``_pt_surrogate``) is minimized by ``minimize_many`` on its
+    exact gradients, with PT_SEED_RESTARTS restarts drawn from
+    ``cfg.seed``, and one ``refine`` run of the search (``_objective``)
+    starts from its minimizer.  The returned result adds the surrogate's
+    and the run's work to ``result`` (see ``_with_run``).
     Without the stage ``result`` is returned as is; a search without
     angles (the d = 2 witness) is exact and gets no stage.
     """
@@ -886,13 +873,9 @@ def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
     if (result.value <= -PLATEAU_X_SQ or n == 0
             or ppt_min_eigenvalue(state.rho, (search.d_a, search.d_b)) >= -DENSITY_PSD_TOL):
         return result
-    surrogate = _pt_surrogate(state.rho, search)
-    (seeded,) = _minimize_many(lambda v, o: surrogate(v, o)[0], n,
-                               [replace(cfg, restarts=PT_SEED_RESTARTS)], False,
-                               partial(_bfgs, surrogate))
-    objective = _objective(state, search)
-    (run,) = _solve(lambda v, o: objective(v, o)[0], partial(_bfgs, objective),
-                    seeded.x[None, None], cfg, False)
+    (seeded,) = minimize_many(_pt_surrogate(state.rho, search), n,
+                              [replace(cfg, restarts=PT_SEED_RESTARTS)])
+    (run,) = refine(_objective(state, search), seeded.x[None], cfg)
     return _with_run(result, run, seeded)
 
 
@@ -911,9 +894,7 @@ def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
     cfgs = [cfg or OptimizerConfig() for cfg in cfgs]
     if len(cfgs) != len(states):
         raise LengthMismatchError(f"{len(states)} states but {len(cfgs)} configs")
-    objective = _objective(states, search)
-    results = _minimize_many(lambda v, o: objective(v, o)[0], search.n, cfgs, False,
-                             partial(_bfgs, objective))
+    results = minimize_many(_objective(states, search), search.n, cfgs)
     return [_pt_seeded(result, state, search, cfg)
             for result, state, cfg in zip(results, states, cfgs)]
 
@@ -935,9 +916,8 @@ def optimized_bound_b(rho: np.ndarray, d_a: int, d_b: int,
                       cfg: OptimizerConfig | None = None) -> tuple[float, OptimizerResult]:
     """Maximized bound B_opt >= B via BFGS restarts on exact gradients.
 
-    The restarts start where those of ``minimize`` do and are stepped
-    together through the batched objective and its gradients
-    (``_objective``).  When all of them end on the X = 0 plateau of an
+    The restarts are those of ``minimize_many`` on the batched objective
+    and its gradients (``_objective``).  When all of them end on the X = 0 plateau of an
     NPT state, the partial-transpose-seeded stage (see the module
     docstring) follows.  This is the one-state case of
     ``optimized_bounds_b``.
@@ -987,9 +967,7 @@ def lifted_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
                 lifts.append(i)
                 starts.append(c[b])
     if lifts:
-        objective = _objective([states[i] for i in lifts], search)
-        runs = _solve(lambda v, o: objective(v, o)[0], partial(_bfgs, objective),
-                      np.array(starts)[:, None], OptimizerConfig(), False)
+        runs = refine(_objective([states[i] for i in lifts], search), np.array(starts))
         for i, run in zip(lifts, runs):
             results[i] = _with_run(results[i], run)
     return [(math.sqrt(max(-result.value, 0.0)), result) for result in results]
@@ -1032,7 +1010,7 @@ class Bipartition:
 
 def enumerate_bipartitions(n: int, dims: Sequence[int]) -> list[Bipartition]:
     """All 2^(n-1) - 1 splits, ordered by bitmask, subsystem 0 always in alpha."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_count(d, "subsystem dimension", 1) for d in dims)
     n = _count(n, "subsystem count", 2)
     if len(dims) != n:
         raise DimensionMismatchError(f"dims has length {len(dims)}, expected {n}")

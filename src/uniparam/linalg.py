@@ -10,7 +10,9 @@ is made complex and checked to be 2-D, square and finite before any
 arithmetic (``NonSquareError``, ``NonFiniteError``).  ``_check_dims`` runs
 it and then checks that ``dims`` multiply to the matrix size
 (``DimensionMismatchError``); every function that takes a matrix and dims
-starts there.
+starts there.  ``_count`` is the one gate of integer arguments: a
+dimension, index, rank or count that is not an integer, or outside its
+range, raises the error its caller names.
 
 Subsystem indices are 0-based positions into the ``dims`` list.
 """
@@ -18,6 +20,7 @@ Subsystem indices are 0-based positions into the ``dims`` list.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,6 +32,7 @@ from .errors import (
     NonSquareError,
     NotHermitianError,
     NotPSDError,
+    UniparamError,
 )
 
 HERMITICITY_TOL = 1e-9
@@ -102,11 +106,19 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def _count(value: int, name: str, least: int, most: int | None = None,
+           error: type[UniparamError] = DimensionMismatchError) -> int:
+    """``value`` as an int; a non-integer (bool included) or one outside least..most raises."""
+    if (isinstance(value, bool) or not isinstance(value, Integral) or value < least
+            or (most is not None and value > most)):
+        bound = f">= {least}" if most is None else f"in {least}..{most}"
+        raise error(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     m = _as_square(m)
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise DimensionMismatchError(f"subsystem dimensions must be >= 1, got {dims}")
+    dims = tuple(_count(d, "subsystem dimension", 1) for d in dims)
     if math.prod(dims) != m.shape[0]:
         raise DimensionMismatchError(
             f"product of dims {dims} does not match matrix size {m.shape[0]}"

@@ -1,4 +1,4 @@
-"""Restarted minimization: Nelder-Mead simplex, or BFGS where gradients exist.
+"""Restarted minimization by lockstep BFGS on exact gradients.
 
 Intended for the 2*pi-periodic angle objectives in this package, so
 parameters are left unconstrained (no wrapping).  The first restart
@@ -7,60 +7,39 @@ uniformly from [0, 2*pi)^dim using the configured seed, which makes every
 run bit-reproducible and guarantees that an optimized objective value is
 never worse than the value at zero.
 
-All restarts run in staggered lockstep: one core holds the state of every
-restart that has not stopped, and each call of a batched objective
-evaluates the next pending point of every one of them, so restarts in
-different phases of their steps share a call.  Nelder-Mead's pending
-point is a reflection, an expansion or contraction, or a shrink's
-vertices.  Callers that have a batched objective pass it as ``batch``,
-the same objective over an (N, dim) array returning N values; without it
-the rows are evaluated one at a time.  Each restart still evaluates
-exactly the points it would alone and follows the same sort, tests, moves
-and argmin, so results do not depend on how many restarts run beside it.
-That rests on the batched objective's rows being independent: a row's
-value must not depend on the rows beside it.  ``OptimizerResult.calls``
-counts the batched calls.
+Every entry takes one objective, ``objective(xs, owner) -> (values,
+gradient)``: the N values of the rows of the (N, dim) array ``xs``, row j
+on the problem with index ``owner[j]``, and a closure that gives their
+(N, dim) gradients when called.  A row's value must not depend on the
+rows beside it.  ``minimize_many`` runs the restarts of several problems
+together: problem i draws its starts from its own ``cfgs[i].seed`` and
+gets its own result, equal to that of the problem alone.  ``minimize`` is
+its one-problem case, and ``refine`` runs one BFGS run from each of given
+points, one problem per point.  The entanglement module runs every search
+through them: the optimized bound B_opt, the distillability witness, its
+seeded stage's surrogate and the runs from given angles.
 
-``minimize_many`` steps the restarts of several problems in one such run:
-problem i draws its starts from its own ``cfgs[i].seed`` and gets its own
-result, equal to that of ``minimize`` on it alone, and ``minimize`` is its
-one-problem case.  Its batched objective is called as ``batch(xs, owner)``,
-where ``owner[j]`` is the index of the problem that row j belongs to; the
-entanglement module uses that to optimize the bounds of many states in one
-run.  No objective call takes more than ``restarts * (dim + 1)`` rows, the
-size of one problem's simplex set-up: larger evaluations are split into
-calls of that size, which bounds the memory of the batched evaluators.
-
-A caller that has the gradients steps ``_minimize_many`` by ``_bfgs`` with one
-``objective`` called like ``batch``: it returns the values of the rows and
-a closure that gives their (N, dim) gradients when called.  The runs are
-then BFGS runs in the same lockstep.  The first call(s) score each start's
-Nelder-Mead simplex and never call the closure, a call at each run's
-lowest vertex takes its gradient, and after it each call evaluates one
-pending trial point, with its gradient, per live run.  Its
+All runs step in lockstep (``_bfgs``).  The first call(s) score each
+start's simplex by values alone and never call the closure, a call at
+each run's lowest vertex takes its gradient, and after it each call
+evaluates one pending trial point, with its gradient, per live run.  Its
 line search is weak Wolfe, so no run ends above the best vertex of its
 start's simplex.  A run stops when its direction promises less than
 round-off, when a step gains less than ``f_tol`` and the next promises
 less than ``f_tol``, after ``max_iterations`` steps or BFGS_MAX_TRIALS
 (400) trial points, after BFGS_TRAILING_TRIALS (240) once a stopped run
 of its problem has a lower value, or at a kink, where its line search no
-longer moves it.  The entanglement module runs every search this way:
-the optimized bound B_opt, the distillability witness and its seeded
-stage's surrogate.  ``_nelder_mead`` serves only the public
-``minimize``, ``minimize_many`` and ``refine``.
-
-``refine`` runs one Nelder-Mead simplex from a given point instead, the
-same core with one restart.  ``_solve`` runs either core from given
-points: the entanglement module's partial-transpose-seeded stage, when
-every restart ends on an objective's flat zero plateau, starts one BFGS
-run of its search there from the minimizer of a plateau-free surrogate.
+longer moves it.  No objective call takes more than
+``restarts * (dim + 1)`` rows, the size of one problem's simplex set-up:
+larger evaluations are split into calls of that size, which bounds the
+memory of the batched evaluators.  ``OptimizerResult.calls`` counts the
+calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from numbers import Integral
 from typing import Callable, Sequence
 
@@ -68,11 +47,6 @@ import numpy as np
 
 from .composite import TWO_PI
 
-# Standard simplex moves.
-REFLECT = 1.0
-EXPAND = 2.0
-CONTRACT = 0.5
-SHRINK = 0.5
 # BFGS weak Wolfe line search: sufficient decrease and curvature constants
 ARMIJO = 1e-4
 CURVATURE = 0.5
@@ -98,12 +72,11 @@ BFGS_TRAILING_TRIALS = 240
 class OptimizerConfig:
     """Settings for ``minimize``, ``minimize_many`` and ``refine``.
 
-    max_iterations : simplex steps (BFGS: accepted steps) allowed per restart.
-    f_tol          : stop a restart once max(f) - min(f) over the simplex
-                     drops below this spread (BFGS: once a step gains, and
-                     the next promises, less than this).
-    simplex_scale  : edge length (radians) of the initial simplex, which
-                     BFGS evaluates to pick its first point.
+    max_iterations : accepted steps allowed per restart.
+    f_tol          : stop a restart once a step gains, and the next
+                     promises, less than this.
+    simplex_scale  : edge length (radians) of the initial simplex, whose
+                     lowest vertex is a run's first point.
     restarts       : number of starts; the first is the zero vector.
     seed           : seed for the restart draws, >= 0.
 
@@ -139,19 +112,19 @@ class OptimizerConfig:
 class OptimizerResult:
     """Best point found, re-evaluated on return so value == objective(x).
 
-    ``iterations`` counts the simplex steps (BFGS: accepted steps) of
-    every run that went into the result, including any seeded stage run
-    after the restarts.  ``evaluations`` counts the objective points
-    evaluated: simplex set-up, steps, shrinks (BFGS: trial points, each
-    with its gradient) and the final re-evaluation, plus those of a seeded
-    stage.  A BFGS run's lowest simplex vertex, evaluated again with its
-    gradient, counts once.  ``restart_values`` is the best value of each
-    run in order, and ``best_restart`` the index of the run that gave ``x``
-    (-1 when no run was recorded).  ``calls`` counts the batched objective
-    calls of the run that produced the result (BFGS: the simplex's value
-    calls, the gradient call at the lowest vertices and the trial calls);
-    the problems of one ``minimize_many`` run share it, and a seeded stage
-    adds its own.
+    ``iterations`` counts the accepted steps of every run that went into
+    the result, including any seeded stage run after the restarts.
+    ``evaluations`` counts the objective points evaluated: the simplex
+    set-up, the trial points (each with its gradient) and the final
+    re-evaluation, plus those of a seeded stage.  A run's lowest simplex
+    vertex, evaluated again with its gradient, counts once.
+    ``restart_values`` is the best value of each run in order, and
+    ``best_restart`` the index of the run that gave ``x`` (-1 when no run
+    was recorded).  ``calls`` counts the objective calls of the run that
+    produced the result: the simplex's value calls, the gradient call at
+    the lowest vertices and the trial calls.  The problems of one
+    ``minimize_many`` or ``refine`` run share it, and a seeded stage adds
+    its own.
     """
 
     value: float
@@ -166,162 +139,12 @@ class OptimizerResult:
     calls: int = 0
 
 
-Objective = Callable[[np.ndarray], float]
-Batch = Callable[[np.ndarray], np.ndarray]
-# batch(xs, owner): row i of xs belongs to the problem with index owner[i]
-OwnedBatch = Callable[[np.ndarray, np.ndarray], np.ndarray]
-# objective(xs, owner) -> (values, gradient) of the rows, owned as for OwnedBatch; gradient()
-# gives their (N, dim) gradients
-OwnedObjective = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
-# core(starts, owner, cap, scale, max_iterations, f_tol, traces): ``_nelder_mead`` or ``_bfgs``
-# with its objective bound, returning each run's point, value, iterations, convergence flag and
-# evaluations, and the number of objective calls
-Core = Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]]
+# objective(xs, owner) -> (values, gradient): row j of xs belongs to the problem with index
+# owner[j], and gradient() gives the rows' (N, dim) gradients
+Objective = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
 
-def _rowwise(objectives: Sequence[Objective]) -> OwnedBatch:
-    """Batch form of scalar objectives: each row evaluated alone by its problem's objective."""
-
-    def batch(xs: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return np.array([objectives[o](x) for x, o in zip(xs, owner.tolist())], dtype=float)
-
-    return batch
-
-
-def _nelder_mead(batch: OwnedBatch, starts: np.ndarray, owner: np.ndarray, cap: int,
-                 scale: float, max_iterations: int, f_tol: float,
-                 traces: list[list[float]] | None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """One Nelder-Mead run from each row of ``starts``, all advanced in staggered rounds.
-
-    ``owner`` gives the problem of each run, passed on with every row
-    evaluated.  The first round is every run's simplex set-up.  After it a
-    round evaluates, for each live run, the points its step waits for: its
-    reflection, its expansion or contraction, or its dim shrunk vertices.
-    Each run then goes on as far as its next pending point, so a run that
-    accepts its reflection reflects again in the round where others take
-    their step's second point.  A round's rows are those of the live runs
-    in run order, each run's rows together; a round of more than ``cap``
-    rows is split into calls of ``cap`` rows.  Every run evaluates the
-    points it would evaluate alone and follows that trajectory exactly.
-    Returns each run's best vertex, its value, simplex steps, convergence
-    flag and number of points evaluated, and the number of objective calls.
-    """
-    n_runs, dim = starts.shape
-    calls = 0
-
-    def evaluate(xs: np.ndarray, own: np.ndarray) -> np.ndarray:
-        nonlocal calls
-        chunks = range(0, len(xs), cap)
-        calls += len(chunks)
-        return np.concatenate([batch(xs[i:i + cap], own[i:i + cap]) for i in chunks])
-
-    # vertex-major simplices: p[j, r] is vertex j of run r, f[r, j] its value
-    axes = np.arange(dim)
-    p = np.repeat(starts[None], dim + 1, axis=0)
-    p[axes + 1, :, axes] += scale
-    f = evaluate(p.transpose(1, 0, 2).reshape(-1, dim),
-                 np.repeat(owner, dim + 1)).reshape(n_runs, dim + 1)
-
-    best_x, best_f = np.empty((n_runs, dim)), np.empty(n_runs)
-    steps, evaluations = np.empty(n_runs, dtype=int), np.empty(n_runs, dtype=int)
-    converged = np.zeros(n_runs, dtype=bool)
-
-    # The live runs, compacted when one stops.  A run's pending point x is
-    # its reflection when its last step is done, else what that step waits
-    # for: its expansion or contraction x2, or (shrink) its shrunk vertices.
-    ids, own = np.arange(n_runs), owner
-    iters, shrinks = np.zeros(n_runs, dtype=int), np.zeros(n_runs, dtype=int)
-    x2 = np.zeros((n_runs, dim))
-    fr = np.zeros(n_runs)
-    done = np.ones(n_runs, dtype=bool)
-    expand = contract = shrink = np.zeros(n_runs, dtype=bool)
-    lanes = ids
-    shrinking = False
-    rounds = 0
-    while True:
-        # Runs whose step is done start the next.  A mid-step run keeps the
-        # sorted values of its step's start, so sorting it is the identity,
-        # and its centroid and reflection come out as before (a shrinking
-        # run's are not used).
-        order = f.argsort(axis=1, kind="stable")
-        f = f[lanes[:, None], order]
-        p = p[order.T, lanes]
-        start, spent = done, None
-        if rounds >= max_iterations:  # before that no run can be out of steps
-            # a run out of steps stops before its spread test
-            spent = done & (iters >= max_iterations)
-            start = done & ~spent
-        if traces is not None:
-            for r, best in zip(ids[start].tolist(), f[start, 0].tolist()):
-                traces[r].append(best)
-        flat = start & (f[:, -1] - f[:, 0] < f_tol)
-        stop = flat if spent is None else flat | spent
-        if np.count_nonzero(stop):
-            gone = np.flatnonzero(stop)
-            rid = ids[gone]
-            best = np.argmin(f[gone], axis=1)
-            best_x[rid], best_f[rid] = p[best, gone], f[gone, best]
-            steps[rid] = iters[gone]
-            converged[rid] = flat[gone]
-            evaluations[rid] = dim + 1 + rounds + (dim - 1) * shrinks[gone]
-            keep = ~stop
-            p = p[:, keep]
-            ids, own, iters, shrinks, f, x2, fr, done, expand, contract, shrink = (
-                a[keep] for a in (ids, own, iters, shrinks, f, x2, fr, done,
-                                  expand, contract, shrink))
-            if not ids.size:
-                break
-            lanes = np.arange(ids.size)
-        iters += done
-        c = np.add.reduce(p[:-1], axis=0) / dim  # p[:-1].mean(axis=0) without its wrapper
-        xr = c + REFLECT * (c - p[-1])
-        x = np.where(done[:, None], xr, x2)
-
-        if shrinking:
-            s = np.flatnonzero(shrink)
-            counts = np.ones(ids.size, dtype=int)
-            counts[s] = dim
-            at = np.cumsum(counts) - counts
-            xs = np.empty((at[-1] + counts[-1], dim))
-            xs[at] = x
-            rows = at[s, None] + axes
-            xs[rows] = p[1:, s].transpose(1, 0, 2)
-            values = evaluate(xs, np.repeat(own, counts))
-            v = values[at]
-            f[s, 1:] = values[rows]
-            shrinks[s] += 1
-        else:
-            v = evaluate(x, own)
-        rounds += 1
-
-        # what each run's pending point was: a reflection (done), or else
-        fr = np.where(done, v, fr)
-        expanding, contracting, shrunk = expand, contract, shrink
-        expand = done & (v < f[:, 0])
-        contract = done & ~expand & ~(v < f[:, -2])
-        # a second point replaces the worst vertex if below the reflection
-        # (expansion) or below min(fr, f_worst) (contraction); the latter is
-        # fr unless f_worst is lower (np.minimum would pass on a NaN)
-        f_worst = f[:, -1]
-        take = (expanding | contracting) & (
-            v < np.where(contracting & (f_worst < fr), f_worst, fr))
-        shrink = contracting & ~take
-        done = ~(expand | contract | shrink)
-        accept = (done & ~shrunk)[:, None]  # steps that end with a new worst vertex
-        np.copyto(p[-1], np.where(take[:, None], x, xr), where=accept)
-        f[:, -1] = np.where(accept[:, 0], np.where(take, v, fr), f_worst)
-        shrinking = np.count_nonzero(shrink) > 0
-        if shrinking:
-            p[1:, shrink] = p[:1, shrink] + SHRINK * (p[1:, shrink] - p[:1, shrink])
-        # expansion points, and contractions toward the reflection when it beats the worst vertex
-        toward = np.where((expand | (fr < f_worst))[:, None], xr, p[-1])
-        x2 = c + np.where(expand, EXPAND, CONTRACT)[:, None] * (toward - c)
-
-    return best_x, best_f, steps, converged, evaluations, calls
-
-
-def _bfgs(objective: OwnedObjective, starts: np.ndarray, owner: np.ndarray,
+def _bfgs(objective: Objective, starts: np.ndarray, owner: np.ndarray,
           cap: int, scale: float, max_iterations: int, f_tol: float,
           traces: list[list[float]] | None
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
@@ -329,14 +152,14 @@ def _bfgs(objective: OwnedObjective, starts: np.ndarray, owner: np.ndarray,
 
     ``objective(xs, owner)`` returns the values of the rows and a closure
     that gives their gradients.  The first call(s) score each start's
-    Nelder-Mead simplex (the start and one vertex ``scale`` along each
-    axis) by the values alone, and the run begins at its first lowest
-    vertex: a gradient is 0 on a flat plateau, and a start there moves off
-    it when a vertex does.  One call then evaluates every run's vertex
-    again with its gradient, counted as one of its simplex points.  After
-    it each call evaluates one pending
-    trial point x + t d of every live run, d = -H g from the
-    run's inverse-Hessian estimate H, starting at t = 1.  The line search
+    simplex (the start and one vertex ``scale`` along each axis) by the
+    values alone, and the run begins at its first lowest vertex: a
+    gradient is 0 on a flat plateau, and a start there moves off it when a
+    vertex does.  One call then evaluates every run's vertex again with
+    its gradient, counted as one of its simplex points.  After it each
+    call evaluates one pending trial point x + t d of every live run,
+    d = -H g from the run's inverse-Hessian estimate H, starting at
+    t = 1.  The line search
     is weak Wolfe, so monotone: a trial is accepted, as the run's next
     point and one iteration, when it meets Armijo's condition
     f(x + t d) <= f(x) + ARMIJO t g.d and its slope g'.d >= CURVATURE g.d;
@@ -352,7 +175,7 @@ def _bfgs(objective: OwnedObjective, starts: np.ndarray, owner: np.ndarray,
     lower value, so it can no longer win, or at a kink: when its bracket
     no longer moves x, even along -g after H is reset.  Rows of a
     call are the live runs in run order, split into calls of ``cap``
-    rows, so rows must be independent as for ``_nelder_mead``.  Returns
+    rows.  Returns
     each run's last point, its value, iterations, convergence flag and
     number of points evaluated, and the number of objective calls.
     """
@@ -380,7 +203,7 @@ def _bfgs(objective: OwnedObjective, starts: np.ndarray, owner: np.ndarray,
     steps, evaluations = np.empty(n_runs, dtype=int), np.empty(n_runs, dtype=int)
     converged = np.zeros(n_runs, dtype=bool)
 
-    # values alone score every run's Nelder-Mead simplex, and the run begins at its first
+    # values alone score every run's simplex, and the run begins at its first
     # lowest vertex, where one call evaluates it again with its gradient
     eye = np.eye(dim)
     simplex = starts[:, None] + np.vstack([np.zeros(dim), scale * eye])
@@ -482,28 +305,25 @@ def _bfgs(objective: OwnedObjective, starts: np.ndarray, owner: np.ndarray,
     return out_x, out_f, steps, converged, evaluations, calls
 
 
-def _solve(reevaluate: OwnedBatch, core: Core, starts: np.ndarray,
-           cfg: OptimizerConfig, keep_history: bool) -> list[OptimizerResult]:
-    """R runs for each of P problems from the (P, R, dim) ``starts``, in one lockstep core.
+def _solve(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
+           keep_history: bool) -> list[OptimizerResult]:
+    """R runs for each of P problems from the (P, R, dim) ``starts``, in one ``_bfgs`` lockstep.
 
-    ``core`` is ``_nelder_mead`` or ``_bfgs`` with its objective bound
-    (``functools.partial``).  Per problem, its first run with the lowest
-    value wins, and ``reevaluate`` evaluates the P winners in one call.  No
-    objective call takes more than R * (dim + 1) rows, one problem's
-    simplex set-up.
+    Per problem, its first run with the lowest value wins, and one call
+    evaluates the P winners again.  No objective call takes more than
+    R * (dim + 1) rows, one problem's simplex set-up.
     """
     n_problems, n_runs, dim = starts.shape
     traces: list[list[float]] | None = (
         [[] for _ in range(n_problems * n_runs)] if keep_history else None)
     owner = np.repeat(np.arange(n_problems), n_runs)
-    cap = n_runs * (dim + 1)
-    *runs, calls = core(starts.reshape(-1, dim), owner, cap, cfg.simplex_scale,
-                        cfg.max_iterations, cfg.f_tol, traces)
+    *runs, calls = _bfgs(objective, starts.reshape(-1, dim), owner, n_runs * (dim + 1),
+                         cfg.simplex_scale, cfg.max_iterations, cfg.f_tol, traces)
     x, fx, iters, converged, evaluations = (
         a.reshape(n_problems, n_runs, *a.shape[1:]) for a in runs)
     problems = np.arange(n_problems)
     best = np.argmin(fx, axis=1)
-    values = reevaluate(x[problems, best], problems)
+    values, _ = objective(x[problems, best], problems)
     results = []
     for p, (b, value) in enumerate(zip(best.tolist(), values.tolist())):
         runs = slice(p * n_runs, (p + 1) * n_runs)
@@ -515,12 +335,16 @@ def _solve(reevaluate: OwnedBatch, core: Core, starts: np.ndarray,
     return results
 
 
-def _minimize_many(reevaluate: OwnedBatch, dim: int, cfgs: list[OptimizerConfig],
-                   keep_history: bool, core: Core) -> list[OptimizerResult]:
-    """``minimize_many`` on batched objectives, stepped by ``core`` (see ``_solve``).
+def minimize_many(objective: Objective, dim: int, cfgs: Sequence[OptimizerConfig],
+                  keep_history: bool = False) -> list[OptimizerResult]:
+    """``minimize`` for several problems over R^dim at once, one result per problem.
 
-    ``reevaluate`` gives the results' values.
+    Problem i is the rows that ``objective`` gets with owner i, minimized
+    with the restarts of ``cfgs[i]``; the configs may differ only in
+    ``seed``.  The runs of all problems step in one lockstep, and each
+    result equals that of ``minimize`` on its problem alone.
     """
+    cfgs = list(cfgs)
     if dim < 0:
         raise ValueError("dim must be >= 0")
     if not cfgs:
@@ -529,67 +353,39 @@ def _minimize_many(reevaluate: OwnedBatch, dim: int, cfgs: list[OptimizerConfig]
         raise ValueError("configs may differ only in seed")
     if dim == 0:
         x = np.zeros(0)
-        values = reevaluate(np.zeros((len(cfgs), 0)), np.arange(len(cfgs)))
+        values, _ = objective(np.zeros((len(cfgs), 0)), np.arange(len(cfgs)))
         return [OptimizerResult(value, x, 0, 0, True,
                                 history=() if keep_history else None, evaluations=1)
                 for value in values.tolist()]
     starts = np.zeros((len(cfgs), cfgs[0].restarts, dim))
     for s, cfg in zip(starts, cfgs):
         s[1:] = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (cfg.restarts - 1, dim))
-    return _solve(reevaluate, core, starts, cfgs[0], keep_history)
+    return _solve(objective, starts, cfgs[0], keep_history)
 
 
-def minimize_many(objectives: Sequence[Objective], dim: int,
-                  cfgs: Sequence[OptimizerConfig], keep_history: bool = False, *,
-                  batch: OwnedBatch | None = None) -> list[OptimizerResult]:
-    """``minimize`` for several problems over R^dim at once, one result per problem.
+def minimize(objective: Objective, dim: int, cfg: OptimizerConfig | None = None,
+             keep_history: bool = False) -> OptimizerResult:
+    """Minimize ``objective`` over R^dim with restarted BFGS.
 
-    Problem i minimizes ``objectives[i]`` with the restarts of ``cfgs[i]``,
-    which may differ from the others only in ``seed``.  The runs of all
-    problems are stepped in lockstep; ``batch``, when given, evaluates them
-    as ``batch(xs, owner)``, row j of the (N, dim) array ``xs`` on problem
-    ``owner[j]``, returning N values.  Each result equals that of
-    ``minimize`` on its problem alone.
+    ``objective`` gets every row with owner 0.  ``dim == 0`` evaluates the
+    constant objective once and returns.  The result is the best point
+    over all restarts; ``converged`` reports whether the restart that
+    produced it stopped on a gain or promise below round-off or
+    ``f_tol``, not on a cap or a kink.  ``keep_history`` records each
+    restart's value at its first point and after every accepted step.
     """
-    cfgs = list(cfgs)
-    if len(cfgs) != len(objectives):
-        raise ValueError(f"{len(objectives)} objectives but {len(cfgs)} configs")
-    rowwise = _rowwise(objectives)
-    return _minimize_many(rowwise, dim, cfgs, keep_history,
-                          partial(_nelder_mead, batch or rowwise))
+    return minimize_many(objective, dim, [cfg or OptimizerConfig()], keep_history)[0]
 
 
-def _owned(batch: Batch | None) -> OwnedBatch | None:
-    """A one-problem batch in the owner-passing form the core calls."""
-    return None if batch is None else lambda xs, owner: batch(xs)
+def refine(objective: Objective, starts: np.ndarray,
+           cfg: OptimizerConfig | None = None) -> list[OptimizerResult]:
+    """One BFGS run from each row of the (P, dim) ``starts``, row p on problem p.
 
-
-def minimize(objective: Objective, dim: int,
-             cfg: OptimizerConfig | None = None, keep_history: bool = False, *,
-             batch: Batch | None = None) -> OptimizerResult:
-    """Minimize ``objective`` over R^dim with restarted Nelder-Mead.
-
-    ``batch``, when given, is the same objective over an (N, dim) array,
-    returning N values; the restarts are then evaluated together through
-    it, and ``objective`` only re-evaluates the result.  ``dim == 0``
-    evaluates the constant objective once and returns.  The result is the
-    best vertex over all restarts; ``converged`` reports whether the
-    restart that produced it met the spread tolerance.
+    The runs step in one lockstep with the settings of ``cfg``, whose
+    ``restarts`` and ``seed`` are not used.  Each result reports one
+    restart and is re-evaluated like that of ``minimize``.
     """
-    return minimize_many([objective], dim, [cfg or OptimizerConfig()], keep_history,
-                         batch=_owned(batch))[0]
-
-
-def refine(objective: Objective, start: np.ndarray,
-           cfg: OptimizerConfig | None = None, *,
-           batch: Batch | None = None) -> OptimizerResult:
-    """One Nelder-Mead run from ``start`` with the simplex settings of ``cfg``.
-
-    ``cfg.restarts`` and ``cfg.seed`` are not used; the result reports one
-    restart and is re-evaluated like that of ``minimize``, which also
-    describes ``batch``.
-    """
-    start = np.array(start, dtype=float).ravel()
-    rowwise = _rowwise([objective])
-    return _solve(rowwise, partial(_nelder_mead, _owned(batch) or rowwise), start[None, None],
-                  cfg or OptimizerConfig(), False)[0]
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2:
+        raise ValueError(f"starts must be a (P, dim) array, got shape {starts.shape}")
+    return _solve(objective, starts[:, None], cfg or OptimizerConfig(), False)

@@ -34,7 +34,7 @@ from .errors import (
     NotPSDError,
     RankOutOfRangeError,
 )
-from .linalg import _as_square, herm_eig
+from .linalg import _as_square, _count, herm_eig
 
 DENSITY_HERM_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
@@ -52,8 +52,7 @@ def simplex_weights(theta: np.ndarray, k: int) -> np.ndarray:
     ``NonFiniteError``.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if k < 1:
-        raise RankOutOfRangeError(f"k must be >= 1, got {k}")
+    k = _count(k, "k", 1, error=RankOutOfRangeError)
     if theta.size != k - 1:
         raise LengthMismatchError(f"expected {k - 1} angles for k={k}, got {theta.size}")
     angles = theta.ravel().tolist()

@@ -172,3 +172,37 @@ def nelder_mead_reference(f, start, scale, max_iterations, f_tol, log=None):
                 fs[1:] = [ev(p, 2) for p in pts[1:]]
     best = int(np.argmin(fs))
     return pts[best].copy(), float(fs[best]), iters, converged, tuple(trace)
+
+
+def restart_starts(cfg, dim):
+    """The starts of the restarts of ``cfg`` over R^dim: zero, then uniform draws from its seed."""
+    rng = np.random.default_rng(cfg.seed)
+    return [np.zeros(dim)] + [rng.uniform(0.0, 2 * np.pi, dim) for _ in range(cfg.restarts - 1)]
+
+
+def nelder_mead_restarts(f, dim, cfg, starts=None):
+    """One ``nelder_mead_reference`` run of ``f`` from each start (oracle path).
+
+    The starts default to those of ``cfg``'s restarts.  Returns an
+    ``OptimizerResult``: the first best run's point and value, the summed
+    steps, every point evaluated plus one re-evaluation of the result, and
+    as ``calls`` the rounds of a lockstep of the runs, in which each live
+    run evaluates one (step, phase) group of its points per round.
+    """
+    import itertools
+
+    from uniparam import OptimizerResult
+
+    runs, rounds, points = [], [], 0
+    for start in restart_starts(cfg, dim) if starts is None else starts:
+        log = []
+        runs.append(nelder_mead_reference(f, np.asarray(start, dtype=float), cfg.simplex_scale,
+                                          cfg.max_iterations, cfg.f_tol, log))
+        rounds.append(sum(1 for _ in itertools.groupby(log, key=lambda e: e[:2])))
+        points += len(log)
+    values = [run[1] for run in runs]
+    best = values.index(min(values))
+    return OptimizerResult(
+        values[best], runs[best][0], sum(run[2] for run in runs), len(runs), runs[best][3],
+        evaluations=points + 1, restart_values=tuple(values), best_restart=best,
+        calls=max(rounds))

@@ -9,6 +9,7 @@ from uniparam import (
     IndexOutOfRangeError,
     NonFiniteError,
     NotUnitaryError,
+    RankOutOfRangeError,
     apply_factor,
     build_density,
     build_ucd,
@@ -272,3 +273,42 @@ def test_operand_shape_rejected_before_arithmetic(entry, operand):
     # stack gave a number that is no unitarity defect
     with np.errstate(all="raise"), pytest.raises(DimensionMismatchError):
         entry(operand)
+
+
+LAM3 = np.full((3, 3), 0.3)
+NON_INTEGER_INDEX = {
+    "sigma m 1.0": (IndexOutOfRangeError, lambda: sigma(1.0, 2, 3)),
+    "sigma n 2.0": (IndexOutOfRangeError, lambda: sigma(1, 2.0, 3)),
+    "projector 1.5": (IndexOutOfRangeError, lambda: projector(1.5, 3)),
+    "projector 2.0": (IndexOutOfRangeError, lambda: projector(2.0, 3)),
+    "apply_factor 1.0": (IndexOutOfRangeError, lambda: apply_factor(np.eye(3), 1.0, 2, 0.1, 0.2)),
+    "random_param_matrix 3.0": (IndexOutOfRangeError,
+                                lambda: random_param_matrix(3.0, np.random.default_rng(0))),
+    "build_ucd 1.5": (RankOutOfRangeError, lambda: build_ucd(LAM3, 1.5)),
+    "build_ucd 2.0": (RankOutOfRangeError, lambda: build_ucd(LAM3, 2.0)),
+    "build_ucs 1.5": (RankOutOfRangeError, lambda: build_ucs(LAM3, 1.5)),
+    "subspace_basis 1.0": (RankOutOfRangeError, lambda: subspace_basis(LAM3, 1.0, 3)),
+    "build_density 1.5": (RankOutOfRangeError, lambda: build_density([0.4], LAM3, 1.5, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_INDEX))
+def test_non_integer_indices_and_ranks_raise_their_errors(case):
+    # these raised numpy's IndexError or a bare TypeError, and build_ucd(lam, 1.5) returned the
+    # rank-1 product
+    error, call = NON_INTEGER_INDEX[case]
+    with pytest.raises(error, match="integer"):
+        call()
+
+
+def test_numpy_integer_indices_and_ranks_accepted():
+    i = np.int64
+    assert np.array_equal(sigma(i(1), np.int32(3), i(3)), sigma(1, 3, 3))
+    assert np.array_equal(projector(np.uint8(2), 3), projector(2, 3))
+    assert np.array_equal(apply_factor(np.eye(3), i(1), i(2), 0.1, 0.2),
+                          apply_factor(np.eye(3), 1, 2, 0.1, 0.2))
+    assert np.array_equal(build_ucd(LAM3, i(2)), build_ucd(LAM3, 2))
+    assert np.array_equal(build_ucs(LAM3, i(1)), build_ucs(LAM3, 1))
+    assert np.array_equal(subspace_basis(LAM3, i(2), i(3)), subspace_basis(LAM3, 2, 3))
+    assert np.array_equal(random_param_matrix(i(3), np.random.default_rng(0)),
+                          random_param_matrix(3, np.random.default_rng(0)))

@@ -26,7 +26,6 @@ from uniparam import (
     make_distill_objective,
     max_concurrence,
     max_distill_x_sq,
-    minimize,
     multipartite_bound_b,
     n_copy_state,
     offdiag_positions,
@@ -44,6 +43,7 @@ from helpers import (
     ghz_state,
     haar_state,
     haar_unitary,
+    nelder_mead_restarts,
     psi1_qutrit,
     pure_sigma_sum,
     rand_density,
@@ -430,7 +430,7 @@ def test_pt_seeded_stage_skips_ppt_plateau():
     assert ppt_min_eigenvalue(rho, (3, 3)) >= -1e-10
     cfg = OptimizerConfig(seed=4)
     b_opt, result = optimized_bound_b(rho, 3, 3, cfg)
-    plain = minimize(make_bopt_objective(rho, 3, 3), 12, cfg)
+    plain = nelder_mead_restarts(make_bopt_objective(rho, 3, 3), 12, cfg)
     assert b_opt == 0.0
     assert result.iterations == plain.iterations
     assert np.array_equal(result.x, plain.x)
@@ -509,6 +509,46 @@ def test_bad_counts_and_dims_raise_dimension_mismatch(case):
     # or returned a number (max_concurrence(-1) = 2.0, one copy for True)
     with pytest.raises(DimensionMismatchError):
         BAD_COUNTS[case]()
+
+
+MIXED_4 = np.eye(4) / 4
+NON_INTEGER_DIMS = {
+    "bound_b 2.0": lambda: bound_b(MIXED_4, 2.0, 2.0),
+    "optimized_bound_b 2.0": lambda: optimized_bound_b(MIXED_4, 2.0, 2.0),
+    "max_distill_x_sq 2.0": lambda: max_distill_x_sq(MIXED_4, 2, 2.0),
+    "make_bopt_objective 2.0": lambda: make_bopt_objective(MIXED_4, 2.0, 2),
+    "bound_x dims 2.0": lambda: bound_x(MIXED_4, 1, 2, 1, 2, dims=(2.0, 2.0)),
+    "ppt_min_eigenvalue 2.5": lambda: ppt_min_eigenvalue(MIXED_4, (2.5, 1.6)),
+    "ppt_min_eigenvalue 2.0": lambda: ppt_min_eigenvalue(MIXED_4, (2.0, 2.0)),
+    "multipartite_bound_b 2.0": lambda: multipartite_bound_b(MIXED_4, (2, 2.0)),
+    "bipartitions dims 2.5": lambda: enumerate_bipartitions(2, (2.5, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_DIMS))
+def test_non_integer_dims_raise_dimension_mismatch(case):
+    # these raised a bare TypeError, or were truncated by int(): (2.5, 1.6) was reported as
+    # dims (2, 1), and (2.0, 2.0) passed
+    with pytest.raises(DimensionMismatchError, match="integer"):
+        NON_INTEGER_DIMS[case]()
+
+
+def test_non_integer_index_raises_index_out_of_range():
+    # bound_x(rho, 1.0, 2.0, 1, 2) raised numpy's IndexError
+    for indices in ((1.0, 2, 1, 2), (1, 2.0, 1, 2), (1, 2, 1.0, 2), (1, 2, 1.5, 2)):
+        with pytest.raises(IndexOutOfRangeError, match="integer"):
+            bound_x(MIXED_4, *indices)
+
+
+def test_numpy_integer_dims_and_indices_accepted():
+    i = np.int64
+    rho = rand_density(np.random.default_rng(46), 6)
+    assert bound_b(rho, i(2), i(3)) == bound_b(rho, 2, 3)
+    assert (bound_x(rho, i(1), i(2), i(1), np.int32(3), dims=(i(2), i(3)))
+            == bound_x(rho, 1, 2, 1, 3, dims=(2, 3)))
+    assert ppt_min_eigenvalue(rho, (i(2), i(3))) == ppt_min_eigenvalue(rho, (2, 3))
+    cfg = OptimizerConfig(restarts=2, max_iterations=5)
+    assert optimized_bound_b(rho, i(2), i(3), cfg)[0] == optimized_bound_b(rho, 2, 3, cfg)[0]
 
 
 @pytest.mark.parametrize("d_a, d_b", [(3, 3), (4, 4), (3, 4)])
@@ -620,7 +660,7 @@ def test_optimized_bounds_many_equal_one_at_a_time(case):
     # the seeded run won at the barely-NPT point and at the full-rank state
     assert many[1 if case == "fig1" else 2][1].best_restart == cfg.restarts
     # the joint run's rows equal those of the one-vector closure
-    plain = minimize(make_bopt_objective(rhos[0], *dims), many[0][1].x.size, cfgs[0])
+    plain = nelder_mead_restarts(make_bopt_objective(rhos[0], *dims), many[0][1].x.size, cfgs[0])
     assert_same_result(many[0][1], plain)
 
 
@@ -644,7 +684,7 @@ def test_pt_seeded_stage_runs_on_round_off_plateau():
 def test_max_distill_equals_minimize(case):
     from uniparam.cli import fig1_state
     from uniparam.entanglement import PT_SEED_RESTARTS, _pt_surrogate, _scalar, _search
-    from uniparam.optimize import OptimizerResult, refine
+    from uniparam.optimize import OptimizerResult
 
     if case == "random-2x3":
         rho, dims = rand_density(np.random.default_rng(23), 6), (2, 3)
@@ -655,14 +695,15 @@ def test_max_distill_equals_minimize(case):
     cfg = OptimizerConfig(seed=5)
     f = make_distill_objective(rho, *dims)
     n = (4 * dims[0] - 8) + (4 * dims[1] - 8)
-    expected = minimize(f, n, cfg)
+    expected = nelder_mead_restarts(f, n, cfg)
     if case == "fig1-barely-npt":
         # every restart ends at 0, and the run seeded from the surrogate's minimizer wins
         assert expected.value == 0.0
         search = _search(*dims, witness=True)
         surrogate = _pt_surrogate(rho, search)
-        seeded = minimize(_scalar(surrogate, n), n, replace(cfg, restarts=PT_SEED_RESTARTS))
-        run = refine(f, seeded.x, cfg)
+        seeded = nelder_mead_restarts(_scalar(surrogate, n), n,
+                                      replace(cfg, restarts=PT_SEED_RESTARTS))
+        run = nelder_mead_restarts(f, n, cfg, starts=[seeded.x])
         assert run.value < 0.0
         expected = OptimizerResult(
             run.value, run.x, expected.iterations + seeded.iterations + run.iterations,
@@ -1174,7 +1215,7 @@ def test_bopt_search_runs_bfgs():
     for search, make, n in ((optimized_bound_b, make_bopt_objective, 12),
                             (max_distill_x_sq, make_distill_objective, 8)):
         _, result = search(rho, 3, 3, cfg)
-        plain = minimize(make(rho, 3, 3), n, cfg)
+        plain = nelder_mead_restarts(make(rho, 3, 3), n, cfg)
         assert -result.value >= -plain.value - 1e-12
         assert result.evaluations < plain.evaluations / 3
         assert result.value == make(rho, 3, 3)(result.x)
@@ -1286,27 +1327,6 @@ def test_pt_surrogate_stacked_rows_equal_one_vector_values():
             assert np.array_equal(grads[i], one_gradient()[0])
 
 
-def test_no_search_runs_nelder_mead(monkeypatch):
-    # the restarts, the surrogate and the seeded run are all BFGS: at this barely-NPT point
-    # every restart ends on the plateau, and the seeded stage alone certifies the state
-    from uniparam import optimize
-    from uniparam.cli import fig1_state
-
-    def no_nelder_mead(*args, **kwargs):
-        raise AssertionError("Nelder-Mead ran")
-
-    monkeypatch.setattr(optimize, "_nelder_mead", no_nelder_mead)
-    rho, cfg = fig1_state(0.10, 0.25), OptimizerConfig()
-    b_opt, result = optimized_bound_b(rho, 3, 3, cfg)
-    assert b_opt / max_concurrence(3) > 1e-3
-    assert result.best_restart == cfg.restarts
-    x_sq, result = max_distill_x_sq(rho, 3, 3, cfg)
-    assert x_sq > 1e-8
-    assert result.best_restart == cfg.restarts
-    with pytest.raises(AssertionError, match="Nelder-Mead ran"):
-        minimize(make_bopt_objective(rho, 3, 3), 12, cfg)
-
-
 @pytest.mark.parametrize("witness", [False, True], ids=["bopt", "witness"])
 def test_seeded_stage_evaluations_below_nelder_mead(witness):
     # Nelder-Mead on the surrogate alone took 2,000-10,000 points at the fig1 band states
@@ -1330,7 +1350,7 @@ def test_seeded_stage_evaluations_below_nelder_mead(witness):
     stage = _pt_seeded(plateau, state, search, cfg)
     assert stage.best_restart == cfg.restarts and stage.value < -PLATEAU_X_SQ
     surrogate = _pt_surrogate(rho, search)
-    reference = minimize(_scalar(surrogate, search.n), search.n,
-                         replace(cfg, restarts=PT_SEED_RESTARTS), batch=lambda v: surrogate(v)[0])
+    reference = nelder_mead_restarts(_scalar(surrogate, search.n), search.n,
+                                     replace(cfg, restarts=PT_SEED_RESTARTS))
     assert stage.evaluations < reference.evaluations
     assert stage.calls < reference.calls

@@ -1,28 +1,68 @@
-import itertools
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
 
 from uniparam import OptimizerConfig, OptimizerResult, minimize, minimize_many, refine
-from helpers import nelder_mead_reference
+from helpers import restart_starts
 
 
 def quadratic(x):
     return float(np.sum((x - 1.0) ** 2))
 
 
+def rugged(x):
+    return float(np.sum(np.sin(3 * x) ** 2) + 0.01 * np.sum((x - 2.0) ** 2))
+
+
+def rugged_grad(xs, owner=None):
+    return (np.sum(np.sin(3 * xs) ** 2, axis=1) + 0.01 * np.sum((xs - 2.0) ** 2, axis=1),
+            3 * np.sin(6 * xs) + 0.02 * (xs - 2.0))
+
+
+def quadratic_grad(xs, owner=None):
+    return np.sum((xs - 1.0) ** 2, axis=1), 2.0 * (xs - 1.0)
+
+
+def lazy(gradient):
+    """The objective form the optimizers take, (values, closure), of a (values, gradients) one."""
+
+    def objective(xs, owner):
+        values, gradients = gradient(xs, owner)
+        return values, lambda: gradients
+
+    return objective
+
+
+QUADRATIC = lazy(quadratic_grad)
+RUGGED = lazy(rugged_grad)
+
+
+def constant(value):
+    """An objective over R^0 (or any R^dim) that is ``value`` everywhere."""
+    return lazy(lambda xs, owner: (np.full(len(xs), value), np.zeros(xs.shape)))
+
+
+def counting(objective, calls):
+    """``objective``, recording the number of rows of each call in ``calls``."""
+
+    def counted(xs, owner):
+        calls.append(len(xs))
+        return objective(xs, owner)
+
+    return counted
+
+
 def test_quadratic_minimum():
-    result = minimize(quadratic, 4, OptimizerConfig(restarts=2, seed=0))
+    result = minimize(QUADRATIC, 4, OptimizerConfig(restarts=2, seed=0))
     assert result.value < 1e-8
     assert np.max(np.abs(result.x - 1.0)) < 1e-3
     assert result.converged
 
 
 def test_dim_zero_returns_constant():
-    result = minimize(lambda x: 7.5, 0)
+    result = minimize(constant(7.5), 0)
     assert result.value == 7.5
     assert result.iterations == 0
     assert result.restarts == 0
@@ -31,8 +71,8 @@ def test_dim_zero_returns_constant():
 
 def test_deterministic_replay():
     cfg = OptimizerConfig(max_iterations=300, restarts=4, seed=123)
-    a = minimize(quadratic, 3, cfg)
-    b = minimize(quadratic, 3, cfg)
+    a = minimize(QUADRATIC, 3, cfg)
+    b = minimize(QUADRATIC, 3, cfg)
     assert a.value == b.value
     assert np.array_equal(a.x, b.x)
     assert a.iterations == b.iterations
@@ -41,17 +81,17 @@ def test_deterministic_replay():
 def test_first_restart_starts_at_zero():
     seen = []
 
-    def probe(x):
-        seen.append(x.copy())
-        return quadratic(x)
+    def probe(xs, owner):
+        seen.append(xs.copy())
+        return QUADRATIC(xs, owner)
 
     minimize(probe, 3, OptimizerConfig(max_iterations=1, restarts=1, seed=0))
-    assert np.array_equal(seen[0], np.zeros(3))
+    assert np.array_equal(seen[0][0], np.zeros(3))
 
 
 def test_history_monotone_within_restart():
     cfg = OptimizerConfig(max_iterations=500, restarts=3, seed=7)
-    result = minimize(quadratic, 5, cfg, keep_history=True)
+    result = minimize(QUADRATIC, 5, cfg, keep_history=True)
     assert result.history is not None and len(result.history) == 3
     for trace in result.history:
         diffs = np.diff(np.asarray(trace))
@@ -59,18 +99,15 @@ def test_history_monotone_within_restart():
 
 
 def test_best_monotone_in_restart_count():
-    def rugged(x):
-        return float(np.sum(np.sin(3 * x) ** 2) + 0.01 * np.sum((x - 2.0) ** 2))
-
     values = []
     for restarts in (1, 3, 6, 10):
         cfg = OptimizerConfig(max_iterations=400, restarts=restarts, seed=5)
-        values.append(minimize(rugged, 4, cfg).value)
+        values.append(minimize(RUGGED, 4, cfg).value)
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
 
 def test_result_value_matches_objective():
-    result = minimize(quadratic, 3, OptimizerConfig(restarts=2, seed=9))
+    result = minimize(QUADRATIC, 3, OptimizerConfig(restarts=2, seed=9))
     assert abs(result.value - quadratic(result.x)) <= 1e-12
 
 
@@ -84,7 +121,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
-        minimize(quadratic, -1)
+        minimize(QUADRATIC, -1)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -108,11 +145,11 @@ def test_config_rejects_values_that_only_fail_later(field, value):
 
 def test_config_accepts_numpy_integers():
     cfg = OptimizerConfig(max_iterations=np.int64(50), restarts=np.int32(2), seed=np.uint32(7))
-    assert minimize(quadratic, 2, cfg).restarts == 2
+    assert minimize(QUADRATIC, 2, cfg).restarts == 2
 
 
 def test_result_fields():
-    result = minimize(quadratic, 2, OptimizerConfig(max_iterations=50, restarts=2, seed=3))
+    result = minimize(QUADRATIC, 2, OptimizerConfig(max_iterations=50, restarts=2, seed=3))
     assert isinstance(result, OptimizerResult)
     assert result.iterations > 0
     assert result.restarts == 2
@@ -121,118 +158,113 @@ def test_result_fields():
 def test_refine_runs_once_from_start():
     seen = []
 
-    def probe(x):
-        seen.append(x.copy())
-        return quadratic(x)
+    def probe(xs, owner):
+        seen.append(xs.copy())
+        return QUADRATIC(xs, owner)
 
-    start = np.array([3.0, -2.0, 0.5])
+    start = np.array([[3.0, -2.0, 0.5]])
     cfg = OptimizerConfig(restarts=5, seed=11)
-    result = refine(probe, start, cfg)
-    assert np.array_equal(seen[0], start)
+    (result,) = refine(probe, start, cfg)
+    assert np.array_equal(seen[0][0], start[0])
     assert result.restarts == 1
-    assert result.value == quadratic(result.x)
+    assert result.value == quadratic_grad(result.x[None])[0][0]
     assert result.value < 1e-8
-    again = refine(quadratic, start, cfg)
+    (again,) = refine(QUADRATIC, start, cfg)
     assert np.array_equal(again.x, result.x)
     assert again.iterations == result.iterations
-
-
-def rugged(x):
-    return float(np.sum(np.sin(3 * x) ** 2) + 0.01 * np.sum((x - 2.0) ** 2))
+    # several starts are several problems in one lockstep, each run as it runs alone
+    starts = np.array(restart_starts(OptimizerConfig(restarts=4, seed=2), 3))
+    many = refine(RUGGED, starts, cfg)
+    assert len(many) == len(starts)
+    for row, r in zip(starts, many):
+        (alone,) = refine(RUGGED, row[None], cfg)
+        assert np.array_equal(r.x, alone.x)
+        assert ((r.value, r.iterations, r.evaluations, r.restart_values, r.best_restart)
+                == (alone.value, alone.iterations, alone.evaluations, alone.restart_values,
+                    alone.best_restart))
+    with pytest.raises(ValueError):
+        refine(QUADRATIC, start[0], cfg)
 
 
 def test_evaluation_telemetry():
-    seen = []
-
-    def probe(x):
-        seen.append(x.copy())
-        return rugged(x)
-
+    rows = []
     cfg = OptimizerConfig(max_iterations=150, restarts=4, seed=8)
-    result = minimize(probe, 3, cfg)
-    assert result.evaluations == len(seen)
+    result = minimize(counting(RUGGED, rows), 3, cfg)
+    # every row counts once, but for each run's lowest vertex, evaluated again with its gradient
+    assert result.evaluations == sum(rows) - cfg.restarts
     assert len(result.restart_values) == cfg.restarts
     assert result.restart_values[result.best_restart] == min(result.restart_values)
     assert result.best_restart == result.restart_values.index(min(result.restart_values))
-    assert result.value == probe(result.x)
+    assert result.value == rugged_grad(result.x[None])[0][0]
 
-    seen.clear()
-    one = refine(probe, np.ones(3), cfg)
-    assert one.evaluations == len(seen)
+    rows.clear()
+    (one,) = refine(counting(RUGGED, rows), np.ones((1, 3)), cfg)
+    assert one.evaluations == sum(rows) - 1
     assert one.best_restart == 0 and len(one.restart_values) == 1
 
-    constant = minimize(lambda x: 2.0, 0)
-    assert constant.evaluations == 1
-    assert constant.restart_values == () and constant.best_restart == -1
+    constant_result = minimize(constant(2.0), 0)
+    assert constant_result.evaluations == 1
+    assert constant_result.restart_values == () and constant_result.best_restart == -1
     # results built by hand keep the old positional fields only
     bare = OptimizerResult(1.0, np.zeros(1), 3, 1, True)
     assert bare.evaluations == 0 and bare.restart_values == () and bare.best_restart == -1
 
 
-def rowwise(fn):
-    return lambda xs: np.array([fn(x) for x in xs])
+def rowwise(gradient):
+    """``gradient`` evaluated one row at a time, as a scalar objective would be."""
+
+    def one_at_a_time(xs, owner=None):
+        rows = [gradient(x[None]) for x in xs]
+        return (np.array([values[0] for values, _ in rows]).reshape(len(xs)),
+                np.array([grads[0] for _, grads in rows]).reshape(xs.shape))
+
+    return one_at_a_time
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
 @pytest.mark.parametrize("fn, dim, max_iterations", [
-    (quadratic, 1, 2000), (rugged, 3, 40), (rugged, 6, 2000), (quadratic, 5, 25),
-])
+    (quadratic_grad, 1, 2000), (rugged_grad, 3, 40), (rugged_grad, 6, 2000),
+    (quadratic_grad, 5, 25),
+], ids=["quadratic-1-2000", "rugged-3-40", "rugged-6-2000", "quadratic-5-25"])
 def test_minimize_matches_reference_loop(fn, dim, max_iterations, batched):
-    # lockstep restarts give what separate one-at-a-time runs of the textbook loop give
+    # lockstep restarts give what separate one-at-a-time runs from the same starts give, and an
+    # objective that evaluates its rows one by one gives what the batched one gives
+    objective = lazy(fn if batched else rowwise(fn))
     cfg = OptimizerConfig(max_iterations=max_iterations, restarts=5, seed=dim)
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.zeros(dim)] + [rng.uniform(0.0, 2 * np.pi, dim) for _ in range(4)]
-    runs = [nelder_mead_reference(fn, s, cfg.simplex_scale, max_iterations, cfg.f_tol)
-            for s in starts]
-    best = min(range(5), key=lambda r: runs[r][1])
-    for start, run in zip(starts, runs):
-        alone = refine(fn, start, cfg)
-        assert np.array_equal(alone.x, run[0])
-        assert (alone.value, alone.iterations, alone.converged) == run[1:4]
+    alone = [refine(objective, start[None], cfg)[0] for start in restart_starts(cfg, dim)]
+    best = min(range(5), key=lambda r: alone[r].value)
+    result = minimize(objective, dim, cfg, keep_history=True)
+    assert np.array_equal(result.x, alone[best].x)
+    assert result.restart_values == tuple(r.value for r in alone)
+    assert (result.value, result.best_restart, result.converged) == (
+        alone[best].value, best, alone[best].converged)
+    assert result.iterations == sum(r.iterations for r in alone)
+    assert result.evaluations == sum(r.evaluations - 1 for r in alone) + 1
+    other = minimize(lazy(rowwise(fn) if batched else fn), dim, cfg, keep_history=True)
+    assert_same_result(result, other)
+    assert result.calls == other.calls
 
+
+def jagged_grad(xs, owner=None):
+    # rugged enough that BFGS runs take many trials
+    return (np.sum(np.sin(20 * xs) ** 2, axis=1) + 0.01 * np.sum((xs - 2.0) ** 2, axis=1),
+            20 * np.sin(40 * xs) + 0.02 * (xs - 2.0))
+
+
+def rounds_alone(objective, start, cfg):
+    """The rows a BFGS run from ``start`` evaluates alone, one list per call.
+
+    Its simplex, then its lowest vertex, then one trial point per call;
+    the call that re-evaluates the result is left out.
+    """
     calls = []
 
-    def scalar(x):
-        calls.append(x.copy())
-        return fn(x)
+    def recording(xs, owner):
+        calls.append(list(xs))
+        return objective(xs, owner)
 
-    result = minimize(scalar, dim, cfg, keep_history=True,
-                      batch=rowwise(fn) if batched else None)
-    if batched:
-        assert len(calls) == 1  # only the final re-evaluation
-    assert np.array_equal(result.x, runs[best][0])
-    assert result.value == runs[best][1]
-    assert result.iterations == sum(r[2] for r in runs)
-    assert result.converged == runs[best][3]
-    assert result.history == tuple(r[4] for r in runs)
-
-
-def starts_of(cfg, dim):
-    rng = np.random.default_rng(cfg.seed)
-    return [np.zeros(dim)] + [rng.uniform(0.0, 2 * np.pi, dim) for _ in range(cfg.restarts - 1)]
-
-
-def jagged(x):
-    # rugged enough that Nelder-Mead shrinks
-    return float(np.sum(np.sin(20 * x) ** 2) + 0.01 * np.sum((x - 2.0) ** 2))
-
-
-def reference_rounds(fn, starts, cfg):
-    """Each run's points in the rounds of the staggered core, from the textbook loop.
-
-    A round is the simplex set-up, a reflection, an expansion or
-    contraction, or the dim shrink vertices of one step: a maximal stretch
-    of a run's log with one (step, phase).  Also returns the (step, phase)
-    groups of all runs, one call each under a per-phase lockstep schedule.
-    """
-    runs, groups = [], set()
-    for start in starts:
-        log = []
-        nelder_mead_reference(fn, start, cfg.simplex_scale, cfg.max_iterations, cfg.f_tol, log)
-        runs.append([[x for _, _, x in entries]
-                     for _, entries in itertools.groupby(log, key=lambda e: e[:2])])
-        groups.update((step, phase) for step, phase, _ in log)
-    return runs, groups
+    refine(recording, start[None], cfg)
+    return calls[:-1]
 
 
 def expected_calls(runs, owners, cap):
@@ -244,163 +276,132 @@ def expected_calls(runs, owners, cap):
     return calls
 
 
-@pytest.mark.parametrize("fn, dim, max_iterations", [(jagged, 3, 200), (quadratic, 4, 2000)])
+@pytest.mark.parametrize("fn, dim, max_iterations",
+                         [(jagged_grad, 3, 200), (quadratic_grad, 4, 2000)],
+                         ids=["jagged-3-200", "quadratic-4-2000"])
 def test_one_problem_call_sequence(fn, dim, max_iterations):
-    # call k evaluates the k-th round of every run still live, in restart order:
-    # first the simplex set-ups, then each run's pending point or shrink vertices
+    # call k evaluates the k-th round of every run still live, in restart order: first the
+    # simplex set-ups, then each run's lowest vertex, then each run's pending trial point
     cfg = OptimizerConfig(max_iterations=max_iterations, restarts=4, seed=2)
-    runs, groups = reference_rounds(fn, starts_of(cfg, dim), cfg)
-    if fn is jagged:
-        assert any(phase == 2 for _, phase in groups)
-
+    runs = [rounds_alone(lazy(fn), start, cfg) for start in restart_starts(cfg, dim)]
     calls = []
 
-    def batch(xs):
+    def recording(xs, owner):
         calls.append(xs.copy())
-        return rowwise(fn)(xs)
+        return lazy(fn)(xs, owner)
 
-    result = minimize(fn, dim, cfg, batch=batch)
+    result = minimize(recording, dim, cfg)
     expected = expected_calls(runs, [0] * cfg.restarts, cfg.restarts * (dim + 1))
-    assert len(expected) == max(map(len, runs)) < len(groups)
-    assert result.calls == len(calls) == len(expected)
+    assert len(expected) == max(map(len, runs)) > 2
+    assert result.calls == len(calls) - 1 == len(expected)
     for call, rows in zip(calls, expected):
         assert np.array_equal(call, np.array([x for x, _ in rows]))
+    assert np.array_equal(calls[-1], result.x[None])
 
 
 def test_many_problem_call_sequence():
-    # three problems: the set-up round is three problems' worth of rows and splits
-    # into calls of one problem's set-up, the cap; later rounds are cut the same way
+    # three problems: the set-up round is three problems' worth of rows and splits into calls
+    # of one problem's set-up, the cap; later rounds are cut the same way
     dim = 3
     cfgs = [OptimizerConfig(max_iterations=200, restarts=4, seed=s) for s in (6, 7, 8)]
     shifts = np.array([0.0, 1.5, -1.0])
-    objectives = [lambda x, shift=shift: jagged(x - shift) for shift in shifts]
-    runs, owners, groups = [], [], set()
-    for o, (cfg, fn) in enumerate(zip(cfgs, objectives)):
-        r, g = reference_rounds(fn, starts_of(cfg, dim), cfg)
-        runs += r
+
+    def shifted(xs, owner):
+        return jagged_grad(xs - shifts[owner][:, None])
+
+    runs, owners = [], []
+    for o, cfg in enumerate(cfgs):
+        alone = lazy(lambda xs, owner, o=o: shifted(xs, np.full(len(xs), o)))
+        runs += [rounds_alone(alone, start, cfg) for start in restart_starts(cfg, dim)]
         owners += [o] * cfg.restarts
-        groups |= g
 
     calls = []
 
-    def batch(xs, owner):
+    def recording(xs, owner):
         calls.append((xs.copy(), owner.copy()))
-        return np.array([jagged(x - shifts[o]) for x, o in zip(xs, owner)])
+        return lazy(shifted)(xs, owner)
 
-    results = minimize_many(objectives, dim, cfgs, batch=batch)
+    results = minimize_many(recording, dim, cfgs)
     cap = cfgs[0].restarts * (dim + 1)
     expected = expected_calls(runs, owners, cap)
-    assert len(calls) == len(expected) < len(groups)
-    assert all(r.calls == len(calls) for r in results)
+    assert len(calls) - 1 == len(expected)
+    assert all(r.calls == len(expected) for r in results)
     assert [len(xs) for xs, _ in calls[:3]] == [cap] * 3
     for (xs, owner), rows in zip(calls, expected):
         assert np.array_equal(xs, np.array([x for x, _ in rows]))
         assert owner.tolist() == [o for _, o in rows]
-
-
-def counting(fn, calls):
-    def batch(xs, *owner):
-        calls.append(len(xs))
-        return np.array([fn(x) for x in xs])
-
-    return batch
+    assert calls[-1][1].tolist() == [0, 1, 2]
 
 
 def test_calls_count_batched_objective_calls():
     cfg = OptimizerConfig(max_iterations=150, restarts=4, seed=8)
     calls = []
-    result = minimize(rugged, 3, cfg, batch=counting(rugged, calls))
-    assert result.calls == len(calls) > 0
-    assert sum(calls) + 1 == result.evaluations
-    # the scalar path runs the same rounds, one call of the row-wise batch each
-    assert minimize(rugged, 3, cfg).calls == result.calls
+    result = minimize(counting(RUGGED, calls), 3, cfg)
+    # the last call re-evaluates the result and is not part of the run
+    assert result.calls == len(calls) - 1 > 0
+    assert sum(calls) - cfg.restarts == result.evaluations
 
     calls.clear()
-    one = refine(rugged, np.ones(3), cfg, batch=counting(rugged, calls))
-    assert one.calls == len(calls) > 0
-    assert sum(calls) + 1 == one.evaluations
+    (one,) = refine(counting(RUGGED, calls), np.ones((1, 3)), cfg)
+    assert one.calls == len(calls) - 1 > 0
+    assert sum(calls) - 1 == one.evaluations
 
     calls.clear()
     cfgs = [replace(cfg, seed=s) for s in (1, 2, 3)]
-    many = minimize_many([rugged] * 3, 3, cfgs, batch=counting(rugged, calls))
+    many = minimize_many(counting(RUGGED, calls), 3, cfgs)
     # the problems share one run, so each reports all of its calls
-    assert [r.calls for r in many] == [len(calls)] * 3
-    assert sum(calls) + 3 == sum(r.evaluations for r in many)
-    assert len(calls) < sum(minimize(rugged, 3, c).calls for c in cfgs)
+    assert [r.calls for r in many] == [len(calls) - 1] * 3
+    assert sum(calls) - 3 * cfg.restarts == sum(r.evaluations for r in many)
+    assert len(calls) - 1 < sum(minimize(RUGGED, 3, c).calls for c in cfgs)
 
-    assert minimize(lambda x: 1.0, 0).calls == 0
+    assert minimize(constant(1.0), 0).calls == 0
     assert OptimizerResult(1.0, np.zeros(1), 3, 1, True).calls == 0
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.x, b.x)
+    assert ((a.value, a.iterations, a.restarts, a.converged, a.history, a.evaluations,
+             a.restart_values, a.best_restart)
+            == (b.value, b.iterations, b.restarts, b.converged, b.history, b.evaluations,
+                b.restart_values, b.best_restart))
 
 
 def test_minimize_many_equals_separate_runs_and_caps_rows():
     dim = 3
     cfgs = [OptimizerConfig(max_iterations=200, restarts=4, seed=s) for s in (1, 2, 3, 4, 5)]
     shifts = np.array([0.0, 1.0, -2.0, 0.5, 3.0])
-
-    def problem(shift):
-        return lambda x: rugged(x - shift)
-
-    objectives = [problem(s) for s in shifts]
     sizes = []
 
-    def batch(xs, owner):
+    def objective(xs, owner):
         sizes.append(len(xs))
-        return np.array([rugged(x - shifts[o]) for x, o in zip(xs, owner)])
+        return RUGGED(xs - shifts[owner][:, None], owner)
 
-    many = minimize_many(objectives, dim, cfgs, keep_history=True, batch=batch)
+    many = minimize_many(objective, dim, cfgs, keep_history=True)
     # the set-up alone is 5 problems x 4 restarts x 4 vertices = 80 rows
     assert max(sizes) <= cfgs[0].restarts * (dim + 1) < 80
-    assert sum(sizes) + len(cfgs) == sum(r.evaluations for r in many)
-    rowwise_many = minimize_many(objectives, dim, cfgs, keep_history=True)
-    for f, cfg, result, plain in zip(objectives, cfgs, many, rowwise_many):
-        alone = minimize(f, dim, cfg, keep_history=True)
-        for r in (result, plain):
-            assert np.array_equal(r.x, alone.x)
-            assert ((r.value, r.iterations, r.restarts, r.converged, r.history, r.evaluations,
-                     r.restart_values, r.best_restart)
-                    == (alone.value, alone.iterations, alone.restarts, alone.converged,
-                        alone.history, alone.evaluations, alone.restart_values,
-                        alone.best_restart))
+    # every row counts once, but for each run's lowest vertex, evaluated again with its gradient
+    assert sum(sizes) - len(cfgs) * cfgs[0].restarts == sum(r.evaluations for r in many)
+    for i, (cfg, result) in enumerate(zip(cfgs, many)):
+        alone = minimize(lambda xs, owner, i=i: objective(xs, np.full(len(xs), i)), dim, cfg,
+                         keep_history=True)
+        assert_same_result(result, alone)
 
 
 def test_minimize_many_config_checks():
     cfg = OptimizerConfig(restarts=2)
-    assert minimize_many([], 3, []) == []
+    assert minimize_many(QUADRATIC, 3, []) == []
     with pytest.raises(ValueError):
-        minimize_many([quadratic, quadratic], 3, [cfg, replace(cfg, restarts=3)])
+        minimize_many(QUADRATIC, 3, [cfg, replace(cfg, restarts=3)])
     with pytest.raises(ValueError):
-        minimize_many([quadratic], 3, [cfg, cfg])
-    constant = minimize_many([lambda x: 1.0, lambda x: 2.0], 0, [cfg, replace(cfg, seed=4)])
-    assert [r.value for r in constant] == [1.0, 2.0]
+        minimize_many(QUADRATIC, -1, [cfg])
+    # over R^0 each problem's constant is evaluated once, with its owner
+    per_owner = lazy(lambda xs, owner: (owner + 1.0, np.zeros(xs.shape)))
+    constants = minimize_many(per_owner, 0, [cfg, replace(cfg, seed=4)])
+    assert [r.value for r in constants] == [1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
-# BFGS: the lockstep core run on a batched objective with a gradient closure
-
-def lazy(gradient):
-    """The objective form ``_bfgs`` takes, (values, closure), of a (values, gradients) function."""
-
-    def objective(xs, owner):
-        values, gradients = gradient(xs, owner)
-        return values, lambda: gradients
-
-    return objective
-
-
-def bfgs_many(objectives, dim, cfgs, gradient, keep_history=False):
-    from uniparam.optimize import _bfgs, _minimize_many, _rowwise
-
-    return _minimize_many(_rowwise(objectives), dim, list(cfgs), keep_history,
-                          partial(_bfgs, lazy(gradient)))
-
-def rugged_grad(xs, owner=None):
-    return (np.sum(np.sin(3 * xs) ** 2, axis=1) + 0.01 * np.sum((xs - 2.0) ** 2, axis=1),
-            3 * np.sin(6 * xs) + 0.02 * (xs - 2.0))
-
-
-def quadratic_grad(xs, owner=None):
-    return np.sum((xs - 1.0) ** 2, axis=1), 2.0 * (xs - 1.0)
-
+# the lockstep BFGS core
 
 def test_bfgs_gradient_checks_its_own_test_functions():
     # the test functions' gradients are what the BFGS tests below lean on
@@ -417,7 +418,7 @@ def test_bfgs_gradient_checks_its_own_test_functions():
 
 def test_bfgs_quadratic_converges():
     cfg = OptimizerConfig(restarts=3, seed=4)
-    result = bfgs_many([quadratic], 5, [cfg], quadratic_grad)[0]
+    result = minimize(QUADRATIC, 5, cfg)
     assert result.value < 1e-16
     assert np.max(np.abs(result.x - 1.0)) < 1e-8
     assert result.converged
@@ -428,15 +429,14 @@ def test_bfgs_problem_with_others_equals_alone():
     dim = 4
     cfgs = [OptimizerConfig(max_iterations=300, restarts=5, seed=s) for s in (1, 2, 3)]
     shifts = np.array([0.0, 1.0, -2.0])
-    objectives = [lambda x, shift=shift: rugged(x - shift) for shift in shifts]
 
     def grad(xs, owner):
         return rugged_grad(xs - shifts[owner][:, None])
 
-    many = bfgs_many(objectives, dim, cfgs, grad, keep_history=True)
-    for i, (f, cfg, result) in enumerate(zip(objectives, cfgs, many)):
-        alone = bfgs_many([f], dim, [cfg], lambda xs, owner, i=i: grad(xs, np.full(len(xs), i)),
-                          keep_history=True)[0]
+    many = minimize_many(lazy(grad), dim, cfgs, keep_history=True)
+    for i, (cfg, result) in enumerate(zip(cfgs, many)):
+        alone = minimize(lazy(lambda xs, owner, i=i: grad(xs, np.full(len(xs), i))), dim, cfg,
+                         keep_history=True)
         assert np.array_equal(result.x, alone.x)
         assert ((result.value, result.iterations, result.restarts, result.converged,
                  result.history, result.evaluations, result.restart_values, result.best_restart)
@@ -447,8 +447,8 @@ def test_bfgs_problem_with_others_equals_alone():
 
 def test_bfgs_never_ends_above_start():
     cfg = OptimizerConfig(max_iterations=200, restarts=8, seed=12)
-    result = bfgs_many([rugged], 6, [cfg], rugged_grad, keep_history=True)[0]
-    starts = starts_of(cfg, 6)
+    result = minimize(RUGGED, 6, cfg, keep_history=True)
+    starts = restart_starts(cfg, 6)
     for start, value, trace in zip(starts, result.restart_values, result.history):
         assert value <= rugged(start)
         assert trace[-1] == value
@@ -460,7 +460,7 @@ def test_bfgs_never_ends_above_start():
 def test_bfgs_honours_max_iterations():
     for max_iterations in (1, 3):
         cfg = OptimizerConfig(max_iterations=max_iterations, restarts=4, seed=3)
-        result = bfgs_many([rugged], 5, [cfg], rugged_grad, keep_history=True)[0]
+        result = minimize(RUGGED, 5, cfg, keep_history=True)
         steps = [len(trace) - 1 for trace in result.history]
         assert all(s <= max_iterations for s in steps)
         assert result.iterations == sum(steps)
@@ -481,9 +481,10 @@ def test_bfgs_stops_after_max_trials(monkeypatch):
         rows.append(len(xs))
         return rugged_grad(xs)
 
-    result = bfgs_many([rugged], 5, [cfg], grad, keep_history=True)[0]
-    # the simplex's values call, the gradient call at the lowest vertices, then 5 trial calls
-    assert result.calls == len(rows) == 1 + 1 + 5
+    result = minimize(lazy(grad), 5, cfg, keep_history=True)
+    # the simplex's values call, the gradient call at the lowest vertices, then 5 trial calls;
+    # the last call re-evaluates the result
+    assert result.calls == len(rows) - 1 == 1 + 1 + 5
     assert result.evaluations == cfg.restarts * (5 + 1 + 5) + 1
     assert all(len(trace) - 1 <= 5 for trace in result.history)
     assert not result.converged
@@ -491,24 +492,16 @@ def test_bfgs_stops_after_max_trials(monkeypatch):
 
 def test_bfgs_telemetry():
     cfg = OptimizerConfig(max_iterations=150, restarts=4, seed=8)
-    rows, seen = [], []
-
-    def grad(xs, owner):
-        rows.append(len(xs))
-        return rugged_grad(xs)
-
-    def probe(x):
-        seen.append(x.copy())
-        return rugged(x)
-
-    result = bfgs_many([probe], 3, [cfg], grad, keep_history=True)[0]
+    rows = []
+    result = minimize(counting(RUGGED, rows), 3, cfg, keep_history=True)
     # the simplex's values call, the gradient call at each run's lowest vertex, then one trial
-    # point per live run and call; the vertex evaluated again counts once
+    # point per live run and call, and one call re-evaluates the result; the vertex evaluated
+    # again counts once
     assert rows[:2] == [cfg.restarts * (3 + 1), cfg.restarts]
     assert all(n <= cfg.restarts for n in rows[2:])
-    assert result.calls == len(rows)
-    assert result.evaluations == sum(rows) - cfg.restarts + 1 == sum(rows) - rows[1] + len(seen)
-    assert result.value == probe(result.x) == result.restart_values[result.best_restart]
+    assert result.calls == len(rows) - 1 and rows[-1] == 1
+    assert result.evaluations == sum(rows) - cfg.restarts == sum(rows) - rows[1]
+    assert result.value == rugged(result.x) == result.restart_values[result.best_restart]
     assert result.best_restart == result.restart_values.index(min(result.restart_values))
     assert result.iterations == sum(len(trace) - 1 for trace in result.history)
     assert len(result.restart_values) == result.restarts == cfg.restarts
@@ -522,7 +515,7 @@ def test_bfgs_gradient_memory_order_does_not_change_the_runs():
         values, grads = rugged_grad(xs)
         return values, np.asfortranarray(grads)
 
-    c, f = (bfgs_many([rugged], 6, [cfg], grad)[0] for grad in (rugged_grad, fortran))
+    c, f = (minimize(lazy(grad), 6, cfg) for grad in (rugged_grad, fortran))
     assert np.array_equal(c.x, f.x)
     assert ((c.value, c.restart_values, c.iterations, c.evaluations)
             == (f.value, f.restart_values, f.iterations, f.evaluations))
@@ -560,8 +553,6 @@ def test_bfgs_cuts_only_runs_behind_a_stopped_run(monkeypatch):
 
 def test_bfgs_simplex_set_up_calls_no_gradient():
     # the simplex is scored by values alone; every later call takes its one chunk's gradient
-    from uniparam.optimize import _bfgs, _minimize_many, _rowwise
-
     dim = 3
     cfgs = [OptimizerConfig(max_iterations=150, restarts=4, seed=s) for s in (8, 9)]
     cap = cfgs[0].restarts * (dim + 1)
@@ -578,16 +569,16 @@ def test_bfgs_simplex_set_up_calls_no_gradient():
 
         return values, gradient
 
-    results = _minimize_many(_rowwise([rugged, rugged]), dim, cfgs, False,
-                             partial(_bfgs, objective))
-    # two problems' simplices fill two calls of cap rows, and neither takes a gradient
-    assert calls[:2] == [[cap, 0], [cap, 0]]
-    assert len(calls) > 3 and all(called == 1 for _, called in calls[2:])
-    assert results[0].calls == results[1].calls == len(calls)
+    results = minimize_many(objective, dim, cfgs)
+    # two problems' simplices fill two calls of cap rows, and neither takes a gradient, nor
+    # does the last call, which re-evaluates the two results
+    assert calls[:2] == [[cap, 0], [cap, 0]] and calls[-1] == [2, 0]
+    assert len(calls) > 4 and all(called == 1 for _, called in calls[2:-1])
+    assert results[0].calls == results[1].calls == len(calls) - 1
     # the gradient rows: each run's lowest vertex once, then its trial points
     runs = sum(cfg.restarts for cfg in cfgs)
     trials = sum(r.evaluations - 1 for r in results) - runs * (dim + 1)
-    assert sum(rows for rows, _ in calls[2:]) == runs + trials
+    assert sum(rows for rows, _ in calls[2:-1]) == runs + trials
 
 
 def test_bfgs_stops_at_a_kink():
@@ -597,8 +588,7 @@ def test_bfgs_stops_at_a_kink():
                 np.sign(xs - 1.0) + 0.2 * (xs - 2.0))
 
     cfg = OptimizerConfig(restarts=4, seed=1)
-    result = bfgs_many([lambda x: float(kink(x[None])[0][0])], 4, [cfg], kink,
-                       keep_history=True)[0]
+    result = minimize(lazy(kink), 4, cfg, keep_history=True)
     assert abs(result.value - 0.4) < 1e-9
     assert all(len(trace) - 1 < cfg.max_iterations for trace in result.history)
 
@@ -613,7 +603,6 @@ def test_bfgs_objective_ignoring_a_coordinate():
 
     cfg = OptimizerConfig(restarts=3, seed=2)
     with np.errstate(all="raise"):
-        result = bfgs_many([lambda x: float(flat_in_last(x[None])[0][0])], 4, [cfg],
-                           flat_in_last)[0]
+        result = minimize(lazy(flat_in_last), 4, cfg)
     assert result.value < 1e-12
     assert np.allclose(result.x[:3], 1.0, atol=1e-5)

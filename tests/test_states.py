@@ -233,3 +233,14 @@ def test_validate_density_eigensworth():
     w = validate_density(np.eye(3) / 3)
     assert np.allclose(w, [1 / 3] * 3, atol=1e-14)
     assert herm_eig(np.eye(3) / 3).eigenvalues[0] > 0
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 1.5, True])
+def test_simplex_weights_rejects_non_integer_k(k):
+    # simplex_weights([], 1.0) raised a bare TypeError from np.ones
+    with pytest.raises(RankOutOfRangeError, match="integer"):
+        simplex_weights([0.3] * (int(k) - 1), k)
+
+
+def test_simplex_weights_accepts_numpy_integer_k():
+    assert np.array_equal(simplex_weights([0.3], np.int64(2)), simplex_weights([0.3], 2))

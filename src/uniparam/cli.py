@@ -197,14 +197,6 @@ def _fig1_candidates(ia: int, ib: int, best: dict[tuple[int, int], np.ndarray]) 
     return np.array(near)
 
 
-def _fig1_lift(share: tuple) -> list[float]:
-    """Normalized ``bound_opt`` of one worker's states, lifted from their candidates."""
-    points, results, candidates = share
-    bounds = lifted_bounds_b([fig1_state(alpha, beta) for _, _, alpha, beta in points], 3, 3,
-                             results, candidates)
-    return [b_opt / max_concurrence(3) for b_opt, _ in bounds]
-
-
 def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
                   seed: int = 0, jobs: int | None = None) -> list[ScanRow]:
     """Scan the full [0,1]^2 mixing square on a grid of spacing ``step``.
@@ -220,8 +212,9 @@ def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
     (``lifted_bounds_b``): twelve restarts can all miss a state's best
     maximum where a related state's finds it, and the mirrored rows,
     related by a local permutation, have equal bounds.  The second round
-    reads only the first round's results, so it does not depend on
-    ``jobs`` either.
+    runs in the calling process, in one ``lifted_bounds_b`` call on every
+    state; it reads only the first round's results, so it does not depend
+    on ``jobs`` either.
     """
     if not 0.0 < step <= 0.25:
         raise UniparamError(f"step must lie in (0, 0.25], got {step}")
@@ -242,13 +235,12 @@ def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
         if len(shares) > 1:
             run = stack.enter_context(ProcessPoolExecutor(max_workers=len(shares))).map
         results = dict(zip(itertools.chain(*dealt), itertools.chain(*run(_fig1_share, shares))))
-        best = {points[i][:2]: result.x for i, result in results.items()}
-        bounds = list(run(_fig1_lift, [([points[i] for i in idx], [results[i] for i in idx],
-                                        [_fig1_candidates(*points[i][:2], best) for i in idx])
-                                       for idx in dealt]))
-    for idx, share_bounds in zip(dealt, bounds):
-        for i, b_opt in zip(idx, share_bounds):
-            rows[i].bound_opt = b_opt
+    best = {points[i][:2]: result.x for i, result in results.items()}
+    bounds = lifted_bounds_b([fig1_state(*points[i][2:]) for i in states], 3, 3,
+                             [results[i] for i in states],
+                             [_fig1_candidates(*points[i][:2], best) for i in states])
+    for i, (b_opt, _) in zip(states, bounds):
+        rows[i].bound_opt = b_opt / max_concurrence(3)
     return rows
 
 

@@ -61,6 +61,7 @@ def _check_pair(m: int, n: int, d: int) -> None:
 
 def projector(l: int, d: int) -> np.ndarray:
     """One-dimensional projector |l><l| (1-based) in dimension d."""
+    d = _count(d, "dimension", 1, error=IndexOutOfRangeError)
     l = _count(l, "index", 1, d, IndexOutOfRangeError)
     p = np.zeros((d, d), dtype=complex)
     p[l - 1, l - 1] = 1.0
@@ -69,7 +70,7 @@ def projector(l: int, d: int) -> np.ndarray:
 
 def sigma(m: int, n: int, d: int) -> np.ndarray:
     """Antisymmetric generator -i|m><n| + i|n><m| (1-based), m < n."""
-    _check_pair(m, n, d)
+    _check_pair(m, n, _count(d, "dimension", 2, error=IndexOutOfRangeError))
     s = np.zeros((d, d), dtype=complex)
     s[m - 1, n - 1] = -1j
     s[n - 1, m - 1] = 1j
@@ -134,7 +135,7 @@ def _assert_angles(lam: np.ndarray, d: int | None = None) -> np.ndarray:
         raise IndexOutOfRangeError(
             f"angle matrix must be square with d >= 2, got shape {lam.shape}"
         )
-    if d is not None and lam.shape[0] != d:
+    if d is not None and lam.shape[0] != _count(d, "dimension", 2, error=IndexOutOfRangeError):
         raise LengthMismatchError(f"angle matrix is {lam.shape[0]}x{lam.shape[0]}, expected {d}x{d}")
     if not np.isfinite(lam).all():
         raise NonFiniteError("angle matrix has a NaN or infinite entry")

@@ -875,7 +875,7 @@ def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
         return result
     (seeded,) = minimize_many(_pt_surrogate(state.rho, search), n,
                               [replace(cfg, restarts=PT_SEED_RESTARTS)])
-    (run,) = refine(_objective(state, search), seeded.x[None], cfg)
+    (run,) = refine(_objective(state, search), seeded.x[None])
     return _with_run(result, run, seeded)
 
 
@@ -935,12 +935,11 @@ def lifted_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
     the state's result; lists of other lengths, or candidates of another
     width, raise ``LengthMismatchError``.  One batched call evaluates
     every candidate.  Where a state's best candidate lies below its result
-    by more than LIFT_MARGIN, one BFGS run starts from it, with the
-    default ``OptimizerConfig``; the runs of all such states step
-    together, each as it would alone, and join their results as the
-    seeded stage's run does (``_with_run``).  A run never ends above the
-    candidate it starts from, so a bound only rises.  Returns (B_opt,
-    result) per state.
+    by more than LIFT_MARGIN, one BFGS run (``refine``) starts from it; the
+    runs of all such states step together, each as it would alone, and
+    join their results as the seeded stage's run does (``_with_run``).  A
+    run never ends above the candidate it starts from, so a bound only
+    rises.  Returns (B_opt, result) per state.
     """
     search = _search(d_a, d_b)
     states = _states(rhos, d_a, d_b)

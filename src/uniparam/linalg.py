@@ -118,7 +118,10 @@ def _count(value: int, name: str, least: int, most: int | None = None,
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     m = _as_square(m)
-    dims = tuple(_count(d, "subsystem dimension", 1) for d in dims)
+    try:
+        dims = tuple(_count(d, "subsystem dimension", 1) for d in dims)
+    except TypeError:
+        raise DimensionMismatchError(f"dims must be a sequence of integers, got {dims!r}") from None
     if math.prod(dims) != m.shape[0]:
         raise DimensionMismatchError(
             f"product of dims {dims} does not match matrix size {m.shape[0]}"
@@ -130,8 +133,7 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], which: int) -> np.ndar
     """Transpose the tensor factor ``which`` (0-based) of a composite matrix."""
     m, dims = _check_dims(m, dims)
     n = len(dims)
-    if not 0 <= which < n:
-        raise DimensionMismatchError(f"subsystem index {which} outside 0..{n - 1}")
+    which = _count(which, "subsystem index", 0, n - 1)
     t = m.reshape(dims + dims)
     axes = list(range(2 * n))
     axes[which], axes[n + which] = axes[n + which], axes[which]
@@ -142,8 +144,7 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: int) -> np.ndarray:
     """Trace out every subsystem except ``keep`` (0-based)."""
     m, dims = _check_dims(m, dims)
     n = len(dims)
-    if not 0 <= keep < n:
-        raise DimensionMismatchError(f"subsystem index {keep} outside 0..{n - 1}")
+    keep = _count(keep, "subsystem index", 0, n - 1)
     t = m.reshape(dims + dims)
     # Contract row/column axis pairs of the traced subsystems, back to front
     # so earlier axis numbers stay valid.
@@ -158,7 +159,7 @@ def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) 
     """Reorder tensor factors so that new factor i is old factor ``perm[i]``."""
     m, dims = _check_dims(m, dims)
     n = len(dims)
-    perm = [int(p) for p in perm]
+    perm = [_count(p, "permutation entry", 0, n - 1) for p in perm]
     if sorted(perm) != list(range(n)):
         raise DimensionMismatchError(f"{perm} is not a permutation of 0..{n - 1}")
     t = m.reshape(dims + dims)

@@ -25,23 +25,22 @@ each run's lowest vertex takes its gradient, and after it each call
 evaluates one pending trial point, with its gradient, per live run.  Its
 line search is weak Wolfe, so no run ends above the best vertex of its
 start's simplex.  A run stops when its direction promises less than
-round-off, when a step gains less than ``f_tol`` and the next promises
-less than ``f_tol``, after ``max_iterations`` steps or BFGS_MAX_TRIALS
-(400) trial points, after BFGS_TRAILING_TRIALS (240) once a stopped run
-of its problem has a lower value, or at a kink, where its line search no
-longer moves it.  No objective call takes more than
-``restarts * (dim + 1)`` rows, the size of one problem's simplex set-up:
-larger evaluations are split into calls of that size, which bounds the
-memory of the batched evaluators.  ``OptimizerResult.calls`` counts the
-calls.
+round-off, when a step gains less than ``OptimizerConfig.f_tol`` and the
+next promises less than it, after BFGS_MAX_TRIALS (400) trial points,
+after BFGS_TRAILING_TRIALS (240) once a stopped run of its problem has a
+lower value, or at a kink, where its line search no longer moves it.
+An accepted step is one trial point, so no run takes more than 400
+steps.  No objective call takes more than ``restarts * (dim + 1)`` rows,
+the size of one problem's simplex set-up: larger evaluations are split
+into calls of that size, which bounds the memory of the batched
+evaluators.  ``OptimizerResult.calls`` counts the calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from numbers import Integral
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -70,40 +69,33 @@ BFGS_TRAILING_TRIALS = 240
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for ``minimize``, ``minimize_many`` and ``refine``.
+    """Restarts of ``minimize`` and ``minimize_many``.
 
-    max_iterations : accepted steps allowed per restart.
-    f_tol          : stop a restart once a step gains, and the next
-                     promises, less than this.
-    simplex_scale  : edge length (radians) of the initial simplex, whose
-                     lowest vertex is a run's first point.
     restarts       : number of starts; the first is the zero vector.
     seed           : seed for the restart draws, >= 0.
 
-    Values that could only fail later, inside the search or numpy, raise
-    ``ValueError`` here: a non-integer count or seed, a negative seed, and
-    a non-finite tolerance or scale.
+    A non-integer count or seed, or a negative seed, raises ``ValueError``
+    here rather than later inside the search or numpy.  Every run, those
+    of ``refine`` included, uses the two constants below.
+
+    f_tol          : stop a run once a step gains, and the next promises,
+                     less than this.
+    simplex_scale  : edge length (radians) of the initial simplex, whose
+                     lowest vertex is a run's first point.
     """
 
-    max_iterations: int = 2000
-    f_tol: float = 1e-10
-    simplex_scale: float = 0.5
+    f_tol: ClassVar[float] = 1e-10
+    simplex_scale: ClassVar[float] = 0.5
     restarts: int = 12
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("max_iterations", "restarts", "seed"):
+        for name in ("restarts", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0 < self.f_tol < math.inf:
-            raise ValueError("f_tol must be finite and > 0")
-        if not 0 < self.simplex_scale < math.inf:
-            raise ValueError("simplex_scale must be finite and > 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -145,15 +137,14 @@ Objective = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[], np
 
 
 def _bfgs(objective: Objective, starts: np.ndarray, owner: np.ndarray,
-          cap: int, scale: float, max_iterations: int, f_tol: float,
-          traces: list[list[float]] | None
+          cap: int, traces: list[list[float]] | None
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """One BFGS run from each row of ``starts``, all advanced in lockstep.
 
     ``objective(xs, owner)`` returns the values of the rows and a closure
     that gives their gradients.  The first call(s) score each start's
-    simplex (the start and one vertex ``scale`` along each axis) by the
-    values alone, and the run begins at its first lowest vertex: a
+    simplex (the start and one vertex ``simplex_scale`` along each axis)
+    by the values alone, and the run begins at its first lowest vertex: a
     gradient is 0 on a flat plateau, and a start there moves off it when a
     vertex does.  One call then evaluates every run's vertex again with
     its gradient, counted as one of its simplex points.  After it each
@@ -169,17 +160,18 @@ def _bfgs(objective: Objective, starts: np.ndarray, owner: np.ndarray,
     converged when its direction promises only round-off
     (-g.d <= ROUNDOFF |f|, a zero gradient included) or when an accepted
     step lowered f by less than ``f_tol`` and the next promises less
-    than ``f_tol`` (-g.d < f_tol).  It stops unconverged at
-    ``max_iterations`` iterations, after BFGS_MAX_TRIALS trial points,
-    after BFGS_TRAILING_TRIALS once a stopped run of its problem has a
-    lower value, so it can no longer win, or at a kink: when its bracket
-    no longer moves x, even along -g after H is reset.  Rows of a
+    than ``f_tol`` (-g.d < f_tol), both ``OptimizerConfig``'s.  It stops
+    unconverged after BFGS_MAX_TRIALS trial points, after
+    BFGS_TRAILING_TRIALS once a stopped run of its problem has a lower
+    value, so it can no longer win, or at a kink: when its bracket no
+    longer moves x, even along -g after H is reset.  Rows of a
     call are the live runs in run order, split into calls of ``cap``
     rows.  Returns
     each run's last point, its value, iterations, convergence flag and
     number of points evaluated, and the number of objective calls.
     """
     n_runs, dim = starts.shape
+    f_tol = OptimizerConfig.f_tol
     calls = 0
 
     def evaluate(xs: np.ndarray, own: np.ndarray,
@@ -206,7 +198,7 @@ def _bfgs(objective: Objective, starts: np.ndarray, owner: np.ndarray,
     # values alone score every run's simplex, and the run begins at its first
     # lowest vertex, where one call evaluates it again with its gradient
     eye = np.eye(dim)
-    simplex = starts[:, None] + np.vstack([np.zeros(dim), scale * eye])
+    simplex = starts[:, None] + np.vstack([np.zeros(dim), OptimizerConfig.simplex_scale * eye])
     fs, _ = evaluate(simplex.reshape(-1, dim), np.repeat(owner, dim + 1), gradients=False)
     ids, own = np.arange(n_runs), owner
     x = simplex[ids, np.argmin(fs.reshape(n_runs, dim + 1), axis=1)]
@@ -298,15 +290,13 @@ def _bfgs(objective: Objective, starts: np.ndarray, owner: np.ndarray,
         lo, hi = np.where(restart, 0.0, lo), np.where(restart, np.inf, hi)
         flat = restart & ((-slope <= ROUNDOFF * np.abs(f))
                           | ((decrease < f_tol) & (-slope < f_tol)))
-        stop = (flat | (stuck & ~reset) | (accept & (iters >= max_iterations))
-                | (evals > dim + BFGS_MAX_TRIALS)
+        stop = (flat | (stuck & ~reset) | (evals > dim + BFGS_MAX_TRIALS)
                 | ((evals > dim + BFGS_TRAILING_TRIALS) & (lead[own] < f)))
 
     return out_x, out_f, steps, converged, evaluations, calls
 
 
-def _solve(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
-           keep_history: bool) -> list[OptimizerResult]:
+def _solve(objective: Objective, starts: np.ndarray, keep_history: bool) -> list[OptimizerResult]:
     """R runs for each of P problems from the (P, R, dim) ``starts``, in one ``_bfgs`` lockstep.
 
     Per problem, its first run with the lowest value wins, and one call
@@ -317,8 +307,7 @@ def _solve(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
     traces: list[list[float]] | None = (
         [[] for _ in range(n_problems * n_runs)] if keep_history else None)
     owner = np.repeat(np.arange(n_problems), n_runs)
-    *runs, calls = _bfgs(objective, starts.reshape(-1, dim), owner, n_runs * (dim + 1),
-                         cfg.simplex_scale, cfg.max_iterations, cfg.f_tol, traces)
+    *runs, calls = _bfgs(objective, starts.reshape(-1, dim), owner, n_runs * (dim + 1), traces)
     x, fx, iters, converged, evaluations = (
         a.reshape(n_problems, n_runs, *a.shape[1:]) for a in runs)
     problems = np.arange(n_problems)
@@ -360,7 +349,7 @@ def minimize_many(objective: Objective, dim: int, cfgs: Sequence[OptimizerConfig
     starts = np.zeros((len(cfgs), cfgs[0].restarts, dim))
     for s, cfg in zip(starts, cfgs):
         s[1:] = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (cfg.restarts - 1, dim))
-    return _solve(objective, starts, cfgs[0], keep_history)
+    return _solve(objective, starts, keep_history)
 
 
 def minimize(objective: Objective, dim: int, cfg: OptimizerConfig | None = None,
@@ -377,15 +366,13 @@ def minimize(objective: Objective, dim: int, cfg: OptimizerConfig | None = None,
     return minimize_many(objective, dim, [cfg or OptimizerConfig()], keep_history)[0]
 
 
-def refine(objective: Objective, starts: np.ndarray,
-           cfg: OptimizerConfig | None = None) -> list[OptimizerResult]:
+def refine(objective: Objective, starts: np.ndarray) -> list[OptimizerResult]:
     """One BFGS run from each row of the (P, dim) ``starts``, row p on problem p.
 
-    The runs step in one lockstep with the settings of ``cfg``, whose
-    ``restarts`` and ``seed`` are not used.  Each result reports one
-    restart and is re-evaluated like that of ``minimize``.
+    The runs step in one lockstep.  Each result reports one restart and
+    is re-evaluated like that of ``minimize``.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2:
         raise ValueError(f"starts must be a (P, dim) array, got shape {starts.shape}")
-    return _solve(objective, starts[:, None], cfg or OptimizerConfig(), False)
+    return _solve(objective, starts[:, None], False)

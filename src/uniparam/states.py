@@ -97,7 +97,7 @@ def validate_density(rho: np.ndarray, rank_bound: int | None = None) -> np.ndarr
         raise NotPSDError(f"minimum eigenvalue {w[0]:.3e} < -1e-10")
     if rank_bound is not None:
         rank = int(np.sum(w > RANK_EIG_TOL))
-        if rank > rank_bound:
+        if rank > _count(rank_bound, "rank bound", 1, error=RankOutOfRangeError):
             raise RankOutOfRangeError(f"numerical rank {rank} exceeds declared bound {rank_bound}")
     return w
 

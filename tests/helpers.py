@@ -180,10 +180,16 @@ def restart_starts(cfg, dim):
     return [np.zeros(dim)] + [rng.uniform(0.0, 2 * np.pi, dim) for _ in range(cfg.restarts - 1)]
 
 
+# steps allowed per Nelder-Mead reference run
+NELDER_MEAD_MAX_ITERATIONS = 2000
+
+
 def nelder_mead_restarts(f, dim, cfg, starts=None):
     """One ``nelder_mead_reference`` run of ``f`` from each start (oracle path).
 
-    The starts default to those of ``cfg``'s restarts.  Returns an
+    The starts default to those of ``cfg``'s restarts; each run takes at
+    most NELDER_MEAD_MAX_ITERATIONS steps, with the simplex scale and
+    tolerance of ``OptimizerConfig``.  Returns an
     ``OptimizerResult``: the first best run's point and value, the summed
     steps, every point evaluated plus one re-evaluation of the result, and
     as ``calls`` the rounds of a lockstep of the runs, in which each live
@@ -197,7 +203,7 @@ def nelder_mead_restarts(f, dim, cfg, starts=None):
     for start in restart_starts(cfg, dim) if starts is None else starts:
         log = []
         runs.append(nelder_mead_reference(f, np.asarray(start, dtype=float), cfg.simplex_scale,
-                                          cfg.max_iterations, cfg.f_tol, log))
+                                          NELDER_MEAD_MAX_ITERATIONS, cfg.f_tol, log))
         rounds.append(sum(1 for _ in itertools.groupby(log, key=lambda e: e[:2])))
         points += len(log)
     values = [run[1] for run in runs]

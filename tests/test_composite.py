@@ -289,13 +289,17 @@ NON_INTEGER_INDEX = {
     "build_ucs 1.5": (RankOutOfRangeError, lambda: build_ucs(LAM3, 1.5)),
     "subspace_basis 1.0": (RankOutOfRangeError, lambda: subspace_basis(LAM3, 1.0, 3)),
     "build_density 1.5": (RankOutOfRangeError, lambda: build_density([0.4], LAM3, 1.5, 3)),
+    "sigma d 3.0": (IndexOutOfRangeError, lambda: sigma(1, 2, 3.0)),
+    "projector d 3.0": (IndexOutOfRangeError, lambda: projector(1, 3.0)),
+    "subspace_basis d 3.0": (IndexOutOfRangeError, lambda: subspace_basis(LAM3, 1, 3.0)),
+    "build_density d 3.0": (IndexOutOfRangeError, lambda: build_density([], LAM3, 1, 3.0)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NON_INTEGER_INDEX))
 def test_non_integer_indices_and_ranks_raise_their_errors(case):
-    # these raised numpy's IndexError or a bare TypeError, and build_ucd(lam, 1.5) returned the
-    # rank-1 product
+    # these raised numpy's IndexError or a bare TypeError, build_ucd(lam, 1.5) returned the
+    # rank-1 product, and subspace_basis and build_density took d = 3.0
     error, call = NON_INTEGER_INDEX[case]
     with pytest.raises(error, match="integer"):
         call()
@@ -304,7 +308,8 @@ def test_non_integer_indices_and_ranks_raise_their_errors(case):
 def test_numpy_integer_indices_and_ranks_accepted():
     i = np.int64
     assert np.array_equal(sigma(i(1), np.int32(3), i(3)), sigma(1, 3, 3))
-    assert np.array_equal(projector(np.uint8(2), 3), projector(2, 3))
+    assert np.array_equal(projector(np.uint8(2), i(3)), projector(2, 3))
+    assert np.array_equal(build_density([], LAM3, 1, i(3)), build_density([], LAM3, 1, 3))
     assert np.array_equal(apply_factor(np.eye(3), i(1), i(2), 0.1, 0.2),
                           apply_factor(np.eye(3), 1, 2, 0.1, 0.2))
     assert np.array_equal(build_ucd(LAM3, i(2)), build_ucd(LAM3, 2))

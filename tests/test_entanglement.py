@@ -385,7 +385,7 @@ def test_n_copy_state():
 def test_optimized_bound_never_below_plain():
     rng = np.random.default_rng(55)
     rho = rand_density(rng, 4)
-    cfg = OptimizerConfig(max_iterations=400, restarts=3, seed=1)
+    cfg = OptimizerConfig(restarts=3, seed=1)
     b_opt, result = optimized_bound_b(rho, 2, 2, cfg)
     assert b_opt >= bound_b(rho, 2, 2).b - 1e-9
     assert result.restarts == 3
@@ -500,6 +500,9 @@ BAD_COUNTS = {
     "bipartitions True": lambda: enumerate_bipartitions(True, (4,)),
     "bound_x dims triple": lambda: bound_x(np.eye(9) / 9, 1, 2, 1, 2, dims=(3, 3, 1)),
     "bound_x dims scalar": lambda: bound_x(np.eye(9) / 9, 1, 2, 1, 2, dims=9),
+    "ppt_min_eigenvalue dims scalar": lambda: ppt_min_eigenvalue(np.eye(4) / 4, 4),
+    "multipartite_bound_b dims scalar": lambda: multipartite_bound_b(np.eye(4) / 4, 4),
+    "n_copy_state dims scalar": lambda: n_copy_state(np.eye(4) / 4, 4, 2),
 }
 
 
@@ -547,7 +550,7 @@ def test_numpy_integer_dims_and_indices_accepted():
     assert (bound_x(rho, i(1), i(2), i(1), np.int32(3), dims=(i(2), i(3)))
             == bound_x(rho, 1, 2, 1, 3, dims=(2, 3)))
     assert ppt_min_eigenvalue(rho, (i(2), i(3))) == ppt_min_eigenvalue(rho, (2, 3))
-    cfg = OptimizerConfig(restarts=2, max_iterations=5)
+    cfg = OptimizerConfig(restarts=2)
     assert optimized_bound_b(rho, i(2), i(3), cfg)[0] == optimized_bound_b(rho, 2, 3, cfg)[0]
 
 
@@ -608,7 +611,7 @@ def test_objectives_unequal_dims(d_a, d_b):
     term = bound_x(rho, 1, 2, 1, 2, dims=(d_a, d_b))
     assert abs(g(np.zeros(n_distill)) + term ** 2) < 1e-12
 
-    cfg = OptimizerConfig(max_iterations=300, restarts=2, seed=3)
+    cfg = OptimizerConfig(restarts=2, seed=3)
     b_opt, result = optimized_bound_b(rho, d_a, d_b, cfg)
     assert result.x.size == n_a + n_b
     assert b_opt >= plain - 1e-12
@@ -649,7 +652,7 @@ def test_optimized_bounds_many_equal_one_at_a_time(case):
     else:
         rng = np.random.default_rng(77)
         rhos = [rand_density(rng, 12, rank=r) for r in (1, 2, 12)]
-        dims, cfg = (3, 4), OptimizerConfig(max_iterations=300, restarts=3)
+        dims, cfg = (3, 4), OptimizerConfig(restarts=3)
     cfgs = [replace(cfg, seed=3 + i) for i in range(len(rhos))]
     many = optimized_bounds_b(rhos, *dims, cfgs)
     assert len(many) == len(rhos)
@@ -1055,7 +1058,7 @@ def test_witness_search_does_not_screen(monkeypatch):
     assert x_sq > 0.0 and len(result.restart_values) == OptimizerConfig().restarts + 1
     assert calls == []
     # the bound's search sums nine blocks per row and does screen
-    optimized_bound_b(rho, 3, 3, OptimizerConfig(restarts=1, max_iterations=5))
+    optimized_bound_b(rho, 3, 3, OptimizerConfig(restarts=1))
     assert calls
 
 
@@ -1256,7 +1259,7 @@ def test_batched_bounds_reject_mismatched_lengths():
     from uniparam.entanglement import lifted_bounds_b
 
     rhos = [fig1_state(0.5, 0.25), fig1_state(0.25, 0.5)]
-    cfg = OptimizerConfig(restarts=1, max_iterations=2)
+    cfg = OptimizerConfig(restarts=1)
     with pytest.raises(LengthMismatchError):
         optimized_bounds_b(rhos, 3, 3, [cfg])
     with pytest.raises(LengthMismatchError):

@@ -152,6 +152,35 @@ def test_dims_validation():
         partial_transpose(np.eye(6), (2, 3), which=2)
 
 
+MIXED_2x2 = np.eye(4) / 4
+BAD_SUBSYSTEM_ARGS = {
+    "partial_trace dims scalar": lambda: partial_trace(MIXED_2x2, 4, 0),
+    "partial_transpose dims scalar": lambda: partial_transpose(MIXED_2x2, 4, 0),
+    "permute_subsystems dims scalar": lambda: permute_subsystems(MIXED_2x2, 4, [0]),
+    "partial_trace keep 1.0": lambda: partial_trace(MIXED_2x2, (2, 2), 1.0),
+    "partial_transpose which 1.0": lambda: partial_transpose(MIXED_2x2, (2, 2), 1.0),
+    "permute_subsystems perm 1.5": lambda: permute_subsystems(MIXED_2x2, (2, 2), [1.5, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SUBSYSTEM_ARGS))
+def test_non_integer_dims_and_subsystems_raise_dimension_mismatch(case):
+    # a scalar dims raised a bare TypeError from its iteration, as did partial_transpose's
+    # which=1.0; partial_trace accepted keep=1.0, and int() cut the permutation [1.5, 0] to [1, 0]
+    with pytest.raises(DimensionMismatchError, match="integer"):
+        BAD_SUBSYSTEM_ARGS[case]()
+
+
+def test_numpy_integer_subsystems_accepted():
+    rho = rand_density(np.random.default_rng(19), 6)
+    i = np.int64
+    assert np.array_equal(partial_trace(rho, (i(2), i(3)), i(1)), partial_trace(rho, (2, 3), 1))
+    assert np.array_equal(partial_transpose(rho, np.array([2, 3]), np.int32(0)),
+                          partial_transpose(rho, (2, 3), 0))
+    assert np.array_equal(permute_subsystems(rho, (2, 3), np.array([1, 0])),
+                          permute_subsystems(rho, (2, 3), [1, 0]))
+
+
 def test_permute_subsystems():
     rng = np.random.default_rng(18)
     ra, rb, rc = (rand_density(rng, d) for d in (2, 3, 2))

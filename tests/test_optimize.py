@@ -1,10 +1,10 @@
-import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from uniparam import OptimizerConfig, OptimizerResult, minimize, minimize_many, refine
+from uniparam.optimize import BFGS_MAX_TRIALS
 from helpers import restart_starts
 
 
@@ -70,7 +70,7 @@ def test_dim_zero_returns_constant():
 
 
 def test_deterministic_replay():
-    cfg = OptimizerConfig(max_iterations=300, restarts=4, seed=123)
+    cfg = OptimizerConfig(restarts=4, seed=123)
     a = minimize(QUADRATIC, 3, cfg)
     b = minimize(QUADRATIC, 3, cfg)
     assert a.value == b.value
@@ -85,12 +85,12 @@ def test_first_restart_starts_at_zero():
         seen.append(xs.copy())
         return QUADRATIC(xs, owner)
 
-    minimize(probe, 3, OptimizerConfig(max_iterations=1, restarts=1, seed=0))
+    minimize(probe, 3, OptimizerConfig(restarts=1, seed=0))
     assert np.array_equal(seen[0][0], np.zeros(3))
 
 
 def test_history_monotone_within_restart():
-    cfg = OptimizerConfig(max_iterations=500, restarts=3, seed=7)
+    cfg = OptimizerConfig(restarts=3, seed=7)
     result = minimize(QUADRATIC, 5, cfg, keep_history=True)
     assert result.history is not None and len(result.history) == 3
     for trace in result.history:
@@ -101,7 +101,7 @@ def test_history_monotone_within_restart():
 def test_best_monotone_in_restart_count():
     values = []
     for restarts in (1, 3, 6, 10):
-        cfg = OptimizerConfig(max_iterations=400, restarts=restarts, seed=5)
+        cfg = OptimizerConfig(restarts=restarts, seed=5)
         values.append(minimize(RUGGED, 4, cfg).value)
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
@@ -113,43 +113,44 @@ def test_result_value_matches_objective():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(f_tol=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(simplex_scale=-1.0)
-    with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         minimize(QUADRATIC, -1)
 
 
 @pytest.mark.parametrize("field, value", [
-    ("simplex_scale", math.inf),
-    ("simplex_scale", math.nan),
-    ("f_tol", math.inf),
-    ("f_tol", math.nan),
     ("restarts", 1.5),
     ("restarts", 2.0),
     ("restarts", True),
-    ("max_iterations", 100.0),
     ("seed", 0.5),
     ("seed", -1),
 ])
 def test_config_rejects_values_that_only_fail_later(field, value):
-    # simplex_scale=inf ended in a raw LinAlgError or 96,037 NaN evaluations, restarts=1.5
-    # failed inside np.zeros and seed=-1 inside numpy's generator, all at minimize time
+    # restarts=1.5 failed inside np.zeros and seed=-1 inside numpy's generator, both at minimize
+    # time
     with pytest.raises(ValueError, match=field):
         OptimizerConfig(**{field: value})
 
 
+def test_config_takes_only_restarts_and_seed():
+    # the step cap could never bind (a run takes at most BFGS_MAX_TRIALS steps), and the
+    # tolerance and simplex scale are constants every run shares, refine's included
+    for field in ("max_iterations", "f_tol", "simplex_scale"):
+        with pytest.raises(TypeError):
+            OptimizerConfig(**{field: 1})
+    with pytest.raises(TypeError):
+        refine(QUADRATIC, np.zeros((1, 2)), OptimizerConfig())
+    assert [f.name for f in fields(OptimizerConfig)] == ["restarts", "seed"]
+    assert (OptimizerConfig().f_tol, OptimizerConfig().simplex_scale) == (1e-10, 0.5)
+
+
 def test_config_accepts_numpy_integers():
-    cfg = OptimizerConfig(max_iterations=np.int64(50), restarts=np.int32(2), seed=np.uint32(7))
+    cfg = OptimizerConfig(restarts=np.int32(2), seed=np.uint32(7))
     assert minimize(QUADRATIC, 2, cfg).restarts == 2
 
 
 def test_result_fields():
-    result = minimize(QUADRATIC, 2, OptimizerConfig(max_iterations=50, restarts=2, seed=3))
+    result = minimize(QUADRATIC, 2, OptimizerConfig(restarts=2, seed=3))
     assert isinstance(result, OptimizerResult)
     assert result.iterations > 0
     assert result.restarts == 2
@@ -163,32 +164,31 @@ def test_refine_runs_once_from_start():
         return QUADRATIC(xs, owner)
 
     start = np.array([[3.0, -2.0, 0.5]])
-    cfg = OptimizerConfig(restarts=5, seed=11)
-    (result,) = refine(probe, start, cfg)
+    (result,) = refine(probe, start)
     assert np.array_equal(seen[0][0], start[0])
     assert result.restarts == 1
     assert result.value == quadratic_grad(result.x[None])[0][0]
     assert result.value < 1e-8
-    (again,) = refine(QUADRATIC, start, cfg)
+    (again,) = refine(QUADRATIC, start)
     assert np.array_equal(again.x, result.x)
     assert again.iterations == result.iterations
     # several starts are several problems in one lockstep, each run as it runs alone
     starts = np.array(restart_starts(OptimizerConfig(restarts=4, seed=2), 3))
-    many = refine(RUGGED, starts, cfg)
+    many = refine(RUGGED, starts)
     assert len(many) == len(starts)
     for row, r in zip(starts, many):
-        (alone,) = refine(RUGGED, row[None], cfg)
+        (alone,) = refine(RUGGED, row[None])
         assert np.array_equal(r.x, alone.x)
         assert ((r.value, r.iterations, r.evaluations, r.restart_values, r.best_restart)
                 == (alone.value, alone.iterations, alone.evaluations, alone.restart_values,
                     alone.best_restart))
     with pytest.raises(ValueError):
-        refine(QUADRATIC, start[0], cfg)
+        refine(QUADRATIC, start[0])
 
 
 def test_evaluation_telemetry():
     rows = []
-    cfg = OptimizerConfig(max_iterations=150, restarts=4, seed=8)
+    cfg = OptimizerConfig(restarts=4, seed=8)
     result = minimize(counting(RUGGED, rows), 3, cfg)
     # every row counts once, but for each run's lowest vertex, evaluated again with its gradient
     assert result.evaluations == sum(rows) - cfg.restarts
@@ -198,7 +198,7 @@ def test_evaluation_telemetry():
     assert result.value == rugged_grad(result.x[None])[0][0]
 
     rows.clear()
-    (one,) = refine(counting(RUGGED, rows), np.ones((1, 3)), cfg)
+    (one,) = refine(counting(RUGGED, rows), np.ones((1, 3)))
     assert one.evaluations == sum(rows) - 1
     assert one.best_restart == 0 and len(one.restart_values) == 1
 
@@ -222,16 +222,15 @@ def rowwise(gradient):
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
-@pytest.mark.parametrize("fn, dim, max_iterations", [
-    (quadratic_grad, 1, 2000), (rugged_grad, 3, 40), (rugged_grad, 6, 2000),
-    (quadratic_grad, 5, 25),
-], ids=["quadratic-1-2000", "rugged-3-40", "rugged-6-2000", "quadratic-5-25"])
-def test_minimize_matches_reference_loop(fn, dim, max_iterations, batched):
+@pytest.mark.parametrize("fn, dim", [
+    (quadratic_grad, 1), (rugged_grad, 3), (rugged_grad, 6), (quadratic_grad, 5),
+], ids=["quadratic-1", "rugged-3", "rugged-6", "quadratic-5"])
+def test_minimize_matches_reference_loop(fn, dim, batched):
     # lockstep restarts give what separate one-at-a-time runs from the same starts give, and an
     # objective that evaluates its rows one by one gives what the batched one gives
     objective = lazy(fn if batched else rowwise(fn))
-    cfg = OptimizerConfig(max_iterations=max_iterations, restarts=5, seed=dim)
-    alone = [refine(objective, start[None], cfg)[0] for start in restart_starts(cfg, dim)]
+    cfg = OptimizerConfig(restarts=5, seed=dim)
+    alone = [refine(objective, start[None])[0] for start in restart_starts(cfg, dim)]
     best = min(range(5), key=lambda r: alone[r].value)
     result = minimize(objective, dim, cfg, keep_history=True)
     assert np.array_equal(result.x, alone[best].x)
@@ -251,7 +250,7 @@ def jagged_grad(xs, owner=None):
             20 * np.sin(40 * xs) + 0.02 * (xs - 2.0))
 
 
-def rounds_alone(objective, start, cfg):
+def rounds_alone(objective, start):
     """The rows a BFGS run from ``start`` evaluates alone, one list per call.
 
     Its simplex, then its lowest vertex, then one trial point per call;
@@ -263,7 +262,7 @@ def rounds_alone(objective, start, cfg):
         calls.append(list(xs))
         return objective(xs, owner)
 
-    refine(recording, start[None], cfg)
+    refine(recording, start[None])
     return calls[:-1]
 
 
@@ -276,14 +275,13 @@ def expected_calls(runs, owners, cap):
     return calls
 
 
-@pytest.mark.parametrize("fn, dim, max_iterations",
-                         [(jagged_grad, 3, 200), (quadratic_grad, 4, 2000)],
-                         ids=["jagged-3-200", "quadratic-4-2000"])
-def test_one_problem_call_sequence(fn, dim, max_iterations):
+@pytest.mark.parametrize("fn, dim", [(jagged_grad, 3), (quadratic_grad, 4)],
+                         ids=["jagged-3", "quadratic-4"])
+def test_one_problem_call_sequence(fn, dim):
     # call k evaluates the k-th round of every run still live, in restart order: first the
     # simplex set-ups, then each run's lowest vertex, then each run's pending trial point
-    cfg = OptimizerConfig(max_iterations=max_iterations, restarts=4, seed=2)
-    runs = [rounds_alone(lazy(fn), start, cfg) for start in restart_starts(cfg, dim)]
+    cfg = OptimizerConfig(restarts=4, seed=2)
+    runs = [rounds_alone(lazy(fn), start) for start in restart_starts(cfg, dim)]
     calls = []
 
     def recording(xs, owner):
@@ -303,7 +301,7 @@ def test_many_problem_call_sequence():
     # three problems: the set-up round is three problems' worth of rows and splits into calls
     # of one problem's set-up, the cap; later rounds are cut the same way
     dim = 3
-    cfgs = [OptimizerConfig(max_iterations=200, restarts=4, seed=s) for s in (6, 7, 8)]
+    cfgs = [OptimizerConfig(restarts=4, seed=s) for s in (6, 7, 8)]
     shifts = np.array([0.0, 1.5, -1.0])
 
     def shifted(xs, owner):
@@ -312,7 +310,7 @@ def test_many_problem_call_sequence():
     runs, owners = [], []
     for o, cfg in enumerate(cfgs):
         alone = lazy(lambda xs, owner, o=o: shifted(xs, np.full(len(xs), o)))
-        runs += [rounds_alone(alone, start, cfg) for start in restart_starts(cfg, dim)]
+        runs += [rounds_alone(alone, start) for start in restart_starts(cfg, dim)]
         owners += [o] * cfg.restarts
 
     calls = []
@@ -334,7 +332,7 @@ def test_many_problem_call_sequence():
 
 
 def test_calls_count_batched_objective_calls():
-    cfg = OptimizerConfig(max_iterations=150, restarts=4, seed=8)
+    cfg = OptimizerConfig(restarts=4, seed=8)
     calls = []
     result = minimize(counting(RUGGED, calls), 3, cfg)
     # the last call re-evaluates the result and is not part of the run
@@ -342,7 +340,7 @@ def test_calls_count_batched_objective_calls():
     assert sum(calls) - cfg.restarts == result.evaluations
 
     calls.clear()
-    (one,) = refine(counting(RUGGED, calls), np.ones((1, 3)), cfg)
+    (one,) = refine(counting(RUGGED, calls), np.ones((1, 3)))
     assert one.calls == len(calls) - 1 > 0
     assert sum(calls) - 1 == one.evaluations
 
@@ -368,7 +366,7 @@ def assert_same_result(a, b):
 
 def test_minimize_many_equals_separate_runs_and_caps_rows():
     dim = 3
-    cfgs = [OptimizerConfig(max_iterations=200, restarts=4, seed=s) for s in (1, 2, 3, 4, 5)]
+    cfgs = [OptimizerConfig(restarts=4, seed=s) for s in (1, 2, 3, 4, 5)]
     shifts = np.array([0.0, 1.0, -2.0, 0.5, 3.0])
     sizes = []
 
@@ -427,7 +425,7 @@ def test_bfgs_quadratic_converges():
 
 def test_bfgs_problem_with_others_equals_alone():
     dim = 4
-    cfgs = [OptimizerConfig(max_iterations=300, restarts=5, seed=s) for s in (1, 2, 3)]
+    cfgs = [OptimizerConfig(restarts=5, seed=s) for s in (1, 2, 3)]
     shifts = np.array([0.0, 1.0, -2.0])
 
     def grad(xs, owner):
@@ -446,7 +444,7 @@ def test_bfgs_problem_with_others_equals_alone():
 
 
 def test_bfgs_never_ends_above_start():
-    cfg = OptimizerConfig(max_iterations=200, restarts=8, seed=12)
+    cfg = OptimizerConfig(restarts=8, seed=12)
     result = minimize(RUGGED, 6, cfg, keep_history=True)
     starts = restart_starts(cfg, 6)
     for start, value, trace in zip(starts, result.restart_values, result.history):
@@ -457,20 +455,9 @@ def test_bfgs_never_ends_above_start():
     assert min(result.restart_values) <= rugged(np.zeros(6))
 
 
-def test_bfgs_honours_max_iterations():
-    for max_iterations in (1, 3):
-        cfg = OptimizerConfig(max_iterations=max_iterations, restarts=4, seed=3)
-        result = minimize(RUGGED, 5, cfg, keep_history=True)
-        steps = [len(trace) - 1 for trace in result.history]
-        assert all(s <= max_iterations for s in steps)
-        assert result.iterations == sum(steps)
-        # a run cut off after one or three steps of this function has not converged
-        assert not result.converged
-
-
 def test_bfgs_stops_after_max_trials(monkeypatch):
-    # a run ends after BFGS_MAX_TRIALS trial points past its simplex, whatever max_iterations
-    # allows, so no lockstep takes more than that many calls after the set-up call
+    # a run ends after BFGS_MAX_TRIALS trial points past its simplex, so no lockstep takes more
+    # than that many calls after the set-up call
     import uniparam.optimize
 
     monkeypatch.setattr(uniparam.optimize, "BFGS_MAX_TRIALS", 5)
@@ -491,7 +478,7 @@ def test_bfgs_stops_after_max_trials(monkeypatch):
 
 
 def test_bfgs_telemetry():
-    cfg = OptimizerConfig(max_iterations=150, restarts=4, seed=8)
+    cfg = OptimizerConfig(restarts=4, seed=8)
     rows = []
     result = minimize(counting(RUGGED, rows), 3, cfg, keep_history=True)
     # the simplex's values call, the gradient call at each run's lowest vertex, then one trial
@@ -509,7 +496,7 @@ def test_bfgs_telemetry():
 
 def test_bfgs_gradient_memory_order_does_not_change_the_runs():
     # a gradient in C or in F order must give the same runs: row sums follow memory order
-    cfg = OptimizerConfig(max_iterations=150, restarts=4, seed=8)
+    cfg = OptimizerConfig(restarts=4, seed=8)
 
     def fortran(xs, owner):
         values, grads = rugged_grad(xs)
@@ -532,7 +519,7 @@ def test_bfgs_cuts_only_runs_behind_a_stopped_run(monkeypatch):
     owner = np.repeat([0, 1], 6)
 
     def run():
-        return _bfgs(lazy(rugged_grad), starts, owner, 6 * (dim + 1), 0.5, 2000, 1e-10, None)
+        return _bfgs(lazy(rugged_grad), starts, owner, 6 * (dim + 1), None)
 
     x, f, _, _, evals, calls = run()
     monkeypatch.setattr(uniparam.optimize, "BFGS_TRAILING_TRIALS", trailing)
@@ -554,7 +541,7 @@ def test_bfgs_cuts_only_runs_behind_a_stopped_run(monkeypatch):
 def test_bfgs_simplex_set_up_calls_no_gradient():
     # the simplex is scored by values alone; every later call takes its one chunk's gradient
     dim = 3
-    cfgs = [OptimizerConfig(max_iterations=150, restarts=4, seed=s) for s in (8, 9)]
+    cfgs = [OptimizerConfig(restarts=4, seed=s) for s in (8, 9)]
     cap = cfgs[0].restarts * (dim + 1)
     calls = []  # per objective call: [rows, gradient closures called]
 
@@ -582,7 +569,8 @@ def test_bfgs_simplex_set_up_calls_no_gradient():
 
 
 def test_bfgs_stops_at_a_kink():
-    # |x - 1| has no gradient at its minimum; the runs must stop there, not at max_iterations
+    # |x - 1| has no gradient at its minimum; the runs must stop there, not at the trial cap,
+    # which a lockstep with a run still live reaches only after BFGS_MAX_TRIALS calls
     def kink(xs, owner=None):
         return (np.sum(np.abs(xs - 1.0), axis=1) + 0.1 * np.sum((xs - 2.0) ** 2, axis=1),
                 np.sign(xs - 1.0) + 0.2 * (xs - 2.0))
@@ -590,7 +578,7 @@ def test_bfgs_stops_at_a_kink():
     cfg = OptimizerConfig(restarts=4, seed=1)
     result = minimize(lazy(kink), 4, cfg, keep_history=True)
     assert abs(result.value - 0.4) < 1e-9
-    assert all(len(trace) - 1 < cfg.max_iterations for trace in result.history)
+    assert result.calls < BFGS_MAX_TRIALS
 
 
 def test_bfgs_objective_ignoring_a_coordinate():

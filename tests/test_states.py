@@ -229,6 +229,18 @@ def test_validate_density_rejects_rank_violation():
         validate_density(np.eye(4) / 4, rank_bound=2)
 
 
+@pytest.mark.parametrize("bound", [2.5, 4.0, True])
+def test_validate_density_rejects_non_integer_rank_bound(bound):
+    # 2.5 and True were accepted as bounds, and 4.0 compared as 4
+    with pytest.raises(RankOutOfRangeError, match="integer"):
+        validate_density(np.eye(4) / 4, rank_bound=bound)
+
+
+def test_validate_density_accepts_numpy_integer_rank_bound():
+    w = validate_density(np.eye(4) / 4, rank_bound=np.int64(4))
+    assert np.array_equal(w, validate_density(np.eye(4) / 4))
+
+
 def test_validate_density_eigensworth():
     w = validate_density(np.eye(3) / 3)
     assert np.allclose(w, [1 / 3] * 3, atol=1e-14)

@@ -185,20 +185,49 @@ def _product_pullback(lam: np.ndarray, u: np.ndarray, grad: np.ndarray,
     order, Z_{k+1} = F_k† Z_k F_k, gives every derivative:
     Re(e Z[m, n]) - Re(conj(e) Z[n, m]) for the rotation and Im Z[n, n] for
     the phase, e the factor's phase e^{i lam[n, m]}.
+
+    The trig of every factor is taken before the sweep, from one gather.
+    Later factors read and update only the rows and columns of their own
+    indices, so each conjugation updates the entries within the span
+    [lo, hi) of the indices of the factors after it, and the last factor
+    none; the span follows from ``pairs``.  Every entry that is updated
+    gets the arithmetic of a full conjugation, so the derivatives are too.
     """
     axes = (-2, -1, *range(lam.ndim - 2))
     z = (grad @ np.swapaxes(u.conj(), -1, -2)).transpose(axes)
     ang = lam.transpose(axes)
+    m0 = [m - 1 for m, _ in pairs]
+    n0 = [n - 1 for _, n in pairs]
+    p = len(pairs)
+    angles = ang[m0 + n0, n0 + m0]
+    cos_all, sin_all, e_all = np.cos(angles[:p]), np.sin(angles[:p]), np.exp(1j * angles[p:])
     out = np.zeros(ang.shape)
-    for m, n in pairs:
-        m, n = m - 1, n - 1
-        c, s = np.cos(ang[m, n]), np.sin(ang[m, n])
-        e = np.exp(1j * ang[n, m])
+    for k, (m, n) in enumerate(zip(m0, n0)):
+        c, s, e = cos_all[k], sin_all[k], e_all[k]
         out[m, n] = (e * z[m, n]).real - (e.conj() * z[n, m]).real
         out[n, m] = z[n, n].imag
-        _rows_update(z, m, n, c, s, e, True)
-        zm, zn = z[:, m], z[:, n]
-        z[:, m], z[:, n] = c * zm - (e * s) * zn, s * zm + (e * c) * zn
+        later = m0[k + 1:] + n0[k + 1:]
+        if not later:
+            break
+        lo, hi = min(later), max(later) + 1
+        keep_m, keep_n = lo <= m < hi, lo <= n < hi
+        if not (keep_m or keep_n):
+            continue
+        # F† mixes rows m and n over the live columns and columns m and n, which F mixes next
+        cols, live = slice(min(lo, m), max(hi, n + 1)), slice(lo, hi)
+        # both new rows (then columns) are formed from the old ones before either is assigned
+        a, b = z[m, cols], z[n, cols]
+        rows = (c * a - (s * np.conj(e)) * b if keep_m else None,
+                s * a + (c * np.conj(e)) * b if keep_n else None)
+        for i, row in zip((m, n), rows):
+            if row is not None:
+                z[i, cols] = row
+        a, b = z[live, m], z[live, n]
+        columns = (c * a - (e * s) * b if keep_m else None,
+                   s * a + (e * c) * b if keep_n else None)
+        for j, column in zip((m, n), columns):
+            if column is not None:
+                z[live, j] = column
     return np.ascontiguousarray(out.transpose(*range(2, out.ndim), 0, 1))
 
 
@@ -257,12 +286,16 @@ def _ucs(lam: np.ndarray, k: int) -> np.ndarray:
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-norm of U†U - I for a d x k column set U, with I of size k (U unitary when square).
 
-    An array that is not 2-D raises ``DimensionMismatchError``.
+    Entries so large that U†U overflows give ``inf``, with no warning; the
+    gates compare ``not defect <= tol``, so no defect that is not a number
+    passes them.  An array that is not 2-D raises ``DimensionMismatchError``.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2:
         raise DimensionMismatchError(f"expected a d x k column set, got shape {u.shape}")
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
+    return defect if math.isfinite(defect) else math.inf
 
 
 def zeroing_angles(a: complex, b: complex, tol: float) -> tuple[float, float]:
@@ -313,7 +346,7 @@ def decompose(u: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NonFiniteError("matrix has a NaN or infinite entry")
     defect = unitarity_defect(a)
-    if defect > UNITARITY_INPUT_TOL:
+    if not defect <= UNITARITY_INPUT_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds 1e-9")
     d = a.shape[0]
     lam = _zeroing_sweep(a, sigma_pairs(d))

@@ -261,31 +261,44 @@ def _product_basis(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
     return w.reshape(w.shape[:-4] + (d_a * d_b, m_a * m_b))
 
 
-def _rotated_blocks(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
-                    idx: np.ndarray) -> np.ndarray:
-    """(..., P, 4, 4) stack of the blocks ``idx`` of W† rho W, W = w_a (x) w_b.
+def _whole(idx: np.ndarray, m: int) -> bool:
+    """Whether the blocks ``idx`` are one block that is the whole m x m matrix, in order.
 
-    Stacks of rotations (see ``_product_basis``) give N stacks of blocks.
+    ``_block_index`` lists a block's indices in increasing order, so one
+    block of m = 4 indices is the identity (the witness's block).
     """
-    w = _product_basis(w_a, w_b)
+    return idx.shape == (1, m)
+
+
+def _rotated_blocks(rho: np.ndarray, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(..., P, 4, 4) stack of the blocks ``idx`` of W† rho W.
+
+    ``w`` is W = w_a (x) w_b from ``_product_basis``; a stack of them gives
+    N stacks of blocks.  The whole rotated matrix, as one block, is not
+    gathered.
+    """
     rotated = np.swapaxes(w.conj(), -1, -2) @ rho @ w
+    if _whole(idx, w.shape[-1]):
+        return rotated[..., None, :, :]
     return rotated[..., idx[:, :, None], idx[:, None, :]]
 
 
-def _rotated_pullback(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray, idx: np.ndarray,
+def _rotated_pullback(rho: np.ndarray, w: np.ndarray, idx: np.ndarray,
                       g: np.ndarray) -> np.ndarray:
     """(N, n, m) gradient G, d = Re tr(G† dW), of the blocks' terms sum Re tr(g_p dR_p).
 
-    The R_p are the blocks ``idx`` of W† rho W, W = w_a (x) w_b, as
-    ``_rotated_blocks`` cuts them from (N, d, m) rotation stacks, and ``g``
-    is the (N, P, 4, 4) stack of the g_p.  They are scattered onto
-    W† rho W as S, which changes by dW† rho W + W† rho dW, so
-    G = rho W (S + S†).
+    The R_p are the blocks ``idx`` of W† rho W, as ``_rotated_blocks`` cuts
+    them from the (N, n, m) stack W, and ``g`` is the (N, P, 4, 4) stack of
+    the g_p.  They are scattered onto W† rho W as S, which changes by
+    dW† rho W + W† rho dW, so G = rho W (S + S†).  The whole matrix, as one
+    block, is S itself.
     """
-    w = _product_basis(w_a, w_b)
     m = w.shape[-1]
-    s = _scatter_add(g.reshape(len(g), -1), (idx[:, :, None] * m + idx[:, None, :]).ravel(),
-                     m * m).reshape(-1, m, m)
+    if _whole(idx, m):
+        s = g.reshape(len(g), m, m)
+    else:
+        s = _scatter_add(g.reshape(len(g), -1), (idx[:, :, None] * m + idx[:, None, :]).ravel(),
+                         m * m).reshape(-1, m, m)
     return rho @ w @ (s + np.swapaxes(s.conj(), -1, -2))
 
 
@@ -308,21 +321,22 @@ def _cholesky_concurrences(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
     pullback's G (see ``_State``) has d(sum X^2) = Re tr(G† dW).  Any
     factor with L L† = R gives the same x_i, so dL = dR L^-† / 2 may stand
     in for the Cholesky factor's own derivative, and
-    d(X^2) = Re tr(L^-† H dR) / 2 (``_factor_gradients``).  Screened blocks
-    have X = 0 and add 0.
+    d(X^2) = Re tr(L^-† H dR) / 2 (H from ``_concurrences``).  Screened
+    blocks have X = 0 and add 0.  The pullback reuses the value pass's W
+    and its factors' tau.
     """
-    blocks = _rotated_blocks(rho, w_a, w_b, idx)
+    w = _product_basis(w_a, w_b)
+    blocks = _rotated_blocks(rho, w, idx)
     # a lone block is never screened, and its view needs no masked copy
     kept = ~_provably_ppt(blocks) if len(idx) > 1 else ...
     x = np.zeros(blocks.shape[:-2])
     factors = np.linalg.cholesky(blocks[kept])
-    x[kept] = _concurrences(factors)
+    x[kept], factor_gradient = _concurrences(factors)
 
     def pullback() -> np.ndarray:
         g = np.zeros(blocks.shape, dtype=complex)
-        g[kept] = np.linalg.solve(np.swapaxes(factors.conj(), -1, -2),
-                                  _factor_gradients(factors, x[kept])) / 2.0
-        return _rotated_pullback(rho, w_a, w_b, idx, g)
+        g[kept] = np.linalg.solve(np.swapaxes(factors.conj(), -1, -2), factor_gradient()) / 2.0
+        return _rotated_pullback(rho, w, idx, g)
 
     return x, pullback
 
@@ -336,23 +350,28 @@ def _direct_concurrences(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
     as F F† = R† R; QR takes no square roots of round-off, so
     rank-deficient blocks need no eigenvalue floor.  The pullback is that
     of ``_cholesky_concurrences``: F = L Q† has the tau of L with Q mapping
-    its singular vectors, so H = Q H_L, and dF = (dW† Psi)[idx].
+    its singular vectors, so H = Q H_L, and dF = (dW† Psi)[idx].  The
+    whole rotated space, as one block, is neither gathered nor scattered.
     """
-    w = _product_basis(w_a, w_b)
-    f = (np.swapaxes(w.conj(), -1, -2) @ psi)[..., idx, :]
+    m = w_a.shape[-1] * w_b.shape[-1]
+    whole = _whole(idx, m)
+    f = np.swapaxes(_product_basis(w_a, w_b).conj(), -1, -2) @ psi
+    f = f[..., None, :, :] if whole else f[..., idx, :]
     wide = psi.shape[-1] > 4
     factors = (np.swapaxes(np.linalg.qr(np.swapaxes(f.conj(), -1, -2), mode="r").conj(), -1, -2)
                if wide else f)
-    x = _concurrences(factors)
+    x, factor_gradient = _concurrences(factors)
 
     def pullback() -> np.ndarray:
-        h = _factor_gradients(factors, x)
+        h = factor_gradient()
         if wide:
             h = np.linalg.qr(np.swapaxes(f.conj(), -1, -2))[0] @ h
         # the columns of H go to the rows idx of dW†
         h = np.moveaxis(h, -3, -2)
         n_rows, width = h.shape[:2]
-        h_cols = _scatter_add(h.reshape(n_rows * width, -1), idx.ravel(), w.shape[-1])
+        if whole:
+            return psi @ h.reshape(n_rows, width, m)
+        h_cols = _scatter_add(h.reshape(n_rows * width, -1), idx.ravel(), m)
         return psi @ h_cols.reshape(n_rows, width, -1)
 
     return x, pullback
@@ -372,33 +391,14 @@ def _scatter_add(values: np.ndarray, positions: np.ndarray, size: int) -> np.nda
     return out.reshape(rows, size)
 
 
-def _factor_gradients(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """H with d(X^2) = Re tr(H dL) for each block R = L L†, given its X from ``_concurrences``.
+def _lt_flip(factors: np.ndarray) -> np.ndarray:
+    """L^T (sy x sy) for a (..., 4, r) stack of factors L.
 
-    ``factors`` is a (..., 4, r) stack of the L, r <= 4, and H is
-    (..., r, 4).  With tau = L^T (sy x sy) L symmetric and
-    d(X^2) = Re tr(K dtau), H = (K + K^T) L^T (sy x sy).  Two columns take
-    the closed form X^2 = |tau|_F^2 - 2 |det tau|, so
-    K = 2 (tau† - w adj(tau)) with w the phase of conj(det tau), 0 where
-    det tau = 0.  Wider factors take the SVD tau = U diag(x) V†, where
-    dx_i = Re(u_i† dtau v_i), so K = 2 X V diag(+1, -1, -1, -1) U†.
-    Blocks with X = 0 get H = 0.
+    It reverses the columns of L^T and flips the sign of the outer two: the
+    exact products a matmul with the spin flip would form, without its
+    complex cast.
     """
-    lt_flip = np.swapaxes(factors, -1, -2)[..., ::-1] * _FLIP_SIGNS
-    if factors.shape[-1] == 2:
-        a, b, d = _two_column_tau(factors)
-        det = a * d - b * b
-        mag = np.abs(det)
-        w = np.where(mag > 0.0, det.conj() / np.where(mag > 0.0, mag, 1.0), 0.0)
-        off = b.conj() + w * b
-        k = np.stack([np.stack([a.conj() - w * d, off], -1),
-                      np.stack([off, d.conj() - w * a], -1)], -2)
-        k *= np.where(x > 0.0, 4.0, 0.0)[..., None, None]
-        return k @ lt_flip
-    u, _, vh = np.linalg.svd(lt_flip @ factors)
-    k = (np.swapaxes(vh.conj(), -1, -2) * _X_SIGNS[:factors.shape[-1]]) @ np.swapaxes(
-        u.conj(), -1, -2)
-    return (2.0 * x[..., None, None]) * (k + np.swapaxes(k, -1, -2)) @ lt_flip
+    return np.swapaxes(factors, -1, -2)[..., ::-1] * _FLIP_SIGNS
 
 
 def _two_column_tau(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -409,28 +409,29 @@ def _two_column_tau(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
             2.0 * (q1 * q2 - q0 * q3))
 
 
-def _two_column_x(a: np.ndarray, b: np.ndarray,
-                  d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _two_column_x(a: np.ndarray, b: np.ndarray, d: np.ndarray,
+                  det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x_1 and x_1 - x_2, the singular values of tau = [[a, b], [b, d]], in closed form.
 
-    With f = sqrt(|a|^2 + |b|^2), g = |conj(a) b + conj(b) d| / f and
-    h = |a d - b^2| / f, the unitary that turns tau's first column into
-    (f, 0), and two diagonal phases, take tau to [[f, g], [0, h]]: so
-    x_1 - x_2 = hypot(f - h, g) and x_1 + x_2 = hypot(f + h, g).  When
-    f = 0, tau = diag(0, d).  Every step is elementwise.
+    ``det`` is det tau = a d - b^2.  With f = sqrt(|a|^2 + |b|^2),
+    g = |conj(a) b + conj(b) d| / f and h = |det| / f, the unitary that
+    turns tau's first column into (f, 0), and two diagonal phases, take
+    tau to [[f, g], [0, h]]: so x_1 - x_2 = hypot(f - h, g) and
+    x_1 + x_2 = hypot(f + h, g).  When f = 0, tau = diag(0, d).  Every
+    step is elementwise.
     """
     f = np.hypot(np.abs(a), np.abs(b))
     pivot = f > 0.0
     f_div = np.where(pivot, f, 1.0)
     g = np.abs(a.conj() * b + b.conj() * d) / f_div
-    h = np.abs(a * d - b * b) / f_div
+    h = np.abs(det) / f_div
     abs_d = np.abs(d)
     diff = np.where(pivot, np.hypot(f - h, g), abs_d)
     return np.where(pivot, (diff + np.hypot(f + h, g)) / 2.0, abs_d), diff
 
 
-def _concurrences(factors: np.ndarray) -> np.ndarray:
-    """Wootters' concurrence max(x_1 - x_2 - x_3 - x_4, 0) of each block R = L L†.
+def _concurrences(factors: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Wootters' concurrence max(x_1 - x_2 - x_3 - x_4, 0) of each block R = L L†, and a gradient.
 
     ``factors`` is a (..., 4, r) stack of the L, r = 2, 3 or 4; the x_i
     are the singular values of the r x r matrix tau = L^T (sy x sy) L,
@@ -439,16 +440,45 @@ def _concurrences(factors: np.ndarray) -> np.ndarray:
     X_ROUNDOFF * x_1, the accuracy of the SVD, is an exact 0.  Every
     step treats each block alone, so a row of a stack gets the values
     it would get alone.
+
+    The closure gives the (..., r, 4) H with d(X^2) = Re tr(H dL), from
+    the value pass's tau.  With d(X^2) = Re tr(K dtau) and tau symmetric,
+    H = (K + K^T) L^T (sy x sy).  Two columns take the closed form
+    X^2 = |tau|_F^2 - 2 |det tau|, so K = 2 (tau† - w adj(tau)) with w the
+    phase of conj(det tau), 0 where det tau = 0.  Wider factors take the
+    SVD tau = U diag(x) V†, where dx_i = Re(u_i† dtau v_i), so
+    K = 2 X V diag(+1, -1, -1, -1) U†.  Blocks with X = 0 get H = 0.
     """
     if factors.shape[-1] == 2:
-        x_1, c = _two_column_x(*_two_column_tau(factors))
-    else:
-        # L^T (sy x sy) reverses the columns of L^T and flips the sign of the outer two: the
-        # exact products a matmul with the spin flip would form, without its complex cast
-        lt_flip = np.swapaxes(factors, -1, -2)[..., ::-1] * _FLIP_SIGNS
-        x = np.linalg.svd(lt_flip @ factors, compute_uv=False)
-        x_1, c = x[..., 0], x[..., 0] - x[..., 1:].sum(axis=-1)
-    return np.where(c > X_ROUNDOFF * x_1, c, 0.0)
+        a, b, d = _two_column_tau(factors)
+        det = a * d - b * b
+        x_1, c = _two_column_x(a, b, d, det)
+        x = np.where(c > X_ROUNDOFF * x_1, c, 0.0)
+
+        def gradient() -> np.ndarray:
+            mag = np.abs(det)
+            w = np.where(mag > 0.0, det.conj() / np.where(mag > 0.0, mag, 1.0), 0.0)
+            k = np.empty(det.shape + (2, 2), dtype=complex)
+            k[..., 0, 0] = a.conj() - w * d
+            k[..., 0, 1] = k[..., 1, 0] = b.conj() + w * b
+            k[..., 1, 1] = d.conj() - w * a
+            k *= np.where(x > 0.0, 4.0, 0.0)[..., None, None]
+            return k @ _lt_flip(factors)
+
+        return x, gradient
+    lt_flip = _lt_flip(factors)
+    tau = lt_flip @ factors
+    sv = np.linalg.svd(tau, compute_uv=False)
+    x_1, c = sv[..., 0], sv[..., 0] - sv[..., 1:].sum(axis=-1)
+    x = np.where(c > X_ROUNDOFF * x_1, c, 0.0)
+
+    def gradient() -> np.ndarray:
+        u, _, vh = np.linalg.svd(tau)
+        k = (np.swapaxes(vh.conj(), -1, -2) * _X_SIGNS[:factors.shape[-1]]) @ np.swapaxes(
+            u.conj(), -1, -2)
+        return (2.0 * x[..., None, None]) * (k + np.swapaxes(k, -1, -2)) @ lt_flip
+
+    return x, gradient
 
 
 def _by_state(states: Sequence[_State], idx: np.ndarray
@@ -460,8 +490,11 @@ def _by_state(states: Sequence[_State], idx: np.ndarray
     rotation stacks applies to ``states[owner[i]]``.  Rows are grouped by
     their state's kind and data shape, each group is one call of its kind
     on its states' stacked data, and the pullback gathers the groups'
-    gradients.  Each row's outputs equal those of the one-state call,
-    whatever rows sit beside it.
+    gradients.  When one group owns every row, as in the trailing calls
+    of a lockstep where only states of one kind are left, its kind takes
+    the rows as they are, with no gather of rows or scatter of results.
+    Each row's outputs equal those of the one-state call, whatever rows
+    sit beside it.
     """
     groups: dict[tuple[Callable[..., tuple], tuple[int, ...]], list[int]] = {}
     for i, s in enumerate(states):
@@ -476,8 +509,11 @@ def _by_state(states: Sequence[_State], idx: np.ndarray
                  ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         if owner is None or len(states) == 1:
             return states[0].kind(states[0].data, w_a, w_b, idx)
-        x, parts = np.empty((len(owner), len(idx))), []
         row_group = group[owner]
+        if np.all(row_group == row_group[0]):
+            kind, data = stacks[row_group[0]]
+            return kind(data[local[owner]], w_a, w_b, idx)
+        x, parts = np.empty((len(owner), len(idx))), []
         for g, (kind, data) in enumerate(stacks):
             rows = np.flatnonzero(row_group == g)
             if rows.size:
@@ -506,7 +542,7 @@ def _local_adjoint(u: np.ndarray | None, d: int) -> np.ndarray:
         return np.eye(d, dtype=complex)
     u = _check_dims(u, (d,))[0]
     defect = unitarity_defect(u)
-    if defect > UNITARITY_INPUT_TOL:
+    if not defect <= UNITARITY_INPUT_TOL:
         raise NotUnitaryError(f"local unitary has unitarity defect {defect:.3e} > 1e-9")
     return u.conj().T
 
@@ -714,10 +750,7 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     along the axis of a many-row array may add in another order, and the
     batched values would differ from the one-vector ones in the last bit.
     """
-    total = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
-        total += a[..., j]
-    return total
+    return np.cumsum(a, axis=-1)[..., -1]
 
 
 def _states(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
@@ -824,13 +857,13 @@ def _pt_surrogate(rho: np.ndarray, search: _Search) -> Objective:
     def surrogate(v: np.ndarray, owner: np.ndarray | None = None
                   ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         w_a, w_b, back = search.rotations_vjp(v)
-        eigenvalues, vectors = np.linalg.eigh(
-            _rotated_blocks(rho, w_a, w_b, idx)[..., _PT_ROWS, _PT_COLS])
+        w = _product_basis(w_a, w_b)
+        eigenvalues, vectors = np.linalg.eigh(_rotated_blocks(rho, w, idx)[..., _PT_ROWS, _PT_COLS])
 
         def gradient() -> np.ndarray:
             e = vectors[..., 0]
             m = e[..., :, None] * e[..., None, :].conj()
-            return back(_rotated_pullback(rho, w_a, w_b, idx, m[..., _PT_ROWS, _PT_COLS]))
+            return back(_rotated_pullback(rho, w, idx, m[..., _PT_ROWS, _PT_COLS]))
 
         return _row_sums(eigenvalues[..., 0]), gradient
 

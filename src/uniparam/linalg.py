@@ -159,7 +159,10 @@ def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) 
     """Reorder tensor factors so that new factor i is old factor ``perm[i]``."""
     m, dims = _check_dims(m, dims)
     n = len(dims)
-    perm = [_count(p, "permutation entry", 0, n - 1) for p in perm]
+    try:
+        perm = [_count(p, "permutation entry", 0, n - 1) for p in perm]
+    except TypeError:
+        raise DimensionMismatchError(f"perm must be a sequence of integers, got {perm!r}") from None
     if sorted(perm) != list(range(n)):
         raise DimensionMismatchError(f"{perm} is not a permutation of 0..{n - 1}")
     t = m.reshape(dims + dims)

@@ -166,7 +166,9 @@ def _bfgs(objective: Objective, starts: np.ndarray, owner: np.ndarray,
     value, so it can no longer win, or at a kink: when its bracket no
     longer moves x, even along -g after H is reset.  Rows of a
     call are the live runs in run order, split into calls of ``cap``
-    rows.  Returns
+    rows; rows within ``cap`` go to one call as they are.  The arithmetic
+    only some runs need (H's first scaling, the bracket test of ``stuck``)
+    is skipped in a step where no run needs it.  Returns
     each run's last point, its value, iterations, convergence flag and
     number of points evaluated, and the number of objective calls.
     """
@@ -177,19 +179,23 @@ def _bfgs(objective: Objective, starts: np.ndarray, owner: np.ndarray,
     def evaluate(xs: np.ndarray, own: np.ndarray,
                  gradients: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         nonlocal calls
-        fs, gs = [], []
-        for i in range(0, len(xs), cap):
-            f, gradient = objective(xs[i:i + cap], own[i:i + cap])
-            fs.append(f)
-            # called or dropped before the next chunk, so one chunk's arrays are held at a time
-            if gradients:
-                gs.append(gradient())
+        if len(xs) <= cap:
             calls += 1
-        if not gradients:
-            return np.concatenate(fs), None
+            f, gradient = objective(xs, own)
+            g = gradient() if gradients else None
+        else:
+            fs, gs = [], []
+            for i in range(0, len(xs), cap):
+                f, gradient = objective(xs[i:i + cap], own[i:i + cap])
+                fs.append(f)
+                # called or dropped before the next chunk, so one chunk's arrays are held at a time
+                if gradients:
+                    gs.append(gradient())
+                calls += 1
+            f, g = np.concatenate(fs), np.concatenate(gs) if gradients else None
         # in C order whatever order the gradient comes in: einsum's sums over a row follow
         # the memory order, and the same gradient must give the same run
-        return np.concatenate(fs), np.ascontiguousarray(np.concatenate(gs).reshape(len(xs), dim))
+        return f, None if g is None else np.ascontiguousarray(g.reshape(len(xs), dim))
 
     out_x, out_f = np.empty((n_runs, dim)), np.empty(n_runs)
     steps, evaluations = np.empty(n_runs, dtype=int), np.empty(n_runs, dtype=int)
@@ -249,8 +255,9 @@ def _bfgs(objective: Objective, starts: np.ndarray, owner: np.ndarray,
             su, yu, syu = s[u], y[u], sy[u]
             first = ~scaled[u]
             hu = h[u]
-            yy = np.einsum("ij,ij->i", yu[first], yu[first])
-            hu[first] = eye * (syu[first] / yy)[:, None, None]
+            if np.count_nonzero(first):
+                yy = np.einsum("ij,ij->i", yu[first], yu[first])
+                hu[first] = eye * (syu[first] / yy)[:, None, None]
             hy = np.einsum("ijk,ik->ij", hu, yu)
             coef = (syu + np.einsum("ij,ij->i", yu, hy)) / (syu * syu)
             hu += (coef[:, None, None] * su[:, :, None] * su[:, None, :]
@@ -273,10 +280,11 @@ def _bfgs(objective: Objective, starts: np.ndarray, owner: np.ndarray,
         # bracket that no longer moves x restarts along -g, or stops the run
         t = np.where(accept, 1.0, np.where(np.isinf(hi), 2.0 * lo, (lo + hi) / 2.0))
         # (only a closed bracket can stop moving x; an open one is still doubling t)
-        closed = np.isfinite(hi)
-        width = np.where(closed, hi - lo, 0.0)
-        stuck = ~accept & closed & np.all(np.abs(width[:, None] * d)
-                                          <= ANGLE_RESOLUTION * (1.0 + np.abs(x)), axis=1)
+        stuck = closed = np.isfinite(hi)
+        if np.count_nonzero(closed):
+            width = np.where(closed, hi - lo, 0.0)
+            stuck = ~accept & closed & np.all(np.abs(width[:, None] * d)
+                                              <= ANGLE_RESOLUTION * (1.0 + np.abs(x)), axis=1)
         reset = (accept & ~(slope_new < 0.0)) | (stuck & scaled)
         d = np.where(accept[:, None], d_new, d)
         slope = np.where(accept, slope_new, slope)

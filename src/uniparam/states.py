@@ -131,7 +131,7 @@ def canonicalize_subspace(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(v).all():
         raise NonFiniteError("column set has a NaN or infinite entry")
     gram_defect = unitarity_defect(v)
-    if gram_defect > UNITARITY_INPUT_TOL:
+    if not gram_defect <= UNITARITY_INPUT_TOL:
         raise NotOrthonormalError(f"Gram defect {gram_defect:.3e} exceeds 1e-9")
 
     # With T the top block, J the index reversal and (J T J)† = Q R,

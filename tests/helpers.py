@@ -212,3 +212,139 @@ def nelder_mead_restarts(f, dim, cfg, starts=None):
         values[best], runs[best][0], sum(run[2] for run in runs), len(runs), runs[best][3],
         evaluations=points + 1, restart_values=tuple(values), best_restart=best,
         calls=max(rounds))
+
+
+def assert_same_bits(a, b):
+    """``a`` and ``b`` have one shape and dtype and the same bytes, signed zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def product_pullback_reference(lam, u, grad, pairs):
+    """Angle gradient of Re tr(G† U) by a full conjugation per factor (oracle path).
+
+    The sweep of ``composite._product_pullback`` as first written: every
+    factor's trig taken inside the loop, and Z <- F† Z F over all rows and
+    columns, whether or not a later factor reads them.
+    """
+    axes = (-2, -1, *range(lam.ndim - 2))
+    z = (grad @ np.swapaxes(u.conj(), -1, -2)).transpose(axes)
+    ang = lam.transpose(axes)
+    out = np.zeros(ang.shape)
+    for m, n in pairs:
+        m, n = m - 1, n - 1
+        c, s = np.cos(ang[m, n]), np.sin(ang[m, n])
+        e = np.exp(1j * ang[n, m])
+        out[m, n] = (e * z[m, n]).real - (e.conj() * z[n, m]).real
+        out[n, m] = z[n, n].imag
+        zm, zn = z[m], z[n]
+        z[m], z[n] = c * zm - (s * np.conj(e)) * zn, s * zm + (c * np.conj(e)) * zn
+        zm, zn = z[:, m], z[:, n]
+        z[:, m], z[:, n] = c * zm - (e * s) * zn, s * zm + (e * c) * zn
+    return np.ascontiguousarray(out.transpose(*range(2, out.ndim), 0, 1))
+
+
+# L^T (sy x sy) is L^T with its columns reversed, times these signs
+_FLIP_SIGNS = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])).real[
+    ::-1].diagonal()
+_X_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def factor_gradients_reference(factors, x):
+    """H with d(X^2) = Re tr(H dL) for each block R = L L†, all taken afresh (oracle path).
+
+    The form the block gradients had before they reused the value pass:
+    tau, L^T (sy x sy) and, past two columns, the SVD are recomputed from
+    ``factors``, and K is assembled by stacking.
+    """
+    lt_flip = np.swapaxes(factors, -1, -2)[..., ::-1] * _FLIP_SIGNS
+    if factors.shape[-1] == 2:
+        (p0, q0), (p1, q1), (p2, q2), (p3, q3) = np.moveaxis(factors, (-2, -1), (0, 1))
+        a = 2.0 * (p1 * p2 - p0 * p3)
+        b = p1 * q2 + p2 * q1 - p0 * q3 - p3 * q0
+        d = 2.0 * (q1 * q2 - q0 * q3)
+        det = a * d - b * b
+        mag = np.abs(det)
+        w = np.where(mag > 0.0, det.conj() / np.where(mag > 0.0, mag, 1.0), 0.0)
+        off = b.conj() + w * b
+        k = np.stack([np.stack([a.conj() - w * d, off], -1),
+                      np.stack([off, d.conj() - w * a], -1)], -2)
+        k *= np.where(x > 0.0, 4.0, 0.0)[..., None, None]
+        return k @ lt_flip
+    u, _, vh = np.linalg.svd(lt_flip @ factors)
+    k = (np.swapaxes(vh.conj(), -1, -2) * _X_SIGNS[:factors.shape[-1]]) @ np.swapaxes(
+        u.conj(), -1, -2)
+    return (2.0 * x[..., None, None]) * (k + np.swapaxes(k, -1, -2)) @ lt_flip
+
+
+def _basis_reference(w_a, w_b):
+    (d_a, m_a), (d_b, m_b) = w_a.shape[-2:], w_b.shape[-2:]
+    w = w_a[..., :, None, :, None] * w_b[..., None, :, None, :]
+    return w.reshape(w.shape[:-4] + (d_a * d_b, m_a * m_b))
+
+
+def _blocks_reference(rho, w_a, w_b, idx):
+    w = _basis_reference(w_a, w_b)
+    rotated = np.swapaxes(w.conj(), -1, -2) @ rho @ w
+    return rotated[..., idx[:, :, None], idx[:, None, :]]
+
+
+def rotated_pullback_reference(rho, w_a, w_b, idx, g):
+    """G = rho W (S + S†) of the block gradients ``g``, W rebuilt, S scattered (oracle path)."""
+    from uniparam.entanglement import _scatter_add
+
+    w = _basis_reference(w_a, w_b)
+    m = w.shape[-1]
+    s = _scatter_add(g.reshape(len(g), -1), (idx[:, :, None] * m + idx[:, None, :]).ravel(),
+                     m * m).reshape(-1, m, m)
+    return rho @ w @ (s + np.swapaxes(s.conj(), -1, -2))
+
+
+def kind_pullback_reference(state, w_a, w_b, idx):
+    """The gradient G on W that ``state.kind``'s pullback gives, recomputed (oracle path).
+
+    Both kinds as first written: W and every block rebuilt, the factors'
+    gradients from ``factor_gradients_reference`` and every block scattered,
+    the whole rotated space included.
+    """
+    from uniparam.entanglement import (
+        _cholesky_concurrences,
+        _concurrences,
+        _provably_ppt,
+        _scatter_add,
+    )
+
+    if state.kind is _cholesky_concurrences:
+        blocks = _blocks_reference(state.data, w_a, w_b, idx)
+        kept = ~_provably_ppt(blocks) if len(idx) > 1 else ...
+        factors = np.linalg.cholesky(blocks[kept])
+        g = np.zeros(blocks.shape, dtype=complex)
+        h = factor_gradients_reference(factors, _concurrences(factors)[0])
+        g[kept] = np.linalg.solve(np.swapaxes(factors.conj(), -1, -2), h) / 2.0
+        return rotated_pullback_reference(state.data, w_a, w_b, idx, g)
+    psi = state.data
+    w = _basis_reference(w_a, w_b)
+    f = (np.swapaxes(w.conj(), -1, -2) @ psi)[..., idx, :]
+    wide = psi.shape[-1] > 4
+    factors = (np.swapaxes(np.linalg.qr(np.swapaxes(f.conj(), -1, -2), mode="r").conj(), -1, -2)
+               if wide else f)
+    h = factor_gradients_reference(factors, _concurrences(factors)[0])
+    if wide:
+        h = np.linalg.qr(np.swapaxes(f.conj(), -1, -2))[0] @ h
+    h = np.moveaxis(h, -3, -2)
+    n_rows, width = h.shape[:2]
+    h_cols = _scatter_add(h.reshape(n_rows * width, -1), idx.ravel(), w.shape[-1])
+    return psi @ h_cols.reshape(n_rows, width, -1)
+
+
+def pt_surrogate_gradient_reference(rho, search, v):
+    """(N, n) gradient of ``_pt_surrogate(rho, search)`` at rows ``v``, W rebuilt (oracle path)."""
+    from uniparam.entanglement import _PT_COLS, _PT_ROWS
+
+    w_a, w_b, back = search.rotations_vjp(v)
+    idx = search.seed_idx
+    blocks = _blocks_reference(rho, w_a, w_b, idx)[..., _PT_ROWS, _PT_COLS]
+    e = np.linalg.eigh(blocks)[1][..., 0]
+    m = e[..., :, None] * e[..., None, :].conj()
+    return back(rotated_pullback_reference(rho, w_a, w_b, idx, m[..., _PT_ROWS, _PT_COLS]))

@@ -4,12 +4,17 @@
 factory by module and attribute name, and ``perfbench/workloads.py``
 reads the optimizer's settings and calls the one-vector objectives, so a
 rename in the package would break ``perfbench/run.py`` without failing
-any other test.
+any other test.  The workloads' own result checks run here too, on the
+first op of each kind and on one step-0.25 scan, so an output the
+benchmark would reject fails these tests first.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,3 +50,38 @@ def test_workload_properties_read_the_optimizer_settings(monkeypatch):
     assert (fig1["states"], fig1["npt_states"], fig1["zero_plateau"]) == (15, 12, 4)
     distill = workloads.DistillWitness(0).properties()
     assert (distill["ops"], distill["npt_inputs"], distill["zero_plateau"]) == (29, 18, 19)
+
+
+def _same(a, b):
+    """Exact equality of a result: arrays entry for entry, tuples and lists item for item."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    return a == b
+
+
+PER_OP_WORKLOADS = ["bound-highdim", "distill-witness", "param-roundtrip"]
+
+
+@pytest.mark.parametrize("name", PER_OP_WORKLOADS)
+def test_per_op_workloads_pass_their_own_checks(monkeypatch, name):
+    # an output the benchmark would reject fails here first: the first op of each kind, at
+    # seed 0, passes the workload's check_op and repeats exactly when run again
+    workloads = load_perfbench(monkeypatch, "workloads")
+    assert sorted(set(workloads.WORKLOADS) - {"fig1-scan"}) == PER_OP_WORKLOADS
+    workload = workloads.WORKLOADS[name](0)
+    firsts = {}
+    for op in workload.ops:
+        firsts.setdefault(op.kind, op)
+    for op in firsts.values():
+        result = workload.run_op(op)
+        assert _same(result, workload.run_op(op)), op.label
+        assert workload.check_op(op, result) == [], op.label
+
+
+def test_fig1_scan_passes_its_own_checks(monkeypatch):
+    workloads = load_perfbench(monkeypatch, "workloads")
+    scan = workloads.Fig1Scan(0)
+    assert scan.check_rows(scan.run_scan(1)) == [[] for _ in scan.grid]

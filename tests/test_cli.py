@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ def test_decompose_rejects_non_unitary(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decompose", "--input", path)
     assert code == 2
     assert "error:" in err
+
+
+def test_decompose_overflowing_entries_exit_2_without_warning(tmp_path, capsys):
+    # the unitarity check printed a RuntimeWarning from its overflowing product first
+    path = write_matrix(tmp_path / "huge.json", np.full((2, 2), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "decompose", "--input", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unitarity defect inf") and "Warning" not in err
 
 
 def test_bound_maximally_mixed(tmp_path, capsys):

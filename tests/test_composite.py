@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from uniparam import (
     subspace_basis,
     unitarity_defect,
 )
-from helpers import expi_hermitian, haar_unitary
+from helpers import (
+    assert_same_bits,
+    expi_hermitian,
+    haar_unitary,
+    product_pullback_reference,
+)
 
 ROT_EXAMPLE = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -217,6 +223,16 @@ def test_decompose_unitarity_boundary():
         decompose(outside)
 
 
+def test_unitarity_defect_of_overflowing_entries_is_inf():
+    # U†U overflowed with a RuntimeWarning, and a NaN defect would pass a `defect > tol` gate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert unitarity_defect(np.full((2, 2), 1e200)) == math.inf
+        assert unitarity_defect(np.full((3, 2), 1e300 + 1e300j)) == math.inf
+        with pytest.raises(NotUnitaryError, match="inf"):
+            decompose(np.full((2, 2), 1e308))
+
+
 def test_stacked_product_matches_single_builds():
     from uniparam.composite import _product, _ucs_pairs, sigma_pairs
 
@@ -231,6 +247,24 @@ def test_stacked_product_matches_single_builds():
             ucs = _product(lams, _ucs_pairs(d, 2), diag=False)
             for lam, u in zip(lams, ucs):
                 assert np.max(np.abs(u - build_ucs(lam, 2))) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_product_pullback_equals_full_conjugation_reference(d):
+    # the sweep takes every factor's trig before it and updates only the rows and columns
+    # a later factor reads: every derivative must be that of the full sweep, bit for bit
+    from uniparam.composite import _product, _product_pullback, _ucs_pairs, sigma_pairs
+
+    rng = np.random.default_rng(90 + d)
+    factor_lists = ([sigma_pairs(d)] + [_ucs_pairs(d, k) for k in range(1, d)]
+                    + [[(m, n) for m, n in sigma_pairs(d) if m <= k] for k in range(1, d - 1)])
+    for pairs in factor_lists:
+        for stack in ((), (12, 2)):
+            lam = rng.uniform(0.0, 2 * np.pi, stack + (d, d))
+            u = _product(lam, pairs, diag=False)
+            grad = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+            assert_same_bits(_product_pullback(lam, u, grad, pairs),
+                             product_pullback_reference(lam, u, grad, pairs))
 
 
 NON_FINITE_ANGLE = {"inf": np.inf, "-inf": -np.inf, "nan": np.nan}

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -39,11 +40,14 @@ from uniparam import (
     ucs_block_to_matrix,
 )
 from helpers import (
+    assert_same_bits,
     bell_state,
     ghz_state,
     haar_state,
     haar_unitary,
+    kind_pullback_reference,
     nelder_mead_restarts,
+    pt_surrogate_gradient_reference,
     psi1_qutrit,
     pure_sigma_sum,
     rand_density,
@@ -878,13 +882,13 @@ def test_two_column_concurrences_match_svd():
     rank1_first_zero[..., 0] = 0.0
     for f in (rank1, rank1_first_zero, rank2):
         x_1, c = svd_of_tau(f)
-        assert np.all(np.abs(_concurrences(f) - c) <= 1e-14 * x_1)
+        assert np.all(np.abs(_concurrences(f)[0] - c) <= 1e-14 * x_1)
     # product columns u (x) v: tau's exact diagonal is 0 and its singular values are equal,
     # so every nonzero result is round-off the zero rule missed
     cols = [(cplx(rng, 2000, 2, 1) * cplx(rng, 2000, 1, 2)).reshape(2000, 4) for _ in range(2)]
     separable = np.stack(cols, axis=-1) * np.array([1.0, 0.3])
     x_1, c = svd_of_tau(separable)
-    assert (np.count_nonzero(_concurrences(separable))
+    assert (np.count_nonzero(_concurrences(separable)[0])
             <= np.count_nonzero(c > X_ROUNDOFF * x_1))
 
 
@@ -989,6 +993,7 @@ def test_ppt_screen_leaves_other_blocks_bit_identical(d_a, d_b):
         _check_state,
         _cholesky_concurrences,
         _concurrences,
+        _product_basis,
         _provably_ppt,
         _rotated_blocks,
     )
@@ -1011,8 +1016,8 @@ def test_ppt_screen_leaves_other_blocks_bit_identical(d_a, d_b):
         mine = np.flatnonzero(owner == s)
         x, _ = state.kind(state.data, w_a[mine], w_b[mine], idx)
         assert np.array_equal(stacked[mine], x)
-        blocks = _rotated_blocks(state.data, w_a[mine], w_b[mine], idx)
-        unscreened = _concurrences(np.linalg.cholesky(blocks))
+        blocks = _rotated_blocks(state.data, _product_basis(w_a[mine], w_b[mine]), idx)
+        unscreened = _concurrences(np.linalg.cholesky(blocks))[0]
         screened = _provably_ppt(blocks)
         assert np.array_equal(x[~screened], unscreened[~screened])
         assert np.all(x[screened] == 0.0)
@@ -1077,6 +1082,14 @@ def test_local_rotations_must_be_unitary(u):
             bound_x(rho, 1, 2, 1, 2, **{side: u})
     # a unitary within the input tolerance is still accepted
     assert abs(bound_b(rho, 2, 2, u_a=np.eye(2) * (1 + 1e-10)).b - 1.0) < 1e-9
+
+
+def test_local_rotations_with_overflowing_entries_rejected():
+    # the unitarity check's Gram product overflowed with a RuntimeWarning before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUnitaryError, match="inf"):
+            bound_b(np.eye(4) / 4, 2, 2, u_a=np.full((2, 2), 1e300))
 
 
 # ---------------------------------------------------------------------------
@@ -1167,8 +1180,8 @@ def test_bopt_gradients_zero_on_screened_and_zero_rule_rows():
         _by_state,
         _check_state,
         _concurrences,
-        _factor_gradients,
         _objective,
+        _product_basis,
         _provably_ppt,
         _rotated_blocks,
         _search,
@@ -1180,7 +1193,7 @@ def test_bopt_gradients_zero_on_screened_and_zero_rule_rows():
     # a PPT grid state of the Cholesky kind: every block of these rows is screened out
     state = _check_state(fig1_state(0.10, 0.20), 3, 3)
     w_a, w_b, _ = search.rotations_vjp(v)
-    assert _provably_ppt(_rotated_blocks(state.data, w_a, w_b, search.idx)).all()
+    assert _provably_ppt(_rotated_blocks(state.data, _product_basis(w_a, w_b), search.idx)).all()
     values, gradient = _objective(state, search)(v)
     grads = gradient()
     assert np.all(values == 0.0) and np.all(grads == 0.0)
@@ -1202,10 +1215,61 @@ def test_bopt_gradients_zero_on_screened_and_zero_rule_rows():
 
     for r in (2, 3, 4):
         factors = (cplx(2000, 2, 1, r) * cplx(2000, 1, 2, r)).reshape(2000, 4, r)
-        x = _concurrences(factors)
-        h = _factor_gradients(factors, x)
+        x, gradient = _concurrences(factors)
+        h = gradient()
         assert np.count_nonzero(x == 0.0) > 1000
         assert np.all(h[x == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(3, 3), (3, 4), (4, 4)])
+def test_kind_pullbacks_equal_recomputing_reference(d_a, d_b):
+    # the pullbacks reuse the value pass's W, tau and spin-flipped factors and skip the
+    # witness's whole-block gather and scatter: each must equal the recomputing form, bit
+    # for bit, for B_opt's screened rows and the witness's one block
+    from uniparam.entanglement import (
+        _check_state,
+        _cholesky_concurrences,
+        _product_basis,
+        _provably_ppt,
+        _rotated_blocks,
+        _search,
+    )
+
+    rng = np.random.default_rng(400 + 10 * d_a + d_b)
+    n = d_a * d_b
+    psi = haar_state(rng, n)
+    rhos = {"cholesky": 0.4 * np.outer(psi, psi.conj()) + 0.6 * np.eye(n) / n}
+    for r in (1, 2, 3, 4, 6):
+        rhos[f"direct r={r}"] = rand_density(rng, n, rank=r)
+    widths, bopt = set(), _search(d_a, d_b)
+    for search in (bopt, _search(d_a, d_b, witness=True)):
+        v = rng.uniform(0.0, 2 * np.pi, (20, search.n))
+        w_a, w_b, _ = search.rotations_vjp(v)
+        for name, rho in rhos.items():
+            state = _check_state(rho, d_a, d_b)
+            x, pullback = state.kind(state.data, w_a, w_b, search.idx)
+            assert np.count_nonzero(x) > 0, name
+            assert_same_bits(pullback(), kind_pullback_reference(state, w_a, w_b, search.idx))
+            if state.kind is not _cholesky_concurrences:
+                widths.add(state.data.shape[1])
+            elif search is bopt:
+                # B_opt's rows screen some blocks of this state and keep others
+                blocks = _rotated_blocks(state.data, _product_basis(w_a, w_b), search.idx)
+                assert 0 < np.count_nonzero(_provably_ppt(blocks)) < x.size, name
+    # direct factors of two (ranks 1 and 2), three and four columns, and the QR factor of six
+    assert widths == {2, 3, 4, 6}
+
+
+@pytest.mark.parametrize("witness", [False, True], ids=["bopt", "witness"])
+def test_pt_surrogate_gradient_equals_recomputing_reference(witness):
+    from uniparam.entanglement import _pt_surrogate, _search
+
+    rng = np.random.default_rng(410 + witness)
+    search = _search(3, 4, witness)
+    for rho in (rand_density(rng, 12), rand_density(rng, 12, rank=2)):
+        v = rng.uniform(0.0, 2 * np.pi, (15, search.n))
+        assert_same_bits(_pt_surrogate(rho, search)(v)[1](),
+                         pt_surrogate_gradient_reference(rho, search, v))
 
 
 def test_bopt_search_runs_bfgs():

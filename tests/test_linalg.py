@@ -160,12 +160,13 @@ BAD_SUBSYSTEM_ARGS = {
     "partial_trace keep 1.0": lambda: partial_trace(MIXED_2x2, (2, 2), 1.0),
     "partial_transpose which 1.0": lambda: partial_transpose(MIXED_2x2, (2, 2), 1.0),
     "permute_subsystems perm 1.5": lambda: permute_subsystems(MIXED_2x2, (2, 2), [1.5, 0]),
+    "permute_subsystems perm scalar": lambda: permute_subsystems(MIXED_2x2, (2, 2), 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SUBSYSTEM_ARGS))
 def test_non_integer_dims_and_subsystems_raise_dimension_mismatch(case):
-    # a scalar dims raised a bare TypeError from its iteration, as did partial_transpose's
+    # a scalar dims or perm raised a bare TypeError from its iteration, as did partial_transpose's
     # which=1.0; partial_trace accepted keep=1.0, and int() cut the permutation [1.5, 0] to [1, 0]
     with pytest.raises(DimensionMismatchError, match="integer"):
         BAD_SUBSYSTEM_ARGS[case]()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,14 @@ def test_canonicalize_rejects_non_orthonormal():
     with pytest.raises(NotOrthonormalError):
         canonicalize_subspace(np.ones((3, 2), dtype=complex))
 
+
+
+def test_canonicalize_rejects_overflowing_entries():
+    # the Gram product overflowed with a RuntimeWarning before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotOrthonormalError, match="inf"):
+            canonicalize_subspace(np.full((3, 1), 1e300))
 
 def test_canonicalize_orthonormality_boundary():
     # (1 + e) V has Gram defect (1 + e)^2 - 1, about 2e, against the 1e-9 input tolerance

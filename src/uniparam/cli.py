@@ -39,7 +39,7 @@ from .entanglement import (
     ppt_min_eigenvalue,
 )
 from .errors import ConvergenceError, UniparamError
-from .linalg import _check_dims, herm_eig
+from .linalg import _check_dims, _count, herm_eig
 from .optimize import OptimizerConfig, OptimizerResult
 from .states import DENSITY_PSD_TOL, validate_density
 
@@ -72,12 +72,11 @@ def matrix_from_json(doc: dict) -> np.ndarray:
         rows, cols, data = doc["rows"], doc["cols"], doc["data"]
     except (KeyError, TypeError) as exc:
         raise UniparamError(f"matrix file missing field: {exc}") from exc
-    if not all(isinstance(n, int) and not isinstance(n, bool) for n in (rows, cols)):
-        raise UniparamError(
-            f"matrix file rows and cols must be integers, got {rows!r} and {cols!r}")
+    rows, cols = (_count(n, f"matrix file {name}", 1, error=UniparamError)
+                  for n, name in ((rows, "rows"), (cols, "cols")))
     if not isinstance(data, list):
         raise UniparamError("matrix file data must be a list of [re, im] pairs")
-    if rows < 1 or cols < 1 or len(data) != rows * cols:
+    if len(data) != rows * cols:
         raise UniparamError(
             f"matrix file data length {len(data)} does not match {rows}x{cols}")
     # numeric strings and booleans would convert to floats below, but the format has numbers only
@@ -218,8 +217,8 @@ def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
     """
     if not 0.0 < step <= 0.25:
         raise UniparamError(f"step must lie in (0, 0.25], got {step}")
-    if jobs is not None and jobs < 1:
-        raise UniparamError(f"jobs must be >= 1, got {jobs}")
+    if jobs is not None:
+        jobs = _count(jobs, "jobs", 1, error=UniparamError)
     num = int(math.floor((1.0 + 1e-9) / step))
     points = [(ia, ib, ia * step, ib * step) for ia in range(num + 1) for ib in range(num + 1)]
     rows = [_fig1_point(alpha, beta) for _, _, alpha, beta in points]

@@ -44,6 +44,7 @@ from .errors import (
     NonFiniteError,
     NotUnitaryError,
     RankOutOfRangeError,
+    UniparamError,
 )
 from .linalg import _count
 
@@ -211,8 +212,6 @@ def _product_pullback(lam: np.ndarray, u: np.ndarray, grad: np.ndarray,
             break
         lo, hi = min(later), max(later) + 1
         keep_m, keep_n = lo <= m < hi, lo <= n < hi
-        if not (keep_m or keep_n):
-            continue
         # F† mixes rows m and n over the live columns and columns m and n, which F mixes next
         cols, live = slice(min(lo, m), max(hi, n + 1)), slice(lo, hi)
         # both new rows (then columns) are formed from the old ones before either is assigned
@@ -286,9 +285,9 @@ def _ucs(lam: np.ndarray, k: int) -> np.ndarray:
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-norm of U†U - I for a d x k column set U, with I of size k (U unitary when square).
 
-    Entries so large that U†U overflows give ``inf``, with no warning; the
-    gates compare ``not defect <= tol``, so no defect that is not a number
-    passes them.  An array that is not 2-D raises ``DimensionMismatchError``.
+    Entries so large that U†U overflows give ``inf``, with no warning, and
+    ``_check_isometry`` fails every defect not <= its tolerance, NaN too.
+    An array that is not 2-D raises ``DimensionMismatchError``.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2:
@@ -296,6 +295,15 @@ def unitarity_defect(u: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
     return defect if math.isfinite(defect) else math.inf
+
+
+def _check_isometry(u: np.ndarray, what: str, error: type[UniparamError]) -> None:
+    """Gate of the unitary or column set ``what``: ``NonFiniteError``, or ``error`` past the tol."""
+    if not np.isfinite(u).all():
+        raise NonFiniteError(f"{what} has a NaN or infinite entry")
+    defect = unitarity_defect(u)
+    if not defect <= UNITARITY_INPUT_TOL:
+        raise error(f"unitarity defect {defect:.3e} of the {what} > {UNITARITY_INPUT_TOL:.0e}")
 
 
 def zeroing_angles(a: complex, b: complex, tol: float) -> tuple[float, float]:
@@ -343,11 +351,7 @@ def decompose(u: np.ndarray) -> np.ndarray:
     a = np.array(u, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
         raise NotUnitaryError(f"expected a square matrix with d >= 2, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFiniteError("matrix has a NaN or infinite entry")
-    defect = unitarity_defect(a)
-    if not defect <= UNITARITY_INPUT_TOL:
-        raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds 1e-9")
+    _check_isometry(a, "matrix", NotUnitaryError)
     d = a.shape[0]
     lam = _zeroing_sweep(a, sigma_pairs(d))
     for r in range(d):

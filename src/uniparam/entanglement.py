@@ -100,14 +100,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .composite import (
-    UNITARITY_INPUT_TOL,
     _angle_positions,
+    _check_isometry,
     _check_pair,
     _product,
     _product_pullback,
     _ucs_pairs,
     sigma_pairs,
-    unitarity_defect,
 )
 from .errors import (
     DimensionMismatchError,
@@ -116,6 +115,7 @@ from .errors import (
     NormalizationError,
     NotPSDError,
     NotUnitaryError,
+    RankOutOfRangeError,
 )
 from .linalg import (
     EIG_ROUNDOFF_RATIO,
@@ -175,7 +175,7 @@ def pure_m_concurrence_sq(psi: np.ndarray, d_a: int, d_b: int) -> float:
         raise DimensionMismatchError(f"{d_a}*{d_b} != state length {psi.size}")
     nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > DENSITY_TRACE_TOL:
-        raise NormalizationError(f"state norm {nrm!r} differs from 1 beyond 1e-12")
+        raise NormalizationError(f"state norm {nrm!r} is not 1 within {DENSITY_TRACE_TOL:.0e}")
     rho_a = partial_trace(np.outer(psi, psi.conj()), (d_a, d_b), keep=0)
     return 2.0 * (d_a - 1) / d_a * linear_entropy(rho_a)
 
@@ -541,9 +541,7 @@ def _local_adjoint(u: np.ndarray | None, d: int) -> np.ndarray:
     if u is None:
         return np.eye(d, dtype=complex)
     u = _check_dims(u, (d,))[0]
-    defect = unitarity_defect(u)
-    if not defect <= UNITARITY_INPUT_TOL:
-        raise NotUnitaryError(f"local unitary has unitarity defect {defect:.3e} > 1e-9")
+    _check_isometry(u, "local unitary", NotUnitaryError)
     return u.conj().T
 
 
@@ -620,37 +618,53 @@ def bound_b(rho: np.ndarray, d_a: int, d_b: int,
 # ---------------------------------------------------------------------------
 # parameter packing for the optimization objectives
 
-def _angles_at(vec: np.ndarray, pos: list[tuple[int, int]], d: int, label: str) -> np.ndarray:
-    """d x d angle matrix holding ``vec`` at ``pos`` and zeros elsewhere.
+def _index(pos: Sequence[tuple[int, ...]], axes: int) -> tuple[np.ndarray, ...]:
+    """The ``axes`` index arrays of the positions ``pos``, empty ones for no positions."""
+    return tuple(np.array(pos, dtype=int).reshape(-1, axes).T)
 
-    Leading axes of ``vec`` give a stack (..., d, d) of matrices.
+
+def _angles_at(vec: np.ndarray, index: tuple[np.ndarray, ...], shape: tuple[int, ...]
+               ) -> np.ndarray:
+    """Array of ``shape`` holding ``vec`` at ``index`` (see ``_index``) and zeros elsewhere.
+
+    Leading axes of ``vec`` give a stack (..., *shape); a last axis of
+    another length than the layout raises ``LengthMismatchError``.
     """
     vec = np.asarray(vec, dtype=float)
-    if vec.shape[-1] != len(pos):
-        raise LengthMismatchError(f"expected {len(pos)} angles for {label}, got {vec.shape[-1]}")
-    lam = np.zeros(vec.shape[:-1] + (d, d))
-    lam[..., [i for i, _ in pos], [j for _, j in pos]] = vec
+    if vec.shape[-1] != index[0].size:
+        raise LengthMismatchError(f"expected {index[0].size} angles, got {vec.shape[-1]}")
+    lam = np.zeros(vec.shape[:-1] + shape)
+    lam[(..., *index)] = vec
     return lam
 
 
 def offdiag_positions(d: int) -> list[tuple[int, int]]:
-    """Row-major 0-based positions of the d^2 - d off-diagonal angles, those of ``sigma_pairs``."""
-    return _angle_positions(sigma_pairs(d))
+    """Row-major 0-based positions of the d^2 - d off-diagonal angles, those of ``sigma_pairs``.
+
+    A d that is not an integer >= 2 raises ``DimensionMismatchError``.
+    """
+    return _angle_positions(sigma_pairs(_count(d, "dimension", 2)))
 
 
 def offdiag_to_matrix(vec: np.ndarray, d: int) -> np.ndarray:
     """Angle matrix with zero diagonal from a packed off-diagonal vector."""
-    return _angles_at(np.ravel(vec), offdiag_positions(d), d, f"d={d}")
+    return _angles_at(np.ravel(vec), _index(offdiag_positions(d), 2), (d, d))
 
 
 def ucs_block_positions(d: int, k: int = 2) -> list[tuple[int, int]]:
-    """Row-major 0-based positions of the 2k(d-k) subspace-block angles, those of ``build_ucs``."""
-    return _angle_positions(_ucs_pairs(d, k))
+    """Row-major 0-based positions of the 2k(d-k) subspace-block angles, those of ``build_ucs``.
+
+    d as in ``offdiag_positions``; a k that is not an integer in 1..d raises
+    ``RankOutOfRangeError`` (k = d has no block angles).
+    """
+    d = _count(d, "dimension", 2)
+    return _angle_positions(_ucs_pairs(d, _count(k, "subspace dimension", 1, d,
+                                                 RankOutOfRangeError)))
 
 
 def ucs_block_to_matrix(vec: np.ndarray, d: int, k: int = 2) -> np.ndarray:
     """Angle matrix populated only at the subspace block positions."""
-    return _angles_at(np.ravel(vec), ucs_block_positions(d, k), d, f"d={d}, k={k}")
+    return _angles_at(np.ravel(vec), _index(ucs_block_positions(d, k), 2), (d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +713,9 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
     the single (1,2) x (1,2) block for both.  No diagonal phases.  Both
     sides come from one ``_product`` call, the smaller side cut from the
     top-left corner of a d x d product, d = max(d_a, d_b).  A side packs
-    the angles its factors with n <= d_side read, in ``_angle_positions`` order.
+    its angles as ``offdiag_to_matrix`` or ``ucs_block_to_matrix`` does
+    for its own dimension, through one ``_angles_at`` index built here,
+    which also reads the gradient back.
     Both give the rotations' pullback through the same factors: one
     contraction of W's gradient per side, then ``_product_pullback``, so
     both searches and their surrogates run on gradients.  A local
@@ -709,19 +725,14 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
     d = max(d_a, d_b)
     pairs = _ucs_pairs(d, 2) if witness else sigma_pairs(d)
     cols_a, cols_b = (2, 2) if witness else (d_a, d_b)
+    layout = ucs_block_positions if witness else offdiag_positions
     # each side's angles in the top-left block of its own d x d matrix of one (2, d, d) stack;
     # the plane factors outside a smaller side's block then have zero angles, identities
-    flat = [side * d * d + i * d + j
-            for side, d_side in enumerate((d_a, d_b))
-            for i, j in _angle_positions([(m, n) for m, n in pairs if n <= d_side])]
-
-    def angles(v: np.ndarray) -> np.ndarray:
-        lam = np.zeros(v.shape[:-1] + (2 * d * d,))
-        lam[..., flat] = v
-        return lam.reshape(v.shape[:-1] + (2, d, d))
+    index = _index([(side, i, j) for side, d_side in enumerate((d_a, d_b))
+                    for i, j in layout(d_side)], 3)
 
     def rotations_vjp(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable[..., np.ndarray]]:
-        lam = angles(v)
+        lam = _angles_at(v, index, (2, d, d))
         u = _product(lam, pairs, diag=False)
 
         w_a, w_b = u[..., 0, :d_a, :cols_a], u[..., 1, :d_b, :cols_b]
@@ -731,7 +742,7 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
             g = np.zeros(u.shape, dtype=complex)
             g[..., 0, :d_a, :cols_a] = np.einsum("rabcd,rbd->rac", g_w, w_b.conj())
             g[..., 1, :d_b, :cols_b] = np.einsum("rabcd,rac->rbd", g_w, w_a.conj())
-            return _product_pullback(lam, u, g, pairs).reshape(len(v), -1)[:, flat]
+            return _product_pullback(lam, u, g, pairs)[(..., *index)]
 
         return w_a, w_b, back
 
@@ -740,7 +751,7 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
     else:
         idx = _block_index(_all_pairs(d_a, d_b), d_b)
         seed_idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
-    return _Search(d_a, d_b, len(flat), rotations_vjp, idx, seed_idx)
+    return _Search(d_a, d_b, index[0].size, rotations_vjp, idx, seed_idx)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -755,10 +766,14 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 def _states(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
             d_a: int, d_b: int) -> list[_State]:
-    """One state, or a stack or sequence of them, as checked ``_State``s."""
-    if isinstance(rho, _State) or np.ndim(rho) == 2:
-        rho = [rho]
-    return [_check_state(r, d_a, d_b) for r in rho]
+    """One state, or a stack or sequence of them, as checked ``_State``s.
+
+    A sequence is one state when its first entry is a row; it is never
+    stacked, so states of other sizes reach their own size check.
+    """
+    one = (rho.ndim == 2 if isinstance(rho, np.ndarray)
+           else isinstance(rho, _State) or not len(rho) or np.ndim(rho[0]) == 1)
+    return [_check_state(r, d_a, d_b) for r in ([rho] if one else rho)]
 
 
 def _objective(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
@@ -783,59 +798,55 @@ def _objective(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
     return objective
 
 
-def _scalar(objective: Objective, n: int) -> Callable[[np.ndarray], float]:
-    """One-vector form, values only, of a batched objective over n angles."""
+def _scalar(objective: Objective) -> Callable[[np.ndarray], float]:
+    """One-vector form, values only, of a batched objective; ``_angles_at`` checks the length."""
+    return lambda v: float(objective(np.asarray(v, dtype=float).ravel())[0])
 
-    def scalar(v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != n:
-            raise LengthMismatchError(f"expected {n} angles, got {v.size}")
-        return float(objective(v)[0])
 
-    return scalar
+def _at_pair(f: Callable[[np.ndarray], float], params_a: np.ndarray,
+             params_b: np.ndarray) -> float:
+    """``f`` at the concatenation of the A packing ``params_a`` and the B packing ``params_b``."""
+    return f(np.concatenate([np.ravel(params_a), np.ravel(params_b)]))
 
 
 def make_bopt_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.ndarray], float]:
     """Objective v -> -B^2(rho; v) over (d_a^2 - d_a) + (d_b^2 - d_b) packed angles.
 
-    The vector is the concatenation of the A and B off-diagonal packings.
-    Each packing builds a composite product Uc that acts as the *adjoint*
-    of the local rotation: the terms are the block concurrences of
-    Uc† rho Uc, Uc = uc_a (x) uc_b.  With that convention appended
-    diagonal phases conjugate every block by a local diagonal unitary,
-    which leaves its concurrence unchanged, so the diagonal angles are
-    not part of the vector.
+    The vector is the concatenation of the A and B off-diagonal packings,
+    by construction: the search packs both through one ``_angles_at``
+    index (see ``_search``).  Each packing builds a composite product Uc
+    that acts as the *adjoint* of the local rotation: the terms are the
+    block concurrences of Uc† rho Uc, Uc = uc_a (x) uc_b.  With that
+    convention appended diagonal phases conjugate every block by a local
+    diagonal unitary, which leaves its concurrence unchanged, so the
+    diagonal angles are not part of the vector.
     """
-    search = _search(d_a, d_b)
-    return _scalar(_objective(rho, search), search.n)
+    return _scalar(_objective(rho, _search(d_a, d_b)))
 
 
 def bopt_objective(rho: np.ndarray, d_a: int, d_b: int,
                    params_a: np.ndarray, params_b: np.ndarray) -> float:
     """-B^2 for one pair of packed off-diagonal angle vectors."""
-    f = make_bopt_objective(rho, d_a, d_b)
-    return f(np.concatenate([np.asarray(params_a, dtype=float).ravel(),
-                             np.asarray(params_b, dtype=float).ravel()]))
+    return _at_pair(make_bopt_objective(rho, d_a, d_b), params_a, params_b)
 
 
 def make_distill_objective(rho: np.ndarray, d_a: int, d_b: int) -> Callable[[np.ndarray], float]:
     """Objective v -> -X^2_{1,2,1,2} over (4 d_a - 8) + (4 d_b - 8) subspace-block angles.
 
-    Each side contributes the 4d - 8 angles of a two-dimensional subspace
-    product (none for d = 2).  The term is the concurrence of the single
-    block E† rho E, with E the first two columns of each subspace
-    product, tensored.
+    The vector is the concatenation of the A and B packings of
+    ``ucs_block_to_matrix`` with k = 2, by construction as for
+    ``make_bopt_objective``: the 4d - 8 angles of a two-dimensional
+    subspace product per side (none for d = 2).  The term is the
+    concurrence of the single block E† rho E, with E the first two
+    columns of each subspace product, tensored.
     """
-    search = _search(d_a, d_b, witness=True)
-    return _scalar(_objective(rho, search), search.n)
+    return _scalar(_objective(rho, _search(d_a, d_b, witness=True)))
 
 
 def distill_objective(rho: np.ndarray, d_a: int, d_b: int,
                       params_a: np.ndarray, params_b: np.ndarray) -> float:
     """-X^2_{1,2,1,2} for one pair of packed subspace-block angle vectors."""
-    f = make_distill_objective(rho, d_a, d_b)
-    return f(np.concatenate([np.asarray(params_a, dtype=float).ravel(),
-                             np.asarray(params_b, dtype=float).ravel()]))
+    return _at_pair(make_distill_objective(rho, d_a, d_b), params_a, params_b)
 
 
 def _pt_surrogate(rho: np.ndarray, search: _Search) -> Objective:

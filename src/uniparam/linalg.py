@@ -75,7 +75,7 @@ def herm_eig(m: np.ndarray) -> HermitianEig:
     """
     m = _as_square(m)
     if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise NotHermitianError("matrix is not Hermitian within 1e-9")
+        raise NotHermitianError(f"matrix is not Hermitian within {HERMITICITY_TOL:.0e}")
     h = (m + m.conj().T) / 2
     try:
         w, v = np.linalg.eigh(h)

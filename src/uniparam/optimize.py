@@ -39,12 +39,13 @@ evaluators.  ``OptimizerResult.calls`` counts the calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from .composite import TWO_PI
+from .errors import UniparamError
+from .linalg import _count
 
 # BFGS weak Wolfe line search: sufficient decrease and curvature constants
 ARMIJO = 1e-4
@@ -74,8 +75,8 @@ class OptimizerConfig:
     restarts       : number of starts; the first is the zero vector.
     seed           : seed for the restart draws, >= 0.
 
-    A non-integer count or seed, or a negative seed, raises ``ValueError``
-    here rather than later inside the search or numpy.  Every run, those
+    Restarts below 1, a seed below 0 or either not an integer raises
+    ``UniparamError`` (a ``ValueError``) here, not later inside numpy.  Every run, those
     of ``refine`` included, uses the two constants below.
 
     f_tol          : stop a run once a step gains, and the next promises,
@@ -90,14 +91,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("restarts", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        _count(self.restarts, "restarts", 1, error=UniparamError)
+        _count(self.seed, "seed", 0, error=UniparamError)
 
 
 @dataclass
@@ -342,8 +337,7 @@ def minimize_many(objective: Objective, dim: int, cfgs: Sequence[OptimizerConfig
     result equals that of ``minimize`` on its problem alone.
     """
     cfgs = list(cfgs)
-    if dim < 0:
-        raise ValueError("dim must be >= 0")
+    dim = _count(dim, "dim", 0, error=UniparamError)
     if not cfgs:
         return []
     if any(replace(c, seed=0) != replace(cfgs[0], seed=0) for c in cfgs):
@@ -365,10 +359,11 @@ def minimize(objective: Objective, dim: int, cfg: OptimizerConfig | None = None,
     """Minimize ``objective`` over R^dim with restarted BFGS.
 
     ``objective`` gets every row with owner 0.  ``dim == 0`` evaluates the
-    constant objective once and returns.  The result is the best point
-    over all restarts; ``converged`` reports whether the restart that
-    produced it stopped on a gain or promise below round-off or
-    ``f_tol``, not on a cap or a kink.  ``keep_history`` records each
+    constant objective once and returns; a ``dim`` that is not an integer
+    >= 0 raises ``UniparamError``, as do bad settings.  The result is the
+    best point over all restarts; ``converged`` reports whether the
+    restart that produced it stopped on a gain or promise below round-off
+    or ``f_tol``, not on a cap or a kink.  ``keep_history`` records each
     restart's value at its first point and after every accepted step.
     """
     return minimize_many(objective, dim, [cfg or OptimizerConfig()], keep_history)[0]

@@ -16,15 +16,7 @@ import math
 
 import numpy as np
 
-from .composite import (
-    UNITARITY_INPUT_TOL,
-    _assert_angles,
-    _ucd,
-    _ucs,
-    _ucs_pairs,
-    _zeroing_sweep,
-    unitarity_defect,
-)
+from .composite import _assert_angles, _check_isometry, _ucd, _ucs, _ucs_pairs, _zeroing_sweep
 from .errors import (
     LengthMismatchError,
     NonFiniteError,
@@ -88,13 +80,13 @@ def validate_density(rho: np.ndarray, rank_bound: int | None = None) -> np.ndarr
     """
     rho = _as_square(rho)
     if np.max(np.abs(rho - rho.conj().T)) > DENSITY_HERM_TOL:
-        raise NotHermitianError("density matrix not Hermitian within 1e-12")
+        raise NotHermitianError(f"density matrix not Hermitian within {DENSITY_HERM_TOL:.0e}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise NormalizationError(f"trace {tr!r} differs from 1 beyond 1e-12")
+        raise NormalizationError(f"trace {tr!r} differs from 1 beyond {DENSITY_TRACE_TOL:.0e}")
     w = herm_eig(rho).eigenvalues
     if w[0] < -DENSITY_PSD_TOL:
-        raise NotPSDError(f"minimum eigenvalue {w[0]:.3e} < -1e-10")
+        raise NotPSDError(f"minimum eigenvalue {w[0]:.3e} < -{DENSITY_PSD_TOL:.0e}")
     if rank_bound is not None:
         rank = int(np.sum(w > RANK_EIG_TOL))
         if rank > _count(rank_bound, "rank bound", 1, error=RankOutOfRangeError):
@@ -126,13 +118,8 @@ def canonicalize_subspace(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if v.ndim != 2:
         raise NotOrthonormalError(f"expected a d x k column matrix, got shape {v.shape}")
     d, k = v.shape
-    if not 1 <= k < d:
-        raise RankOutOfRangeError(f"subspace dimension {k} outside 1..{d - 1}")
-    if not np.isfinite(v).all():
-        raise NonFiniteError("column set has a NaN or infinite entry")
-    gram_defect = unitarity_defect(v)
-    if not gram_defect <= UNITARITY_INPUT_TOL:
-        raise NotOrthonormalError(f"Gram defect {gram_defect:.3e} exceeds 1e-9")
+    _count(k, "subspace dimension", 1, d - 1, RankOutOfRangeError)
+    _check_isometry(v, "column set", NotOrthonormalError)
 
     # With T the top block, J the index reversal and (J T J)† = Q R,
     # T (J Q J) = J R† J is upper triangular.  Triangularizations of a

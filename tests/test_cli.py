@@ -14,6 +14,7 @@ from uniparam import (
     bound_b,
     max_concurrence,
     max_distill_x_sq,
+    n_copy_state,
     optimized_bound_b,
     unitarity_defect,
 )
@@ -444,6 +445,9 @@ def test_load_matrix_file_rejects_garbage(tmp_path, capsys):
             "rows": 2, "cols": 2, "data": [["1.5", "0"], [True, False], [0, 0], [1, 0]]},
         "numeric string entry": {"rows": 2, "cols": 2, "data": [["1.5", 0]] + entries[1:]},
         "boolean entry": {"rows": 2, "cols": 2, "data": [[True, 0]] + entries[1:]},
+        "missing field": {"rows": 2, "cols": 2},
+        "NaN literal": b'{"rows": 2, "cols": 2, "data": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}',
+        "zero rows": {"rows": 0, "cols": 2, "data": []},
     }.items():
         path = tmp_path / "malformed.json"
         path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
@@ -494,6 +498,47 @@ def test_fig1_rejects_negative_jobs(tmp_path, capsys):
 def test_run_fig1_scan_rejects_jobs_below_one(jobs):
     with pytest.raises(UniparamError, match="jobs"):
         run_fig1_scan(0.25, optimize=True, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1.5, 2.0, True])
+def test_run_fig1_scan_rejects_non_integer_jobs_before_any_point(monkeypatch, jobs):
+    # 1.5 failed in range() after every grid point's plain bound, and True ran as one job
+    import uniparam.cli
+
+    def point(alpha, beta):
+        raise AssertionError("a grid point was computed")
+
+    monkeypatch.setattr(uniparam.cli, "_fig1_point", point)
+    with pytest.raises(UniparamError, match="jobs"):
+        run_fig1_scan(0.25, optimize=True, jobs=jobs)
+
+
+BAD_INVOCATIONS = {
+    "gen-unitary --dim 1": ["gen-unitary", "--dim", "1", "--seed", "0"],
+    "gen-unitary complex params": ["gen-unitary", "--dim", "2", "--params", "{complex}"],
+    "bound --dims 3": ["bound", "--state", "{state}", "--dims", "3"],
+    "distill --dims 1,4": ["distill", "--state", "{state}", "--dims", "1,4"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
+def test_bad_invocations_exit_2(tmp_path, capsys, case):
+    files = {"state": write_matrix(tmp_path / "state.json", np.eye(4) / 4),
+             "complex": write_matrix(tmp_path / "complex.json", np.full((2, 2), 0.5j))}
+    code, out, err = run_cli(capsys, *(arg.format(**files) for arg in BAD_INVOCATIONS[case]))
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_distill_two_copies(tmp_path, capsys):
+    rho = werner_state(0.9)
+    path = write_matrix(tmp_path / "w.json", rho)
+    code, out, _ = run_cli(capsys, "distill", "--state", path, "--dims", "2,2", "--copies", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["dims"], doc["copies"], doc["n_params"]) == ([4, 4], 2, 16)
+    expected = max_distill_x_sq(n_copy_state(rho, (2, 2), 2), 4, 4, OptimizerConfig())[0]
+    assert doc["max_x_sq"] == expected
 
 
 @pytest.mark.parametrize("message, expected", [

@@ -8,6 +8,7 @@ from uniparam import (
     DimensionMismatchError,
     IndexOrderError,
     IndexOutOfRangeError,
+    LengthMismatchError,
     NonFiniteError,
     NotUnitaryError,
     RankOutOfRangeError,
@@ -210,6 +211,21 @@ def test_decompose_canonical_ranges_and_fixed_point():
 def test_decompose_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
         decompose(np.ones((3, 3)))
+
+
+BAD_SHAPES = {
+    "build_unitary non-square": (IndexOutOfRangeError, lambda: build_unitary(np.zeros((2, 3)))),
+    "build_density wrong d": (LengthMismatchError,
+                              lambda: build_density([0.4], np.zeros((3, 3)), 2, 4)),
+    "decompose non-square": (NotUnitaryError, lambda: decompose(np.eye(3)[:, :2])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_bad_shapes_raise_their_errors(case):
+    error, call = BAD_SHAPES[case]
+    with pytest.raises(error):
+        call()
 
 
 def test_decompose_unitarity_boundary():

@@ -15,6 +15,7 @@ from uniparam import (
     NotPSDError,
     NotUnitaryError,
     OptimizerConfig,
+    RankOutOfRangeError,
     bopt_objective,
     bound_b,
     bound_x,
@@ -507,6 +508,16 @@ BAD_COUNTS = {
     "ppt_min_eigenvalue dims scalar": lambda: ppt_min_eigenvalue(np.eye(4) / 4, 4),
     "multipartite_bound_b dims scalar": lambda: multipartite_bound_b(np.eye(4) / 4, 4),
     "n_copy_state dims scalar": lambda: n_copy_state(np.eye(4) / 4, 4, 2),
+    "n_copy_state dims triple": lambda: n_copy_state(np.eye(8) / 8, (2, 2, 2), 2),
+    "bipartitions dims short": lambda: enumerate_bipartitions(3, (2, 2)),
+    "bound_b d_a 1": lambda: bound_b(np.eye(4) / 4, 1, 4),
+    "linear_entropy 1x1": lambda: linear_entropy(np.ones((1, 1))),
+    "pure_m_concurrence_sq length": lambda: pure_m_concurrence_sq(np.ones(8) / math.sqrt(8), 3, 3),
+    # the layout helpers raised a bare TypeError from range, or returned an empty layout
+    "offdiag_positions 3.0": lambda: offdiag_positions(3.0),
+    "offdiag_positions -1": lambda: offdiag_positions(-1),
+    "offdiag_to_matrix 3.0": lambda: offdiag_to_matrix(np.zeros(6), 3.0),
+    "ucs_block_positions d 1": lambda: ucs_block_positions(1, 1),
 }
 
 
@@ -516,6 +527,53 @@ def test_bad_counts_and_dims_raise_dimension_mismatch(case):
     # or returned a number (max_concurrence(-1) = 2.0, one copy for True)
     with pytest.raises(DimensionMismatchError):
         BAD_COUNTS[case]()
+
+
+BAD_SUBSPACE_DIMS = {
+    "ucs_block_positions 2.0": lambda: ucs_block_positions(5, 2.0),
+    "ucs_block_to_matrix 2.0": lambda: ucs_block_to_matrix(np.zeros(8), 4, 2.0),
+    "ucs_block_positions 5 > d": lambda: ucs_block_positions(3, 5),
+    "ucs_block_to_matrix 0": lambda: ucs_block_to_matrix(np.zeros(0), 4, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SUBSPACE_DIMS))
+def test_bad_subspace_dims_raise_rank_out_of_range(case):
+    # a non-integer k raised a bare TypeError from range, and a k outside 1..d gave an empty layout
+    with pytest.raises(RankOutOfRangeError, match="subspace dimension"):
+        BAD_SUBSPACE_DIMS[case]()
+
+
+def test_full_subspace_has_no_block_angles():
+    # k = d is the qubit side of the witness, which reads no angles
+    assert ucs_block_positions(2, 2) == [] and ucs_block_positions(4, 4) == []
+    assert np.array_equal(ucs_block_to_matrix(np.zeros(0), 2, 2), np.zeros((2, 2)))
+
+
+def test_ragged_state_lists_raise_dimension_mismatch():
+    # telling one state from a list stacked the list, and numpy raised a bare ValueError
+    # (inhomogeneous shape)
+    from uniparam.entanglement import lifted_bounds_b
+
+    states = [np.eye(9) / 9, np.eye(16) / 16]
+    with pytest.raises(DimensionMismatchError, match="16"):
+        optimized_bounds_b(states, 3, 3, [None, None])
+    with pytest.raises(DimensionMismatchError, match="16"):
+        lifted_bounds_b(states, 3, 3, [None, None], [np.zeros((0, 12))] * 2)
+
+
+def test_states_reads_one_state_a_stack_or_a_sequence():
+    from uniparam.entanglement import _check_state, _states
+
+    rng = np.random.default_rng(47)
+    rho, other = rand_density(rng, 6), rand_density(rng, 6)
+    checked = _check_state(rho, 2, 3)
+    for one in (rho, rho.tolist(), checked):
+        (state,) = _states(one, 2, 3)
+        assert np.array_equal(state.rho, rho)
+    for many in (np.stack([rho, other]), [rho, other], [checked, other.tolist()]):
+        first, second = _states(many, 2, 3)
+        assert np.array_equal(first.rho, rho) and np.array_equal(second.rho, other)
 
 
 MIXED_4 = np.eye(4) / 4
@@ -582,7 +640,7 @@ def test_batched_objectives_equal_closures(d_a, d_b):
          4 * d_a - 8 + 4 * d_b - 8),
     ]
     surrogate = _pt_surrogate(rho, bopt)
-    cases.append((surrogate, _scalar(surrogate, n_bopt), n_bopt))
+    cases.append((surrogate, _scalar(surrogate), n_bopt))
     for objective, closure, n in cases:
         v = rng.uniform(0.0, 2 * np.pi, (25, n))
         v[0] = 0.0
@@ -708,7 +766,7 @@ def test_max_distill_equals_minimize(case):
         assert expected.value == 0.0
         search = _search(*dims, witness=True)
         surrogate = _pt_surrogate(rho, search)
-        seeded = nelder_mead_restarts(_scalar(surrogate, n), n,
+        seeded = nelder_mead_restarts(_scalar(surrogate), n,
                                       replace(cfg, restarts=PT_SEED_RESTARTS))
         run = nelder_mead_restarts(f, n, cfg, starts=[seeded.x])
         assert run.value < 0.0
@@ -896,13 +954,13 @@ def test_two_column_concurrences_match_svd():
 @pytest.mark.parametrize("d_a, d_b", [(3, 3), (4, 4), (2, 3), (3, 4)])
 def test_search_rotations_equal_per_side_builds(d_a, d_b, witness):
     from uniparam.composite import _product, _ucs_pairs, sigma_pairs
-    from uniparam.entanglement import _angles_at, _search
+    from uniparam.entanglement import _angles_at, _index, _search
 
     def side(v, d):
         if witness:
-            lam = _angles_at(v, ucs_block_positions(d, 2), d, "side")
+            lam = _angles_at(v, _index(ucs_block_positions(d, 2), 2), (d, d))
             return _product(lam, _ucs_pairs(d, 2), diag=False)[..., :2]
-        return _product(_angles_at(v, offdiag_positions(d), d, "side"), sigma_pairs(d),
+        return _product(_angles_at(v, _index(offdiag_positions(d), 2), (d, d)), sigma_pairs(d),
                         diag=False)
 
     search = _search(d_a, d_b, witness)
@@ -1417,7 +1475,7 @@ def test_seeded_stage_evaluations_below_nelder_mead(witness):
     stage = _pt_seeded(plateau, state, search, cfg)
     assert stage.best_restart == cfg.restarts and stage.value < -PLATEAU_X_SQ
     surrogate = _pt_surrogate(rho, search)
-    reference = nelder_mead_restarts(_scalar(surrogate, search.n), search.n,
+    reference = nelder_mead_restarts(_scalar(surrogate), search.n,
                                      replace(cfg, restarts=PT_SEED_RESTARTS))
     assert stage.evaluations < reference.evaluations
     assert stage.calls < reference.calls

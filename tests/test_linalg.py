@@ -150,6 +150,8 @@ def test_dims_validation():
         partial_trace(np.eye(6), (2, 2), keep=0)
     with pytest.raises(DimensionMismatchError):
         partial_transpose(np.eye(6), (2, 3), which=2)
+    with pytest.raises(DimensionMismatchError, match="permutation"):
+        permute_subsystems(np.eye(4), (2, 2), [0, 0])
 
 
 MIXED_2x2 = np.eye(4) / 4

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uniparam import OptimizerConfig, OptimizerResult, minimize, minimize_many, refine
+from uniparam.errors import UniparamError
 from uniparam.optimize import BFGS_MAX_TRIALS
 from helpers import restart_starts
 
@@ -130,6 +131,23 @@ def test_config_rejects_values_that_only_fail_later(field, value):
     # time
     with pytest.raises(ValueError, match=field):
         OptimizerConfig(**{field: value})
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, True])
+def test_non_integer_dim_raises_uniparam_error(dim):
+    # these ended in numpy's bare TypeError
+    with pytest.raises(UniparamError, match="dim"):
+        minimize(QUADRATIC, dim)
+    with pytest.raises(UniparamError, match="dim"):
+        minimize_many(QUADRATIC, dim, [OptimizerConfig()])
+
+
+def test_bad_settings_raise_uniparam_error():
+    for bad in ({"restarts": 0}, {"restarts": 1.5}, {"seed": -1}, {"seed": True}):
+        with pytest.raises(UniparamError):
+            OptimizerConfig(**bad)
+    with pytest.raises(UniparamError):
+        minimize(QUADRATIC, -1)
 
 
 def test_config_takes_only_restarts_and_seed():

@@ -7,6 +7,8 @@ import pytest
 
 from uniparam import (
     LengthMismatchError,
+    NotHermitianError,
+    NotPSDError,
     NotOrthonormalError,
     RankOutOfRangeError,
     build_density,
@@ -213,6 +215,22 @@ def test_canonicalize_orthonormality_boundary():
     assert np.max(np.abs(subspace_basis(lam, k, d) @ w - v)) < 1e-8
     with pytest.raises(NotOrthonormalError):
         canonicalize_subspace(outside)
+
+
+BAD_INPUTS = {
+    "validate_density non-Hermitian": (NotHermitianError,
+                                       lambda: validate_density(np.triu(np.ones((2, 2))) / 2)),
+    "validate_density non-PSD": (NotPSDError, lambda: validate_density(np.diag([1.5, -0.5]))),
+    "canonicalize_subspace 1-D": (NotOrthonormalError,
+                                  lambda: canonicalize_subspace(np.array([1.0, 0.0]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_inputs_raise_their_errors(case):
+    error, call = BAD_INPUTS[case]
+    with pytest.raises(error):
+        call()
 
 
 def test_canonicalize_rejects_full_and_empty_column_sets():

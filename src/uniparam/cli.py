@@ -21,7 +21,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .entanglement import (
     ppt_min_eigenvalue,
 )
 from .errors import ConvergenceError, UniparamError
-from .linalg import _check_dims, _count, herm_eig
+from .linalg import _count, herm_eig
 from .optimize import OptimizerConfig, OptimizerResult
 from .states import DENSITY_PSD_TOL, validate_density
 
@@ -145,27 +145,12 @@ def _point_seed(base_seed: int, ia: int, ib: int) -> int:
     return int(np.random.SeedSequence([base_seed, ia, ib]).generate_state(1)[0])
 
 
-def _fig1_point(alpha: float, beta: float) -> ScanRow:
-    """The checks and the plain bound of one grid point; ``bound_opt`` is left empty."""
-    rho = fig1_state(alpha, beta)
+def _fig1_point(alpha: float, beta: float, rho: np.ndarray) -> ScanRow:
+    """The checks and plain bound of ``rho`` = fig1(alpha, beta); ``bound_opt`` is left empty."""
     is_state = bool(herm_eig(rho).eigenvalues[0] >= -DENSITY_PSD_TOL)
     is_ppt = bool(ppt_min_eigenvalue(rho, (3, 3)) >= -DENSITY_PSD_TOL)
     bound_plain = bound_b(rho, 3, 3).b / max_concurrence(3) if is_state else None
     return ScanRow(alpha, beta, is_state, is_ppt, bound_plain, None)
-
-
-def _fig1_share(share: tuple) -> list[OptimizerResult]:
-    """B_opt results of one worker's states, in the order given.
-
-    They are maximized in one ``optimized_bounds_b`` run, each with the
-    seed of its grid indices.
-    """
-    points, restarts, base_seed = share
-    bounds = optimized_bounds_b(
-        [fig1_state(alpha, beta) for _, _, alpha, beta in points], 3, 3,
-        [OptimizerConfig(restarts=restarts, seed=_point_seed(base_seed, ia, ib))
-         for ia, ib, _, _ in points])
-    return [result for _, result in bounds]
 
 
 def _mirror_angles(x: np.ndarray) -> np.ndarray:
@@ -202,41 +187,41 @@ def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
 
     Rows come back in deterministic grid order (alpha outer, beta inner);
     grid points that are not density matrices carry empty bounds but are
-    still emitted.  Every point is checked once, here.  With ``optimize``
+    still emitted.  The settings are checked before any grid point, and
+    every grid state is built and checked once, here.  With ``optimize``
     the states are dealt round-robin in grid order to ``jobs`` shares, and
-    each share is one task of a process pool.  A share's states are
-    optimized in one joint run, each with its own seed and restarts, so
-    the rows do not depend on ``jobs``.  A second round then lifts each
-    state from the optima of its grid neighbours and of its mirror
-    (``lifted_bounds_b``): twelve restarts can all miss a state's best
-    maximum where a related state's finds it, and the mirrored rows,
-    related by a local permutation, have equal bounds.  The second round
-    runs in the calling process, in one ``lifted_bounds_b`` call on every
-    state; it reads only the first round's results, so it does not depend
-    on ``jobs`` either.
+    each share is one ``optimized_bounds_b`` call in a process pool: one
+    joint run, each state with its own seed and restarts, so the rows do
+    not depend on ``jobs``.  A second round then lifts each state from the
+    optima of its grid neighbours and of its mirror (``lifted_bounds_b``):
+    twelve restarts can all miss a state's best maximum where a related
+    state's finds it, and the mirrored rows, related by a local
+    permutation, have equal bounds.  The second round runs in the calling
+    process, in one ``lifted_bounds_b`` call on every state; it reads only
+    the first round's results, so it does not depend on ``jobs`` either.
     """
     if not 0.0 < step <= 0.25:
         raise UniparamError(f"step must lie in (0, 0.25], got {step}")
-    if jobs is not None:
-        jobs = _count(jobs, "jobs", 1, error=UniparamError)
+    jobs = (os.cpu_count() or 1) if jobs is None else _count(jobs, "jobs", 1, error=UniparamError)
+    cfg = OptimizerConfig(restarts=restarts, seed=seed)
     num = int(math.floor((1.0 + 1e-9) / step))
     points = [(ia, ib, ia * step, ib * step) for ia in range(num + 1) for ib in range(num + 1)]
-    rows = [_fig1_point(alpha, beta) for _, _, alpha, beta in points]
+    rhos = [fig1_state(alpha, beta) for _, _, alpha, beta in points]
+    rows = [_fig1_point(alpha, beta, rho) for (_, _, alpha, beta), rho in zip(points, rhos)]
     if not optimize:
         return rows
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     states = [i for i, row in enumerate(rows) if row.is_state]
     dealt = [states[j::jobs] for j in range(min(jobs, len(states)))]
-    shares = [([points[i] for i in idx], restarts, seed) for idx in dealt]
+    cfgs = [[replace(cfg, seed=_point_seed(seed, *points[i][:2])) for i in idx] for idx in dealt]
     with ExitStack() as stack:
         run = map
-        if len(shares) > 1:
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=len(shares))).map
-        results = dict(zip(itertools.chain(*dealt), itertools.chain(*run(_fig1_share, shares))))
+        if len(dealt) > 1:
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=len(dealt))).map
+        shares = run(optimized_bounds_b, [[rhos[i] for i in idx] for idx in dealt],
+                     itertools.repeat(3), itertools.repeat(3), cfgs)
+        results = dict(zip(itertools.chain(*dealt), (r for _, r in itertools.chain(*shares))))
     best = {points[i][:2]: result.x for i, result in results.items()}
-    bounds = lifted_bounds_b([fig1_state(*points[i][2:]) for i in states], 3, 3,
-                             [results[i] for i in states],
+    bounds = lifted_bounds_b([rhos[i] for i in states], 3, 3, [results[i] for i in states],
                              [_fig1_candidates(*points[i][:2], best) for i in states])
     for i, (b_opt, _) in zip(states, bounds):
         rows[i].bound_opt = b_opt / max_concurrence(3)
@@ -299,8 +284,8 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return d_a, d_b
 
 
-def _load_state(path: str, d_a: int, d_b: int) -> np.ndarray:
-    rho, _ = _check_dims(load_matrix_file(path), (d_a, d_b))
+def _load_state(path: str) -> np.ndarray:
+    rho = load_matrix_file(path)
     validate_density(rho)
     return rho
 
@@ -313,7 +298,7 @@ def _optimizer_report(result: OptimizerResult) -> dict:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     d_a, d_b = _parse_dims(args.dims)
-    rho = _load_state(args.state, d_a, d_b)
+    rho = _load_state(args.state)
     norm = max_concurrence(min(d_a, d_b))
     report = bound_b(rho, d_a, d_b)
     out = {
@@ -340,7 +325,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_distill(args: argparse.Namespace) -> int:
     d_a, d_b = _parse_dims(args.dims)
-    rho = _load_state(args.state, d_a, d_b)
+    rho = _load_state(args.state)
     if args.copies > 1:
         rho = n_copy_state(rho, (d_a, d_b), args.copies)
         d_a, d_b = d_a ** args.copies, d_b ** args.copies

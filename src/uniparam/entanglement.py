@@ -771,8 +771,11 @@ def _states(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
     A sequence is one state when its first entry is a row; it is never
     stacked, so states of other sizes reach their own size check.
     """
-    one = (rho.ndim == 2 if isinstance(rho, np.ndarray)
-           else isinstance(rho, _State) or not len(rho) or np.ndim(rho[0]) == 1)
+    try:
+        one = (rho.ndim == 2 if isinstance(rho, np.ndarray)
+               else isinstance(rho, _State) or not len(rho) or np.ndim(rho[0]) == 1)
+    except ValueError:  # numpy's, for a ragged first entry: a malformed state of a sequence
+        one = False
     return [_check_state(r, d_a, d_b) for r in ([rho] if one else rho)]
 
 

@@ -7,12 +7,12 @@ immutable inputs; results are freshly allocated arrays.
 
 ``_as_square`` is the one matrix gate of the package: every matrix argument
 is made complex and checked to be 2-D, square and finite before any
-arithmetic (``NonSquareError``, ``NonFiniteError``).  ``_check_dims`` runs
-it and then checks that ``dims`` multiply to the matrix size
-(``DimensionMismatchError``); every function that takes a matrix and dims
-starts there.  ``_count`` is the one gate of integer arguments: a
-dimension, index, rank or count that is not an integer, or outside its
-range, raises the error its caller names.
+arithmetic (``NonSquareError``, also for input that does not convert, and
+``NonFiniteError``).  ``_check_dims`` runs it and then checks that ``dims``
+multiply to the matrix size (``DimensionMismatchError``); every function
+that takes a matrix and dims starts there.  ``_count`` is the one gate of
+integer arguments: a dimension, index, rank or count that is not an
+integer, or outside its range, raises the error its caller names.
 
 Subsystem indices are 0-based positions into the ``dims`` list.
 """
@@ -53,7 +53,10 @@ class HermitianEig(NamedTuple):
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:  # ragged lists, strings, objects
+        raise NonSquareError(f"expected a numeric square matrix ({exc})") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise NonSquareError(f"expected a non-empty square matrix, got shape {m.shape}")
     # NaN fails every tolerance test downstream, so it is rejected first

@@ -34,17 +34,22 @@ steps.  No objective call takes more than ``restarts * (dim + 1)`` rows,
 the size of one problem's simplex set-up: larger evaluations are split
 into calls of that size, which bounds the memory of the batched
 evaluators.  ``OptimizerResult.calls`` counts the calls.
+
+Bad input raises ``UniparamError`` before any run: a config that is not
+an ``OptimizerConfig``, configs differing in more than the seed, a ``dim``
+that is not an integer >= 0, or ``refine`` starts that are not a (P, dim)
+array of finite numbers (``NonFiniteError``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from .composite import TWO_PI
-from .errors import UniparamError
+from .errors import NonFiniteError, UniparamError
 from .linalg import _count
 
 # BFGS weak Wolfe line search: sufficient decrease and curvature constants
@@ -340,8 +345,9 @@ def minimize_many(objective: Objective, dim: int, cfgs: Sequence[OptimizerConfig
     dim = _count(dim, "dim", 0, error=UniparamError)
     if not cfgs:
         return []
-    if any(replace(c, seed=0) != replace(cfgs[0], seed=0) for c in cfgs):
-        raise ValueError("configs may differ only in seed")
+    # cfgs[0] is tested first, so its restarts are read only once it is a config
+    if not all(isinstance(c, OptimizerConfig) and c.restarts == cfgs[0].restarts for c in cfgs):
+        raise UniparamError("configs must be OptimizerConfig instances differing only in seed")
     if dim == 0:
         x = np.zeros(0)
         values, _ = objective(np.zeros((len(cfgs), 0)), np.arange(len(cfgs)))
@@ -359,12 +365,11 @@ def minimize(objective: Objective, dim: int, cfg: OptimizerConfig | None = None,
     """Minimize ``objective`` over R^dim with restarted BFGS.
 
     ``objective`` gets every row with owner 0.  ``dim == 0`` evaluates the
-    constant objective once and returns; a ``dim`` that is not an integer
-    >= 0 raises ``UniparamError``, as do bad settings.  The result is the
-    best point over all restarts; ``converged`` reports whether the
-    restart that produced it stopped on a gain or promise below round-off
-    or ``f_tol``, not on a cap or a kink.  ``keep_history`` records each
-    restart's value at its first point and after every accepted step.
+    constant objective once and returns.  The result is the best point
+    over all restarts; ``converged`` reports whether the restart that
+    produced it stopped on a gain or promise below round-off or ``f_tol``,
+    not on a cap or a kink.  ``keep_history`` records each restart's value
+    at its first point and after every accepted step.
     """
     return minimize_many(objective, dim, [cfg or OptimizerConfig()], keep_history)[0]
 
@@ -377,5 +382,7 @@ def refine(objective: Objective, starts: np.ndarray) -> list[OptimizerResult]:
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2:
-        raise ValueError(f"starts must be a (P, dim) array, got shape {starts.shape}")
+        raise UniparamError(f"starts must be a (P, dim) array, got shape {starts.shape}")
+    if not np.isfinite(starts).all():
+        raise NonFiniteError("starts have a NaN or infinite entry")
     return _solve(objective, starts[:, None], False)

@@ -291,11 +291,14 @@ def test_fig1_share_cuts_the_trailing_crawls():
     # the restarts crawling to the kink maxima of the rank-2 states (alpha + beta = 1) trail the
     # zero start, which stops first and gives the plain bound there, so they stop after
     # BFGS_TRAILING_TRIALS trial points, well before the trial cap
-    from uniparam.cli import _fig1_share
+    from uniparam.cli import _point_seed
+    from uniparam.entanglement import optimized_bounds_b
     from uniparam.optimize import BFGS_MAX_TRIALS, BFGS_TRAILING_TRIALS
 
     points = [(ia, ib, ia * 0.25, ib * 0.25) for ia in range(5) for ib in range(5 - ia)]
-    results = _fig1_share((points, 12, 0))
+    results = [result for _, result in optimized_bounds_b(
+        [fig1_state(alpha, beta) for _, _, alpha, beta in points], 3, 3,
+        [OptimizerConfig(restarts=12, seed=_point_seed(0, ia, ib)) for ia, ib, _, _ in points])]
     assert len(results) == 15
     assert all(r.calls <= BFGS_TRAILING_TRIALS + 20 < BFGS_MAX_TRIALS for r in results)
     for (ia, ib, alpha, beta), result in zip(points, results):
@@ -511,6 +514,46 @@ def test_run_fig1_scan_rejects_non_integer_jobs_before_any_point(monkeypatch, jo
     monkeypatch.setattr(uniparam.cli, "_fig1_point", point)
     with pytest.raises(UniparamError, match="jobs"):
         run_fig1_scan(0.25, optimize=True, jobs=jobs)
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("setting", [{"restarts": 0}, {"restarts": 1.5}, {"restarts": True},
+                                     {"seed": -1}, {"seed": 1.5}], ids=str)
+def test_run_fig1_scan_rejects_bad_settings_before_any_point(monkeypatch, setting, optimize):
+    # these failed after every grid point's plain bound, seed=-1 in numpy's SeedSequence
+    import uniparam.cli
+
+    def point(alpha, beta, rho):
+        raise AssertionError("a grid point was computed")
+
+    monkeypatch.setattr(uniparam.cli, "_fig1_point", point)
+    with pytest.raises(UniparamError, match=next(iter(setting))):
+        run_fig1_scan(0.25, optimize=optimize, **setting)
+
+
+def test_fig1_scan_builds_each_state_once(monkeypatch):
+    # the worker shares and the lift round built each state again: 25 + 15 + 15 calls
+    import uniparam.cli
+
+    built = []
+
+    def counted(alpha, beta):
+        built.append((alpha, beta))
+        return fig1_state(alpha, beta)
+
+    monkeypatch.setattr(uniparam.cli, "fig1_state", counted)
+    rows = run_fig1_scan(0.25, optimize=True, restarts=2, jobs=1)
+    assert built == [(r.alpha, r.beta) for r in rows]
+    assert len(built) == 25
+
+
+@pytest.mark.parametrize("command", [["bound"], ["distill"], ["distill", "--copies", "2"]],
+                         ids=" ".join)
+def test_state_dims_mismatch_exits_2(tmp_path, capsys, command):
+    state = write_matrix(tmp_path / "state.json", np.eye(4) / 4)
+    code, out, err = run_cli(capsys, *command, "--state", str(state), "--dims", "3,3")
+    assert (code, out) == (2, "")
+    assert "product of dims" in err and "Traceback" not in err
 
 
 BAD_INVOCATIONS = {

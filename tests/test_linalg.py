@@ -226,7 +226,10 @@ def test_non_finite_input_rejected_before_arithmetic(entry, kind):
 
 
 NON_SQUARE = {"3x4": np.ones((3, 4)), "vector": np.full(4, 0.25), "empty": np.zeros((0, 0)),
-              "0-d": np.array(5.0)}
+              "0-d": np.array(5.0),
+              # these do not convert to a complex array
+              "ragged": [[0.5, 0, 0, 0], [0, 0.5, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+              "string": "abc", "object": [[object()]]}
 
 
 @pytest.mark.parametrize("kind", sorted(NON_SQUARE))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uniparam import OptimizerConfig, OptimizerResult, minimize, minimize_many, refine
-from uniparam.errors import UniparamError
+from uniparam.errors import NonFiniteError, UniparamError
 from uniparam.optimize import BFGS_MAX_TRIALS
 from helpers import restart_starts
 
@@ -148,6 +148,29 @@ def test_bad_settings_raise_uniparam_error():
             OptimizerConfig(**bad)
     with pytest.raises(UniparamError):
         minimize(QUADRATIC, -1)
+
+
+BAD_ENTRY_CALLS = {
+    "minimize config 5": (UniparamError, lambda: minimize(QUADRATIC, 2, 5)),
+    "minimize_many config None": (UniparamError, lambda: minimize_many(QUADRATIC, 2, [None])),
+    "minimize_many config 5 first": (
+        UniparamError, lambda: minimize_many(QUADRATIC, 2, [5, OptimizerConfig()])),
+    "minimize_many restarts differ": (
+        UniparamError, lambda: minimize_many(QUADRATIC, 2, [OptimizerConfig(restarts=2),
+                                                            OptimizerConfig(restarts=3)])),
+    "refine vector": (UniparamError, lambda: refine(QUADRATIC, np.zeros(2))),
+    "refine nan": (NonFiniteError, lambda: refine(QUADRATIC, [[np.nan, 1.0]])),
+    "refine inf": (NonFiniteError, lambda: refine(QUADRATIC, [[1.0, -np.inf]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENTRY_CALLS))
+def test_bad_entry_calls_raise_package_errors(case):
+    # configs that are not OptimizerConfig ended in dataclasses.replace's bare TypeError, the
+    # two checks raised a bare ValueError, and a NaN start gave a NaN result
+    error, call = BAD_ENTRY_CALLS[case]
+    with pytest.raises(error):
+        call()
 
 
 def test_config_takes_only_restarts_and_seed():

@@ -195,7 +195,8 @@ def _product_pullback(lam: np.ndarray, u: np.ndarray, grad: np.ndarray,
     gets the arithmetic of a full conjugation, so the derivatives are too.
     """
     axes = (-2, -1, *range(lam.ndim - 2))
-    z = (grad @ np.swapaxes(u.conj(), -1, -2)).transpose(axes)
+    # in the matrix-axes-first layout, so the sweep's row and column slices are contiguous
+    z = np.ascontiguousarray((grad @ np.swapaxes(u.conj(), -1, -2)).transpose(axes))
     ang = lam.transpose(axes)
     m0 = [m - 1 for m, _ in pairs]
     n0 = [n - 1 for _, n in pairs]

@@ -31,6 +31,17 @@ takes them in closed form for r = 2 (ranks 1 and 2), and from one SVD
 per block otherwise, and reads a difference x_1 - x_2 - x_3 - x_4 within
 the SVD's accuracy, X_ROUNDOFF * x_1, as 0.
 
+Each call factors each block once.  A call whose gradient will be read
+(``full``: the BFGS steps of the searches) takes one full SVD per block,
+and one full QR of a wide F: the singular values give the x_i, and the
+singular vectors and Q serve the gradient.  Every other call (the
+simplex scoring, the re-evaluations, ``make_*_objective``, ``bound_b``
+and the candidate scoring of ``lifted_bounds_b``) takes the singular
+values alone and QR's R alone, which cost less; a gradient asked of such
+a call factors its blocks again.  The two SVDs' singular values may
+differ in the last bits, so every value a search reports comes from the
+values-only form, and the full form's values only steer the search.
+
 The plain bound B = sqrt(sum of X^2 over all pairs) (Chen-Albeverio-Fei,
 PRL 95, 040504, 2005), its maximum over the composite parameterization
 of the local rotations, the multipartite sum over bipartitions and the
@@ -79,10 +90,10 @@ round-off rule) add exactly 0, and X^2 is C^1 at the PPT boundary, where
 2 X dX vanishes.  X has a kink where a block's tau loses rank (x_2 = 0
 for two columns); rank-2 states have their maxima there, which BFGS
 approaches slowly, and a run whose line search no longer moves it stops.
-Each start's simplex is scored by the values alone, with no gradient
-called.  The surrogate's blocks take the same path from W† rho W to the
-angles, from the gradient M^Γ of each block's lambda_min(R^Γ), M = e e†
-for its eigenvector e.
+Each start's simplex is scored, and each result re-evaluated, by the
+values-only form, with no gradient called.  The surrogate's blocks take
+the same path from W† rho W to the angles, from the gradient M^Γ of each
+block's lambda_min(R^Γ), M = e e† for its eigenvector e.
 
 BFGS restarts land in the better of two maxima about one time in five
 at the fig1 states that have two, so twelve restarts can all miss it.
@@ -95,6 +106,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,7 +140,7 @@ from .linalg import (
     partial_transpose,
     permute_subsystems,
 )
-from .optimize import Objective, OptimizerConfig, OptimizerResult, minimize_many, refine
+from .optimize import Objective, OptimizerConfig, OptimizerResult, Values, minimize_many, refine
 from .states import DENSITY_PSD_TOL, DENSITY_TRACE_TOL
 
 PT_SEED_RESTARTS = 6
@@ -197,10 +209,12 @@ _PT_COLS = _PT_ROWS.T
 class _State:
     """A checked state and the evaluator of its 4x4 blocks.
 
-    ``kind(data, w_a, w_b, idx)`` gives the (..., P) concurrences of the
-    blocks ``idx`` of W† rho W (see ``_rotated_blocks``) and their
-    pullback: called, it gives the (N, n, m) gradient of the rows' sums of
-    X^2 with respect to W = w_a (x) w_b.  There are two kinds:
+    ``kind(data, w_a, w_b, idx, full=False)`` gives the (..., P)
+    concurrences of the blocks ``idx`` of W† rho W (see
+    ``_rotated_blocks``) and their pullback: called, it gives the
+    (N, n, m) gradient of the rows' sums of X^2 with respect to
+    W = w_a (x) w_b.  With ``full`` the value pass factors each block in
+    full for the pullback (see ``_concurrences``).  There are two kinds:
     ``_cholesky_concurrences``, with ``data`` the Hermitian part of rho,
     and ``_direct_concurrences``, with ``data`` the n x max(r, 2) factor
     Psi of rho = Psi Psi†.
@@ -312,7 +326,8 @@ def _provably_ppt(blocks: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_concurrences(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
-                           idx: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+                           idx: np.ndarray, full: bool = False
+                           ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """(..., P) concurrences of the blocks of a state whose blocks are all positive definite.
 
     L is each block's Cholesky factor.  When a row sums more than one
@@ -331,7 +346,7 @@ def _cholesky_concurrences(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
     kept = ~_provably_ppt(blocks) if len(idx) > 1 else ...
     x = np.zeros(blocks.shape[:-2])
     factors = np.linalg.cholesky(blocks[kept])
-    x[kept], factor_gradient = _concurrences(factors)
+    x[kept], factor_gradient = _concurrences(factors, full)
 
     def pullback() -> np.ndarray:
         g = np.zeros(blocks.shape, dtype=complex)
@@ -342,7 +357,8 @@ def _cholesky_concurrences(rho: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
 
 
 def _direct_concurrences(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
-                         idx: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+                         idx: np.ndarray, full: bool = False
+                         ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """(..., P) concurrences of the blocks of rho = Psi Psi†, from the rows F = (W† Psi)[idx].
 
     F is the factor L as it is while Psi has at most 4 columns, r = 2, 3
@@ -350,22 +366,27 @@ def _direct_concurrences(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
     as F F† = R† R; QR takes no square roots of round-off, so
     rank-deficient blocks need no eigenvalue floor.  The pullback is that
     of ``_cholesky_concurrences``: F = L Q† has the tau of L with Q mapping
-    its singular vectors, so H = Q H_L, and dF = (dW† Psi)[idx].  The
-    whole rotated space, as one block, is neither gathered nor scattered.
+    its singular vectors, so H = Q H_L, and dF = (dW† Psi)[idx].  With
+    ``full`` one full QR gives R and Q, whose R equals ``mode="r"``'s bit
+    for bit; else the pullback takes Q from a QR of its own.  The whole
+    rotated space, as one block, is neither gathered nor scattered.
     """
     m = w_a.shape[-1] * w_b.shape[-1]
     whole = _whole(idx, m)
     f = np.swapaxes(_product_basis(w_a, w_b).conj(), -1, -2) @ psi
     f = f[..., None, :, :] if whole else f[..., idx, :]
     wide = psi.shape[-1] > 4
-    factors = (np.swapaxes(np.linalg.qr(np.swapaxes(f.conj(), -1, -2), mode="r").conj(), -1, -2)
-               if wide else f)
-    x, factor_gradient = _concurrences(factors)
+    if wide:
+        qr = np.linalg.qr(np.swapaxes(f.conj(), -1, -2), mode="reduced" if full else "r")
+        factors = np.swapaxes((qr.R if full else qr).conj(), -1, -2)
+    else:
+        factors = f
+    x, factor_gradient = _concurrences(factors, full)
 
     def pullback() -> np.ndarray:
         h = factor_gradient()
         if wide:
-            h = np.linalg.qr(np.swapaxes(f.conj(), -1, -2))[0] @ h
+            h = (qr if full else np.linalg.qr(np.swapaxes(f.conj(), -1, -2))).Q @ h
         # the columns of H go to the rows idx of dW†
         h = np.moveaxis(h, -3, -2)
         n_rows, width = h.shape[:2]
@@ -430,7 +451,8 @@ def _two_column_x(a: np.ndarray, b: np.ndarray, d: np.ndarray,
     return np.where(pivot, (diff + np.hypot(f + h, g)) / 2.0, abs_d), diff
 
 
-def _concurrences(factors: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+def _concurrences(factors: np.ndarray, full: bool = False
+                  ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Wootters' concurrence max(x_1 - x_2 - x_3 - x_4, 0) of each block R = L L†, and a gradient.
 
     ``factors`` is a (..., 4, r) stack of the L, r = 2, 3 or 4; the x_i
@@ -439,7 +461,10 @@ def _concurrences(factors: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndar
     ``_two_column_x``, wider factors an SVD.  A difference within
     X_ROUNDOFF * x_1, the accuracy of the SVD, is an exact 0.  Every
     step treats each block alone, so a row of a stack gets the values
-    it would get alone.
+    it would get alone.  Each block takes one SVD per call: with ``full``
+    the full one, whose U and V the closure reuses; else the singular
+    values alone, and a called closure takes the full one.  Their
+    singular values may differ in the last bits.
 
     The closure gives the (..., r, 4) H with d(X^2) = Re tr(H dL), from
     the value pass's tau.  With d(X^2) = Re tr(K dtau) and tau symmetric,
@@ -468,12 +493,13 @@ def _concurrences(factors: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndar
         return x, gradient
     lt_flip = _lt_flip(factors)
     tau = lt_flip @ factors
-    sv = np.linalg.svd(tau, compute_uv=False)
+    svd = np.linalg.svd(tau, compute_uv=full)
+    sv = svd.S if full else svd
     x_1, c = sv[..., 0], sv[..., 0] - sv[..., 1:].sum(axis=-1)
     x = np.where(c > X_ROUNDOFF * x_1, c, 0.0)
 
     def gradient() -> np.ndarray:
-        u, _, vh = np.linalg.svd(tau)
+        u, _, vh = svd if full else np.linalg.svd(tau)
         k = (np.swapaxes(vh.conj(), -1, -2) * _X_SIGNS[:factors.shape[-1]]) @ np.swapaxes(
             u.conj(), -1, -2)
         return (2.0 * x[..., None, None]) * (k + np.swapaxes(k, -1, -2)) @ lt_flip
@@ -483,7 +509,7 @@ def _concurrences(factors: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndar
 
 def _by_state(states: Sequence[_State], idx: np.ndarray
               ) -> Callable[..., tuple[np.ndarray, Callable[[], np.ndarray]]]:
-    """(w_a, w_b, owner) -> each row's concurrences of the blocks ``idx`` and their pullback.
+    """(w_a, w_b, owner, full) -> each row's concurrences of the blocks ``idx`` and their pullback.
 
     With one state, or ``owner`` None, every rotation applies to
     ``states[0]`` and its kind gives both; else row i of the (N, d, m)
@@ -494,7 +520,7 @@ def _by_state(states: Sequence[_State], idx: np.ndarray
     of a lockstep where only states of one kind are left, its kind takes
     the rows as they are, with no gather of rows or scatter of results.
     Each row's outputs equal those of the one-state call, whatever rows
-    sit beside it.
+    sit beside it.  ``full`` goes to every kind call.
     """
     groups: dict[tuple[Callable[..., tuple], tuple[int, ...]], list[int]] = {}
     for i, s in enumerate(states):
@@ -505,19 +531,19 @@ def _by_state(states: Sequence[_State], idx: np.ndarray
         group[members], local[members] = g, np.arange(len(members))
         stacks.append((states[members[0]].kind, np.array([states[i].data for i in members])))
 
-    def by_state(w_a: np.ndarray, w_b: np.ndarray, owner: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    def by_state(w_a: np.ndarray, w_b: np.ndarray, owner: np.ndarray | None = None,
+                 full: bool = False) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         if owner is None or len(states) == 1:
-            return states[0].kind(states[0].data, w_a, w_b, idx)
+            return states[0].kind(states[0].data, w_a, w_b, idx, full)
         row_group = group[owner]
         if np.all(row_group == row_group[0]):
             kind, data = stacks[row_group[0]]
-            return kind(data[local[owner]], w_a, w_b, idx)
+            return kind(data[local[owner]], w_a, w_b, idx, full)
         x, parts = np.empty((len(owner), len(idx))), []
         for g, (kind, data) in enumerate(stacks):
             rows = np.flatnonzero(row_group == g)
             if rows.size:
-                x[rows], back = kind(data[local[owner[rows]]], w_a[rows], w_b[rows], idx)
+                x[rows], back = kind(data[local[owner[rows]]], w_a[rows], w_b[rows], idx, full)
                 parts.append((rows, back))
 
         def pullback() -> np.ndarray:
@@ -776,6 +802,8 @@ def _states(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
                else isinstance(rho, _State) or not len(rho) or np.ndim(rho[0]) == 1)
     except ValueError:  # numpy's, for a ragged first entry: a malformed state of a sequence
         one = False
+    except (TypeError, LookupError):  # no length or no first entry: not a sequence
+        one = True
     return [_check_state(r, d_a, d_b) for r in ([rho] if one else rho)]
 
 
@@ -789,20 +817,36 @@ def _objective(rho: np.ndarray | _State | Sequence[np.ndarray | _State],
     The returned closure gives the (N, n) angle gradients: each kind's
     pullback gives the gradient G of the blocks' sum of X^2 with respect
     to W = w_a (x) w_b, which the search's pullback takes to the angles.
+    ``objective(v, owner, full=True)`` factors each block in full in the
+    value pass, for a gradient that will be read (see ``_concurrences``);
+    ``_full_and_values`` hands both forms to the optimizer.
     """
     by_state = _by_state(_states(rho, search.d_a, search.d_b), search.idx)
 
-    def objective(v: np.ndarray, owner: np.ndarray | None = None
+    def objective(v: np.ndarray, owner: np.ndarray | None = None, full: bool = False
                   ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         w_a, w_b, back = search.rotations_vjp(v)
-        x, pullback = by_state(w_a, w_b, owner)
+        x, pullback = by_state(w_a, w_b, owner, full)
         return -_row_sums(x * x), lambda: -back(pullback())
 
     return objective
 
 
+def _full_and_values(objective: Objective) -> tuple[Objective, Values]:
+    """The optimizer's ``objective`` and ``values`` of an ``_objective``.
+
+    The steps, whose gradient is read, factor each block in full; the
+    simplex scoring and the re-evaluation take the values alone, the
+    values the results report.
+    """
+    return partial(objective, full=True), lambda v, owner: objective(v, owner)[0]
+
+
 def _scalar(objective: Objective) -> Callable[[np.ndarray], float]:
-    """One-vector form, values only, of a batched objective; ``_angles_at`` checks the length."""
+    """One-vector form, values only, of a batched objective; ``_angles_at`` checks the length.
+
+    An ``_objective`` called so takes the values-only factorizations.
+    """
     return lambda v: float(objective(np.asarray(v, dtype=float).ravel())[0])
 
 
@@ -922,7 +966,8 @@ def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
         return result
     (seeded,) = minimize_many(_pt_surrogate(state.rho, search), n,
                               [replace(cfg, restarts=PT_SEED_RESTARTS)])
-    (run,) = refine(_objective(state, search), seeded.x[None])
+    objective, values = _full_and_values(_objective(state, search))
+    (run,) = refine(objective, seeded.x[None], values=values)
     return _with_run(result, run, seeded)
 
 
@@ -933,15 +978,19 @@ def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
     The states are checked once and their restarts stepped together in one
     lockstep BFGS run on the search's objective (``_objective``), each state
     evaluating its own rows, so each result equals that of the state alone; the
-    configs may differ only in ``seed``.  One batched call re-evaluates the
-    results, and the partial-transpose-seeded stage then follows per state.
+    configs may differ only in ``seed``, and None is the default
+    ``OptimizerConfig()``.  The steps factor each block in full, and one
+    batched values-only call re-evaluates the results (see
+    ``_full_and_values``).  The partial-transpose-seeded stage then
+    follows per state.
     """
     search = _search(d_a, d_b, witness)
     states = _states(rhos, d_a, d_b)
-    cfgs = [cfg or OptimizerConfig() for cfg in cfgs]
+    cfgs = [OptimizerConfig() if cfg is None else cfg for cfg in cfgs]
     if len(cfgs) != len(states):
         raise LengthMismatchError(f"{len(states)} states but {len(cfgs)} configs")
-    results = minimize_many(_objective(states, search), search.n, cfgs)
+    objective, values = _full_and_values(_objective(states, search))
+    results = minimize_many(objective, search.n, cfgs, values=values)
     return [_pt_seeded(result, state, search, cfg)
             for result, state, cfg in zip(results, states, cfgs)]
 
@@ -1013,7 +1062,8 @@ def lifted_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
                 lifts.append(i)
                 starts.append(c[b])
     if lifts:
-        runs = refine(_objective([states[i] for i in lifts], search), np.array(starts))
+        objective, values = _full_and_values(_objective([states[i] for i in lifts], search))
+        runs = refine(objective, np.array(starts), values=values)
         for i, run in zip(lifts, runs):
             results[i] = _with_run(results[i], run)
     return [(math.sqrt(max(-result.value, 0.0)), result) for result in results]

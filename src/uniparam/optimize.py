@@ -11,17 +11,24 @@ Every entry takes one objective, ``objective(xs, owner) -> (values,
 gradient)``: the N values of the rows of the (N, dim) array ``xs``, row j
 on the problem with index ``owner[j]``, and a closure that gives their
 (N, dim) gradients when called.  A row's value must not depend on the
-rows beside it.  ``minimize_many`` runs the restarts of several problems
-together: problem i draws its starts from its own ``cfgs[i].seed`` and
-gets its own result, equal to that of the problem alone.  ``minimize`` is
-its one-problem case, and ``refine`` runs one BFGS run from each of given
+rows beside it.  An optional ``values(xs, owner) -> values`` gives the
+values alone, for the calls whose gradient is never read: the simplex
+scoring and the final re-evaluation.  It defaults to the objective's own
+values; an objective that pays for its gradient in the value pass (the
+entanglement searches factor each block in full there) passes a cheaper
+one.  Every value a result reports comes from it.
+
+``minimize_many`` runs the restarts of several problems together:
+problem i draws its starts from its own ``cfgs[i].seed`` and gets its
+own result, equal to that of the problem alone.  ``minimize`` is its
+one-problem case, and ``refine`` runs one BFGS run from each of given
 points, one problem per point.  The entanglement module runs every search
 through them: the optimized bound B_opt, the distillability witness, its
 seeded stage's surrogate and the runs from given angles.
 
 All runs step in lockstep (``_bfgs``).  The first call(s) score each
-start's simplex by values alone and never call the closure, a call at
-each run's lowest vertex takes its gradient, and after it each call
+start's simplex by ``values`` alone, an objective call at each run's
+lowest vertex takes its gradient, and after it each call
 evaluates one pending trial point, with its gradient, per live run.  Its
 line search is weak Wolfe, so no run ends above the best vertex of its
 start's simplex.  A run stops when its direction promises less than
@@ -38,7 +45,7 @@ evaluators.  ``OptimizerResult.calls`` counts the calls.
 Bad input raises ``UniparamError`` before any run: a config that is not
 an ``OptimizerConfig``, configs differing in more than the seed, a ``dim``
 that is not an integer >= 0, or ``refine`` starts that are not a (P, dim)
-array of finite numbers (``NonFiniteError``).
+array of numbers, or not finite (``NonFiniteError``).
 """
 
 from __future__ import annotations
@@ -102,21 +109,25 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerResult:
-    """Best point found, re-evaluated on return so value == objective(x).
+    """Best point found, re-evaluated on return so value == values(x).
 
-    ``iterations`` counts the accepted steps of every run that went into
-    the result, including any seeded stage run after the restarts.
+    ``values`` is the entry's values-only callable, the objective's own
+    values by default.  ``iterations`` counts the accepted steps of every
+    run that went into the result, including any seeded stage run after
+    the restarts.
     ``evaluations`` counts the objective points evaluated: the simplex
     set-up, the trial points (each with its gradient) and the final
     re-evaluation, plus those of a seeded stage.  A run's lowest simplex
     vertex, evaluated again with its gradient, counts once.
     ``restart_values`` is the best value of each run in order, and
     ``best_restart`` the index of the run that gave ``x`` (-1 when no run
-    was recorded).  ``calls`` counts the objective calls of the run that
+    was recorded).  The winner's entry is the re-evaluation, ``value``;
+    the others are the values the runs stepped on, which may differ from
+    a values-only evaluation of their points in the last bits.  ``calls``
+    counts the calls of the objective and of ``values`` in the run that
     produced the result: the simplex's value calls, the gradient call at
-    the lowest vertices and the trial calls.  The problems of one
-    ``minimize_many`` or ``refine`` run share it, and a seeded stage adds
-    its own.
+    the lowest vertices and the trial calls.  The problems of one ``minimize_many`` or ``refine``
+    run share it, and a seeded stage adds its own.
     """
 
     value: float
@@ -134,21 +145,29 @@ class OptimizerResult:
 # objective(xs, owner) -> (values, gradient): row j of xs belongs to the problem with index
 # owner[j], and gradient() gives the rows' (N, dim) gradients
 Objective = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
+# values(xs, owner) -> the rows' values alone, for calls whose gradient is never read
+Values = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _values(objective: Objective, values: Values | None) -> Values:
+    """``values``, or when None the values of ``objective``, its closure dropped uncalled."""
+    return (lambda xs, owner: objective(xs, owner)[0]) if values is None else values
 
 
 def _bfgs(objective: Objective, starts: np.ndarray, owner: np.ndarray,
-          cap: int, traces: list[list[float]] | None
+          cap: int, traces: list[list[float]] | None, values: Values | None = None
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """One BFGS run from each row of ``starts``, all advanced in lockstep.
 
     ``objective(xs, owner)`` returns the values of the rows and a closure
-    that gives their gradients.  The first call(s) score each start's
-    simplex (the start and one vertex ``simplex_scale`` along each axis)
-    by the values alone, and the run begins at its first lowest vertex: a
-    gradient is 0 on a flat plateau, and a start there moves off it when a
-    vertex does.  One call then evaluates every run's vertex again with
-    its gradient, counted as one of its simplex points.  After it each
-    call evaluates one pending trial point x + t d of every live run,
+    that gives their gradients, ``values(xs, owner)`` the values alone
+    (see ``_values``).  The first call(s) score each start's simplex (the
+    start and one vertex ``simplex_scale`` along each axis) by ``values``,
+    and the run begins at its first lowest vertex: a gradient is 0 on a
+    flat plateau, and a start there moves off it when a vertex does.  One
+    objective call then evaluates every run's vertex again with its
+    gradient, counted as one of its simplex points.  After it each call
+    evaluates one pending trial point x + t d of every live run,
     d = -H g from the run's inverse-Hessian estimate H, starting at
     t = 1.  The line search
     is weak Wolfe, so monotone: a trial is accepted, as the run's next
@@ -174,28 +193,26 @@ def _bfgs(objective: Objective, starts: np.ndarray, owner: np.ndarray,
     """
     n_runs, dim = starts.shape
     f_tol = OptimizerConfig.f_tol
+    values = _values(objective, values)
     calls = 0
 
     def evaluate(xs: np.ndarray, own: np.ndarray,
                  gradients: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         nonlocal calls
-        if len(xs) <= cap:
-            calls += 1
-            f, gradient = objective(xs, own)
-            g = gradient() if gradients else None
-        else:
-            fs, gs = [], []
-            for i in range(0, len(xs), cap):
-                f, gradient = objective(xs[i:i + cap], own[i:i + cap])
-                fs.append(f)
-                # called or dropped before the next chunk, so one chunk's arrays are held at a time
-                if gradients:
-                    gs.append(gradient())
-                calls += 1
-            f, g = np.concatenate(fs), np.concatenate(gs) if gradients else None
+        if len(xs) > cap:
+            # each chunk's closure is called or dropped before the next, so one chunk's
+            # arrays are held at a time
+            parts = [evaluate(xs[i:i + cap], own[i:i + cap], gradients)
+                     for i in range(0, len(xs), cap)]
+            return (np.concatenate([f for f, _ in parts]),
+                    np.concatenate([g for _, g in parts]) if gradients else None)
+        calls += 1
+        if not gradients:
+            return values(xs, own), None
+        f, gradient = objective(xs, own)
         # in C order whatever order the gradient comes in: einsum's sums over a row follow
         # the memory order, and the same gradient must give the same run
-        return f, None if g is None else np.ascontiguousarray(g.reshape(len(xs), dim))
+        return f, np.ascontiguousarray(gradient().reshape(len(xs), dim))
 
     out_x, out_f = np.empty((n_runs, dim)), np.empty(n_runs)
     steps, evaluations = np.empty(n_runs, dtype=int), np.empty(n_runs, dtype=int)
@@ -304,36 +321,43 @@ def _bfgs(objective: Objective, starts: np.ndarray, owner: np.ndarray,
     return out_x, out_f, steps, converged, evaluations, calls
 
 
-def _solve(objective: Objective, starts: np.ndarray, keep_history: bool) -> list[OptimizerResult]:
+def _solve(objective: Objective, starts: np.ndarray, keep_history: bool,
+           values: Values | None) -> list[OptimizerResult]:
     """R runs for each of P problems from the (P, R, dim) ``starts``, in one ``_bfgs`` lockstep.
 
-    Per problem, its first run with the lowest value wins, and one call
-    evaluates the P winners again.  No objective call takes more than
+    Per problem, its first run with the lowest value wins, and one
+    ``values`` call evaluates the P winners again, the value the result
+    reports and lists for the winner.  No objective call takes more than
     R * (dim + 1) rows, one problem's simplex set-up.
     """
     n_problems, n_runs, dim = starts.shape
+    values = _values(objective, values)
     traces: list[list[float]] | None = (
         [[] for _ in range(n_problems * n_runs)] if keep_history else None)
     owner = np.repeat(np.arange(n_problems), n_runs)
-    *runs, calls = _bfgs(objective, starts.reshape(-1, dim), owner, n_runs * (dim + 1), traces)
+    *runs, calls = _bfgs(objective, starts.reshape(-1, dim), owner, n_runs * (dim + 1), traces,
+                         values)
     x, fx, iters, converged, evaluations = (
         a.reshape(n_problems, n_runs, *a.shape[1:]) for a in runs)
     problems = np.arange(n_problems)
     best = np.argmin(fx, axis=1)
-    values, _ = objective(x[problems, best], problems)
     results = []
-    for p, (b, value) in enumerate(zip(best.tolist(), values.tolist())):
+    for p, (b, value) in enumerate(zip(best.tolist(),
+                                       values(x[problems, best], problems).tolist())):
         runs = slice(p * n_runs, (p + 1) * n_runs)
         history = None if traces is None else tuple(map(tuple, traces[runs]))
+        restart_values = fx[p].tolist()
+        restart_values[b] = value
         results.append(OptimizerResult(
             value, x[p, b], int(iters[p].sum()), n_runs, bool(converged[p, b]),
             history=history, evaluations=int(evaluations[p].sum()) + 1,
-            restart_values=tuple(fx[p].tolist()), best_restart=b, calls=calls))
+            restart_values=tuple(restart_values), best_restart=b, calls=calls))
     return results
 
 
 def minimize_many(objective: Objective, dim: int, cfgs: Sequence[OptimizerConfig],
-                  keep_history: bool = False) -> list[OptimizerResult]:
+                  keep_history: bool = False, *, values: Values | None = None
+                  ) -> list[OptimizerResult]:
     """``minimize`` for several problems over R^dim at once, one result per problem.
 
     Problem i is the rows that ``objective`` gets with owner i, minimized
@@ -350,39 +374,47 @@ def minimize_many(objective: Objective, dim: int, cfgs: Sequence[OptimizerConfig
         raise UniparamError("configs must be OptimizerConfig instances differing only in seed")
     if dim == 0:
         x = np.zeros(0)
-        values, _ = objective(np.zeros((len(cfgs), 0)), np.arange(len(cfgs)))
+        constants = _values(objective, values)(np.zeros((len(cfgs), 0)), np.arange(len(cfgs)))
         return [OptimizerResult(value, x, 0, 0, True,
                                 history=() if keep_history else None, evaluations=1)
-                for value in values.tolist()]
+                for value in constants.tolist()]
     starts = np.zeros((len(cfgs), cfgs[0].restarts, dim))
     for s, cfg in zip(starts, cfgs):
         s[1:] = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (cfg.restarts - 1, dim))
-    return _solve(objective, starts, keep_history)
+    return _solve(objective, starts, keep_history, values)
 
 
 def minimize(objective: Objective, dim: int, cfg: OptimizerConfig | None = None,
-             keep_history: bool = False) -> OptimizerResult:
+             keep_history: bool = False, *, values: Values | None = None) -> OptimizerResult:
     """Minimize ``objective`` over R^dim with restarted BFGS.
 
-    ``objective`` gets every row with owner 0.  ``dim == 0`` evaluates the
+    ``objective`` gets every row with owner 0, and so does ``values``, the
+    values-only callable of the simplex scoring and the re-evaluation (the
+    objective's own values when None).  ``dim == 0`` evaluates the
     constant objective once and returns.  The result is the best point
     over all restarts; ``converged`` reports whether the restart that
     produced it stopped on a gain or promise below round-off or ``f_tol``,
     not on a cap or a kink.  ``keep_history`` records each restart's value
-    at its first point and after every accepted step.
+    at its first point and after every accepted step.  ``cfg`` None runs
+    the default ``OptimizerConfig()``.
     """
-    return minimize_many(objective, dim, [cfg or OptimizerConfig()], keep_history)[0]
+    return minimize_many(objective, dim, [OptimizerConfig() if cfg is None else cfg],
+                         keep_history, values=values)[0]
 
 
-def refine(objective: Objective, starts: np.ndarray) -> list[OptimizerResult]:
+def refine(objective: Objective, starts: np.ndarray, *,
+           values: Values | None = None) -> list[OptimizerResult]:
     """One BFGS run from each row of the (P, dim) ``starts``, row p on problem p.
 
     The runs step in one lockstep.  Each result reports one restart and
-    is re-evaluated like that of ``minimize``.
+    is re-evaluated like that of ``minimize``, by ``values`` as there.
     """
-    starts = np.asarray(starts, dtype=float)
+    try:
+        starts = np.asarray(starts, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged lists, strings, objects
+        raise UniparamError(f"starts must be a (P, dim) array of numbers ({exc})") from exc
     if starts.ndim != 2:
         raise UniparamError(f"starts must be a (P, dim) array, got shape {starts.shape}")
     if not np.isfinite(starts).all():
         raise NonFiniteError("starts have a NaN or infinite entry")
-    return _solve(objective, starts[:, None], False)
+    return _solve(objective, starts[:, None], False, values)

@@ -1479,3 +1479,143 @@ def test_seeded_stage_evaluations_below_nelder_mead(witness):
                                      replace(cfg, restarts=PT_SEED_RESTARTS))
     assert stage.evaluations < reference.evaluations
     assert stage.calls < reference.calls
+
+
+# ---------------------------------------------------------------------------
+# one factorization per block per call
+
+def _factorizations(monkeypatch):
+    """Wrap ``np.linalg.svd`` and ``np.linalg.qr``; the list gets (form, blocks) per call.
+
+    The forms are "svd", "svd values", "qr" and "qr r"; blocks is the
+    number of matrices in the stack.
+    """
+    log = []
+    svd, qr = np.linalg.svd, np.linalg.qr
+
+    def blocks(a):
+        return int(np.prod(np.shape(a)[:-2]))
+
+    def counted_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+        log.append(("svd" if compute_uv else "svd values", blocks(a)))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    def counted_qr(a, mode="reduced"):
+        log.append(("qr r" if mode == "r" else "qr", blocks(a)))
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    return log
+
+
+SVD_PATH_CASES = ["bopt, full rank", "witness, full rank", "bopt, rank 3", "bopt, rank 6",
+                  "witness, rank 6"]
+
+
+def _svd_path_case(name):
+    """(state, search) on the SVD path: the Cholesky kind and direct widths 3 and 6 (wide)."""
+    from uniparam.entanglement import (
+        _check_state,
+        _cholesky_concurrences,
+        _direct_concurrences,
+        _search,
+    )
+
+    rng = np.random.default_rng(2600)
+    psi = haar_state(rng, 9)  # entangled enough that few blocks are PPT
+    states = {"full rank": _check_state(0.7 * np.outer(psi, psi.conj())
+                                        + 0.3 * rand_density(rng, 9), 3, 3),
+              "rank 3": _check_state(rand_density(rng, 9, rank=3), 3, 3),
+              "rank 6": _check_state(rand_density(rng, 9, rank=6), 3, 3)}
+    assert states["full rank"].kind is _cholesky_concurrences
+    assert states["rank 3"].kind is states["rank 6"].kind is _direct_concurrences
+    assert (states["rank 3"].data.shape[1], states["rank 6"].data.shape[1]) == (3, 6)
+    search, rank = name.split(", ")
+    return states[rank], _search(3, 3, witness=search == "witness")
+
+
+@pytest.mark.parametrize("name", SVD_PATH_CASES)
+def test_gradient_calls_factor_each_block_once(monkeypatch, name):
+    # a call whose gradient is read takes one full SVD of each block (and one full QR of a
+    # wide factor), whose U and V the closure reuses; a values-only call takes no U, V or Q
+    from uniparam.entanglement import _objective
+
+    state, search = _svd_path_case(name)
+    v = np.random.default_rng(2601).uniform(0.0, 2 * np.pi, (6, search.n))
+    objective = _objective(state, search)
+    log = _factorizations(monkeypatch)
+    values_only = objective(v)[0]
+    assert log and {form for form, _ in log} <= {"svd values", "qr r"}
+    svd_blocks = sum(n for form, n in log if form == "svd values")
+    qr_blocks = sum(n for form, n in log if form == "qr r")
+    # only the direct kind's wide factor takes a QR
+    assert svd_blocks > 0 and qr_blocks == (svd_blocks if name.endswith("rank 6") else 0)
+
+    log.clear()
+    values, gradient = objective(v, None, full=True)
+    gradient()
+    assert {form for form, _ in log} <= {"svd", "qr"}
+    # the PPT screen keeps the same blocks in both forms, so each is factored exactly once
+    assert sum(n for form, n in log if form == "svd") == svd_blocks
+    assert sum(n for form, n in log if form == "qr") == qr_blocks
+    assert len(log) == 1 + (qr_blocks > 0)
+    # the two SVDs' singular values differ at most in the last bits
+    assert np.allclose(values, values_only, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name", SVD_PATH_CASES)
+def test_full_factorization_gradients_match_central_differences(name):
+    # the full SVD's U and V, and a wide factor's full QR, give the gradient of the values
+    from uniparam.entanglement import _objective
+
+    state, search = _svd_path_case(name)
+    v = np.random.default_rng(2611).uniform(0.0, 2 * np.pi, (6, search.n))
+    objective = _objective(state, search)
+    values, gradient = objective(v, None, full=True)
+    grads = gradient()
+    central = np.empty_like(grads)
+    for i in range(search.n):
+        step = np.zeros(search.n)
+        step[i] = 1e-6
+        central[:, i] = (objective(v + step)[0] - objective(v - step)[0]) / 2e-6
+    assert np.max(np.abs(grads)) > 1e-3
+    assert np.max(np.abs(grads - central)) < 1e-7
+
+    # a closure called after a values-only pass factors again and gives the same gradient
+    later = objective(v)[1]()
+    assert np.max(np.abs(later - grads)) <= 1e-12 * np.max(np.abs(grads))
+
+
+def test_searches_report_values_only_values():
+    # the steps run on the full SVD's values; every reported value is the values-only one
+    rng = np.random.default_rng(2620)
+    cfg = OptimizerConfig(restarts=3, seed=5)
+    for rank in (3, 6, 9):
+        rho = rand_density(rng, 9, rank=rank)
+        for search, make in ((optimized_bound_b, make_bopt_objective),
+                             (max_distill_x_sq, make_distill_objective)):
+            _, result = search(rho, 3, 3, cfg)
+            assert result.value == make(rho, 3, 3)(result.x)
+            assert result.restart_values[result.best_restart] == result.value
+
+
+def test_falsy_config_raises_uniparam_error():
+    # `cfg or OptimizerConfig()` ran the default 12 restarts for a config of 0
+    from uniparam.errors import UniparamError
+
+    for bad in (0, "", []):
+        with pytest.raises(UniparamError):
+            optimized_bound_b(MIXED_4, 2, 2, bad)
+        with pytest.raises(UniparamError):
+            max_distill_x_sq(np.eye(9) / 9, 3, 3, bad)
+
+
+def test_scalar_state_raises_non_square():
+    # _states took len() of a scalar, and Python raised a bare TypeError
+    from uniparam.errors import NonSquareError
+
+    with pytest.raises(NonSquareError):
+        optimized_bounds_b(5.0, 2, 2, [None])
+    with pytest.raises(NonSquareError):
+        optimized_bound_b(5.0, 2, 2)

@@ -162,6 +162,20 @@ BAD_ENTRY_CALLS = {
     "refine nan": (NonFiniteError, lambda: refine(QUADRATIC, [[np.nan, 1.0]])),
     "refine inf": (NonFiniteError, lambda: refine(QUADRATIC, [[1.0, -np.inf]])),
 }
+# these ran the default config, or let numpy's bare ValueError out
+FALSY_OR_UNCONVERTIBLE_ENTRY_CALLS = {
+    "minimize config 0": lambda: minimize(QUADRATIC, 2, 0),
+    "minimize config empty list": lambda: minimize(QUADRATIC, 2, []),
+    "refine string": lambda: refine(QUADRATIC, "abc"),
+    "refine ragged": lambda: refine(QUADRATIC, [[1, 2], [3]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALSY_OR_UNCONVERTIBLE_ENTRY_CALLS))
+def test_falsy_configs_and_unconvertible_starts_raise_uniparam_error(case):
+    with pytest.raises(UniparamError) as caught:
+        FALSY_OR_UNCONVERTIBLE_ENTRY_CALLS[case]()
+    assert caught.type is UniparamError
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ENTRY_CALLS))
@@ -635,3 +649,40 @@ def test_bfgs_objective_ignoring_a_coordinate():
         result = minimize(lazy(flat_in_last), 4, cfg)
     assert result.value < 1e-12
     assert np.allclose(result.x[:3], 1.0, atol=1e-5)
+
+
+def test_values_callable_scores_the_simplex_and_the_result():
+    # the simplex and the re-evaluation read ``values``; the steps read the objective, whose
+    # values here sit 1 above, so the reported values show which callable gave them
+    dim, cfg = 3, OptimizerConfig(restarts=3, seed=4)
+    steps, scored = [], []
+
+    def objective(xs, owner):
+        steps.append(len(xs))
+        values, gradients = rugged_grad(xs)
+        return values + 1.0, lambda: gradients
+
+    def values(xs, owner):
+        scored.append(len(xs))
+        return rugged_grad(xs)[0]
+
+    result = minimize(objective, dim, cfg, values=values)
+    assert scored == [cfg.restarts * (dim + 1), 1]
+    assert steps[0] == cfg.restarts
+    assert result.calls == len(steps) + len(scored) - 1
+    assert result.evaluations == sum(steps) + sum(scored) - cfg.restarts
+    assert result.value == rugged(result.x) == result.restart_values[result.best_restart]
+    others = [v for r, v in enumerate(result.restart_values) if r != result.best_restart]
+    assert all(v >= 1.0 for v in others)
+    # the same runs as on the objective alone, but for the offset the steps saw
+    alone = minimize(RUGGED, dim, cfg)
+    assert np.array_equal(result.x, alone.x)
+    assert (result.iterations, result.evaluations, result.calls, result.best_restart) == (
+        alone.iterations, alone.evaluations, alone.calls, alone.best_restart)
+
+    scored.clear()
+    (one,) = refine(objective, np.ones((1, dim)), values=values)
+    assert scored == [dim + 1, 1] and one.value == rugged(one.x) == one.restart_values[0]
+    scored.clear()
+    (flat,) = minimize_many(objective, 0, [cfg], values=values)
+    assert scored == [1] and flat.value == 0.0  # the objective would give 1

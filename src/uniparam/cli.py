@@ -21,7 +21,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -228,23 +228,21 @@ def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
     return rows
 
 
-def _fmt(value: float | None) -> str:
+def _fmt(value: float | bool | None) -> str:
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return f"{value:.12g}"
 
 
 def write_scan_csv(rows: list[ScanRow], path: str) -> None:
+    """One CSV column per ``ScanRow`` field, in field order, with a header of the field names."""
+    names = [f.name for f in fields(ScanRow)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["alpha", "beta", "is_state", "is_ppt", "bound_plain", "bound_opt"])
-        for r in rows:
-            writer.writerow([
-                _fmt(r.alpha), _fmt(r.beta),
-                "true" if r.is_state else "false",
-                "true" if r.is_ppt else "false",
-                _fmt(r.bound_plain), _fmt(r.bound_opt),
-            ])
+        writer.writerow(names)
+        writer.writerows([_fmt(getattr(r, name)) for name in names] for r in rows)
 
 
 # ---------------------------------------------------------------------------

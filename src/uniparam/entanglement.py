@@ -85,11 +85,14 @@ back for the direct kind's wide F.  The blocks' terms sum to one
 gradient on W = w_a (x) w_b, which one contraction per side and one
 sweep back through ``_product``'s plane factors (``_product_pullback``)
 take to every angle, for the witness's two columns per side as for
-B_opt's full rotations.  Blocks with X = 0 (PPT, screened or zeroed by the
-round-off rule) add exactly 0, and X^2 is C^1 at the PPT boundary, where
-2 X dX vanishes.  X has a kink where a block's tau loses rank (x_2 = 0
-for two columns); rank-2 states have their maxima there, which BFGS
-approaches slowly, and a run whose line search no longer moves it stops.
+B_opt's full rotations.  The witness's one block is the whole rotated
+4x4 matrix: only the Cholesky kind and the surrogate skip its gather and
+scatter (``_whole``), and the direct kind cuts it as any block.  Blocks
+with X = 0 (PPT, screened or zeroed by the round-off rule) add exactly
+0, and X^2 is C^1 at the PPT boundary, where 2 X dX vanishes.  X has a
+kink where a block's tau loses rank (x_2 = 0 for two columns); rank-2
+states have their maxima there, which BFGS approaches slowly, and a run
+whose line search no longer moves it stops.
 Each start's simplex is scored, and each result re-evaluated, by the
 values-only form, with no gradient called.  The surrogate's blocks take
 the same path from W† rho W to the angles, from the gradient M^Γ of each
@@ -275,6 +278,7 @@ def _product_basis(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
     return w.reshape(w.shape[:-4] + (d_a * d_b, m_a * m_b))
 
 
+# kept: without it distill-witness scaled_wall_s rose 2.5-6.8% (4 of 4 pairs, seeds 2701-2704)
 def _whole(idx: np.ndarray, m: int) -> bool:
     """Whether the blocks ``idx`` are one block that is the whole m x m matrix, in order.
 
@@ -368,13 +372,9 @@ def _direct_concurrences(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
     of ``_cholesky_concurrences``: F = L Q† has the tau of L with Q mapping
     its singular vectors, so H = Q H_L, and dF = (dW† Psi)[idx].  With
     ``full`` one full QR gives R and Q, whose R equals ``mode="r"``'s bit
-    for bit; else the pullback takes Q from a QR of its own.  The whole
-    rotated space, as one block, is neither gathered nor scattered.
+    for bit; else the pullback takes Q from a QR of its own.
     """
-    m = w_a.shape[-1] * w_b.shape[-1]
-    whole = _whole(idx, m)
-    f = np.swapaxes(_product_basis(w_a, w_b).conj(), -1, -2) @ psi
-    f = f[..., None, :, :] if whole else f[..., idx, :]
+    f = (np.swapaxes(_product_basis(w_a, w_b).conj(), -1, -2) @ psi)[..., idx, :]
     wide = psi.shape[-1] > 4
     if wide:
         qr = np.linalg.qr(np.swapaxes(f.conj(), -1, -2), mode="reduced" if full else "r")
@@ -390,9 +390,8 @@ def _direct_concurrences(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
         # the columns of H go to the rows idx of dW†
         h = np.moveaxis(h, -3, -2)
         n_rows, width = h.shape[:2]
-        if whole:
-            return psi @ h.reshape(n_rows, width, m)
-        h_cols = _scatter_add(h.reshape(n_rows * width, -1), idx.ravel(), m)
+        h_cols = _scatter_add(h.reshape(n_rows * width, -1), idx.ravel(),
+                              w_a.shape[-1] * w_b.shape[-1])
         return psi @ h_cols.reshape(n_rows, width, -1)
 
     return x, pullback
@@ -516,11 +515,8 @@ def _by_state(states: Sequence[_State], idx: np.ndarray
     rotation stacks applies to ``states[owner[i]]``.  Rows are grouped by
     their state's kind and data shape, each group is one call of its kind
     on its states' stacked data, and the pullback gathers the groups'
-    gradients.  When one group owns every row, as in the trailing calls
-    of a lockstep where only states of one kind are left, its kind takes
-    the rows as they are, with no gather of rows or scatter of results.
-    Each row's outputs equal those of the one-state call, whatever rows
-    sit beside it.  ``full`` goes to every kind call.
+    gradients.  Each row's outputs equal those of the one-state call,
+    whatever rows sit beside it.  ``full`` goes to every kind call.
     """
     groups: dict[tuple[Callable[..., tuple], tuple[int, ...]], list[int]] = {}
     for i, s in enumerate(states):
@@ -536,9 +532,6 @@ def _by_state(states: Sequence[_State], idx: np.ndarray
         if owner is None or len(states) == 1:
             return states[0].kind(states[0].data, w_a, w_b, idx, full)
         row_group = group[owner]
-        if np.all(row_group == row_group[0]):
-            kind, data = stacks[row_group[0]]
-            return kind(data[local[owner]], w_a, w_b, idx, full)
         x, parts = np.empty((len(owner), len(idx))), []
         for g, (kind, data) in enumerate(stacks):
             rows = np.flatnonzero(row_group == g)
@@ -928,23 +921,31 @@ def _pt_surrogate(rho: np.ndarray, search: _Search) -> Objective:
     return surrogate
 
 
-def _with_run(result: OptimizerResult, run: OptimizerResult,
-              *stages: OptimizerResult) -> OptimizerResult:
-    """``result`` after one more ``run`` of its search, which ``stages`` prepared.
+def _continued(results: Sequence[OptimizerResult], states: Sequence[_State], search: _Search,
+               starts: Sequence[np.ndarray], *stages: OptimizerResult) -> list[OptimizerResult]:
+    """Each of ``results`` after one more BFGS run of ``search`` from the start of the same index.
 
-    The better of the two gives the value and point.  The restart count
-    stays that of ``result``, the steps, evaluations and objective calls of
-    all add up, and the run's value is listed after the restart values, so
-    ``best_restart`` equals ``result.restarts`` when the run wins.
+    ``states[i]`` is the state of ``results[i]``.  The runs (``refine`` on
+    ``_objective``) step in one lockstep, each as it would alone.  Per
+    result, the better of it and its run gives the value and point.  The
+    restart count stays that of the result; its steps, evaluations and
+    objective calls add up with those of the run and of the ``stages``
+    that prepared the starts (the seeded stage's surrogate, with its one
+    result).  The run's value is listed after the restart values, so
+    ``best_restart`` equals ``restarts`` when the run wins.
     """
-    best = run if run.value < result.value else result
-    parts = (result, run) + stages
-    return OptimizerResult(best.value, best.x, sum(r.iterations for r in parts),
-                           result.restarts, best.converged,
-                           evaluations=sum(r.evaluations for r in parts),
-                           calls=sum(r.calls for r in parts),
-                           restart_values=result.restart_values + run.restart_values,
-                           best_restart=result.restarts if best is run else result.best_restart)
+    objective, values = _full_and_values(_objective(states, search))
+    joined = []
+    for result, run in zip(results, refine(objective, starts, values=values)):
+        best = run if run.value < result.value else result
+        parts = (result, run) + stages
+        joined.append(OptimizerResult(
+            best.value, best.x, sum(r.iterations for r in parts), result.restarts,
+            best.converged, evaluations=sum(r.evaluations for r in parts),
+            calls=sum(r.calls for r in parts),
+            restart_values=result.restart_values + run.restart_values,
+            best_restart=result.restarts if best is run else result.best_restart))
+    return joined
 
 
 def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
@@ -954,9 +955,8 @@ def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
     The plateau is any value above -PLATEAU_X_SQ, round-off of X = 0.  The
     surrogate (``_pt_surrogate``) is minimized by ``minimize_many`` on its
     exact gradients, with PT_SEED_RESTARTS restarts drawn from
-    ``cfg.seed``, and one ``refine`` run of the search (``_objective``)
-    starts from its minimizer.  The returned result adds the surrogate's
-    and the run's work to ``result`` (see ``_with_run``).
+    ``cfg.seed``, and ``result`` continues with one run of the search from
+    its minimizer, the surrogate's work added (``_continued``).
     Without the stage ``result`` is returned as is; a search without
     angles (the d = 2 witness) is exact and gets no stage.
     """
@@ -966,9 +966,7 @@ def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
         return result
     (seeded,) = minimize_many(_pt_surrogate(state.rho, search), n,
                               [replace(cfg, restarts=PT_SEED_RESTARTS)])
-    objective, values = _full_and_values(_objective(state, search))
-    (run,) = refine(objective, seeded.x[None], values=values)
-    return _with_run(result, run, seeded)
+    return _continued([result], [state], search, seeded.x[None], seeded)[0]
 
 
 def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
@@ -1033,9 +1031,9 @@ def lifted_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
     every candidate.  Where a state's best candidate lies below its result
     by more than LIFT_MARGIN, one BFGS run (``refine``) starts from it; the
     runs of all such states step together, each as it would alone, and
-    join their results as the seeded stage's run does (``_with_run``).  A
-    run never ends above the candidate it starts from, so a bound only
-    rises.  Returns (B_opt, result) per state.
+    continue their results as the seeded stage's run does
+    (``_continued``).  A run never ends above the candidate it starts
+    from, so a bound only rises.  Returns (B_opt, result) per state.
     """
     search = _search(d_a, d_b)
     states = _states(rhos, d_a, d_b)
@@ -1062,10 +1060,9 @@ def lifted_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
                 lifts.append(i)
                 starts.append(c[b])
     if lifts:
-        objective, values = _full_and_values(_objective([states[i] for i in lifts], search))
-        runs = refine(objective, np.array(starts), values=values)
-        for i, run in zip(lifts, runs):
-            results[i] = _with_run(results[i], run)
+        lifted = _continued([results[i] for i in lifts], [states[i] for i in lifts], search, starts)
+        for i, result in zip(lifts, lifted):
+            results[i] = result
     return [(math.sqrt(max(-result.value, 0.0)), result) for result in results]
 
 

@@ -508,7 +508,7 @@ def test_run_fig1_scan_rejects_non_integer_jobs_before_any_point(monkeypatch, jo
     # 1.5 failed in range() after every grid point's plain bound, and True ran as one job
     import uniparam.cli
 
-    def point(alpha, beta):
+    def point(alpha, beta, rho):
         raise AssertionError("a grid point was computed")
 
     monkeypatch.setattr(uniparam.cli, "_fig1_point", point)

@@ -358,6 +358,7 @@ def test_multipartite_ghz_and_product():
     psi = ghz_state()
     report = multipartite_bound_b(np.outer(psi, psi.conj()), (2, 2, 2))
     assert report.b > 0.5
+    assert report.b_squared == report.b * report.b
     values = [rep.b_squared for _, rep in report.parts]
     assert max(values) - min(values) < 1e-10
 

@@ -63,13 +63,13 @@ Each X = max(..., 0) is exactly zero wherever its block is PPT.  For a
 barely-NPT state this holds on almost all of angle space, and every
 uniformly seeded restart can end on that zero plateau; a block on the
 PPT boundary may also leave round-off above that accuracy instead of 0.
-So when the best of all restarts of ``optimized_bound_b`` or
-``max_distill_x_sq`` is above -PLATEAU_X_SQ (|X| < 1e-12) and the state is NPT
-(``ppt_min_eigenvalue`` below -DENSITY_PSD_TOL), a partial-transpose-seeded stage
-runs: it minimizes the sum of the smallest eigenvalues of the partially
-transposed blocks, which has no plateau, over the same angles and blocks,
-and starts one more run of the search from that minimizer.  Results at
-every other input are those of the restarts alone.
+So once per search call a partial-transpose-seeded stage runs, in one
+lockstep, for every state whose best restart is above -PLATEAU_X_SQ
+(|X| < 1e-12) and that is NPT (``ppt_min_eigenvalue`` below
+-DENSITY_PSD_TOL): it minimizes the sum of the smallest eigenvalues of
+the partially transposed blocks, which has no plateau, over the same
+angles and blocks, and starts one more run of the search from that
+minimizer.  Other states' results are those of the restarts alone.
 
 Both searches, B_opt and the witness, and the seeded stage's surrogate
 run BFGS (see ``optimize``) on exact gradients.  Every plane factor is
@@ -110,7 +110,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -378,7 +378,7 @@ def _direct_concurrences(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
     wide = psi.shape[-1] > 4
     if wide:
         qr = np.linalg.qr(np.swapaxes(f.conj(), -1, -2), mode="reduced" if full else "r")
-        factors = np.swapaxes((qr.R if full else qr).conj(), -1, -2)
+        factors = np.swapaxes((qr[1] if full else qr).conj(), -1, -2)
     else:
         factors = f
     x, factor_gradient = _concurrences(factors, full)
@@ -386,7 +386,7 @@ def _direct_concurrences(psi: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
     def pullback() -> np.ndarray:
         h = factor_gradient()
         if wide:
-            h = (qr if full else np.linalg.qr(np.swapaxes(f.conj(), -1, -2))).Q @ h
+            h = (qr if full else np.linalg.qr(np.swapaxes(f.conj(), -1, -2)))[0] @ h
         # the columns of H go to the rows idx of dW†
         h = np.moveaxis(h, -3, -2)
         n_rows, width = h.shape[:2]
@@ -493,7 +493,7 @@ def _concurrences(factors: np.ndarray, full: bool = False
     lt_flip = _lt_flip(factors)
     tau = lt_flip @ factors
     svd = np.linalg.svd(tau, compute_uv=full)
-    sv = svd.S if full else svd
+    sv = svd[1] if full else svd
     x_1, c = sv[..., 0], sv[..., 0] - sv[..., 1:].sum(axis=-1)
     x = np.where(c > X_ROUNDOFF * x_1, c, 0.0)
 
@@ -892,29 +892,31 @@ def distill_objective(rho: np.ndarray, d_a: int, d_b: int,
 def _pt_surrogate(rho: np.ndarray, search: _Search) -> Objective:
     """Batched surrogate: packed vectors -> sum of λ_min of each block's partial transpose.
 
-    The blocks ``search.seed_idx`` are read from the rotations of the
-    search.  A block with a negative term is NPT, hence has a nonzero X.
-    ``owner`` is accepted as the core passes it, and not used.  The
-    returned closure gives the (N, n) angle gradients.  With e the unit
-    eigenvector of λ_min, dλ_min = e† dR^Γ e = Re tr(M dR^Γ) for M = e e†.
-    The partial transpose permutes a block's entries and is its own
-    inverse, so Re tr(M dR^Γ) = Re tr(M^Γ dR): M^Γ is the block's
-    gradient, which ``_rotated_pullback`` and the search's pullback take
-    to the angles.  λ_min has a kink where it is degenerate, as X has
-    where tau loses rank.
+    ``rho`` is one state or an (S, n, n) stack; row i of the (N, n) vectors
+    rotates ``rho[owner[i]]``, or the first, unstacked, with one state or
+    ``owner`` None (as in ``_by_state``).  A block of ``search.seed_idx``
+    with a negative term is NPT, hence has a nonzero X.  The returned
+    closure gives the (N, n) angle gradients.  With e the unit eigenvector
+    of λ_min, dλ_min = e† dR^Γ e = Re tr(M dR^Γ) for M = e e†.  The partial
+    transpose permutes a block's entries and is its own inverse, so
+    Re tr(M dR^Γ) = Re tr(M^Γ dR): M^Γ is the block's gradient, which
+    ``_rotated_pullback`` and the search's pullback take to the angles.
+    λ_min has a kink where it is degenerate, as X has where tau loses rank.
     """
     idx = search.seed_idx
+    stack = np.reshape(rho, (-1,) + np.shape(rho)[-2:])
 
     def surrogate(v: np.ndarray, owner: np.ndarray | None = None
                   ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         w_a, w_b, back = search.rotations_vjp(v)
         w = _product_basis(w_a, w_b)
-        eigenvalues, vectors = np.linalg.eigh(_rotated_blocks(rho, w, idx)[..., _PT_ROWS, _PT_COLS])
+        own = stack[0] if owner is None or len(stack) == 1 else stack[owner]
+        eigenvalues, vectors = np.linalg.eigh(_rotated_blocks(own, w, idx)[..., _PT_ROWS, _PT_COLS])
 
         def gradient() -> np.ndarray:
             e = vectors[..., 0]
             m = e[..., :, None] * e[..., None, :].conj()
-            return back(_rotated_pullback(rho, w, idx, m[..., _PT_ROWS, _PT_COLS]))
+            return back(_rotated_pullback(own, w, idx, m[..., _PT_ROWS, _PT_COLS]))
 
         return _row_sums(eigenvalues[..., 0]), gradient
 
@@ -922,51 +924,56 @@ def _pt_surrogate(rho: np.ndarray, search: _Search) -> Objective:
 
 
 def _continued(results: Sequence[OptimizerResult], states: Sequence[_State], search: _Search,
-               starts: Sequence[np.ndarray], *stages: OptimizerResult) -> list[OptimizerResult]:
-    """Each of ``results`` after one more BFGS run of ``search`` from the start of the same index.
+               starts: Mapping[int, np.ndarray], stages: Mapping[int, OptimizerResult]
+               ) -> list[OptimizerResult]:
+    """``results``, each one that ``starts`` names continued by one BFGS run of ``search``.
 
-    ``states[i]`` is the state of ``results[i]``.  The runs (``refine`` on
-    ``_objective``) step in one lockstep, each as it would alone.  Per
-    result, the better of it and its run gives the value and point.  The
-    restart count stays that of the result; its steps, evaluations and
-    objective calls add up with those of the run and of the ``stages``
-    that prepared the starts (the seeded stage's surrogate, with its one
-    result).  The run's value is listed after the restart values, so
-    ``best_restart`` equals ``restarts`` when the run wins.
+    ``states[i]`` is the state of ``results[i]`` and ``starts[i]`` the start
+    of its run.  The runs (``refine`` on ``_objective``) step in one
+    lockstep, each as it would alone; other results stay as they are.  Per
+    continued result, the better of it and its run gives the value and
+    point, and the restart count stays the result's; steps, evaluations
+    and objective calls add those of the run and of ``stages[i]``, if any,
+    the work that prepared the start.  The run's value is appended to the
+    restart values; when the run wins, ``best_restart`` is its index.
     """
-    objective, values = _full_and_values(_objective(states, search))
-    joined = []
-    for result, run in zip(results, refine(objective, starts, values=values)):
-        best = run if run.value < result.value else result
-        parts = (result, run) + stages
-        joined.append(OptimizerResult(
-            best.value, best.x, sum(r.iterations for r in parts), result.restarts,
-            best.converged, evaluations=sum(r.evaluations for r in parts),
-            calls=sum(r.calls for r in parts),
-            restart_values=result.restart_values + run.restart_values,
-            best_restart=result.restarts if best is run else result.best_restart))
+    joined = list(results)
+    if starts:
+        objective, values = _full_and_values(_objective([states[i] for i in starts], search))
+        for i, run in zip(starts, refine(objective, list(starts.values()), values=values)):
+            result = results[i]
+            best = run if run.value < result.value else result
+            parts = (result, run) + ((stages[i],) if i in stages else ())
+            joined[i] = OptimizerResult(
+                best.value, best.x, sum(r.iterations for r in parts), result.restarts,
+                best.converged, evaluations=sum(r.evaluations for r in parts),
+                calls=sum(r.calls for r in parts),
+                restart_values=result.restart_values + run.restart_values,
+                best_restart=len(result.restart_values) if best is run else result.best_restart)
     return joined
 
 
-def _pt_seeded(result: OptimizerResult, state: _State, search: _Search,
-               cfg: OptimizerConfig) -> OptimizerResult:
-    """Add the partial-transpose-seeded stage when all restarts ended on an NPT state's plateau.
+def _pt_seeded(results: Sequence[OptimizerResult], states: Sequence[_State], search: _Search,
+               cfgs: Sequence[OptimizerConfig]) -> list[OptimizerResult]:
+    """``results`` after the partial-transpose-seeded stage of every plateau NPT state.
 
-    The plateau is any value above -PLATEAU_X_SQ, round-off of X = 0.  The
-    surrogate (``_pt_surrogate``) is minimized by ``minimize_many`` on its
-    exact gradients, with PT_SEED_RESTARTS restarts drawn from
-    ``cfg.seed``, and ``result`` continues with one run of the search from
-    its minimizer, the surrogate's work added (``_continued``).
-    Without the stage ``result`` is returned as is; a search without
-    angles (the d = 2 witness) is exact and gets no stage.
+    A result is on the plateau when its value is above -PLATEAU_X_SQ,
+    round-off of X = 0.  The surrogates (``_pt_surrogate``) of all such NPT
+    states are minimized in one ``minimize_many``, state i with
+    PT_SEED_RESTARTS restarts drawn from ``cfgs[i].seed``, and their
+    results continue with one run of the search from their minimizers, the
+    surrogates' work added (``_continued``).  A search without angles (the
+    d = 2 witness) is exact and gets no stage.
     """
-    n = search.n
-    if (result.value <= -PLATEAU_X_SQ or n == 0
-            or ppt_min_eigenvalue(state.rho, (search.d_a, search.d_b)) >= -DENSITY_PSD_TOL):
-        return result
-    (seeded,) = minimize_many(_pt_surrogate(state.rho, search), n,
-                              [replace(cfg, restarts=PT_SEED_RESTARTS)])
-    return _continued([result], [state], search, seeded.x[None], seeded)[0]
+    plateau = [i for i, (result, state) in enumerate(zip(results, states)) if not (
+        result.value <= -PLATEAU_X_SQ or search.n == 0
+        or ppt_min_eigenvalue(state.rho, (search.d_a, search.d_b)) >= -DENSITY_PSD_TOL)]
+    if not plateau:
+        return list(results)
+    seeded = dict(zip(plateau, minimize_many(
+        _pt_surrogate(np.array([states[i].rho for i in plateau]), search), search.n,
+        [replace(cfgs[i], restarts=PT_SEED_RESTARTS) for i in plateau])))
+    return _continued(results, states, search, {i: s.x for i, s in seeded.items()}, seeded)
 
 
 def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
@@ -979,8 +986,8 @@ def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
     configs may differ only in ``seed``, and None is the default
     ``OptimizerConfig()``.  The steps factor each block in full, and one
     batched values-only call re-evaluates the results (see
-    ``_full_and_values``).  The partial-transpose-seeded stage then
-    follows per state.
+    ``_full_and_values``).  The partial-transpose-seeded stage then runs
+    once, in one lockstep, for every plateau NPT state (``_pt_seeded``).
     """
     search = _search(d_a, d_b, witness)
     states = _states(rhos, d_a, d_b)
@@ -989,8 +996,7 @@ def _maximize(rhos: Sequence[np.ndarray | _State], d_a: int, d_b: int,
         raise LengthMismatchError(f"{len(states)} states but {len(cfgs)} configs")
     objective, values = _full_and_values(_objective(states, search))
     results = minimize_many(objective, search.n, cfgs, values=values)
-    return [_pt_seeded(result, state, search, cfg)
-            for result, state, cfg in zip(results, states, cfgs)]
+    return _pt_seeded(results, states, search, cfgs)
 
 
 def optimized_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
@@ -998,8 +1004,8 @@ def optimized_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
                        ) -> list[tuple[float, OptimizerResult]]:
     """``optimized_bound_b`` of each state in ``rhos``, with the config of the same index.
 
-    All states are optimized in one lockstep run, and each result equals
-    that of ``optimized_bound_b`` on the state alone (see ``_maximize``).
+    All states share one lockstep run and its ``calls``, and each other field
+    equals that of ``optimized_bound_b`` on the state alone (see ``_maximize``).
     A ``cfgs`` of another length than ``rhos`` raises ``LengthMismatchError``.
     """
     return [(math.sqrt(max(-result.value, 0.0)), result)
@@ -1011,10 +1017,9 @@ def optimized_bound_b(rho: np.ndarray, d_a: int, d_b: int,
     """Maximized bound B_opt >= B via BFGS restarts on exact gradients.
 
     The restarts are those of ``minimize_many`` on the batched objective
-    and its gradients (``_objective``).  When all of them end on the X = 0 plateau of an
-    NPT state, the partial-transpose-seeded stage (see the module
-    docstring) follows.  This is the one-state case of
-    ``optimized_bounds_b``.
+    and its gradients (``_objective``), and the partial-transpose-seeded
+    stage runs if the state is on the plateau (see the module docstring).
+    This is the one-state case of ``optimized_bounds_b``.
     """
     return optimized_bounds_b([rho], d_a, d_b, [cfg])[0]
 
@@ -1046,7 +1051,7 @@ def lifted_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
         if np.shape(c)[1:] != (search.n,):
             raise LengthMismatchError(f"candidates need {search.n} angles each, "
                                       f"got an array of shape {np.shape(c)}")
-    lifts, starts = [], []
+    starts = {}
     if scored:
         values = _objective(states, search)(
             np.concatenate([c for _, c in scored]),
@@ -1057,13 +1062,9 @@ def lifted_bounds_b(rhos: Sequence[np.ndarray], d_a: int, d_b: int,
             results[i] = replace(results[i], evaluations=results[i].evaluations + len(c),
                                  calls=results[i].calls + 1)
             if own[b] < results[i].value - LIFT_MARGIN:
-                lifts.append(i)
-                starts.append(c[b])
-    if lifts:
-        lifted = _continued([results[i] for i in lifts], [states[i] for i in lifts], search, starts)
-        for i, result in zip(lifts, lifted):
-            results[i] = result
-    return [(math.sqrt(max(-result.value, 0.0)), result) for result in results]
+                starts[i] = c[b]
+    return [(math.sqrt(max(-result.value, 0.0)), result)
+            for result in _continued(results, states, search, starts, {})]
 
 
 def max_distill_x_sq(rho: np.ndarray, d_a: int, d_b: int,
@@ -1071,8 +1072,7 @@ def max_distill_x_sq(rho: np.ndarray, d_a: int, d_b: int,
     """Maximized X^2_{1,2,1,2}; positive values witness distillability.
 
     The search runs BFGS restarts over the 4d - 8 subspace angles per
-    side, as ``optimized_bound_b`` does over its own, and the
-    partial-transpose-seeded stage follows as there.
+    side, and the seeded stage, as ``optimized_bound_b`` does over its own.
     """
     (result,) = _maximize([rho], d_a, d_b, [cfg], witness=True)
     return max(-result.value, 0.0), result

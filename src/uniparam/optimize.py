@@ -120,14 +120,15 @@ class OptimizerResult:
     re-evaluation, plus those of a seeded stage.  A run's lowest simplex
     vertex, evaluated again with its gradient, counts once.
     ``restart_values`` is the best value of each run in order, and
-    ``best_restart`` the index of the run that gave ``x`` (-1 when no run
-    was recorded).  The winner's entry is the re-evaluation, ``value``;
-    the others are the values the runs stepped on, which may differ from
-    a values-only evaluation of their points in the last bits.  ``calls``
-    counts the calls of the objective and of ``values`` in the run that
-    produced the result: the simplex's value calls, the gradient call at
-    the lowest vertices and the trial calls.  The problems of one ``minimize_many`` or ``refine``
-    run share it, and a seeded stage adds its own.
+    ``best_restart`` the index of its winning entry, the run that gave
+    ``x`` (-1 when no run was recorded).  The winner's entry is the
+    re-evaluation, ``value``; the others are the values the runs stepped
+    on, which may differ from a values-only evaluation of their points in
+    the last bits.  ``calls`` counts the calls of the objective and of
+    ``values`` in the run that produced the result: the simplex's value
+    calls, the gradient call at the lowest vertices and the trial calls.
+    The problems of one ``minimize_many`` or ``refine`` run share it, as
+    do the states of one seeded stage, which adds its two locksteps' calls.
     """
 
     value: float

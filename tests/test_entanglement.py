@@ -740,7 +740,7 @@ def test_pt_seeded_stage_runs_on_round_off_plateau():
     state, search = _check_state(fig1_state(0.10, 0.25), 3, 3), _search(3, 3)
     plateau = OptimizerResult(-1e-32, np.zeros(search.n), 0, cfg.restarts, True, evaluations=1,
                               restart_values=(-1e-32,) * cfg.restarts, best_restart=0)
-    result = _pt_seeded(plateau, state, search, cfg)
+    (result,) = _pt_seeded([plateau], [state], search, [cfg])
     assert len(result.restart_values) == cfg.restarts + 1
     assert result.best_restart == cfg.restarts
     assert abs(math.sqrt(-result.value) / max_concurrence(3) - 1.2783e-3) < 1e-7
@@ -1375,6 +1375,24 @@ def test_lifted_bounds_rise_only_from_a_better_candidate():
     assert none is low and none_b == low_b
 
 
+def test_lifted_best_restart_indexes_the_winning_entry():
+    # a seeded result lists restarts + 1 values, so a lifting run's value is entry 13 of 14, and
+    # best_restart read 12, the restarts, the value of the seeded run that did not win
+    from uniparam.cli import fig1_state
+    from uniparam.entanglement import lifted_bounds_b
+
+    rho = fig1_state(0.15, 0.25)
+    _, low = optimized_bound_b(rho, 3, 3, OptimizerConfig(seed=0))
+    _, high = optimized_bound_b(rho, 3, 3, OptimizerConfig(seed=1))
+    assert high.value < low.value - 1e-6
+    seeded = replace(low, restart_values=low.restart_values + (low.value,))
+    ((_, lifted),) = lifted_bounds_b([rho], 3, 3, [seeded], [high.x[None]])
+    assert lifted.value <= high.value
+    assert lifted.restart_values == seeded.restart_values + (lifted.value,)
+    assert lifted.best_restart == len(seeded.restart_values) == low.restarts + 1
+    assert lifted.restart_values[lifted.best_restart] == lifted.value
+
+
 def test_batched_bounds_reject_mismatched_lengths():
     # the batched bounds zipped their lists, so a short one dropped states without an error,
     # and a candidate of the wrong width failed in a numpy broadcast
@@ -1473,13 +1491,57 @@ def test_seeded_stage_evaluations_below_nelder_mead(witness):
     # a plateau result that carries no work, so the stage's work is all the result reports
     plateau = OptimizerResult(0.0, np.zeros(search.n), 0, cfg.restarts, True,
                               restart_values=(0.0,) * cfg.restarts, best_restart=0)
-    stage = _pt_seeded(plateau, state, search, cfg)
+    (stage,) = _pt_seeded([plateau], [state], search, [cfg])
     assert stage.best_restart == cfg.restarts and stage.value < -PLATEAU_X_SQ
     surrogate = _pt_surrogate(rho, search)
     reference = nelder_mead_restarts(_scalar(surrogate), search.n,
                                      replace(cfg, restarts=PT_SEED_RESTARTS))
     assert stage.evaluations < reference.evaluations
     assert stage.calls < reference.calls
+
+
+@pytest.mark.parametrize("witness", [False, True], ids=["bopt", "witness"])
+def test_pt_surrogate_state_stack_rows_equal_one_state_rows(witness):
+    # the seeded stage minimizes the surrogates of several states in one lockstep
+    from uniparam.entanglement import _pt_surrogate, _search
+
+    rng = np.random.default_rng(2800 + witness)
+    search = _search(3, 4, witness)
+    rhos = [rand_density(rng, 12), rand_density(rng, 12, rank=2), rand_density(rng, 12, rank=5)]
+    v = rng.uniform(0.0, 2 * np.pi, (25, search.n))
+    owner = rng.integers(0, len(rhos), len(v))
+    values, gradient = _pt_surrogate(np.array(rhos), search)(v, owner)
+    grads = gradient()
+    for s, rho in enumerate(rhos):
+        rows = np.flatnonzero(owner == s)
+        assert rows.size
+        one_values, one_gradient = _pt_surrogate(rho, search)(v[rows])
+        assert_same_bits(values[rows], one_values)
+        assert_same_bits(grads[rows], one_gradient())
+    # a stack of one state, and a stack read with no owner, are the first state alone
+    one_values, one_gradient = _pt_surrogate(rhos[0], search)(v)
+    for surrogate, own in ((_pt_surrogate(np.array(rhos[:1]), search), np.zeros(len(v), int)),
+                           (_pt_surrogate(np.array(rhos), search), None)):
+        stacked_values, stacked_gradient = surrogate(v, own)
+        assert_same_bits(stacked_values, one_values)
+        assert_same_bits(stacked_gradient(), one_gradient())
+
+
+def test_seeded_stage_of_two_states_equals_each_alone():
+    # both barely-NPT states end every restart on the plateau; their stage is one lockstep
+    from uniparam.cli import fig1_state
+
+    cfg = OptimizerConfig(seed=0)
+    rhos = [fig1_state(0.10, 0.25), fig1_state(0.25, 0.10)]
+    many = optimized_bounds_b(rhos, 3, 3, [cfg] * 2)
+    for rho, (b, result) in zip(rhos, many):
+        assert len(result.restart_values) == cfg.restarts + 1
+        assert all(v > -1e-24 for v in result.restart_values[:cfg.restarts])
+        b_one, one = optimized_bound_b(rho, 3, 3, cfg)
+        assert b == b_one
+        assert_same_result(result, one)
+    # the two results share the calls of every lockstep they ran in
+    assert many[0][1].calls == many[1][1].calls
 
 
 # ---------------------------------------------------------------------------
@@ -1586,6 +1648,25 @@ def test_full_factorization_gradients_match_central_differences(name):
     # a closure called after a values-only pass factors again and gives the same gradient
     later = objective(v)[1]()
     assert np.max(np.abs(later - grads)) <= 1e-12 * np.max(np.abs(grads))
+
+
+@pytest.mark.parametrize("rank", ["full rank", "rank 6"])
+def test_searches_read_factorizations_by_position(monkeypatch, rank):
+    # numpy before 2.0 returns svd's (U, S, Vh) and qr's (Q, R) as plain tuples, and the
+    # gradient calls read them as .S, .Q and .R, an AttributeError there
+    cfg = OptimizerConfig(restarts=2, seed=1)
+    rho = _svd_path_case(f"bopt, {rank}")[0].rho
+    expected = [search(rho, 3, 3, cfg)[1] for search in (optimized_bound_b, max_distill_x_sq)]
+    svd, qr = np.linalg.svd, np.linalg.qr
+
+    def plain(result):
+        return tuple(result) if isinstance(result, tuple) else result
+
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: plain(svd(*args, **kwargs)))
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: plain(qr(*args, **kwargs)))
+    assert type(np.linalg.svd(np.eye(3))) is type(np.linalg.qr(np.eye(3))) is tuple
+    for search, alone in zip((optimized_bound_b, max_distill_x_sq), expected):
+        assert_same_result(search(rho, 3, 3, cfg)[1], alone)
 
 
 def test_searches_report_values_only_values():

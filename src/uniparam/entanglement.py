@@ -893,14 +893,14 @@ def _pt_surrogate(rho: np.ndarray, search: _Search) -> Objective:
     """Batched surrogate: packed vectors -> sum of λ_min of each block's partial transpose.
 
     ``rho`` is one state or an (S, n, n) stack; row i of the (N, n) vectors
-    rotates ``rho[owner[i]]``, or the first, unstacked, with one state or
-    ``owner`` None (as in ``_by_state``).  A block of ``search.seed_idx``
-    with a negative term is NPT, hence has a nonzero X.  The returned
-    closure gives the (N, n) angle gradients.  With e the unit eigenvector
-    of λ_min, dλ_min = e† dR^Γ e = Re tr(M dR^Γ) for M = e e†.  The partial
-    transpose permutes a block's entries and is its own inverse, so
-    Re tr(M dR^Γ) = Re tr(M^Γ dR): M^Γ is the block's gradient, which
-    ``_rotated_pullback`` and the search's pullback take to the angles.
+    rotates ``rho[owner[i]]``, or the first state with ``owner`` None, and
+    its outputs do not depend on the rows beside it.  A block of
+    ``search.seed_idx`` with a negative term is NPT, hence has a nonzero X.
+    The returned closure gives the (N, n) angle gradients.  With e the unit
+    eigenvector of λ_min, dλ_min = e† dR^Γ e = Re tr(M dR^Γ) for M = e e†.
+    The partial transpose permutes a block's entries and is its own
+    inverse, so Re tr(M dR^Γ) = Re tr(M^Γ dR): M^Γ is the block's gradient,
+    which ``_rotated_pullback`` and the search's pullback take to the angles.
     λ_min has a kink where it is degenerate, as X has where tau loses rank.
     """
     idx = search.seed_idx
@@ -910,7 +910,7 @@ def _pt_surrogate(rho: np.ndarray, search: _Search) -> Objective:
                   ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         w_a, w_b, back = search.rotations_vjp(v)
         w = _product_basis(w_a, w_b)
-        own = stack[0] if owner is None or len(stack) == 1 else stack[owner]
+        own = stack[0] if owner is None else stack[owner]
         eigenvalues, vectors = np.linalg.eigh(_rotated_blocks(own, w, idx)[..., _PT_ROWS, _PT_COLS])
 
         def gradient() -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .composite import build_unitary, decompose, random_param_matrix
+from .composite import _assert_angles, build_unitary, decompose, random_param_matrix
 from .entanglement import (
     bound_b,
     lifted_bounds_b,
@@ -249,13 +249,9 @@ def write_scan_csv(rows: list[ScanRow], path: str) -> None:
 # subcommands
 
 def _cmd_gen_unitary(args: argparse.Namespace) -> int:
-    if args.dim < 2:
-        raise UniparamError(f"--dim must be >= 2, got {args.dim}")
     if args.params is not None:
-        lam = _real_matrix(load_matrix_file(args.params), "parameter matrix")
-        if lam.shape != (args.dim, args.dim):
-            raise UniparamError(
-                f"parameter matrix is {lam.shape[0]}x{lam.shape[1]}, expected {args.dim}x{args.dim}")
+        lam = _assert_angles(_real_matrix(load_matrix_file(args.params), "parameter matrix"),
+                             args.dim)
     else:
         lam = random_param_matrix(args.dim, np.random.default_rng(args.seed))
     print(json.dumps(matrix_to_json(build_unitary(lam))))
@@ -270,15 +266,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UniparamError(f"--dims expects 'dA,dB', got {text!r}")
-    try:
-        d_a, d_b = (int(p) for p in parts)
+    try:  # the unpacking also fails on a count of parts other than two
+        d_a, d_b = (int(p) for p in text.split(","))
     except ValueError:
         raise UniparamError(f"--dims expects two integers 'dA,dB', got {text!r}") from None
-    if d_a < 2 or d_b < 2:
-        raise UniparamError(f"local dimensions must be >= 2, got {d_a},{d_b}")
     return d_a, d_b
 
 
@@ -324,9 +315,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_distill(args: argparse.Namespace) -> int:
     d_a, d_b = _parse_dims(args.dims)
     rho = _load_state(args.state)
-    if args.copies > 1:
-        rho = n_copy_state(rho, (d_a, d_b), args.copies)
-        d_a, d_b = d_a ** args.copies, d_b ** args.copies
+    rho = n_copy_state(rho, (d_a, d_b), args.copies)
+    d_a, d_b = d_a ** args.copies, d_b ** args.copies
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     x_sq, result = max_distill_x_sq(rho, d_a, d_b, cfg)
     print(json.dumps({

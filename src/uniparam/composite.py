@@ -187,7 +187,7 @@ def _product_pullback(lam: np.ndarray, u: np.ndarray, grad: np.ndarray,
     Re(e Z[m, n]) - Re(conj(e) Z[n, m]) for the rotation and Im Z[n, n] for
     the phase, e the factor's phase e^{i lam[n, m]}.
 
-    The trig of every factor is taken before the sweep, from one gather.
+    Every factor's trig comes from one gather; each conjugation runs through ``_rows_update``.
     """
     axes = (-2, -1, *range(lam.ndim - 2))
     # in the matrix-axes-first layout, so the sweep's row and column slices are contiguous
@@ -205,11 +205,9 @@ def _product_pullback(lam: np.ndarray, u: np.ndarray, grad: np.ndarray,
         out[n, m] = z[n, n].imag
         if k == p - 1:
             break
-        # both new rows (then columns) are formed from the old ones before either is assigned
-        a, b = z[m], z[n]
-        z[m], z[n] = c * a - (s * np.conj(e)) * b, s * a + (c * np.conj(e)) * b
-        a, b = z[:, m], z[:, n]
-        z[:, m], z[:, n] = c * a - (e * s) * b, s * a + (e * c) * b
+        # F† Z, then Z F = (F'† Z^T)^T with F' the factor of phase conj(e)
+        _rows_update(z, m, n, c, s, e, True)
+        _rows_update(z.swapaxes(0, 1), m, n, c, s, np.conj(e), True)
     return np.ascontiguousarray(out.transpose(*range(2, out.ndim), 0, 1))
 
 

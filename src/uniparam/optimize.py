@@ -22,9 +22,11 @@ one.  Every value a result reports comes from it.
 problem i draws its starts from its own ``cfgs[i].seed`` and gets its
 own result, equal to that of the problem alone.  ``minimize`` is its
 one-problem case, and ``refine`` runs one BFGS run from each of given
-points, one problem per point.  The entanglement module runs every search
-through them: the optimized bound B_opt, the distillability witness, its
-seeded stage's surrogate and the runs from given angles.
+points, one problem per point.  No problems or starts give no results
+and no call; over R^0 each constant is evaluated once, with restarts 0.
+The entanglement module runs every search through them: the optimized
+bound B_opt, the distillability witness, its seeded stage's surrogate
+and the runs from given angles.
 
 All runs step in lockstep (``_bfgs``).  The first call(s) score each
 start's simplex by ``values`` alone, an objective call at each run's
@@ -331,10 +333,19 @@ def _solve(objective: Objective, starts: np.ndarray, keep_history: bool,
     Per problem, its first run with the lowest value wins, and one
     ``values`` call evaluates the P winners again, the value the result
     reports and lists for the winner.  No objective call takes more than
-    R * (dim + 1) rows, one problem's simplex set-up.
+    R * (dim + 1) rows, one problem's simplex set-up.  No problems take no
+    call, and with dim 0 one ``values`` call gives the constants.
     """
     n_problems, n_runs, dim = starts.shape
     values = _values(objective, values)
+    if not n_problems:
+        return []
+    if dim == 0:
+        x = np.zeros(0)
+        constants = values(np.zeros((n_problems, 0)), np.arange(n_problems))
+        return [OptimizerResult(value, x, 0, 0, True,
+                                history=() if keep_history else None, evaluations=1)
+                for value in constants.tolist()]
     traces: list[list[float]] | None = (
         [[] for _ in range(n_problems * n_runs)] if keep_history else None)
     owner = np.repeat(np.arange(n_problems), n_runs)
@@ -375,12 +386,6 @@ def minimize_many(objective: Objective, dim: int, cfgs: Sequence[OptimizerConfig
     # cfgs[0] is tested first, so its restarts are read only once it is a config
     if not all(isinstance(c, OptimizerConfig) and c.restarts == cfgs[0].restarts for c in cfgs):
         raise UniparamError("configs must be OptimizerConfig instances differing only in seed")
-    if dim == 0:
-        x = np.zeros(0)
-        constants = _values(objective, values)(np.zeros((len(cfgs), 0)), np.arange(len(cfgs)))
-        return [OptimizerResult(value, x, 0, 0, True,
-                                history=() if keep_history else None, evaluations=1)
-                for value in constants.tolist()]
     starts = np.zeros((len(cfgs), cfgs[0].restarts, dim))
     for s, cfg in zip(starts, cfgs):
         s[1:] = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (cfg.restarts - 1, dim))
@@ -411,6 +416,8 @@ def refine(objective: Objective, starts: np.ndarray, *,
 
     The runs step in one lockstep.  Each result reports one restart and
     is re-evaluated like that of ``minimize``, by ``values`` as there.
+    No starts give no results and no call; zero-width starts give the
+    constants, with restarts 0, that ``minimize_many`` gives over R^0.
     """
     try:
         starts = np.asarray(starts, dtype=float)

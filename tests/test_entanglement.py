@@ -11,6 +11,7 @@ from uniparam import (
     IndexOrderError,
     IndexOutOfRangeError,
     LengthMismatchError,
+    NonSquareError,
     NormalizationError,
     NotPSDError,
     NotUnitaryError,
@@ -386,6 +387,16 @@ def test_n_copy_state():
 
     with pytest.raises(DimensionTooLargeError):
         n_copy_state(rho, (2, 2), 5)
+
+
+def test_n_copy_state_caps_only_a_tensor_power():
+    # the distill command takes every copy count through n_copy_state, so one copy of a state
+    # past the cap is that state, not a DimensionTooLargeError
+    rho = np.eye(300) / 300
+    one = n_copy_state(rho, (20, 15), 1)
+    assert np.array_equal(one, rho) and one is not rho
+    with pytest.raises(DimensionTooLargeError):
+        n_copy_state(np.eye(17) / 17, (17, 1), 2)
 
 
 def test_optimized_bound_never_below_plain():
@@ -1417,6 +1428,20 @@ def test_batched_bounds_reject_mismatched_lengths():
     # an empty candidate set needs no width
     lifted = lifted_bounds_b(rhos, 3, 3, results, [np.array([]), none])
     assert [r for _, r in lifted] == results
+
+
+def test_batched_bounds_read_every_batch_as_states():
+    # an empty batch read as one state and failed its shape check, and a 0-d array was iterated
+    # into a bare TypeError
+    from uniparam.entanglement import lifted_bounds_b
+
+    assert optimized_bounds_b([], 3, 3, []) == []
+    assert optimized_bounds_b(np.zeros((0, 9, 9)), 3, 3, []) == []
+    assert lifted_bounds_b([], 3, 3, [], []) == []
+    with pytest.raises(NonSquareError):
+        optimized_bounds_b(np.array(5.0), 2, 2, [None])
+    with pytest.raises(NonSquareError):
+        lifted_bounds_b(np.array(5.0), 2, 2, [None], [np.zeros((0, 4))])
 
 
 # ---------------------------------------------------------------------------

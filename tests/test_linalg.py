@@ -15,6 +15,8 @@ from uniparam import (
     herm_eig,
     kron,
     linear_entropy,
+    make_bopt_objective,
+    make_distill_objective,
     max_distill_x_sq,
     multipartite_bound_b,
     n_copy_state,
@@ -249,10 +251,12 @@ NON_SQUARE = {"3x4": np.ones((3, 4)), "vector": np.full(4, 0.25), "empty": np.ze
     lambda m: bound_x(m, 1, 2, 1, 2),
     lambda m: bound_x(np.eye(4) / 4, 1, 2, 1, 2, u_a=m),
     lambda m: bound_x(np.eye(4) / 4, 1, 2, 1, 2, u_b=m),
+    lambda m: make_bopt_objective(m, 2, 2),
+    lambda m: make_distill_objective(m, 2, 2),
 ], ids=["herm_eig", "validate_density", "linear_entropy", "bound_b", "optimized_bound_b",
         "max_distill_x_sq", "multipartite_bound_b", "ppt_min_eigenvalue", "partial_transpose",
         "partial_trace", "permute_subsystems", "n_copy_state", "bound_x", "bound_x u_a",
-        "bound_x u_b"])
+        "bound_x u_b", "make_bopt_objective", "make_distill_objective"])
 def test_non_square_input_rejected_before_arithmetic(entry, kind):
     # the shape is checked before any product, so no numpy shape error or sliced result leaks
     with np.errstate(all="raise"), pytest.raises(NonSquareError):

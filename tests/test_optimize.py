@@ -453,6 +453,29 @@ def test_minimize_many_config_checks():
     assert [r.value for r in constants] == [1.0, 2.0]
 
 
+def test_refine_no_starts_calls_nothing():
+    # a lockstep of no runs never reached its stop branch, so this looped forever
+    def never(xs, owner):
+        raise AssertionError("objective called")
+
+    assert refine(never, np.zeros((0, 3))) == []
+    assert refine(never, np.zeros((0, 3)), values=never) == []
+
+
+def test_refine_zero_width_starts_give_constants():
+    # zero-width starts raised numpy's "cannot reshape array of size 0"
+    per_owner = lazy(lambda xs, owner: (owner + 1.0, np.zeros(xs.shape)))
+    cfg = OptimizerConfig(restarts=2)
+    refined = refine(per_owner, np.zeros((2, 0)))
+    expected = minimize_many(per_owner, 0, [cfg, cfg])
+    assert len(refined) == len(expected) == 2
+    for got, want in zip(refined, expected):
+        for f in fields(OptimizerResult):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    assert [(r.value, r.restarts, r.evaluations, r.calls) for r in refined] == [
+        (1.0, 0, 1, 0), (2.0, 0, 1, 0)]
+
+
 # ---------------------------------------------------------------------------
 # the lockstep BFGS core
 

@@ -181,6 +181,13 @@ def _fig1_candidates(ia: int, ib: int, best: dict[tuple[int, int], np.ndarray]) 
     return np.array(near)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set), not all of the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
                   seed: int = 0, jobs: int | None = None) -> list[ScanRow]:
     """Scan the full [0,1]^2 mixing square on a grid of spacing ``step``.
@@ -189,20 +196,22 @@ def run_fig1_scan(step: float, optimize: bool = False, restarts: int = 12,
     grid points that are not density matrices carry empty bounds but are
     still emitted.  The settings are checked before any grid point, and
     every grid state is built and checked once, here.  With ``optimize``
-    the states are dealt round-robin in grid order to ``jobs`` shares, and
-    each share is one ``optimized_bounds_b`` call in a process pool: one
-    joint run, each state with its own seed and restarts, so the rows do
-    not depend on ``jobs``.  A second round then lifts each state from the
-    optima of its grid neighbours and of its mirror (``lifted_bounds_b``):
-    twelve restarts can all miss a state's best maximum where a related
-    state's finds it, and the mirrored rows, related by a local
-    permutation, have equal bounds.  The second round runs in the calling
-    process, in one ``lifted_bounds_b`` call on every state; it reads only
-    the first round's results, so it does not depend on ``jobs`` either.
+    the states are dealt round-robin in grid order to ``jobs`` shares, by
+    default one per CPU this process may run on (its affinity set, not
+    every CPU of the host), and each share is one ``optimized_bounds_b``
+    call in a process pool: one joint run, each state with its own seed
+    and restarts, so the rows do not depend on ``jobs``.  A second round
+    then lifts each state from the optima of its grid neighbours and of
+    its mirror (``lifted_bounds_b``): twelve restarts can all miss a
+    state's best maximum where a related state's finds it, and the
+    mirrored rows, related by a local permutation, have equal bounds.  The
+    second round runs in the calling process, in one ``lifted_bounds_b``
+    call on every state; it reads only the first round's results, so it
+    does not depend on ``jobs`` either.
     """
     if not 0.0 < step <= 0.25:
         raise UniparamError(f"step must lie in (0, 0.25], got {step}")
-    jobs = (os.cpu_count() or 1) if jobs is None else _count(jobs, "jobs", 1, error=UniparamError)
+    jobs = _usable_cpus() if jobs is None else _count(jobs, "jobs", 1, error=UniparamError)
     cfg = OptimizerConfig(restarts=restarts, seed=seed)
     num = int(math.floor((1.0 + 1e-9) / step))
     points = [(ia, ib, ia * step, ib * step) for ia in range(num + 1) for ib in range(num + 1)]
@@ -386,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--restarts", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: one per CPU this process may run on)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_fig1)
     return parser

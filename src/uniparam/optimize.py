@@ -36,7 +36,7 @@ line search is weak Wolfe, so no run ends above the best vertex of its
 start's simplex.  A run stops when its direction promises less than
 round-off, when a step gains less than ``OptimizerConfig.f_tol`` and the
 next promises less than it, after BFGS_MAX_TRIALS (400) trial points,
-after BFGS_TRAILING_TRIALS (240) once a stopped run of its problem has a
+after BFGS_TRAILING_TRIALS (140) once a stopped run of its problem has a
 lower value, or at a kink, where its line search no longer moves it.
 An accepted step is one trial point, so no run takes more than 400
 steps.  No objective call takes more than ``restarts * (dim + 1)`` rows,
@@ -74,12 +74,15 @@ ANGLE_RESOLUTION = 4 * np.finfo(float).eps
 # 3000 points as the seed changed, and the longest one sets how many calls the lockstep takes
 BFGS_MAX_TRIALS = 400
 # trial points after which a run stops once a stopped run of its problem has a lower value.
-# On the step-0.05 fig1 grid at seeds 0-3 no winning run took more than 142 trials and the
-# losing runs went on for 217-400, so a lockstep there takes about 250 calls in place of 400.
+# The runs it stops are mostly kink crawlers that would trail to the 400 cap.  On the step-0.05
+# fig1 grid at seeds 0-3 (seeded-stage surrogates included) the runs that still trailed after
+# 60 trials and later won numbered 54, after 80 trials 15, after 100 3, after 120 2, and after
+# 140 and 160 none; a 2-job step-0.25 fig1 share takes 148-149 calls with it.
 # On random states from 2x3 to 4x4 winning runs took up to the 400 cap, and a cap of 240 for
-# every run lowered B_opt on 21 of 57 of them; this cut leaves the leading runs to the cap and
-# moved 2 of the 57, by at most 1.3e-10 in B_opt^2 (BENCH_19.json)
-BFGS_TRAILING_TRIALS = 240
+# every run lowered B_opt on 21 of 57 of them (BENCH_19.json).  This cut leaves the leading
+# runs to the cap: against no cut it moved 4 of the 57, by at most 1.02e-10 in B_opt^2, where
+# a cut at 100 moved 10, one by 6.2e-6
+BFGS_TRAILING_TRIALS = 140
 
 
 @dataclass(frozen=True)

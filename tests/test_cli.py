@@ -306,6 +306,28 @@ def test_fig1_share_cuts_the_trailing_crawls():
             assert abs(-result.value - bound_b(fig1_state(alpha, beta), 3, 3).b ** 2) < 1e-12
 
 
+def test_fig1_trailing_cut_moves_no_winner(monkeypatch):
+    # the runs the cut stops trail a stopped run of their state and never overtake it, so every
+    # step-0.25 state keeps the winner it has with no cut at all
+    import uniparam.optimize
+    from uniparam.cli import _point_seed
+    from uniparam.entanglement import optimized_bounds_b
+    from uniparam.optimize import BFGS_MAX_TRIALS
+
+    points = [(ia, ib, ia * 0.25, ib * 0.25) for ia in range(5) for ib in range(5 - ia)]
+    rhos = [fig1_state(alpha, beta) for _, _, alpha, beta in points]
+    cfgs = [OptimizerConfig(restarts=12, seed=_point_seed(0, ia, ib)) for ia, ib, _, _ in points]
+    cut = [result for _, result in optimized_bounds_b(rhos, 3, 3, cfgs)]
+    monkeypatch.setattr(uniparam.optimize, "BFGS_TRAILING_TRIALS", BFGS_MAX_TRIALS)
+    uncut = [result for _, result in optimized_bounds_b(rhos, 3, 3, cfgs)]
+    assert len(cut) == len(uncut) == 15
+    assert cut[0].calls < uncut[0].calls
+    for a, b in zip(cut, uncut):
+        assert a.value == b.value
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.best_restart == b.best_restart
+
+
 def test_fig1_plain_scan_starts_no_pool(monkeypatch):
     import uniparam.cli
 
@@ -316,6 +338,20 @@ def test_fig1_plain_scan_starts_no_pool(monkeypatch):
     rows = run_fig1_scan(0.25, optimize=False, jobs=2)
     assert len(rows) == 25
     assert all(r.bound_opt is None for r in rows)
+
+
+def test_fig1_default_jobs_count_the_usable_cpus(monkeypatch):
+    # one CPU in the process's affinity set on an eight-CPU host: one share, run in-process
+    import uniparam.cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a scan on one usable CPU started a process pool")
+
+    monkeypatch.setattr(uniparam.cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    rows = run_fig1_scan(0.25, optimize=True)
+    assert sum(r.bound_opt is not None for r in rows) == 15
 
 
 def test_fig1_bad_step(tmp_path, capsys):

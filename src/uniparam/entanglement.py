@@ -49,6 +49,15 @@ distillability witness (the single block on the first two columns of two
 subspace isometries, maximized) all go through it.  The searches' packed
 angles are those the plane-factor lists of their composite products read.
 
+Each state is checked and eigendecomposed once per call.  That holds for
+a multipartite state too: ``multipartite_bound_b`` checks it once and
+hands each bipartition's ``bound_b`` the checked ``_State`` with its
+subsystems permuted, matrix and kind data alike, so n parties take one
+eigendecomposition instead of 2^(n-1) - 1.  The block index of all
+generator pairs at (d_a, d_b), and the report's (k_a, l_a, k_b, l_b)
+keys, are built once per dimension pair per process (``_layout``, a
+read-only cache) for ``bound_b`` and the B_opt search.
+
 A two-qubit block's partial transpose R^Γ has at most one negative
 eigenvalue (Sanpera, Tarrach and Vidal, PRA 58, 826, 1998), so
 det(R^Γ) > PPT_DET_RATIO * (tr R)^4 proves the block PPT, hence X = 0.
@@ -109,7 +118,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -238,8 +247,7 @@ def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
     if isinstance(rho, _State):
         return rho
     rho, _ = _check_dims(rho, (d_a, d_b))
-    if d_a < 2 or d_b < 2:
-        raise DimensionMismatchError("both local dimensions must be >= 2")
+    _check_split(d_a, d_b)
     w, v = herm_eig(rho)
     if w[0] < -PSD_EIG_TOL:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_EIG_TOL:.0e}")
@@ -254,6 +262,12 @@ def _check_state(rho: np.ndarray | _State, d_a: int, d_b: int) -> _State:
     return _State(rho, _direct_concurrences, psi)
 
 
+def _check_split(d_a: int, d_b: int) -> None:
+    """Raise ``DimensionMismatchError`` unless both local dimensions are at least 2."""
+    if d_a < 2 or d_b < 2:
+        raise DimensionMismatchError("both local dimensions must be >= 2")
+
+
 def _block_index(pairs: Sequence[Pair], m_b: int) -> np.ndarray:
     """(P, 4) 0-based product-basis indices of the block |k_a>,|l_a> (x) |k_b>,|l_b> of each pair.
 
@@ -265,6 +279,20 @@ def _block_index(pairs: Sequence[Pair], m_b: int) -> np.ndarray:
 def _all_pairs(d_a: int, d_b: int) -> list[Pair]:
     """Every (A pair, B pair) of generator pairs, A outer."""
     return [(pa, pb) for pa in sigma_pairs(d_a) for pb in sigma_pairs(d_b)]
+
+
+@lru_cache(maxsize=32)
+def _layout(d_a: int, d_b: int) -> tuple[np.ndarray, tuple[tuple[int, int, int, int], ...]]:
+    """The block index of ``_all_pairs(d_a, d_b)``, read-only, and the pairs' report keys.
+
+    Built once per dimension pair per process, for the 32 pairs used
+    last: ``bound_b`` and the B_opt search read it, and nothing can
+    write to it.
+    """
+    pairs = _all_pairs(d_a, d_b)
+    idx = _block_index(pairs, d_b)
+    idx.flags.writeable = False
+    return idx, tuple(pa + pb for pa, pb in pairs)
 
 
 def _product_basis(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
@@ -628,11 +656,9 @@ def bound_b(rho: np.ndarray, d_a: int, d_b: int,
     Each term is the concurrence of one 4x4 block of U rho U†, U = u_a (x) u_b.
     """
     state = _check_state(rho, d_a, d_b)
-    pairs = _all_pairs(d_a, d_b)
-    x, _ = state.kind(state.data, _local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b),
-                      _block_index(pairs, d_b))
-    terms = {pa + pb: float(xi) for (pa, pb), xi in zip(pairs, x)}
-    return BoundReport(terms, float(np.sqrt(np.sum(x * x))))
+    idx, keys = _layout(d_a, d_b)
+    x, _ = state.kind(state.data, _local_adjoint(u_a, d_a), _local_adjoint(u_b, d_b), idx)
+    return BoundReport(dict(zip(keys, x.tolist())), float(np.sqrt(np.sum(x * x))))
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +795,7 @@ def _search(d_a: int, d_b: int, witness: bool = False) -> _Search:
     if witness:  # cut from the 2 x 2 space the two columns per side span
         idx = seed_idx = _block_index([((1, 2), (1, 2))], 2)
     else:
-        idx = _block_index(_all_pairs(d_a, d_b), d_b)
+        idx = _layout(d_a, d_b)[0]
         seed_idx = _block_index(list(zip(sigma_pairs(d_a), sigma_pairs(d_b))), d_b)
     return _Search(d_a, d_b, index[0].size, rotations_vjp, idx, seed_idx)
 
@@ -1134,20 +1160,32 @@ class MultipartiteBound:
 
 
 def multipartite_bound_b(rho: np.ndarray, dims: Sequence[int]) -> MultipartiteBound:
-    """Sum of bipartite B^2 over all bipartitions of an n-partite state.
+    """Every bipartition's bound_b of an n-partite state; ``b`` is the root of their summed B^2.
 
     For each bipartition the subsystems are permuted into a contiguous
     alpha (x) beta layout (alpha factors first, in index order) before the
-    bipartite bound is evaluated.
+    bipartite bound is evaluated.  The state is checked and
+    eigendecomposed once, as the first bipartition's (alpha = (0,), the
+    unpermuted layout) own ``bound_b`` would do it.  Each bipartition's
+    ``bound_b`` then gets that ``_State`` permuted, with the kind it has:
+    a permutation matrix P moves the Hermitian part as it moves rho,
+    P rho P^T, and takes the factor Psi to P Psi, a factor of P rho P^T
+    whose blocks have the same x_i.  A bipartition with a side of
+    dimension 1 raises ``DimensionMismatchError``, as its ``bound_b`` does.
     """
     rho, dims = _check_dims(rho, dims)
     parts = enumerate_bipartitions(len(dims), dims)
+    state = _check_state(rho, parts[0].d_alpha, parts[0].d_beta)
+    positions = np.arange(rho.shape[0]).reshape(dims)
     reports = []
     total_sq = 0.0
     for bp in parts:
-        perm = list(bp.alpha) + list(bp.beta)
-        rho_p = permute_subsystems(rho, dims, perm)
-        rep = bound_b(rho_p, bp.d_alpha, bp.d_beta)
+        _check_split(bp.d_alpha, bp.d_beta)
+        order = positions.transpose(bp.alpha + bp.beta).ravel()
+        rows = order[:, None]
+        data = (state.data[rows, order] if state.kind is _cholesky_concurrences
+                else state.data[order])
+        rep = bound_b(_State(state.rho[rows, order], state.kind, data), bp.d_alpha, bp.d_beta)
         reports.append((bp, rep))
         total_sq += rep.b_squared
     return MultipartiteBound(tuple(reports), math.sqrt(total_sq))

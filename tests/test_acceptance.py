@@ -2,13 +2,15 @@
 
 The fig1 grid scan (criteria 6a-6d) is computed once per session by a
 module-scoped fixture with the pinned settings: step 0.05, 12 restarts,
-base seed 0.
+base seed 0.  The reference tests compare that scan, and a few witness
+values, with the committed files in ``tests/data``.
 """
 
+import csv
 import json
 import math
-import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from uniparam import (
     make_distill_objective,
     max_distill_x_sq,
     multipartite_bound_b,
+    n_copy_state,
     offdiag_to_matrix,
     partial_trace,
     ppt_min_eigenvalue,
@@ -34,8 +37,8 @@ from uniparam import (
     unitarity_defect,
     validate_density,
 )
+from uniparam.cli import fig1_state, run_fig1_scan
 from uniparam.cli import main as cli_main
-from uniparam.cli import run_fig1_scan
 from helpers import (
     ghz_state,
     haar_state,
@@ -45,6 +48,9 @@ from helpers import (
 )
 
 PERTURB = 0.37
+DATA = Path(__file__).parent / "data"
+# two-sided, absolute: refactorizations moved rows by at most 1.6e-12, changes of work about 1e-9
+REFERENCE_TOL = 1e-9
 
 
 def report(name, ok, detail=""):
@@ -162,8 +168,7 @@ def test_criterion_5_wootters_oracle():
 @pytest.fixture(scope="module")
 def fig1_scan():
     t0 = time.perf_counter()
-    rows = run_fig1_scan(0.05, optimize=True, restarts=12, seed=0,
-                         jobs=os.cpu_count())
+    rows = run_fig1_scan(0.05, optimize=True, restarts=12, seed=0)
     return rows, time.perf_counter() - t0
 
 
@@ -221,6 +226,57 @@ def test_fig1_scan_lifted_rows(fig1_scan):
     # the realignment comparator's value (ROADMAP item 6)
     assert abs(at[(3, 5)] - 0.017945) < 1e-6
     assert abs(at[(5, 3)] - 0.017945) < 1e-6
+
+
+def _deviation(got, want):
+    """|got - want|, 0 when both are empty, infinite when only one is."""
+    if got is None or want is None:
+        return 0.0 if got is want else math.inf
+    return abs(got - want)
+
+
+def test_fig1_scan_matches_reference(fig1_scan):
+    # tests/data/fig1_step005_seed0.csv is `uniparam fig1 --step 0.05 --optimize --seed 0`;
+    # a change that moves a row by more than REFERENCE_TOL updates it and says so in CHANGES.md
+    rows, _ = fig1_scan
+    with open(DATA / "fig1_step005_seed0.csv", newline="", encoding="utf-8") as fh:
+        reference = list(csv.DictReader(fh))
+    assert len(rows) == len(reference) == 441
+    deviations, flags = [], []
+    for row, ref in zip(rows, reference):
+        assert abs(row.alpha - float(ref["alpha"])) < 1e-12
+        assert abs(row.beta - float(ref["beta"])) < 1e-12
+        if (row.is_state, row.is_ppt) != (ref["is_state"] == "true", ref["is_ppt"] == "true"):
+            flags.append((row.alpha, row.beta))
+        deviations += [(_deviation(getattr(row, name), float(ref[name]) if ref[name] else None),
+                        name, row.alpha, row.beta) for name in ("bound_plain", "bound_opt")]
+    # the CSV keeps 12 significant digits, so identical rows deviate by up to 5e-13
+    worst, name, alpha, beta = max(deviations)
+    ok = not flags and worst <= REFERENCE_TOL
+    report("fig1 reference scan", ok, f"max deviation {worst:.2e} at {name} "
+           f"({alpha:.2f}, {beta:.2f}); is_state/is_ppt mismatches: {flags}")
+    assert not flags
+    assert worst <= REFERENCE_TOL
+
+
+def test_distill_witness_matches_reference():
+    # the states of tests/data/distill_seed0.json, as its "about" entry names them; the
+    # scan's reference rule applies
+    ref = json.loads((DATA / "distill_seed0.json").read_text(encoding="utf-8"))
+    swap = np.eye(9)[[3 * (k % 3) + k // 3 for k in range(9)]]
+    got = {
+        "werner_qubit": [max_distill_x_sq(werner_state(0.05 * i), 2, 2)[0] for i in range(21)],
+        "fig1_010_025": [max_distill_x_sq(fig1_state(0.10, 0.25), 3, 3)[0]],
+        "two_copy_werner_qutrit_06": [max_distill_x_sq(
+            n_copy_state((np.eye(9) - 0.6 * swap) / 7.2, (3, 3), 2), 9, 9)[0]],
+    }
+    deviations = {name: max(abs(g - w) for g, w in zip(values, np.ravel(ref[name])))
+                  for name, values in got.items()}
+    worst = max(deviations.values())
+    report("distill reference", worst <= REFERENCE_TOL,
+           "max deviation " + ", ".join(f"{k} {v:.2e}" for k, v in deviations.items()))
+    assert len(got["werner_qubit"]) == len(ref["werner_qubit"])
+    assert worst <= REFERENCE_TOL
 
 
 def test_criterion_7_distillability_sweep(tmp_path, capsys):

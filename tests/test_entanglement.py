@@ -35,6 +35,7 @@ from uniparam import (
     offdiag_to_matrix,
     optimized_bound_b,
     optimized_bounds_b,
+    permute_subsystems,
     ppt_min_eigenvalue,
     pure_m_concurrence_sq,
     sigma,
@@ -366,6 +367,59 @@ def test_multipartite_ghz_and_product():
     rng = np.random.default_rng(53)
     product = kron(kron(rand_density(rng, 2), rand_density(rng, 2)), rand_density(rng, 2))
     assert multipartite_bound_b(product, (2, 2, 2)).b < 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 1), (1, 4)])
+def test_multipartite_subsystem_of_dimension_one_raises(dims):
+    # a bipartition with a side of dimension 1 has no 2x2 blocks; its bound_b raises
+    with pytest.raises(DimensionMismatchError, match=">= 2"):
+        multipartite_bound_b(np.eye(4) / 4, dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
+def test_multipartite_parts_are_bound_b_of_permuted_states(dims):
+    # the state is factored once and permuted per bipartition; each part is the bipartite
+    # bound of the permuted matrix, bit for bit where the Hermitian part is the data (full
+    # rank) and within round-off where the eigenvector factor is (low rank)
+    from uniparam.entanglement import _check_state, _cholesky_concurrences
+
+    rng = np.random.default_rng(58)
+    n = int(np.prod(dims))
+    for rank in (1, 2, 5, n):
+        rho = rand_density(rng, n, rank)
+        cholesky = _check_state(rho, dims[0], n // dims[0]).kind is _cholesky_concurrences
+        assert cholesky == (rank == n)
+        multi = multipartite_bound_b(rho, dims)
+        total = 0.0
+        for bp, rep in multi.parts:
+            fresh = bound_b(permute_subsystems(rho, dims, bp.alpha + bp.beta),
+                            bp.d_alpha, bp.d_beta)
+            assert list(rep.terms) == list(fresh.terms)
+            got = np.array(list(rep.terms.values()) + [rep.b])
+            want = np.array(list(fresh.terms.values()) + [fresh.b])
+            if cholesky:
+                assert_same_bits(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-14
+            total += rep.b_squared
+        assert multi.b == math.sqrt(total)
+
+
+def test_bound_b_report_terms_are_the_callers():
+    # the pair keys and block index are built once per dimension pair; a report's terms are
+    # its own, so editing them changes no later call
+    from uniparam.entanglement import _layout
+
+    rng = np.random.default_rng(59)
+    rho = rand_density(rng, 12, 3)
+    first = bound_b(rho, 3, 4)
+    expected = dict(first.terms)
+    first.terms[(1, 2, 1, 2)] = 7.0
+    del first.terms[(1, 3, 2, 4)]
+    first.terms[(9, 9, 9, 9)] = 1.0
+    again = bound_b(rho, 3, 4)
+    assert again.terms == expected and again.terms is not first.terms
+    assert not _layout(3, 4)[0].flags.writeable
 
 
 def test_n_copy_state():
